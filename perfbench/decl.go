@@ -14,6 +14,7 @@ type workloadDecl struct {
 
 var workloadDecls = []workloadDecl{
 	{"mc-steady", "dining n=8 slowest policy, fresh Runner per job: the compile cache warms in the first trials, so the steady trial loop does the work"},
+	{"mc-cold", "dining n=8 random policy, fresh Runner per job: nearly every trial interns new states, so compile-cache interning and heap growth do the work"},
 	{"fabric-loopback", "election n=3 on a coordinator and 2 workers over loopback HTTP: short trials make lease and result RPCs, CRC envelope and merge count"},
 	{"exact-dining", "lrcheck chain on the dining n=3 k=2 product (35,405 states): the only workload that runs the mdp explorer and core solvers"},
 }
@@ -41,6 +42,7 @@ var endToEnd = []metricDecl{
 }
 
 const (
+	layerEngine  = "internal/sim engine"
 	layerCompile = "internal/sim compile cache"
 	layerLoop    = "internal/sim trial loop"
 	layerMerge   = "internal/sim checkpoint and merge"
@@ -49,17 +51,22 @@ const (
 	layerSolvers = "internal/core + internal/mdp solvers"
 	movesSpeed   = "throughput_per_s, job_s"
 	movesHeap    = "throughput_per_s, live_heap_mb"
-	onFabric     = "fabric-loopback; no change on mc-steady"
+	onFabric     = "fabric-loopback; no change on mc-steady or mc-cold"
+	onMC         = "mc-steady, mc-cold"
+	onCold       = "mc-cold; no change expected on mc-steady"
+	onLoop       = "mc-steady; small on mc-cold"
 )
 
 // perLayer are the metrics of single layers, reported by traced runs.
 // A workload that does not run a layer reports its metrics as 0.
 var perLayer = []metricDecl{
-	{Name: "sim.compile.warmup_s", Unit: "s", Better: "lower", Layer: layerCompile, Moves: movesHeap, On: "mc-steady"},
-	{Name: "sim.compile.heap_bytes_per_trial", Unit: "B", Better: "lower", Layer: layerCompile, Moves: movesHeap, On: "mc-steady"},
-	{Name: "sim.loop.warm_trials_per_s", Unit: "1/s", Better: "higher", Layer: layerLoop, Moves: "throughput_per_s", On: "mc-steady"},
-	{Name: "sim.loop.allocs_per_trial", Unit: "count", Better: "lower", Layer: layerLoop, Moves: "throughput_per_s", On: "mc-steady"},
-	{Name: "sim.loop.bytes_per_trial", Unit: "B", Better: "lower", Layer: layerLoop, Moves: "throughput_per_s", On: "mc-steady"},
+	{Name: "sim.estimate.s", Unit: "s", Better: "lower", Layer: layerEngine, Moves: movesSpeed, On: onMC},
+	{Name: "sim.chunk.busy_s", Unit: "s", Better: "lower", Layer: layerLoop, Moves: movesSpeed, On: "mc-steady, mc-cold, fabric-loopback"},
+	{Name: "sim.compile.warmup_s", Unit: "s", Better: "lower", Layer: layerCompile, Moves: movesHeap, On: onCold},
+	{Name: "sim.compile.heap_bytes_per_trial", Unit: "B", Better: "lower", Layer: layerCompile, Moves: movesHeap, On: onCold},
+	{Name: "sim.loop.warm_trials_per_s", Unit: "1/s", Better: "higher", Layer: layerLoop, Moves: "throughput_per_s", On: onLoop},
+	{Name: "sim.loop.allocs_per_trial", Unit: "count", Better: "lower", Layer: layerLoop, Moves: "throughput_per_s", On: onLoop},
+	{Name: "sim.loop.bytes_per_trial", Unit: "B", Better: "lower", Layer: layerLoop, Moves: "throughput_per_s", On: onLoop},
 	{Name: "sim.merge.finalize_s", Unit: "s", Better: "lower", Layer: layerMerge, Moves: "job_s", On: "fabric-loopback"},
 	{Name: "sim.envelope.bytes_per_chunk", Unit: "B", Better: "lower", Layer: layerMerge, Moves: "job_s", On: "fabric-loopback"},
 	{Name: "fabric.rpc.lease.count", Unit: "count", Better: "lower", Layer: layerFabric, Moves: movesSpeed, On: onFabric},
@@ -77,6 +84,8 @@ var perLayer = []metricDecl{
 	{Name: "fabric.rpcs_per_chunk", Unit: "count", Better: "lower", Layer: layerFabric, Moves: movesSpeed, On: onFabric},
 	{Name: "fabric.worker.rpc_frac", Unit: "frac", Better: "lower", Layer: layerFabric, Moves: movesSpeed, On: onFabric},
 	{Name: "fabric.useful_chunk_frac", Unit: "frac", Better: "higher", Layer: layerFabric, Moves: movesSpeed, On: onFabric},
+	{Name: "fabric.worker.lease_self_s", Unit: "s", Better: "lower", Layer: layerFabric, Moves: movesSpeed, On: onFabric},
+	{Name: "fabric.worker.lease_wait_s", Unit: "s", Better: "lower", Layer: layerFabric, Moves: movesSpeed, On: onFabric},
 	{Name: "fabric.http_errors", Unit: "count", Better: "lower", Layer: layerFabric, Moves: movesSpeed, On: onFabric},
 	{Name: "fabric.leases_expired", Unit: "count", Better: "lower", Layer: layerFabric, Moves: movesSpeed, On: onFabric},
 	{Name: "mdp.explore.s", Unit: "s", Better: "lower", Layer: layerExplore, Moves: movesHeap, On: "exact-dining"},
@@ -86,25 +95,32 @@ var perLayer = []metricDecl{
 	{Name: "core.chain.s", Unit: "s", Better: "lower", Layer: layerSolvers, Moves: movesSpeed, On: "exact-dining"},
 	{Name: "core.proof.s", Unit: "s", Better: "lower", Layer: layerSolvers, Moves: movesSpeed, On: "exact-dining"},
 	{Name: "core.direct.s", Unit: "s", Better: "lower", Layer: layerSolvers, Moves: movesSpeed, On: "exact-dining"},
+	{Name: "core.recurrence.s", Unit: "s", Better: "lower", Layer: layerSolvers, Moves: movesSpeed, On: "exact-dining"},
 	{Name: "mdp.expected.s", Unit: "s", Better: "lower", Layer: layerSolvers, Moves: movesSpeed, On: "exact-dining"},
 	{Name: "mdp.qualitative.s", Unit: "s", Better: "lower", Layer: layerSolvers, Moves: movesSpeed, On: "exact-dining"},
 	{Name: "layers.unaccounted_frac", Unit: "frac", Better: "lower", Layer: "all", Moves: "—", On: "every workload"},
 	{Name: "trace.overhead_frac", Unit: "frac", Better: "lower", Layer: "all", Moves: "—", On: "every workload"},
 }
 
-// unaccountedTolerance is the largest share of a traced job's time that
-// may fall outside every bracketed layer call; a traced run with a job
-// over it fails its layer-sum check.
+// unaccountedTolerance is the largest share of a traced job's time
+// during which no span of a declared layer runs (see accounted); a
+// traced run with a job over it fails its layer-sum check.
 const unaccountedTolerance = 0.05
 
 // selfSpans maps the per-layer time metrics to the bracketing span whose
-// self time they report.
+// self time they report. sim.estimate's self time is Runner.Estimate
+// outside its engine chunks, whose total sim.chunk.busy_s reports.
 var selfSpans = map[string]string{
+	"sim.estimate.s":       "sim.estimate",
 	"sim.merge.finalize_s": "sim.merge.finalize",
-	"mdp.explore.s":        "mdp.explore",
-	"core.chain.s":         "core.chain",
-	"core.proof.s":         "core.proof",
-	"core.direct.s":        "core.direct",
-	"mdp.expected.s":       "mdp.expected",
-	"mdp.qualitative.s":    "mdp.qualitative",
+	// A fabric worker's lease outside its chunks and RPCs: building the
+	// engine run, heartbeats, and encoding the result envelope.
+	"fabric.worker.lease_self_s": "worker.lease",
+	"core.recurrence.s":          "core.recurrence",
+	"mdp.explore.s":              "mdp.explore",
+	"core.chain.s":               "core.chain",
+	"core.proof.s":               "core.proof",
+	"core.direct.s":              "core.direct",
+	"mdp.expected.s":             "mdp.expected",
+	"mdp.qualitative.s":          "mdp.qualitative",
 }

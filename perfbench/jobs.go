@@ -6,7 +6,10 @@ package main
 // answer against the recorded one.
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -23,8 +26,8 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
+	"repro/internal/pa"
 	"repro/internal/prob"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -40,6 +43,10 @@ type jobResult struct {
 	heap uint64        // live heap after a forced GC at job end
 	// chunks is the fabric job's chunk count (0 elsewhere).
 	chunks int
+	// workerSpans are the spans the fabric workers' own tracer recorded
+	// on a traced job (see loopback.workerSpans), timed on that tracer's
+	// clock.
+	workerSpans []span.Record
 	// layers holds per-layer values measured outside spans; set on
 	// traced jobs only.
 	layers map[string]float64
@@ -67,24 +74,26 @@ var workloads = func() map[string]*workload {
 	for _, d := range workloadDecls {
 		byName[d.Name] = &workload{workloadDecl: d}
 	}
-	steady := fabric.JobSpec{Model: "dining", N: 8, Policy: "slowest",
-		Estimator: fabric.EstimatorReachProb, Within: 13, Trials: 100_000}
-	w := byName["mc-steady"]
-	w.setup = func(_ context.Context, seed int64) (time.Duration, error) {
-		t := time.Now()
-		_, err := fabric.NewRunner(withSeed(steady, seed))
-		return time.Since(t), err
+	mc := func(name string, spec fabric.JobSpec) {
+		w := byName[name]
+		w.setup = func(ctx context.Context, seed int64) (time.Duration, error) {
+			return mcSetup(ctx, withSeed(spec, seed))
+		}
+		w.job = func(ctx context.Context, seed int64, tr *span.Tracer, id int) (jobResult, error) {
+			return mcJob(ctx, name, withSeed(spec, seed), tr, id)
+		}
+		w.answer = func(ctx context.Context, seed int64) (string, error) {
+			return runnerAnswer(ctx, withSeed(spec, seed))
+		}
 	}
-	w.job = func(ctx context.Context, seed int64, tr *span.Tracer, id int) (jobResult, error) {
-		return mcJob(ctx, "mc-steady", withSeed(steady, seed), tr, id)
-	}
-	w.answer = func(ctx context.Context, seed int64) (string, error) {
-		return runnerAnswer(ctx, withSeed(steady, seed))
-	}
+	mc("mc-steady", fabric.JobSpec{Model: "dining", N: 8, Policy: "slowest",
+		Estimator: fabric.EstimatorReachProb, Within: 13, Trials: 100_000})
+	mc("mc-cold", fabric.JobSpec{Model: "dining", N: 8, Policy: "random",
+		Estimator: fabric.EstimatorReachProb, Within: 13, Trials: 3_000})
 
 	fab := fabric.JobSpec{Model: "election", N: 3, Policy: "slowest",
 		Estimator: fabric.EstimatorTimeToTarget, Trials: 100_000}
-	w = byName["fabric-loopback"]
+	w := byName["fabric-loopback"]
 	w.setup = func(ctx context.Context, seed int64) (time.Duration, error) {
 		t := time.Now()
 		lb, err := startLoopback(ctx, withSeed(fab, seed), nil, 0)
@@ -117,11 +126,18 @@ func withSeed(spec fabric.JobSpec, seed int64) fabric.JobSpec {
 	return spec
 }
 
-// estimateLine is the canonical answer line `simd local` and `simd
-// coordinate` print for a job.
-func estimateLine(spec fabric.JobSpec, est string) string {
-	return fmt.Sprintf("%s n=%d policy=%s seed=%d trials=%d: %s",
-		spec.Model, spec.N, spec.Policy, spec.Seed, spec.Trials, est)
+// answerLine is the canonical answer line `simd local` and `simd
+// coordinate` print for a job, followed by a digest of the run's
+// checkpoint. The checkpoint holds every chunk's accumulator, so a
+// single trial that ends differently changes the digest even where the
+// printed estimate rounds it away.
+func answerLine(spec fabric.JobSpec, est string, cp *sim.Checkpoint) (string, error) {
+	data, err := json.Marshal(cp)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%s n=%d policy=%s seed=%d trials=%d: %s checkpoint=%x",
+		spec.Model, spec.N, spec.Policy, spec.Seed, spec.Trials, est, sha256.Sum256(data)), nil
 }
 
 // runnerAnswer is the single-process reference: Runner.Estimate on one
@@ -131,8 +147,11 @@ func runnerAnswer(ctx context.Context, spec fabric.JobSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	est, _, err := r.Estimate(ctx, 1, fabric.EngineHooks{})
-	return estimateLine(spec, est), err
+	est, rep, err := r.Estimate(ctx, 1, fabric.EngineHooks{})
+	if err != nil {
+		return "", err
+	}
+	return answerLine(spec, est, rep.Checkpoint)
 }
 
 // bracket runs f inside a span named name under parent.
@@ -149,6 +168,18 @@ func liveHeap() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
+}
+
+// mcSetup times a fresh Runner up to its first trial: NewRunner, then
+// Template, which enters the engine through the estimator and runs an
+// empty chunk range.
+func mcSetup(ctx context.Context, spec fabric.JobSpec) (time.Duration, error) {
+	t := time.Now()
+	r, err := fabric.NewRunner(spec)
+	if err == nil {
+		_, err = r.Template(ctx)
+	}
+	return time.Since(t), err
 }
 
 // mcJob is `simd local`: a fresh Runner, one Estimate, the answer line.
@@ -172,14 +203,23 @@ func mcJob(ctx context.Context, name string, spec fabric.JobSpec, tr *span.Trace
 		return err
 	})
 	if err == nil {
-		err = bracket(tr, root, "sim.estimate", func() (err error) {
-			est, rep, err = r.Estimate(ctx, engineWorkers, fabric.EngineHooks{})
-			return err
-		})
+		// On traced jobs the engine opens a "chunk" span per chunk under
+		// the estimate, as `simd local -trace-out` has it do.
+		sp := tr.Start("sim.estimate", root.Context())
+		var eng fabric.EngineHooks
+		if tr != nil {
+			eng.Spans = span.ChunkSpans(tr, sp.Context())
+		}
+		est, rep, err = r.Estimate(ctx, engineWorkers, eng)
+		sp.End()
 	}
 	if err == nil {
 		err = bracket(tr, root, "check", func() error {
-			return checkAnswer(name, spec.Seed, estimateLine(spec, est))
+			line, err := answerLine(spec, est, rep.Checkpoint)
+			if err != nil {
+				return err
+			}
+			return checkAnswer(name, spec.Seed, line)
 		})
 	}
 	res.dur = time.Since(start)
@@ -230,6 +270,10 @@ type loopback struct {
 	// rpcs holds the traced workers' transports, whose parent span is
 	// set when the workers start.
 	rpcs []*rpcSpans
+	// wtr is the traced workers' own tracer (Worker.Tracer), writing to
+	// wbuf; nil on untraced jobs.
+	wtr  *span.Tracer
+	wbuf bytes.Buffer
 }
 
 func startLoopback(ctx context.Context, spec fabric.JobSpec, tr *span.Tracer, id int) (*loopback, error) {
@@ -260,6 +304,9 @@ func startLoopback(ctx context.Context, spec fabric.JobSpec, tr *span.Tracer, id
 		tp:     http.DefaultTransport.(*http.Transport).Clone(),
 	}
 	go func() { lb.served <- lb.srv.Serve(ln) }()
+	if tr != nil {
+		lb.wtr = span.New(&lb.wbuf, span.Options{Service: "workers"})
+	}
 	for i := range engineWorkers {
 		var rt http.RoundTripper = lb.tp
 		if tr != nil {
@@ -273,6 +320,7 @@ func startLoopback(ctx context.Context, spec fabric.JobSpec, tr *span.Tracer, id
 			Workers:     1,
 			Client:      &http.Client{Timeout: 30 * time.Second, Transport: rt},
 			Breaker:     fault.NewBreaker(fault.BreakerOptions{Failures: 5, Cooldown: time.Second}),
+			Tracer:      lb.wtr,
 		})
 	}
 	return lb, nil
@@ -286,6 +334,17 @@ func (lb *loopback) close() error {
 	}
 	lb.tp.CloseIdleConnections()
 	return err
+}
+
+// workerSpans closes the workers' tracer and returns what it recorded:
+// a "worker.lease" span per lease with the engine's "chunk" spans and
+// the workers' "rpc.*" spans under it, and a "lease.wait" span per
+// all-leased-out backoff.
+func (lb *loopback) workerSpans() ([]span.Record, error) {
+	if err := lb.wtr.Close(); err != nil {
+		return nil, err
+	}
+	return span.Read(&lb.wbuf)
 }
 
 // run starts the workers and waits for the coordinator to merge every
@@ -363,7 +422,11 @@ func fabricJob(ctx context.Context, spec fabric.JobSpec, tr *span.Tracer, id int
 	})
 	if err == nil {
 		err = bracket(tr, root, "check", func() error {
-			return checkAnswer("fabric-loopback", spec.Seed, estimateLine(lb.c.Job(), est))
+			line, err := answerLine(lb.c.Job(), est, rep.Checkpoint)
+			if err != nil {
+				return err
+			}
+			return checkAnswer("fabric-loopback", spec.Seed, line)
 		})
 	}
 	res.dur = time.Since(start)
@@ -377,6 +440,9 @@ func fabricJob(ctx context.Context, spec fabric.JobSpec, tr *span.Tracer, id int
 	res.work = rep.Completed
 	res.heap = liveHeap()
 	if tr != nil {
+		if res.workerSpans, err = lb.workerSpans(); err != nil {
+			return res, fmt.Errorf("worker trace: %w", err)
+		}
 		st := lb.c.Status()
 		res.layers = map[string]float64{
 			"fabric.useful_chunk_frac": float64(st.ChunksDone) / float64(st.ChunksDone+int(st.DuplicatesDropped)),
@@ -439,22 +505,20 @@ func serveSpans(h http.Handler, tr *span.Tracer, id int) http.Handler {
 // The exact workload's instance: lrcheck -n 3 -k 2.
 const exactN, exactK = 3, 2
 
-// exactSetup times what dining.NewAnalysisOpts builds before its first
-// explore step: the model, its compiled wrapper, the scheduler product
-// and the state packer.
+// exactSetup times dining.NewAnalysisOpts up to its first explore step:
+// with a one-state limit the explorer interns the start state, expands
+// it, and stops at its first new successor with pa.ErrLimitExceeded.
 func exactSetup() (time.Duration, error) {
 	t := time.Now()
-	model, err := dining.New(exactN)
-	if err != nil {
-		return 0, err
+	_, err := dining.NewAnalysisOpts(exactN, exactK, dining.Opts{Workers: engineWorkers, Limit: 1})
+	d := time.Since(t)
+	if errors.Is(err, pa.ErrLimitExceeded) {
+		return d, nil
 	}
-	if _, err := sched.Product[dining.State](sim.Compile[dining.State](model), sched.Config{StepsPerWindow: exactK}); err != nil {
-		return 0, err
+	if err == nil {
+		err = errors.New("dining: a one-state limit did not stop the explorer")
 	}
-	if _, ok := sched.ProductPacker[dining.State](model); !ok {
-		return 0, errors.New("dining: no product packer")
-	}
-	return time.Since(t), nil
+	return d, err
 }
 
 // exactJob is the lrcheck text path.

@@ -1,10 +1,12 @@
 // Command perfbench is the repository's benchmark. Each workload is one
 // closed-loop client running one job at a time in this process, with at
 // most two engine goroutines: Monte Carlo jobs through fabric.Runner
-// (what `simd local` runs), a coordinator and two workers over loopback
-// HTTP (what `simd coordinate` and `simd work` run), and the exact
-// lrcheck chain on the dining product. Every answer is checked against
-// the line recorded for its job seed in golden.json.
+// (what `simd local` runs) with the compile cache warming early or
+// hardly at all, a coordinator and two workers over loopback HTTP (what
+// `simd coordinate` and `simd work` run), and the exact lrcheck chain on
+// the dining product. Every answer is checked against the line recorded
+// for its job seed in golden.json; Monte Carlo lines end in a digest of
+// the run's checkpoint.
 //
 // Usage, from the repository root (run.sh builds and runs it):
 //
@@ -13,7 +15,9 @@
 // --trace 0 runs untraced jobs for S seconds and reports the end-to-end
 // metrics; --trace 1 alternates untraced and traced jobs and reports
 // the per-layer metrics, taken from spans the harness records around
-// each call it makes. --workload all runs every workload in turn.
+// each call it makes, the engine's per-chunk spans, and the spans the
+// fabric workers record through Worker.Tracer. --workload all runs
+// every workload in turn.
 // --record FILE recomputes every recorded answer into FILE.
 //
 // decl.go declares the workloads and metrics: for each per-layer metric
@@ -51,11 +55,15 @@ func main() {
 	}
 }
 
-// setupReps is how many times an untraced run builds its workload's
-// set-up to time it, after setupWarmup untimed builds; setup_s is their
-// median. A set-up takes microseconds to a millisecond, so the first
-// builds of a process pay for cold caches and allocator state.
-const setupWarmup, setupReps = 20, 201
+// An untraced run builds its workload's set-up setupWarmup times
+// untimed when it starts, then setupsPerJob times before each job, and
+// reports the median of the timed builds as setup_s. A set-up takes
+// tens to hundreds of microseconds, and the first hundred or so builds
+// of a process take about twice as long as later ones, so the warm-up
+// is long. Spreading the timed builds over the run samples the same
+// host speeds as the jobs: a block of builds at one moment ran on one
+// CPU at one speed, and its median moved by half from run to run.
+const setupWarmup, setupsPerJob = 200, 16
 
 // errIncorrect reports a run that printed its result but failed a check.
 var errIncorrect = errors.New("a job failed or answered wrongly, or a layer-sum check failed")
@@ -211,11 +219,10 @@ type sample struct {
 // measure runs one workload: jobs back to back for o.seconds (at least
 // one; on traced runs, untraced and traced in turn, at least one of
 // each), each after a forced collection so no job pays for the last
-// one's garbage; then, on untraced runs, the set-up builds. It
+// one's garbage, and on untraced runs after timed set-up builds. It
 // returns the result and human-readable notes.
 func measure(ctx context.Context, w *workload, o runOpts) (result, []string, error) {
 	start := time.Now()
-	deadline := start.Add(time.Duration(o.seconds) * time.Second)
 	res := result{Correct: true, Metrics: map[string]metricValue{}}
 	var notes []string
 	fail := func(format string, args ...any) {
@@ -226,12 +233,33 @@ func measure(ctx context.Context, w *workload, o runOpts) (result, []string, err
 		notes = append(notes, "FAILED: "+msg)
 	}
 
+	var setups []float64
+	setupSeed := jobSeeds(o.seed)
+	buildSetups := func(n int, timed bool) error {
+		for range n {
+			d, err := w.setup(ctx, setupSeed())
+			if err != nil {
+				return fmt.Errorf("%s set-up: %w", w.Name, err)
+			}
+			if timed {
+				setups = append(setups, d.Seconds())
+			}
+		}
+		return nil
+	}
+	if !o.traced {
+		if err := buildSetups(setupWarmup, false); err != nil {
+			return res, nil, err
+		}
+	}
+
 	var buf bytes.Buffer
 	var tr *span.Tracer
 	if o.traced {
 		tr = span.New(&buf, span.Options{Service: "perfbench"})
 	}
 	next := jobSeeds(o.seed)
+	deadline := time.Now().Add(time.Duration(o.seconds) * time.Second)
 	var samples []sample
 	for id := 1; id == 1 || o.traced && id == 2 || time.Now().Before(deadline); id++ {
 		traced := o.traced && id%2 == 0
@@ -240,6 +268,11 @@ func measure(ctx context.Context, w *workload, o runOpts) (result, []string, err
 			jt = tr
 		}
 		seed := next()
+		if !o.traced {
+			if err := buildSetups(setupsPerJob, true); err != nil {
+				return res, nil, err
+			}
+		}
 		runtime.GC()
 		r, err := w.job(ctx, seed, jt, id)
 		res.Attempted++
@@ -268,18 +301,6 @@ func measure(ctx context.Context, w *workload, o runOpts) (result, []string, err
 		}
 		notes = append(notes, layerMetrics(w.Name, samples, spanForest(recs), res.Metrics, fail))
 	} else {
-		runtime.GC()
-		setupSeed := jobSeeds(o.seed)
-		var setups []float64
-		for i := range setupWarmup + setupReps {
-			d, err := w.setup(ctx, setupSeed())
-			if err != nil {
-				return res, nil, fmt.Errorf("%s set-up: %w", w.Name, err)
-			}
-			if i >= setupWarmup {
-				setups = append(setups, d.Seconds())
-			}
-		}
 		notes = append(notes, endToEndMetrics(w.Name, samples, setups, res.Metrics)...)
 	}
 	for name, v := range res.Metrics {

@@ -165,12 +165,12 @@ func TestSelfTimeArithmetic(t *testing.T) {
 	if !reflect.DeepEqual(self, want) {
 		t.Errorf("self times = %v, want %v", self, want)
 	}
-	if got := unaccountedFrac(roots[0]); got != 0.4 {
-		t.Errorf("unaccounted frac = %v, want 0.4", got)
+	if got := unionNs([][2]int64{{30, 60}, {10, 40}, {90, 100}, {15, 20}}); got != 60 {
+		t.Errorf("union = %d, want 60", got)
 	}
 
-	// Sequential children that cover the job leave nothing unaccounted,
-	// and the layer self times add up to job_s.
+	// Sequential declared layers that cover the job leave 1% of it
+	// unaccounted, and their self times are the layer metrics.
 	recs = []span.Record{
 		rec("j", "", "job", 0, 1000, 1),
 		rec("s", "j", "setup", 0, 100, 0),
@@ -190,6 +190,70 @@ func TestSelfTimeArithmetic(t *testing.T) {
 	}
 	if got := layers["mdp.explore.states_per_s"]; math.Abs(got-2e9) > 1 {
 		t.Errorf("mdp.explore.states_per_s = %v, want 2e9", got)
+	}
+}
+
+// TestLayerSumIgnoresUndeclaredSpans checks that a span no declared
+// metric reports does not count as accounted time, however much of the
+// job it covers, so such a job fails the layer-sum check.
+func TestLayerSumIgnoresUndeclaredSpans(t *testing.T) {
+	recs := []span.Record{
+		rec("j", "", "job", 0, 1000, 1),
+		rec("s", "j", "setup", 0, 100, 0),
+		rec("w", "j", "fabric.wait", 100, 880, 0),
+		rec("c", "j", "check", 980, 20, 0),
+	}
+	u := jobLayers(spanForest(recs)[1], jobResult{})["layers.unaccounted_frac"]
+	if math.Abs(u-0.88) > 1e-12 {
+		t.Errorf("unaccounted frac = %v, want 0.88", u)
+	}
+	if u <= unaccountedTolerance {
+		t.Error("a job whose time falls outside every declared layer passes the layer-sum check")
+	}
+	if u := jobLayers(nil, jobResult{})["layers.unaccounted_frac"]; u != 1 {
+		t.Errorf("a job with no root span: unaccounted frac = %v, want 1", u)
+	}
+}
+
+// TestLayerSumCountsWorkerSpans checks that the fabric workers' rpc,
+// lease, chunk and lease.wait spans account for the coordinator wait,
+// the workers' own spans placed on the job's clock by their wall starts.
+func TestLayerSumCountsWorkerSpans(t *testing.T) {
+	recs := []span.Record{
+		rec("j", "", "job", 0, 1000, 1),
+		rec("s", "j", "setup", 0, 100, 0),
+		rec("f", "j", "fabric.wait", 100, 800, 0),
+		rec("m", "j", "sim.merge.finalize", 900, 100, 0),
+		rec("w", "", "worker", 100, 900, 1),
+		rec("l", "w", "rpc.lease", 100, 100, 0),
+		rec("r", "w", "rpc.result", 700, 100, 0),
+	}
+	// The job starts at wall time 5000 on its tracer's clock 0; the
+	// workers' tracer started elsewhere, so its MonoNs values are
+	// ignored.
+	for i := range recs {
+		recs[i].StartUnixNs = 5000 + recs[i].MonoNs
+	}
+	worker := []span.Record{
+		{ID: "wl", Name: "worker.lease", StartUnixNs: 5200, MonoNs: 99999, DurNs: 450},
+		{ID: "c1", Parent: "wl", Name: "chunk", StartUnixNs: 5200, MonoNs: 99999, DurNs: 300},
+		{ID: "c2", Parent: "wl", Name: "chunk", StartUnixNs: 5400, MonoNs: 99999, DurNs: 200},
+		{ID: "lw", Name: "lease.wait", StartUnixNs: 5800, MonoNs: 99999, DurNs: 50},
+	}
+	layers := jobLayers(spanForest(recs)[1], jobResult{workerSpans: worker})
+	// Covered: [0,100) setup, [100,200) lease, [200,650) worker.lease,
+	// [700,800) result, [800,850) lease.wait, [900,1000) finalize.
+	if u := layers["layers.unaccounted_frac"]; math.Abs(u-0.1) > 1e-12 {
+		t.Errorf("unaccounted frac = %v, want 0.1", u)
+	}
+	if got := layers["fabric.worker.lease_self_s"]; math.Abs(got-50e-9) > 1e-18 {
+		t.Errorf("fabric.worker.lease_self_s = %v, want 5e-8", got)
+	}
+	if got := layers["sim.chunk.busy_s"]; math.Abs(got-500e-9) > 1e-18 {
+		t.Errorf("sim.chunk.busy_s = %v, want 5e-7", got)
+	}
+	if got := layers["fabric.worker.lease_wait_s"]; math.Abs(got-50e-9) > 1e-18 {
+		t.Errorf("fabric.worker.lease_wait_s = %v, want 5e-8", got)
 	}
 }
 
@@ -233,6 +297,20 @@ func TestGateRejectsCorruptedAnswer(t *testing.T) {
 		if err := checkAnswer(d.Name, 1, bad); err == nil {
 			t.Errorf("%s: corrupted answer %q accepted", d.Name, bad)
 		}
+	}
+	// A Monte Carlo answer whose estimate matches but whose checkpoint
+	// digest differs, as when one trial ends differently, is rejected.
+	good := golden["mc-steady"][0]
+	i := strings.LastIndex(good, "checkpoint=") + len("checkpoint=")
+	if i < len("checkpoint=") {
+		t.Fatalf("recorded mc-steady answer %q carries no checkpoint digest", good)
+	}
+	flip := "0"
+	if good[i] == '0' {
+		flip = "1"
+	}
+	if bad := good[:i] + flip + good[i+1:]; checkAnswer("mc-steady", 1, bad) == nil {
+		t.Errorf("answer with a corrupted checkpoint digest %q accepted", bad)
 	}
 	if err := checkAnswer("mc-steady", seedPool+1, golden["mc-steady"][0]); err == nil {
 		t.Error("an answer for a job seed outside the pool was accepted")

@@ -49,11 +49,10 @@ FUZZTIME ?= 30s
 .PHONY: all build test test-short test-race bench bench-smoke bench-json bench-diff vuln vet fmt fuzz chaos chaos-smoke chaos-net chaos-net-smoke fabric-smoke trace-smoke mdp-smoke check lrcheck experiments
 
 # Benchmarks recorded in BENCH_sim.json and gated by bench-diff: the
-# parallel-engine throughput row, the hot-path ablation ladder, the
-# metrics-overhead pair, the compiled-vs-uncompiled ablations for the
-# election and consensus case studies, and the exact-engine
-# explore+solve row.
-BENCH_GATE = BenchmarkParallelTrials|BenchmarkTrialAblation|BenchmarkMetricsOverhead|BenchmarkSpanOverhead|BenchmarkElectionTrials|BenchmarkConsensusTrials|BenchmarkExactEngine|BenchmarkBreakerOverhead
+# parallel-engine throughput row, the metrics- and span-overhead pairs,
+# the cold-cache trial rows for the election and consensus case studies,
+# the exact-engine explore+solve row and the breaker-overhead row.
+BENCH_GATE = BenchmarkParallelTrials|BenchmarkMetricsOverhead|BenchmarkSpanOverhead|BenchmarkElectionTrials|BenchmarkConsensusTrials|BenchmarkExactEngine|BenchmarkBreakerOverhead
 
 # Absolute throughput backstop for the headline engine benchmark,
 # enforced by bench-diff on top of the relative 10% gate: the alias
@@ -133,10 +132,12 @@ fmt:
 # Fuzz the engine and the artifact layer. Each -fuzz run is a separate
 # invocation (Go allows one fuzz target per run):
 #   RunOnceAdversarial  adversarial policies: typed errors, never a crash
+#   AliasPick           random distributions: alias measure matches the scan, draws stay in the support
 #   LoadCheckpointSet   hostile checkpoint bytes: ErrCorruptArtifact, never a panic
 #   ReadManifest        hostile manifest JSONL: ErrCorruptManifest, never a panic
 fuzz:
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzRunOnceAdversarial -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzAliasPick -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzLoadCheckpointSet -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/obs -run='^$$' -fuzz=FuzzReadManifest -fuzztime=$(FUZZTIME)
 

@@ -278,12 +278,22 @@ func BenchmarkBaselineLiveness(b *testing.B) {
 	}
 }
 
+// mustCompile compiles a model once outside the timer, as the CLIs do.
+func mustCompile[S comparable](b *testing.B, m sched.Model[S]) *sim.Compiled[S] {
+	b.Helper()
+	cm, err := sim.Compile(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cm
+}
+
 // E12 (scaling): Monte Carlo expected time to C at n=10 under the
 // spiteful dense-time scheduler; the paper's bound of 63 must hold with
 // slack.
 func BenchmarkSimExpectedTime(b *testing.B) {
 	const n = 10
-	model := dining.MustNew(n)
+	model := mustCompile[dining.State](b, dining.MustNew(n))
 	opts := sim.Options[dining.State]{Start: dining.AllAt(n, dining.F), SetStart: true}
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
@@ -312,7 +322,7 @@ func BenchmarkParallelTrials(b *testing.B) {
 		n      = 8
 		trials = 256
 	)
-	model := sim.Compile[dining.State](dining.MustNew(n))
+	model := mustCompile[dining.State](b, dining.MustNew(n))
 	opts := sim.Options[dining.State]{Start: dining.AllAt(n, dining.F), SetStart: true}
 	mk := func() sim.Policy[dining.State] { return dining.KeepTrying(sim.Random[dining.State](0.5)) }
 	deadlines := make([]float64, 16)
@@ -338,90 +348,33 @@ func BenchmarkParallelTrials(b *testing.B) {
 	b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 }
 
-// E12 addendum (hot-path ablation ladder): the same n=8 curve workload
-// as BenchmarkParallelTrials, one rung per engine optimisation so
-// EXPERIMENTS.md can attribute the throughput to its parts. Rungs are
-// cumulative: uncompiled baseline; compiled cache sampling by cumulative
-// scan (Options.BitCompat); alias-table sampling; packed state
-// interning (sched.Packer); per-worker trial arenas. The last rung is
-// the default engine configuration.
-func BenchmarkTrialAblation(b *testing.B) {
-	const (
-		n      = 8
-		trials = 256
-	)
-	raw := dining.MustNew(n)
-	opts := sim.Options[dining.State]{Start: dining.AllAt(n, dining.F), SetStart: true}
-	mk := func() sim.Policy[dining.State] { return dining.KeepTrying(sim.Random[dining.State](0.5)) }
-	deadlines := make([]float64, 16)
-	for i := range deadlines {
-		deadlines[i] = float64(i + 1)
-	}
-	rungs := []struct {
-		name      string
-		model     sched.Model[dining.State]
-		noCompile bool
-		bitCompat bool
-		noArena   bool
-	}{
-		// Compiled rungs pre-compile outside the timer, as the CLIs do.
-		{name: "uncompiled", model: raw, noCompile: true, noArena: true},
-		{name: "scan", model: sim.Compile[dining.State](unpackedModel[dining.State]{m: raw}), bitCompat: true, noArena: true},
-		{name: "alias", model: sim.Compile[dining.State](unpackedModel[dining.State]{m: raw}), noArena: true},
-		{name: "alias_packed", model: sim.Compile[dining.State](raw), noArena: true},
-		{name: "alias_packed_arena", model: sim.Compile[dining.State](raw)},
-	}
-	for _, rung := range rungs {
-		b.Run(rung.name, func(b *testing.B) {
-			o := opts
-			o.BitCompat = rung.bitCompat
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, rep, err := sim.EstimateCurveParallel[dining.State](context.Background(), rung.model, mk, dining.InC, deadlines, trials, o,
-					sim.ParallelOptions{Seed: 1, NoCompile: rung.noCompile, NoArena: rung.noArena})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Completed != trials {
-					b.Fatalf("completed %d/%d trials", rep.Completed, trials)
-				}
-			}
-			b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-		})
-	}
-}
-
-// E12 addendum (compile ablation, election): parallel time-to-leader
-// trials with the compiled transition cache on (the default) and off, so
-// BENCH_sim.json records the speedup per case study.
+// E12 addendum (election): parallel time-to-leader trials, each
+// iteration compiling the raw model afresh (a cold transition cache).
+// The sub-benchmark keeps the "compiled" name of the retired
+// compiled-vs-uncompiled pair so its BENCH_sim.json baseline stays
+// comparable.
 func BenchmarkElectionTrials(b *testing.B) {
 	const trials = 512
 	model := election.MustNew(3)
 	mk := func() sim.Policy[election.State] { return sim.Slowest[election.State]() }
-	for _, mode := range []struct {
-		name      string
-		nocompile bool
-	}{{"compiled", false}, {"uncompiled", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, rep, err := sim.EstimateTimeToTargetParallel[election.State](context.Background(), model, mk,
-					election.State.HasLeader, trials, sim.Options[election.State]{},
-					sim.ParallelOptions{Seed: 1, NoCompile: mode.nocompile})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Completed != trials {
-					b.Fatalf("completed %d/%d trials", rep.Completed, trials)
-				}
+	b.Run("compiled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, rep, err := sim.EstimateTimeToTargetParallel[election.State](context.Background(), model, mk,
+				election.State.HasLeader, trials, sim.Options[election.State]{}, sim.ParallelOptions{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-		})
-	}
+			if rep.Completed != trials {
+				b.Fatalf("completed %d/%d trials", rep.Completed, trials)
+			}
+		}
+		b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
+	})
 }
 
-// E12 addendum (compile ablation, consensus): parallel Ben-Or
-// reach-probability trials, compiled vs uncompiled.
+// E12 addendum (consensus): parallel Ben-Or reach-probability trials on a
+// cold transition cache, named like BenchmarkElectionTrials.
 func BenchmarkConsensusTrials(b *testing.B) {
 	const trials = 256
 	model := consensus.MustNew(3, 1)
@@ -431,26 +384,20 @@ func BenchmarkConsensusTrials(b *testing.B) {
 	}
 	opts := sim.Options[consensus.State]{Start: start, SetStart: true, MaxEvents: 20000}
 	mk := func() sim.Policy[consensus.State] { return consensus.CrashLastReporter(sim.Random[consensus.State](0)) }
-	for _, mode := range []struct {
-		name      string
-		nocompile bool
-	}{{"compiled", false}, {"uncompiled", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, rep, err := sim.EstimateReachProbParallel[consensus.State](context.Background(), model, mk,
-					consensus.State.AllCorrectDecided, 100, trials, opts,
-					sim.ParallelOptions{Seed: 1, NoCompile: mode.nocompile})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Completed != trials {
-					b.Fatalf("completed %d/%d trials", rep.Completed, trials)
-				}
+	b.Run("compiled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, rep, err := sim.EstimateReachProbParallel[consensus.State](context.Background(), model, mk,
+				consensus.State.AllCorrectDecided, 100, trials, opts, sim.ParallelOptions{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-		})
-	}
+			if rep.Completed != trials {
+				b.Fatalf("completed %d/%d trials", rep.Completed, trials)
+			}
+		}
+		b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
+	})
 }
 
 // E-extra: the third case study — a full Ben-Or consensus run under the
@@ -461,10 +408,11 @@ func BenchmarkConsensusRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cm := mustCompile[consensus.State](b, model)
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunOnce[consensus.State](model,
+		res, err := sim.RunOnce[consensus.State](cm,
 			consensus.CrashLastReporter(sim.Random[consensus.State](0)),
 			consensus.State.AllCorrectDecided,
 			sim.Options[consensus.State]{Start: start, SetStart: true, MaxEvents: 20000},
@@ -604,7 +552,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 		n      = 8
 		trials = 256
 	)
-	model := sim.Compile[dining.State](dining.MustNew(n))
+	model := mustCompile[dining.State](b, dining.MustNew(n))
 	opts := sim.Options[dining.State]{Start: dining.AllAt(n, dining.F), SetStart: true}
 	mk := func() sim.Policy[dining.State] { return dining.KeepTrying(sim.Random[dining.State](0.5)) }
 
@@ -679,7 +627,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 		n      = 8
 		trials = 1024
 	)
-	model := sim.Compile[dining.State](dining.MustNew(n))
+	model := mustCompile[dining.State](b, dining.MustNew(n))
 	opts := sim.Options[dining.State]{Start: dining.AllAt(n, dining.F), SetStart: true}
 	mk := func() sim.Policy[dining.State] { return dining.KeepTrying(sim.Random[dining.State](0.5)) }
 	tracer := span.New(io.Discard, span.Options{Service: "bench"})

@@ -34,13 +34,7 @@
 //	           [-budget 10m] [-checkpoint state.json] [-resume state.json] \
 //	           [-keep 3] [-quarantine N] [-trial-timeout 30s] \
 //	           [-progress 2s] [-manifest run.jsonl] [-trace-out run.trace] \
-//	           [-metrics-out metrics.json] [-pprof localhost:6060] [-nocompile] [-bitcompat]
-//
-// The sampled model is compiled (sim.Compile) before the run; -nocompile
-// disables the transition cache for debugging or perf comparison, and
-// -bitcompat keeps the cache but samples with the cumulative scan — with
-// it the printed estimate is byte-identical to an uncompiled run of the
-// same seed (without it they agree in distribution, not bit for bit).
+//	           [-metrics-out metrics.json] [-pprof localhost:6060]
 package main
 
 import (
@@ -58,7 +52,6 @@ import (
 	"repro/internal/election"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -94,8 +87,6 @@ func run(ctx context.Context, args []string) error {
 	traceOut := fs.String("trace-out", "", "record a JSONL trace (one span per -sample chunk under a root job span) to this file; analyze with simtrace")
 	metricsOut := fs.String("metrics-out", "", "write the final metrics registry snapshot as JSON to this file")
 	pprof := fs.String("pprof", "", "serve /debug/pprof, /debug/vars and /debug/metrics on this address for the duration of the run")
-	nocompile := fs.Bool("nocompile", false, "disable the compiled-model transition cache for -sample (estimates are identical; for debugging and perf comparison)")
-	bitcompat := fs.Bool("bitcompat", false, "sample compiled moves with the cumulative scan instead of alias tables: slower, but bit-identical to -nocompile for the same seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -153,7 +144,7 @@ func run(ctx context.Context, args []string) error {
 		span.Int("sample", *sample), span.Int64("seed", *seed))
 
 	runErr := analysis(ctx, ins, tracer, root.Context(), *n, *k, *sample, *workers, *memBudget, *seed, *budget,
-		*checkpoint, *resume, *quarantine, *trialTimeout, *keep, *nocompile, *bitcompat)
+		*checkpoint, *resume, *quarantine, *trialTimeout, *keep)
 	outcome := "complete"
 	if runErr != nil {
 		outcome = "error"
@@ -171,7 +162,7 @@ func run(ctx context.Context, args []string) error {
 func analysis(ctx context.Context, ins *obs.Instrumentation, tracer *span.Tracer, traceParent span.SpanContext,
 	n, k, sample, workers int, memBudget, seed int64,
 	budget time.Duration, checkpoint, resume string, quarantine int,
-	trialTimeout time.Duration, keep int, nocompile, bitcompat bool) error {
+	trialTimeout time.Duration, keep int) error {
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	context.AfterFunc(ctx, stop) // second signal kills the process the default way
@@ -228,13 +219,13 @@ func analysis(ctx context.Context, ins *obs.Instrumentation, tracer *span.Tracer
 		bound, bound.Float64(), worst)
 
 	if sample > 0 {
-		var model sched.Model[election.State]
-		model, err = election.New(n)
+		raw, err := election.New(n)
 		if err != nil {
 			return err
 		}
-		if !nocompile {
-			model = sim.Compile[election.State](model)
+		model, err := sim.Compile[election.State](raw)
+		if err != nil {
+			return err
 		}
 		store := &sim.ArtifactStore{Keep: keep}
 		if sm := ins.Metrics(); sm != nil {
@@ -245,7 +236,7 @@ func analysis(ctx context.Context, ins *obs.Instrumentation, tracer *span.Tracer
 			ckPath = resume
 		}
 		popts := sim.ParallelOptions{Workers: workers, Seed: seed, MaxPanics: quarantine,
-			NoCompile: nocompile, TrialTimeout: trialTimeout}
+			TrialTimeout: trialTimeout}
 		if sm := ins.Metrics(); sm != nil {
 			popts.Metrics = sm
 		}
@@ -286,7 +277,7 @@ func analysis(ctx context.Context, ins *obs.Instrumentation, tracer *span.Tracer
 		sum, rep, err := sim.EstimateTimeToTargetParallel[election.State](ctx, model,
 			func() sim.Policy[election.State] { return sim.Slowest[election.State]() },
 			election.State.HasLeader, sample,
-			sim.Options[election.State]{BitCompat: bitcompat}, popts)
+			sim.Options[election.State]{}, popts)
 		ins.PhaseDone(label, sum.String(), rep.String(), err)
 		if rep.Quarantined > 0 {
 			fmt.Fprintf(os.Stderr, "electcheck: %d trials quarantined (%d panicked, %d stalled):\n",

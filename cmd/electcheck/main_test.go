@@ -2,8 +2,6 @@ package main
 
 import (
 	"context"
-	"io"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -33,8 +31,7 @@ func TestRunSampled(t *testing.T) {
 // TestRunSampledLargerSizes cross-checks the exact engine against the
 // Monte Carlo sampler at sizes only the on-the-fly explorer handles
 // comfortably: the derived bound must dominate the sampled mean at every
-// size, and -workers must not change the exact results (the sampled
-// stream is pinned separately by TestBitCompatIdenticalOutput).
+// size, and -workers must not change the exact results.
 func TestRunSampledLargerSizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("larger product enumerations")
@@ -154,49 +151,4 @@ func TestRunSampledManifest(t *testing.T) {
 	if log.Summary == nil || len(log.Summary.Phases) != 0 {
 		t.Errorf("unsampled summary = %+v", log.Summary)
 	}
-}
-
-// TestBitCompatIdenticalOutput: sampling with the compiled cache under
-// -bitcompat (cumulative-scan sampling) must print a byte-identical
-// report to -nocompile; the alias-table default agrees in distribution
-// only.
-func TestBitCompatIdenticalOutput(t *testing.T) {
-	args := []string{"-n", "3", "-k", "1", "-sample", "200", "-seed", "3", "-workers", "4"}
-	compat, err := captureRun(t, context.Background(), append(args, "-bitcompat"))
-	if err != nil {
-		t.Fatalf("-bitcompat run: %v", err)
-	}
-	direct, err := captureRun(t, context.Background(), append(args, "-nocompile"))
-	if err != nil {
-		t.Fatalf("-nocompile run: %v", err)
-	}
-	if compat != direct {
-		t.Errorf("-bitcompat output differs from -nocompile:\nbitcompat:\n%s\ndirect:\n%s", compat, direct)
-	}
-}
-
-// captureRun runs the CLI with stdout redirected to a pipe and returns
-// what it printed, so two runs can be compared byte-for-byte.
-func captureRun(t *testing.T, ctx context.Context, args []string) (string, error) {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan string)
-	go func() {
-		var sb strings.Builder
-		if _, err := io.Copy(&sb, r); err != nil {
-			t.Errorf("drain stdout pipe: %v", err)
-		}
-		done <- sb.String()
-	}()
-	old := os.Stdout
-	os.Stdout = w
-	runErr := run(ctx, args)
-	os.Stdout = old
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return <-done, runErr
 }

@@ -21,8 +21,8 @@
 // persists chunk-granularity progress as a JSON state file, and -resume
 // continues from one bit-identically — a resumed run prints exactly the
 // estimates an uninterrupted run would have. Panicking trials are
-// quarantined up to -quarantine, each recorded with the RNG seed that
-// replays the crash in a single sim.RunOnce.
+// quarantined up to -quarantine, each recorded with the trial index that
+// replays the crash in a single sim.ReproTrial.
 //
 // The run is observable: -progress prints a live line (trials/sec, ETA,
 // running estimate with confidence half-width, quarantine count,
@@ -44,15 +44,11 @@
 //	      [-budget 10m] [-checkpoint state.json] [-resume state.json] \
 //	      [-keep 3] [-quarantine N] [-trial-timeout 30s] \
 //	      [-progress 2s] [-manifest run.jsonl] [-trace-out run.trace] \
-//	      [-metrics-out metrics.json] [-pprof localhost:6060] [-nocompile] [-bitcompat]
+//	      [-metrics-out metrics.json] [-pprof localhost:6060]
 //
 // The model is compiled once per ring size (sim.Compile: a shared
 // transition cache plus alias-table samplers) and reused across every
-// estimate, so later stages run fully warm; -nocompile switches the
-// cache off for debugging or perf comparison, and -bitcompat keeps the
-// cache but samples with the cumulative scan — with it the printed
-// estimates are byte-identical to an uncompiled run of the same seed
-// (without it they agree in distribution, not bit for bit).
+// estimate, so later stages run fully warm.
 package main
 
 import (
@@ -71,7 +67,6 @@ import (
 	"repro/internal/dining"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -108,8 +103,6 @@ func run(ctx context.Context, args []string) error {
 	traceOut := fs.String("trace-out", "", "record a JSONL trace (one span per sweep chunk under a root job span) to this file; analyze with simtrace")
 	metricsOut := fs.String("metrics-out", "", "write the final metrics registry snapshot as JSON to this file")
 	pprof := fs.String("pprof", "", "serve /debug/pprof, /debug/vars and /debug/metrics on this address for the duration of the run")
-	nocompile := fs.Bool("nocompile", false, "disable the compiled-model transition cache (estimates are identical; for debugging and perf comparison)")
-	bitcompat := fs.Bool("bitcompat", false, "sample compiled moves with the cumulative scan instead of alias tables: slower, but bit-identical to -nocompile for the same seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -184,8 +177,7 @@ func run(ctx context.Context, args []string) error {
 			ns: ns, names: names, trials: *trials, within: *within,
 			seed: *seed, workers: *workers, curveMax: *curveMax,
 			budget: *budget, checkpoint: *checkpoint, resume: *resume,
-			quarantine: *quarantine, nocompile: *nocompile, bitcompat: *bitcompat,
-			trialTimeout: *trialTimeout, keep: *keep,
+			quarantine: *quarantine, trialTimeout: *trialTimeout, keep: *keep,
 			tracer: tracer, traceParent: root.Context(),
 		})
 	}()
@@ -216,8 +208,6 @@ type params struct {
 	checkpoint   string
 	resume       string
 	quarantine   int
-	nocompile    bool
-	bitcompat    bool
 	trialTimeout time.Duration
 	keep         int
 	tracer       *span.Tracer
@@ -270,27 +260,26 @@ func experiments(ctx context.Context, ins *obs.Instrumentation, p params) error 
 	}
 	// One compiled model per ring size, shared by every stage that uses
 	// that size (reach, time, curve): the transition cache built during
-	// the first estimate serves the rest warm. With -nocompile the raw
-	// model is used and RunParallel is told not to compile it either.
-	models := map[int]sched.Model[dining.State]{}
-	newModel := func(n int) (sched.Model[dining.State], error) {
+	// the first estimate serves the rest warm.
+	models := map[int]*sim.Compiled[dining.State]{}
+	newModel := func(n int) (*sim.Compiled[dining.State], error) {
 		if m, ok := models[n]; ok {
 			return m, nil
 		}
-		var m sched.Model[dining.State]
-		m, err := dining.New(n)
+		raw, err := dining.New(n)
 		if err != nil {
 			return nil, err
 		}
-		if !p.nocompile {
-			m = sim.Compile[dining.State](m)
+		m, err := sim.Compile[dining.State](raw)
+		if err != nil {
+			return nil, err
 		}
 		models[n] = m
 		return m, nil
 	}
 	makePopts := func(label string) sim.ParallelOptions {
 		popts := sim.ParallelOptions{Workers: p.workers, Seed: p.seed, MaxPanics: p.quarantine,
-			NoCompile: p.nocompile, TrialTimeout: p.trialTimeout}
+			TrialTimeout: p.trialTimeout}
 		if sm := ins.Metrics(); sm != nil {
 			popts.Metrics = sm
 		}
@@ -343,9 +332,8 @@ func experiments(ctx context.Context, ins *obs.Instrumentation, p params) error 
 				return err
 			}
 			opts := sim.Options[dining.State]{
-				Start:     dining.AllAt(n, dining.F),
-				SetStart:  true,
-				BitCompat: p.bitcompat,
+				Start:    dining.AllAt(n, dining.F),
+				SetStart: true,
 			}
 			stage := fmt.Sprintf("n=%d/%s", n, name)
 			ins.PhaseStart(stage + "/reach")
@@ -399,7 +387,7 @@ func experiments(ctx context.Context, ins *obs.Instrumentation, p params) error 
 		stage := fmt.Sprintf("n=%d/%s/curve@%d", n, name, p.curveMax)
 		ins.PhaseStart(stage)
 		curve, curveRep, err := sim.EstimateCurveParallel[dining.State](ctx, model, mk, dining.InC, deadlines, p.trials,
-			sim.Options[dining.State]{Start: dining.AllAt(n, dining.F), SetStart: true, BitCompat: p.bitcompat},
+			sim.Options[dining.State]{Start: dining.AllAt(n, dining.F), SetStart: true},
 			makePopts(stage))
 		ins.PhaseDone(stage, fmt.Sprintf("curve over %d deadlines", len(curve.Deadlines)), curveRep.String(), err)
 		reportQuarantine(stage, curveRep)

@@ -269,24 +269,3 @@ func TestProgressOutput(t *testing.T) {
 		t.Error("manifest recorded no progress samples")
 	}
 }
-
-// TestBitCompatIdenticalOutput: -bitcompat pins the provable identity —
-// the compiled cache with cumulative-scan sampling prints the full
-// report, curve section included, byte-identical to an uncompiled run.
-// (The alias-table default agrees in distribution, not bit for bit; its
-// statistical agreement is pinned at the engine level.)
-func TestBitCompatIdenticalOutput(t *testing.T) {
-	args := []string{"-sizes", "3,4", "-policies", "random,slowest", "-trials", "48",
-		"-within", "13", "-curve", "5", "-seed", "7", "-workers", "4"}
-	compat, err := captureRun(t, context.Background(), append(args, "-bitcompat"))
-	if err != nil {
-		t.Fatalf("-bitcompat run: %v", err)
-	}
-	direct, err := captureRun(t, context.Background(), append(args, "-nocompile"))
-	if err != nil {
-		t.Fatalf("-nocompile run: %v", err)
-	}
-	if compat != direct {
-		t.Errorf("-bitcompat output differs from -nocompile:\nbitcompat:\n%s\ndirect:\n%s", compat, direct)
-	}
-}

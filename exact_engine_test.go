@@ -36,7 +36,11 @@ func exploreProduct[S comparable](t *testing.T, model sched.Model[S], k int, opt
 	if err != nil {
 		t.Fatal(err)
 	}
-	cauto, err := sched.Product[S](sim.Compile[S](model), sched.Config{StepsPerWindow: k})
+	cm, err := sim.Compile[S](model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cauto, err := sched.Product[S](cm, sched.Config{StepsPerWindow: k})
 	if err != nil {
 		t.Fatal(err)
 	}

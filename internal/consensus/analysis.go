@@ -81,13 +81,19 @@ func TestClaim(ctx context.Context, m *Model, c Claim, mk func() sim.Policy[Stat
 		return ev, err
 	}
 	unanimous, unanimousVal := isUnanimous(c.Inputs)
+	// One compiled model serves every trial, so the transition cache
+	// warms once instead of per run.
+	cm, err := sim.Compile[State](m)
+	if err != nil {
+		return ev, err
+	}
 
 	for trial := 0; trial < trials; trial++ {
 		if ctx.Err() != nil {
 			return finishEvidence(ev, c, delta,
 				fmt.Errorf("%w after %d/%d consensus trials: %v", sim.ErrInterrupted, trial, trials, context.Cause(ctx)))
 		}
-		res, err := sim.RunOnce[State](m, mk(), State.AllCorrectDecided, sim.Options[State]{
+		res, err := sim.RunOnce[State](cm, mk(), State.AllCorrectDecided, sim.Options[State]{
 			Start:     start,
 			SetStart:  true,
 			MaxEvents: 20000,

@@ -70,7 +70,10 @@ func NewAnalysisOpts(n, k int, opts Opts) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	compiled := sim.Compile[State](model)
+	compiled, err := sim.Compile[State](model)
+	if err != nil {
+		return nil, err
+	}
 	auto, err := sched.Product[State](compiled, sched.Config{StepsPerWindow: k})
 	if err != nil {
 		return nil, err

@@ -100,9 +100,6 @@ type JobSpec struct {
 	// MaxEvents / MaxTime bound each trial (0 = engine defaults).
 	MaxEvents int     `json:"max_events,omitempty"`
 	MaxTime   float64 `json:"max_time,omitempty"`
-	// BitCompat samples compiled moves with the cumulative scan instead
-	// of alias tables (bit-identical to an uncompiled run).
-	BitCompat bool `json:"bitcompat,omitempty"`
 	// MaxPanics is the per-range quarantine budget handed to the engine.
 	MaxPanics int `json:"max_panics,omitempty"`
 }

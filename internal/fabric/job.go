@@ -99,9 +99,13 @@ func newDiningRunner(spec JobSpec) (Runner, error) {
 	if err != nil {
 		return nil, err
 	}
+	cm, err := sim.Compile[dining.State](m)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: compiling dining model: %w", err)
+	}
 	return &runner[dining.State]{
 		spec:   spec,
-		model:  sim.Compile[dining.State](m),
+		model:  cm,
 		mk:     mk,
 		target: dining.InC,
 		opts: sim.Options[dining.State]{
@@ -109,7 +113,6 @@ func newDiningRunner(spec JobSpec) (Runner, error) {
 			SetStart:  true,
 			MaxEvents: spec.MaxEvents,
 			MaxTime:   spec.MaxTime,
-			BitCompat: spec.BitCompat,
 		},
 	}, nil
 }
@@ -151,9 +154,13 @@ func newElectionRunner(spec JobSpec) (Runner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fabric: building election model: %w", err)
 	}
+	cm, err := sim.Compile[election.State](m)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: compiling election model: %w", err)
+	}
 	return &runner[election.State]{
 		spec:  spec,
-		model: sim.Compile[election.State](m),
+		model: cm,
 		mk: func() sim.Policy[election.State] {
 			return sim.Slowest[election.State]()
 		},
@@ -161,7 +168,6 @@ func newElectionRunner(spec JobSpec) (Runner, error) {
 		opts: sim.Options[election.State]{
 			MaxEvents: spec.MaxEvents,
 			MaxTime:   spec.MaxTime,
-			BitCompat: spec.BitCompat,
 		},
 	}, nil
 }

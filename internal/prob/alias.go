@@ -2,24 +2,23 @@ package prob
 
 // Alias is a Walker alias-table sampler for a Dist: the table is built
 // once, at construction, and each draw costs O(1) — one multiply, one
-// truncation and one comparison — against Frozen's O(n) cumulative scan.
-// It is the default sampler of the compiled Monte Carlo engine
-// (internal/sim), where the same distribution is sampled millions of
-// times.
+// truncation and one comparison — against Dist.Pick's O(n) cumulative
+// scan over big.Rat weights. It is the sampler of the compiled Monte
+// Carlo engine (internal/sim), where the same distribution is sampled
+// millions of times.
 //
-// Pick consumes exactly one uniform in [0, 1), just like Dist.Pick and
-// Frozen.Pick, so swapping samplers never shifts a seeded run's random
-// stream — only the outcome a given draw maps to. Pick is distribution-
+// Pick consumes exactly one uniform in [0, 1), just like Dist.Pick, so
+// the two samplers read the same random stream. Pick is distribution-
 // equivalent to Dist.Pick: the table columns are built from the measure
 // the cumulative scan induces on [0, 1) — the same weight[v].Float64()
-// values, accumulated with Freeze's exact additions and clamped to the
+// values, accumulated with the scan's exact additions and clamped to the
 // unit interval — so every support element is drawn with the scan's
 // probability, up to the float64 rounding of the table build (a few
 // ulps; the alias tests pin the per-element measure). It is not
 // bit-identical to Dist.Pick for every r, though: the alias method
-// partitions [0, 1) differently than the cumulative scan. Callers that
-// need provable bit-identity with Dist.Pick use Frozen (the engine's
-// BitCompat mode).
+// partitions [0, 1) differently than the cumulative scan (on a 3/4–1/4
+// coin, draws in [1/2, 3/4) map to different outcomes). Fair coins and
+// point masses are the exception: there both partitions coincide.
 //
 // Deriving the columns from the scan measure is also what hardens Pick
 // against degenerate weights: a total that rounds to zero sends every
@@ -54,7 +53,7 @@ func BuildAlias[T comparable](d Dist[T]) Alias[T] {
 	// The scan measure: Dist.Pick selects element i exactly when r lands
 	// in [cum[i-1], cum[i]) clamped to [0, 1), with the last element
 	// additionally owning the fallthrough tail. Accumulate the cums with
-	// Freeze's exact additions, clamp, and difference — the resulting
+	// Dist.Pick's exact additions, clamp, and difference — the resulting
 	// masses telescope to 1 and reproduce the scan's behavior for any
 	// weights, including degenerate ones (all-zero after Float64
 	// rounding, totals past 1, non-finite outliers).

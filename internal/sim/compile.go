@@ -2,7 +2,9 @@ package sim
 
 // This file is the compiled-model layer: Compile wraps a purely
 // functional sched.Model in a read-mostly transition cache so the Monte
-// Carlo hot loop stops re-deriving what it has already seen.
+// Carlo hot loop stops re-deriving what it has already seen. Every run
+// goes through it — RunOnce and RunParallel compile whatever model they
+// are handed — so there is one trial engine.
 //
 // Two observations make it sound and fast:
 //
@@ -10,17 +12,14 @@ package sim
 //     Moves/UserMoves depend only on (state, proc). Their results can
 //     therefore be interned per state and shared — across steps, across
 //     trials, and across RunParallel workers — without changing any
-//     run. A cheap purity spot-check guards the contract: a model whose
-//     repeated queries disagree is passed through uncompiled.
+//     run. A cheap purity spot check guards the contract: a model whose
+//     repeated queries disagree (or panic) is rejected with
+//     ErrImpureModel.
 //
-//   - Each step's successor distribution is pre-resolved into two
-//     samplers: a Walker alias table (prob.Alias; the default — O(1) per
-//     draw) and a cumulative-float64 scan (prob.Frozen; selected by
-//     Options.BitCompat — O(n) per draw, but replaying Dist.Pick's exact
-//     accumulation so seeded runs are bit-identical compiled or not).
-//     Both consume one uniform per draw, so the random stream is the
-//     same either way; see prob.Alias for what "distribution-equivalent
-//     but not bit-identical" means.
+//   - Each step's successor distribution is pre-resolved into a Walker
+//     alias table (prob.Alias): O(1) per draw, one uniform per draw, and
+//     the same distribution as Dist.Pick (see prob.Alias for why it is
+//     not the same draw-for-draw partition of [0, 1)).
 //
 // The cache is sharded by state hash (hash/maphash.Comparable) with one
 // RWMutex per shard: steady state is a read-lock and a map hit, and
@@ -28,13 +27,12 @@ package sim
 // cache warms. Models that implement sched.Packer[S] are interned by
 // their fixed-width packed encoding instead of the state struct itself,
 // which keeps the map keys to a few machine words (hashing and equality
-// on a [4]uint64 instead of a larger struct). RunParallel compiles every
-// model by default; the ParallelOptions.NoCompile escape hatch and the
-// purity pass-through both fall back to the uncompiled engine, which
-// remains fully supported (and is what RunOnce uses unless handed a
-// compiled model).
+// on a [4]uint64 instead of a larger struct); the Packer is optional, so
+// models without one are interned by value.
 
 import (
+	"errors"
+	"fmt"
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
@@ -58,8 +56,7 @@ const compileShards = 64
 const maxCompiledStates = 1 << 20
 
 // stateEntry is the compiled form of one interned state: the memoized
-// Moves/UserMoves of every process, their pre-resolved samplers (alias
-// tables for the default path, frozen scans for BitCompat), and the
+// Moves/UserMoves of every process, their pre-resolved samplers, and the
 // derived scheduling facts the engine needs every step. All fields are
 // immutable after construction and shared read-only (including into
 // policy Views — see the View doc).
@@ -75,10 +72,9 @@ type stateEntry[S comparable] struct {
 }
 
 // moveSampler bundles everything the per-event hot path needs about one
-// move into one contiguous struct — the alias table, the BitCompat
-// frozen scan, and the successor-entry cache — so applyChoice does a
-// single indexed load instead of walking three parallel slice-of-slice
-// structures.
+// move into one contiguous struct — the alias table and the
+// successor-entry cache — so applyChoice does a single indexed load
+// instead of walking parallel slice-of-slice structures.
 //
 // succ caches, per alias support index, the interned entry of that
 // outcome's successor state. The engine resolves a slot the first time
@@ -89,9 +85,8 @@ type stateEntry[S comparable] struct {
 // stores the same canonical entry (or, past the interning cap, an
 // equivalent one), so last-write-wins is sound.
 type moveSampler[S comparable] struct {
-	alias  prob.Alias[S]
-	frozen prob.Frozen[S]
-	succ   []atomic.Pointer[stateEntry[S]]
+	alias prob.Alias[S]
+	succ  []atomic.Pointer[stateEntry[S]]
 }
 
 type compileShard[S comparable] struct {
@@ -104,8 +99,8 @@ type compileShard[S comparable] struct {
 
 // Compiled is the transition-cached form of a model returned by
 // Compile. It implements sched.Model and can be used anywhere the
-// original could; the engine additionally recognizes it and switches to
-// entry-based fast paths (shared Views, frozen sampling).
+// original could; the trial engine runs on its cache entries (shared
+// Views, alias sampling).
 type Compiled[S comparable] struct {
 	inner sched.Model[S]
 	n     int
@@ -120,37 +115,36 @@ type Compiled[S comparable] struct {
 
 var _ sched.Model[int] = (*Compiled[int])(nil)
 
+// ErrImpureModel reports a model that failed Compile's purity spot check:
+// repeated Moves/UserMoves queries for the same (state, proc) disagreed,
+// or a query panicked. The engine caches those results, so it refuses
+// such a model instead of running it.
+var ErrImpureModel = errors.New("sim: model failed the purity spot check")
+
 // Compile wraps m in a concurrency-safe transition cache that interns
 // states, memoizes Moves/UserMoves per state and pre-resolves every
-// successor distribution into float64 samplers: a Walker alias table
-// (prob.Alias, the engine's default — O(1) per draw) and a cumulative
-// scan (prob.Frozen, selected by Options.BitCompat). The result samples
-// the same distributions from the same random stream as m — and under
-// BitCompat is bit-identical to m for any worker count — while the hot
-// loop does no repeated model queries, no big.Rat arithmetic and no
-// per-draw map lookups. Models that implement sched.Packer[S] are
-// interned by their fixed-width packed encoding, keeping cache keys to
-// a few machine words.
+// successor distribution into an alias table, so the hot loop does no
+// repeated model queries, no big.Rat arithmetic and no per-draw map
+// lookups. Models that implement sched.Packer[S] are interned by their
+// fixed-width packed encoding, keeping cache keys to a few machine words.
 //
 // Compiling relies on the sched.Model contract that Moves/UserMoves are
 // purely functional. Compile spot-checks the contract (repeated queries
-// on a sample of states must agree) and returns m unchanged when the
-// check fails or panics, so impure or misbehaving models keep their
-// uncompiled semantics. Compiling an already compiled model returns it
-// unchanged; a nil model is returned as is (the engine rejects it with
-// ErrInvalidArgument as usual).
+// on a sample of states must agree) and returns an error matching
+// ErrImpureModel when the check fails or panics. Compiling an already
+// compiled model returns it unchanged; a nil model is ErrInvalidArgument.
 //
 // The cache is shared: passing one compiled model to many runs — the
 // CLIs and benchmarks do — lets later runs start fully warm.
-func Compile[S comparable](m sched.Model[S]) sched.Model[S] {
+func Compile[S comparable](m sched.Model[S]) (*Compiled[S], error) {
 	if m == nil {
-		return nil
+		return nil, fmt.Errorf("%w: nil model", ErrInvalidArgument)
 	}
-	if _, ok := m.(*Compiled[S]); ok {
-		return m
+	if c, ok := m.(*Compiled[S]); ok {
+		return c, nil
 	}
-	if !spotCheckPure(m) {
-		return m
+	if err := spotCheckPure(m); err != nil {
+		return nil, err
 	}
 	c := &Compiled[S]{inner: m, n: m.NumProcs(), seed: maphash.MakeSeed()}
 	if pk, ok := m.(sched.Packer[S]); ok {
@@ -158,12 +152,12 @@ func Compile[S comparable](m sched.Model[S]) sched.Model[S] {
 		for i := range c.shards {
 			c.shards[i].packed = make(map[sched.Packed]*stateEntry[S])
 		}
-		return c
+		return c, nil
 	}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[S]*stateEntry[S])
 	}
-	return c
+	return c, nil
 }
 
 // Name implements sched.Model.
@@ -285,7 +279,6 @@ func (c *Compiled[S]) compileState(s S) *stateEntry[S] {
 func compileSamplers[S comparable](moves []pa.Step[S]) []moveSampler[S] {
 	ms := make([]moveSampler[S], len(moves))
 	for j := range moves {
-		ms[j].frozen = prob.Freeze(moves[j].Next)
 		ms[j].alias = prob.BuildAlias(moves[j].Next)
 		ms[j].succ = make([]atomic.Pointer[stateEntry[S]], ms[j].alias.Len())
 	}
@@ -300,14 +293,12 @@ const spotCheckSample = 32
 // UserMoves queried twice for the same (state, proc) must agree, over
 // the start states and one layer of their successors. It is a spot
 // check, not a proof — a model that defeats it violates its documented
-// contract — and any panic during probing counts as a failure, so
-// Compile passes such models through and their panics surface inside
-// trials (quarantined per ParallelOptions.MaxPanics) exactly as they
-// would uncompiled.
-func spotCheckPure[S comparable](m sched.Model[S]) (pure bool) {
+// contract — and a panic during probing fails it too, so Compile
+// rejects such models up front.
+func spotCheckPure[S comparable](m sched.Model[S]) (err error) {
 	defer func() {
-		if recover() != nil {
-			pure = false
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: model panicked: %v", ErrImpureModel, r)
 		}
 	}()
 	n := m.NumProcs()
@@ -333,15 +324,12 @@ func spotCheckPure[S comparable](m sched.Model[S]) (pure bool) {
 	}
 	for _, s := range sample {
 		for i := 0; i < n; i++ {
-			if !stepsEqual(m.Moves(s, i), m.Moves(s, i)) {
-				return false
-			}
-			if !stepsEqual(m.UserMoves(s, i), m.UserMoves(s, i)) {
-				return false
+			if !stepsEqual(m.Moves(s, i), m.Moves(s, i)) || !stepsEqual(m.UserMoves(s, i), m.UserMoves(s, i)) {
+				return fmt.Errorf("%w: %s: repeated queries for process %d in state %v disagree", ErrImpureModel, m.Name(), i, s)
 			}
 		}
 	}
-	return true
+	return nil
 }
 
 // stepsEqual reports whether two Moves/UserMoves results are

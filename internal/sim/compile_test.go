@@ -14,7 +14,7 @@ import (
 )
 
 // userFlip is a one-process model with both an algorithm move and a user
-// move, so compiled runs exercise the userFrozen sampling path: the user
+// move, so compiled runs exercise the user-move sampling path: the user
 // move "arm"s the process, the algorithm move then flips until heads.
 type ufState struct {
 	Armed bool
@@ -66,15 +66,15 @@ func mkUserFlip() Policy[ufState] {
 func ufHeads(s ufState) bool { return s.Heads }
 
 func TestCompileIdentityAndIdempotence(t *testing.T) {
-	c := Compile[flipState](flipper{})
-	if _, ok := c.(*Compiled[flipState]); !ok {
-		t.Fatalf("Compile(flipper) = %T, want *Compiled", c)
+	c, err := Compile[flipState](flipper{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if again := Compile(c); again != c {
-		t.Errorf("Compile(Compile(m)) = %p, want the same compiled model %p", again, c)
+	if again, err := Compile[flipState](c); again != c || err != nil {
+		t.Errorf("Compile(Compile(m)) = %p, %v; want the same compiled model %p", again, err, c)
 	}
-	if got := Compile[flipState](nil); got != nil {
-		t.Errorf("Compile(nil) = %v, want nil", got)
+	if got, err := Compile[flipState](nil); got != nil || !errors.Is(err, ErrInvalidArgument) {
+		t.Errorf("Compile(nil) = %v, %v; want nil, ErrInvalidArgument", got, err)
 	}
 	if c.Name() != "flipper" || c.NumProcs() != 1 {
 		t.Errorf("compiled model delegation: name %q procs %d", c.Name(), c.NumProcs())
@@ -111,104 +111,63 @@ func (panickyModel) Start() []flipState                            { return []fl
 func (panickyModel) Moves(flipState, int) []pa.Step[flipState]     { panic("model bug") }
 func (panickyModel) UserMoves(flipState, int) []pa.Step[flipState] { return nil }
 
-func TestCompilePurityPassThrough(t *testing.T) {
-	impure := &impureModel{}
-	if got := Compile[flipState](impure); got != sched.Model[flipState](impure) {
-		t.Errorf("Compile(impure) = %T, want the model passed through uncompiled", got)
-	}
-	if got := Compile[flipState](panickyModel{}); got != sched.Model[flipState](panickyModel{}) {
-		t.Errorf("Compile(panicky) = %T, want the model passed through uncompiled", got)
-	}
-	// The pass-through keeps panic semantics: the model's panic surfaces
-	// inside the trial as a quarantinable TrialPanicError, exactly as
-	// uncompiled.
-	_, err := RunOnce[flipState](panickyModel{}, Slowest[flipState](), heads, Options[flipState]{}, rand.New(rand.NewSource(1)))
-	var pe *TrialPanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("RunOnce on panicky model: err = %v, want TrialPanicError", err)
-	}
-}
-
-// TestCompiledBitIdentical is the in-package half of the compiled-vs-direct
-// property: for every (seed, worker count), the default compiled run and
-// the NoCompile run produce DeepEqual estimates and reports, on models
-// with and without user moves.
-func TestCompiledBitIdentical(t *testing.T) {
-	const trials = 500
-	for _, seed := range []int64{1, 2, 3} {
-		for _, workers := range []int{1, 2, 8} {
-			base := ParallelOptions{Seed: seed, Workers: workers}
-			noc := base
-			noc.NoCompile = true
-
-			sumC, repC, errC := EstimateTimeToTargetParallel[flipState](context.Background(), flipper{}, mkSlowest, heads, trials, Options[flipState]{}, base)
-			sumU, repU, errU := EstimateTimeToTargetParallel[flipState](context.Background(), flipper{}, mkSlowest, heads, trials, Options[flipState]{}, noc)
-			if errC != nil || errU != nil {
-				t.Fatalf("seed=%d workers=%d: errs %v / %v", seed, workers, errC, errU)
-			}
-			if !reflect.DeepEqual(sumC, sumU) {
-				t.Errorf("seed=%d workers=%d: compiled summary %v != uncompiled %v", seed, workers, sumC, sumU)
-			}
-			if repC.Completed != repU.Completed {
-				t.Errorf("seed=%d workers=%d: completed %d != %d", seed, workers, repC.Completed, repU.Completed)
-			}
-
-			propC, _, errC := EstimateReachProbParallel[ufState](context.Background(), userFlip{}, mkUserFlip, ufHeads, 8, trials, Options[ufState]{}, base)
-			propU, _, errU := EstimateReachProbParallel[ufState](context.Background(), userFlip{}, mkUserFlip, ufHeads, 8, trials, Options[ufState]{}, noc)
-			if errC != nil || errU != nil {
-				t.Fatalf("user-flip seed=%d workers=%d: errs %v / %v", seed, workers, errC, errU)
-			}
-			if propC != propU {
-				t.Errorf("user-flip seed=%d workers=%d: compiled %+v != uncompiled %+v", seed, workers, propC, propU)
-			}
+// TestCompileRejectsImpure: a model that fails the purity spot check —
+// its repeated queries disagree, or a query panics — is a typed
+// ErrImpureModel from Compile and from both engine entry points, which
+// compile whatever they are given; no trial runs.
+func TestCompileRejectsImpure(t *testing.T) {
+	for _, m := range []sched.Model[flipState]{&impureModel{}, panickyModel{}} {
+		if cm, err := Compile(m); cm != nil || !errors.Is(err, ErrImpureModel) {
+			t.Errorf("Compile(%s) = %v, %v; want ErrImpureModel", m.Name(), cm, err)
+		}
+		if _, err := RunOnce(m, Slowest[flipState](), heads, Options[flipState]{}, rand.New(rand.NewSource(1))); !errors.Is(err, ErrImpureModel) {
+			t.Errorf("RunOnce(%s) err = %v, want ErrImpureModel", m.Name(), err)
+		}
+		_, rep, err := EstimateReachProbParallel(context.Background(), m, mkSlowest, heads, 2, 100,
+			Options[flipState]{}, ParallelOptions{Seed: 1, MaxPanics: 5})
+		if !errors.Is(err, ErrImpureModel) || rep.Completed != 0 || rep.Quarantined != 0 {
+			t.Errorf("RunParallel(%s) = %v, %v; want ErrImpureModel before any trial", m.Name(), rep, err)
 		}
 	}
 }
 
+// TestCompiledBitIdentical: every trial of the engine equals the
+// uncompiled oracle's run of it, at every identity seed and worker count
+// and under both state interning paths — on a plain coin and a model with
+// user moves (the skewed coin is TestBitCompatParallelMatchesUncompiled).
+func TestCompiledBitIdentical(t *testing.T) {
+	const trials = 256
+	checkOracleIdentity[flipState](t, packedFlip{}, mkSlowest, heads, Options[flipState]{}, trials)
+	checkOracleIdentity[ufState](t, userFlip{}, mkUserFlip, ufHeads, Options[ufState]{}, trials)
+}
+
 // TestCompiledRunOnceMatchesUncompiled drives RunOnce directly with a
-// pre-compiled model: the full Result must match the uncompiled run for
-// the same seed, including step counts and final states.
+// pre-compiled model: the full Result must match the oracle's for the
+// same seed, including step counts and final states.
 func TestCompiledRunOnceMatchesUncompiled(t *testing.T) {
-	cm := Compile[ufState](userFlip{})
+	cm, err := Compile[ufState](userFlip{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for seed := int64(0); seed < 50; seed++ {
-		want, err1 := RunOnce[ufState](userFlip{}, mkUserFlip(), ufHeads, Options[ufState]{}, rand.New(rand.NewSource(seed)))
+		want, err1 := oracleRun[ufState](userFlip{}, mkUserFlip(), ufHeads, Options[ufState]{}, rand.New(rand.NewSource(seed)))
 		got, err2 := RunOnce[ufState](cm, mkUserFlip(), ufHeads, Options[ufState]{}, rand.New(rand.NewSource(seed)))
 		if err1 != nil || err2 != nil {
 			t.Fatalf("seed=%d: errs %v / %v", seed, err1, err2)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed=%d: compiled result %+v != uncompiled %+v", seed, got, want)
+			t.Fatalf("seed=%d: compiled result %+v != oracle %+v", seed, got, want)
 		}
 	}
 }
 
-// TestCompiledInterruptResume: the checkpoint/resume cycle under the
-// compiled engine reproduces the uncompiled uninterrupted run bit-for-bit.
+// TestCompiledInterruptResume: a run interrupted mid-flight and resumed
+// on another worker count runs every trial exactly as the oracle does.
 func TestCompiledInterruptResume(t *testing.T) {
-	const trials = 2000
-	want, _, err := EstimateTimeToTargetParallel[flipState](context.Background(), flipper{}, mkSlowest, heads, trials,
-		Options[flipState]{}, ParallelOptions{Seed: 7, NoCompile: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	popts := interruptAfterChunks(ParallelOptions{Seed: 7, Workers: 4}, cancel, 3)
-	_, rep, err := EstimateTimeToTargetParallel[flipState](ctx, flipper{}, mkSlowest, heads, trials, Options[flipState]{}, popts)
-	cancel()
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
-	}
-	got, rep2, err := EstimateTimeToTargetParallel[flipState](context.Background(), flipper{}, mkSlowest, heads, trials,
-		Options[flipState]{}, ParallelOptions{Seed: 7, Workers: 2, Resume: rep.Checkpoint})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Resumed != rep.Completed || rep2.Completed != trials {
-		t.Fatalf("resume accounting: %v then %v", rep, rep2)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("compiled interrupt+resume %v != uncompiled uninterrupted %v", got.String(), want.String())
-	}
+	const trials = 640
+	checkOracleResume[flipState](t, packedFlip{}, mkSlowest, heads, Options[flipState]{}, trials)
+	checkOracleResume[ufState](t, userFlip{}, mkUserFlip, ufHeads, Options[ufState]{}, trials)
+	checkOracleResume[flipState](t, skewFlip{}, mkSlowest, heads, Options[flipState]{}, trials)
 }
 
 // badDist is a hand-built model whose only step embeds the zero
@@ -229,7 +188,8 @@ func (badDist) Moves(s flipState, i int) []pa.Step[flipState] {
 func (badDist) UserMoves(flipState, int) []pa.Step[flipState] { return nil }
 
 // TestBadModelEmptyDist: an empty successor distribution is a typed,
-// wrappable ErrBadModel on both engines — not a quarantined panic.
+// wrappable ErrBadModel from RunOnce and RunParallel — not a quarantined
+// panic.
 func TestBadModelEmptyDist(t *testing.T) {
 	_, err := RunOnce[flipState](badDist{}, Slowest[flipState](), heads, Options[flipState]{}, rand.New(rand.NewSource(1)))
 	if !errors.Is(err, ErrBadModel) {
@@ -240,15 +200,13 @@ func TestBadModelEmptyDist(t *testing.T) {
 		t.Fatalf("empty distribution was quarantined as a panic: %v", err)
 	}
 
-	for _, nocompile := range []bool{false, true} {
-		_, rep, err := EstimateReachProbParallel[flipState](context.Background(), badDist{}, mkSlowest, heads, 2, 100,
-			Options[flipState]{}, ParallelOptions{Seed: 1, MaxPanics: 5, NoCompile: nocompile})
-		if !errors.Is(err, ErrBadModel) {
-			t.Errorf("nocompile=%t: parallel err = %v, want ErrBadModel", nocompile, err)
-		}
-		if rep.Quarantined != 0 {
-			t.Errorf("nocompile=%t: %d trials quarantined; ErrBadModel must not consume the panic budget", nocompile, rep.Quarantined)
-		}
+	_, rep, err := EstimateReachProbParallel[flipState](context.Background(), badDist{}, mkSlowest, heads, 2, 100,
+		Options[flipState]{}, ParallelOptions{Seed: 1, MaxPanics: 5})
+	if !errors.Is(err, ErrBadModel) {
+		t.Errorf("parallel err = %v, want ErrBadModel", err)
+	}
+	if rep.Quarantined != 0 {
+		t.Errorf("%d trials quarantined; ErrBadModel must not consume the panic budget", rep.Quarantined)
 	}
 }
 
@@ -322,7 +280,10 @@ func TestBatchMetricsCallPattern(t *testing.T) {
 // consecutive runs answers the second run from the warm cache (no new
 // interned states for the same seed), and the estimates agree.
 func TestCompiledCacheSharedAcrossRuns(t *testing.T) {
-	cm := Compile[flipState](flipper{}).(*Compiled[flipState])
+	cm, err := Compile[flipState](flipper{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	first, _, err := EstimateReachProbParallel[flipState](context.Background(), cm, mkSlowest, heads, 5, 400,
 		Options[flipState]{}, ParallelOptions{Seed: 2})
 	if err != nil {

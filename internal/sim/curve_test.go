@@ -1,17 +1,16 @@
 package sim
 
 import (
-	"math/rand"
+	"context"
 	"testing"
 )
 
 func TestEstimateCurve(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	curve, err := EstimateCurve[flipState](flipper{},
+	curve, _, err := EstimateCurveParallel[flipState](context.Background(), flipper{},
 		func() Policy[flipState] { return Slowest[flipState]() },
 		func(s flipState) bool { return s.Heads },
 		[]float64{3, 1, 2}, // unsorted on purpose
-		3000, Options[flipState]{}, rng)
+		3000, Options[flipState]{}, ParallelOptions{Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +37,10 @@ func TestEstimateCurve(t *testing.T) {
 }
 
 func TestEstimateCurveEmpty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	_, err := EstimateCurve[flipState](flipper{},
+	_, _, err := EstimateCurveParallel[flipState](context.Background(), flipper{},
 		func() Policy[flipState] { return Slowest[flipState]() },
 		func(flipState) bool { return false },
-		nil, 10, Options[flipState]{}, rng)
+		nil, 10, Options[flipState]{}, ParallelOptions{Seed: 1})
 	if err == nil {
 		t.Error("empty deadline list accepted")
 	}

@@ -65,7 +65,12 @@ func TestMaxTimeBudget(t *testing.T) {
 }
 
 func TestViewDeadlineMinNoReady(t *testing.T) {
-	sc := newViewScratch[flipState](flipper{})
+	cm, err := Compile[flipState](flipper{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc viewScratch[flipState]
+	sc.init(cm)
 	v := sc.build(flipState{Heads: true}, 3.5)
 	if len(v.Ready) != 0 {
 		t.Fatalf("ready = %v", v.Ready)

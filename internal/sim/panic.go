@@ -5,7 +5,7 @@ package sim
 // engine converts the panic into a typed error carrying everything needed
 // to replay the crash deterministically — the trial index and the exact
 // SplitMix64-derived RNG seed of the offending trial — so any crash
-// reproduces in a single RunOnce.
+// reproduces in a single ReproTrial.
 
 import (
 	"errors"
@@ -74,7 +74,9 @@ func TrialRNGSeed(rootSeed int64, trial int) int64 { return trialSeed(rootSeed, 
 //	res, err := sim.ReproTrial(model, mk, target, opts, rootSeed, pe.Trial)
 //
 // returns the same result (or the same panic, as a TrialPanicError) that
-// the original trial produced, whatever the worker count was.
+// the original trial produced, whatever the worker count was. The model
+// may be the raw one or its compiled form: RunOnce compiles it, so the
+// replay runs the same engine and sampler as the original run.
 func ReproTrial[S comparable](m sched.Model[S], mk func() Policy[S], target func(S) bool,
 	opts Options[S], rootSeed int64, trial int) (Result[S], error) {
 	if mk == nil {

@@ -1,9 +1,8 @@
 package sim
 
-// This file is the parallel counterpart of the sequential Estimate*
-// entry points: it shards a Monte Carlo trial budget across a bounded
-// worker pool while keeping seeded runs bit-identical for every worker
-// count.
+// This file is the Monte Carlo estimator: it shards a trial budget
+// across a bounded worker pool while keeping seeded runs bit-identical
+// for every worker count.
 //
 // Three design rules make that work:
 //
@@ -24,7 +23,7 @@ package sim
 //     ErrBadChoice, or an estimator-level failure) flips a stop flag that
 //     the pool polls between trials; remaining work is abandoned promptly
 //     and the error of the lowest-numbered failing chunk is returned,
-//     wrapped with its trial index exactly like the sequential paths.
+//     wrapped with its trial index.
 //
 // On top of that sits the resilient run controller:
 //
@@ -114,29 +113,14 @@ type ParallelOptions struct {
 	// implementation that also satisfies BatchMetrics is fed whole chunks
 	// at once, keeping per-trial atomics off the hot path.
 	Metrics Metrics
-	// NoCompile disables the compiled-model layer: by default every
-	// parallel entry point wraps the model with Compile (a shared
-	// transition cache plus pre-resolved samplers; a no-op for models
-	// that fail the purity spot-check). An uncompiled run samples with
-	// the cumulative scan, so it matches a compiled run bit-for-bit only
-	// under Options.BitCompat (the default compiled sampler is the alias
-	// table — same distributions, not always the same draws). The escape
-	// hatch exists for debugging and perf comparison, not correctness.
-	NoCompile bool
-	// NoArena disables per-worker trial arenas: by default each worker
-	// reuses one scratch buffer and one RNG across all its trials, which
-	// makes the steady-state trial loop allocation-free. Results are
-	// bit-identical either way — the RNG is reseeded per trial and the
-	// scratch fully reset — so, like NoCompile, the knob exists for
-	// debugging and perf ablation. Runs with TrialTimeout set do not use
-	// arenas regardless: the watchdog may abandon a stalled trial whose
-	// goroutine still owns the scratch, so sharing would race.
-	NoArena bool
 	// TrialTimeout, when positive, arms the per-trial watchdog: a trial
 	// that has not returned within this wall-clock budget is abandoned
 	// and quarantined as a *TrialStalledError — recorded like a panic,
 	// excluded from the estimate, counted against MaxPanics. Zero
 	// disables the watchdog (and its per-trial goroutine overhead).
+	// Watched trials run on fresh scratch and RNG instead of the
+	// worker's arena: an abandoned trial's goroutine may still be
+	// writing to them.
 	TrialTimeout time.Duration
 	// Clock is the watchdog's time source; nil means the wall clock.
 	// Tests inject a fault.FakeClock to trip the watchdog without
@@ -219,15 +203,37 @@ func trialSeed(seed int64, trial int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// trialArena is one worker's reusable trial state: a scratch buffer and
-// an RNG that every trial the worker runs reuses instead of allocating
-// fresh ones — with a compiled model this makes the steady-state trial
-// loop allocation-free. Reuse is invisible to results: runTrial fully
-// resets the scratch, and (*rand.Rand).Seed restores exactly the state
-// a fresh newTrialRNG(seed) would start with.
+// trialArena is one worker's reusable trial state: the view scratch and
+// the RNG that every trial the worker runs reuses instead of allocating
+// fresh ones, which makes the steady-state trial loop allocation-free.
+// Reuse is invisible to results: runTrial fully resets the scratch, and
+// (*rand.Rand).Seed restores exactly the state a fresh newTrialRNG(seed)
+// would start with.
+//
+// The arena holds the scratch and the RNG source by value and ends in
+// arenaPad bytes of padding. Every event writes the scratch's cur,
+// pending and view fields and the source's state, so two workers'
+// arenas must not share a cache line, nor the adjacent line that
+// hardware prefetchers fetch in pairs: otherwise each event bounces
+// those lines between the workers' cores. Holding the fields in one
+// padded allocation keeps any two workers' per-event fields at least
+// arenaPad bytes apart.
 type trialArena[S comparable] struct {
-	sc  *viewScratch[S]
-	rng *rand.Rand
+	sc  viewScratch[S]
+	src fastSource
+	rng *rand.Rand // draws from src
+	_   [arenaPad]byte
+}
+
+// arenaPad is the spare space that separates two workers' per-event
+// fields: two 64-byte cache lines.
+const arenaPad = 128
+
+func newTrialArena[S comparable](cm *Compiled[S]) *trialArena[S] {
+	ar := &trialArena[S]{}
+	ar.sc.init(cm)
+	ar.rng = rand.New(&ar.src)
+	return ar
 }
 
 // runArenaTrial is RunOnce minus the per-trial allocations: one trial on
@@ -367,6 +373,10 @@ func (rc *runControl) complete(chunk int, acc any, panics []PanicRecord) error {
 // Checkpointing requires A to round-trip through encoding/json (the
 // built-in estimator accumulators all do).
 //
+// The model is compiled first (Compile; a no-op for a model that already
+// is), so a model that fails the purity spot check is rejected with
+// ErrImpureModel before any trial runs.
+//
 // The returned RunReport is meaningful on every path, including errors.
 func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk func() Policy[S], target func(S) bool,
 	trials int, opts Options[S], popts ParallelOptions,
@@ -375,8 +385,14 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 
 	var total A
 	rep := RunReport{Total: trials}
-	if err := validateEstimate(m, mk, target, trials); err != nil {
-		return total, rep, err
+	if mk == nil {
+		return total, rep, fmt.Errorf("%w: nil policy factory", ErrInvalidArgument)
+	}
+	if target == nil {
+		return total, rep, fmt.Errorf("%w: nil target predicate", ErrInvalidArgument)
+	}
+	if trials <= 0 {
+		return total, rep, fmt.Errorf("%w: trial budget %d is not positive", ErrInvalidArgument, trials)
 	}
 	if observe == nil {
 		return total, rep, fmt.Errorf("%w: nil observe func", ErrInvalidArgument)
@@ -393,11 +409,12 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if !popts.NoCompile {
-		// Share one transition cache across all workers. Compile is
-		// idempotent, so pre-compiled models (the CLIs and benchmarks
-		// reuse one across calls to stay warm) pass straight through.
-		m = Compile(m)
+	// Share one transition cache across all workers. Compile is
+	// idempotent, so pre-compiled models (the CLIs and benchmarks reuse
+	// one across calls to stay warm) pass straight through.
+	cm, err := Compile(m)
+	if err != nil {
+		return total, rep, err
 	}
 
 	numChunks := NumChunks(trials)
@@ -478,7 +495,7 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 	// runChunk executes every trial of one unclaimed chunk and commits
 	// the chunk on completion. A nil return with done[chunk] still false
 	// means the chunk was abandoned because another chunk failed. ar is
-	// the calling worker's private arena; nil when arenas are off.
+	// the calling worker's private arena.
 	runChunk := func(chunk int, ar *trialArena[S]) error {
 		lo := chunk * parallelChunkSize
 		hi := min(lo+parallelChunkSize, trials)
@@ -511,17 +528,14 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 			}
 			var res Result[S]
 			var err error
-			switch {
-			case popts.TrialTimeout > 0:
-				res, err = runWatched(m, mk(), target, opts, newTrialRNG(seed), clock, popts.TrialTimeout, i, seed)
-			case ar != nil:
+			if popts.TrialTimeout > 0 {
+				res, err = runWatched(cm, mk(), target, opts, newTrialRNG(seed), clock, popts.TrialTimeout, i, seed)
+			} else {
 				// Reseeding the arena's RNG restores exactly the state a
 				// fresh newTrialRNG(seed) would have, so the trial's
 				// coins are independent of arena reuse.
 				ar.rng.Seed(seed)
-				res, err = runArenaTrial(ar.sc, mk(), target, opts, ar.rng)
-			default:
-				res, err = RunOnce(m, mk(), target, opts, newTrialRNG(seed))
+				res, err = runArenaTrial(&ar.sc, mk(), target, opts, ar.rng)
 			}
 			var se *TrialStalledError
 			if errors.As(err, &se) {
@@ -584,22 +598,10 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 		return nil
 	}
 
-	// Each worker owns one arena — a scratch buffer and an RNG reused
-	// across all its trials — unless arenas are off or the watchdog is
-	// armed (an abandoned stalled trial would keep writing to a scratch
-	// the worker has moved past). Arenas are built here, on the caller's
-	// goroutine, so a misbehaving model panics to the caller like
-	// Compile would, not inside a worker.
 	workers := min(popts.workers(), hiChunk-loChunk)
-	arenas := make([]*trialArena[S], workers)
-	if popts.TrialTimeout <= 0 && !popts.NoArena {
-		for w := range arenas {
-			arenas[w] = &trialArena[S]{sc: newViewScratch[S](m), rng: newTrialRNG(0)}
-		}
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		ar := arenas[w]
+		ar := newTrialArena(cm)
 		go func() {
 			defer wg.Done()
 			// ctx is polled only when claiming a chunk: on cancellation a
@@ -679,13 +681,11 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 	return total, rep, nil
 }
 
-// EstimateReachProbParallel is the parallel counterpart of
-// EstimateReachProb: it estimates the probability that the target is
+// EstimateReachProbParallel estimates the probability that the target is
 // reached within the given time, sharding trials across popts.Workers.
-// Seeded results are bit-identical for every worker count; they differ
-// from the sequential path, which threads one RNG through all trials.
-// The RunReport carries partial-run and quarantine details; see
-// RunParallel for the cancellation, checkpoint and panic semantics.
+// Seeded results are bit-identical for every worker count. The RunReport
+// carries partial-run and quarantine details; see RunParallel for the
+// cancellation, checkpoint and panic semantics.
 func EstimateReachProbParallel[S comparable](ctx context.Context, m sched.Model[S], mk func() Policy[S], target func(S) bool,
 	within float64, trials int, opts Options[S], popts ParallelOptions) (stats.Proportion, RunReport, error) {
 	popts.kind = fmt.Sprintf("reachprob(within=%v)", within)
@@ -697,10 +697,9 @@ func EstimateReachProbParallel[S comparable](ctx context.Context, m sched.Model[
 		func(dst *stats.Proportion, src stats.Proportion) { dst.Merge(src) })
 }
 
-// EstimateTimeToTargetParallel is the parallel counterpart of
-// EstimateTimeToTarget: it summarizes the time to reach the target over
-// trials independent runs; a run that never reaches it is an error, which
-// cancels the remaining trials (use a generous Options.MaxTime for
+// EstimateTimeToTargetParallel summarizes the time to reach the target
+// over trials independent runs; a run that never reaches it is an error,
+// which cancels the remaining trials (use a generous Options.MaxTime for
 // almost-sure targets). The RunReport carries partial-run and quarantine
 // details; see RunParallel for the cancellation, checkpoint and panic
 // semantics.
@@ -719,12 +718,12 @@ func EstimateTimeToTargetParallel[S comparable](ctx context.Context, m sched.Mod
 		func(dst *stats.Summary, src stats.Summary) { dst.Merge(src) })
 }
 
-// EstimateCurveParallel is the parallel counterpart of EstimateCurve: one
-// sharded batch of runs yields the empirical reach probability for every
+// EstimateCurveParallel runs one sharded batch of trials under fresh
+// policies from mk and yields the empirical reach probability for every
 // requested deadline at once. Deadlines are sorted; when opts.MaxTime is
-// unset the run budget is max(deadlines)+1, as in the sequential path.
-// The RunReport carries partial-run and quarantine details; see
-// RunParallel for the cancellation, checkpoint and panic semantics.
+// unset the run budget is max(deadlines)+1. The RunReport carries
+// partial-run and quarantine details; see RunParallel for the
+// cancellation, checkpoint and panic semantics.
 func EstimateCurveParallel[S comparable](ctx context.Context, m sched.Model[S], mk func() Policy[S], target func(S) bool,
 	deadlines []float64, trials int, opts Options[S], popts ParallelOptions) (EmpiricalCurve, RunReport, error) {
 	ds, err := curveDeadlines(deadlines)

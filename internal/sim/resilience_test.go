@@ -81,7 +81,7 @@ func TestPanicAbortNamesReproSeed(t *testing.T) {
 
 	// The one-line repro: a fresh RunOnce on the trial's private RNG
 	// reproduces the exact panic.
-	_, rerr := RunOnce[flipState](flipper{}, mk(), heads, Options[flipState]{}, rand.New(rand.NewSource(pe.Seed)))
+	_, rerr := RunOnce[flipState](flipper{}, mk(), heads, Options[flipState]{}, newTrialRNG(pe.Seed))
 	var rpe *TrialPanicError
 	if !errors.As(rerr, &rpe) || fmt.Sprint(rpe.Value) != fmt.Sprint(pe.Value) {
 		t.Errorf("RunOnce with seed %d = %v, want the original panic %v", pe.Seed, rerr, pe.Value)
@@ -390,28 +390,17 @@ func TestEstimateValidation(t *testing.T) {
 		}
 	}
 
-	_, err := RunOnce[flipState](flipper{}, nil, heads, Options[flipState]{}, rng)
+	_, err := RunOnce[flipState](nil, Slowest[flipState](), heads, Options[flipState]{}, rng)
+	check("RunOnce nil model", err)
+	_, err = RunOnce[flipState](flipper{}, nil, heads, Options[flipState]{}, rng)
 	check("RunOnce nil policy", err)
 	_, err = RunOnce[flipState](flipper{}, Slowest[flipState](), heads, Options[flipState]{}, nil)
 	check("RunOnce nil rng", err)
 	_, err = RunOnce[flipState](flipper{}, Slowest[flipState](), nil, Options[flipState]{}, rng)
 	check("RunOnce nil target", err)
 
-	_, err = EstimateReachProb[flipState](flipper{}, nil, heads, 2, 10, Options[flipState]{}, rng)
-	check("EstimateReachProb nil factory", err)
-	_, err = EstimateReachProb[flipState](flipper{}, mkSlowest, heads, 2, 10, Options[flipState]{}, nil)
-	check("EstimateReachProb nil rng", err)
-	_, err = EstimateReachProb[flipState](flipper{}, mkSlowest, heads, 2, 0, Options[flipState]{}, rng)
-	check("EstimateReachProb zero trials", err)
-	_, err = EstimateTimeToTarget[flipState](flipper{}, nil, heads, 10, Options[flipState]{}, rng)
-	check("EstimateTimeToTarget nil factory", err)
-	_, err = EstimateTimeToTarget[flipState](flipper{}, mkSlowest, heads, -1, Options[flipState]{}, rng)
-	check("EstimateTimeToTarget negative trials", err)
-	_, err = EstimateCurve[flipState](flipper{}, mkSlowest, heads, []float64{1}, 10, Options[flipState]{}, nil)
-	check("EstimateCurve nil rng", err)
-	_, err = EstimateCurve[flipState](flipper{}, nil, heads, []float64{1}, 10, Options[flipState]{}, rng)
-	check("EstimateCurve nil factory", err)
-
+	_, _, err = EstimateReachProbParallel[flipState](ctx, nil, mkSlowest, heads, 2, 10, Options[flipState]{}, ParallelOptions{})
+	check("EstimateReachProbParallel nil model", err)
 	_, _, err = EstimateReachProbParallel[flipState](ctx, flipper{}, nil, heads, 2, 10, Options[flipState]{}, ParallelOptions{})
 	check("EstimateReachProbParallel nil factory", err)
 	_, _, err = EstimateTimeToTargetParallel[flipState](ctx, flipper{}, mkSlowest, nil, 10, Options[flipState]{}, ParallelOptions{})

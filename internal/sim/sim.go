@@ -19,20 +19,17 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/pa"
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 // View is what a policy sees when asked for its next choice: the current
 // state, the clock, the scheduling obligations, and the moves available.
 //
 // The slices of a View are owned by the engine and must not be modified:
-// under an uncompiled model they are reused between steps (the hot loop
-// would otherwise spend most of its time allocating them), and under a
-// compiled model (Compile) they are cache entries shared across trials
-// and workers. Either way they are valid only for the duration of the
-// Choose call, and a policy must copy anything it wants to retain.
+// Deadline is reused between steps, and the others are entries of the
+// compiled model's transition cache (Compile), shared across trials and
+// workers. They are valid only for the duration of the Choose call, and a
+// policy must copy anything it wants to retain.
 type View[S comparable] struct {
 	// State is the current algorithm state.
 	State S
@@ -101,15 +98,6 @@ type Options[S comparable] struct {
 	// step time, acting process, action name and resulting state — the
 	// hook used by the trace recorder.
 	Observer func(t float64, proc int, action string, next S)
-	// BitCompat forces a compiled model (Compile) to sample successor
-	// states with the cumulative-scan sampler (prob.Frozen), which is
-	// provably bit-identical to the uncompiled engine for every
-	// distribution. The default (false) uses O(1) alias tables
-	// (prob.Alias): same random stream, same distribution of outcomes,
-	// but individual draws may map to different support elements when a
-	// distribution's cumulative weights are not exactly representable.
-	// Uncompiled runs ignore the flag.
-	BitCompat bool
 }
 
 func (o Options[S]) withDefaults() Options[S] {
@@ -150,36 +138,18 @@ var (
 	ErrInvalidArgument = errors.New("sim: invalid argument")
 )
 
-// validateEstimate is the shared argument check of every estimator entry
-// point, sequential and parallel.
-func validateEstimate[S comparable](m sched.Model[S], mk func() Policy[S], target func(S) bool, trials int) error {
-	if m == nil {
-		return fmt.Errorf("%w: nil model", ErrInvalidArgument)
-	}
-	if mk == nil {
-		return fmt.Errorf("%w: nil policy factory", ErrInvalidArgument)
-	}
-	if target == nil {
-		return fmt.Errorf("%w: nil target predicate", ErrInvalidArgument)
-	}
-	if trials <= 0 {
-		return fmt.Errorf("%w: trial budget %d is not positive", ErrInvalidArgument, trials)
-	}
-	return nil
-}
-
 // RunOnce executes one run of the model under the policy until the target
 // predicate holds, the policy stops in a quiescent state, or a budget is
-// exhausted.
+// exhausted. The model is compiled first (Compile; a no-op for a model
+// that already is), so a model that fails the purity spot check is
+// rejected with ErrImpureModel. Callers that run many trials compile once
+// and pass the *Compiled, so every run shares one warm transition cache.
 //
 // RunOnce never propagates a panic from the policy, the model, the target
 // predicate or the observer: a panic is recovered into a *TrialPanicError
 // (with the partial Result accumulated so far), so a single crashing trial
 // is an error the caller can quarantine, not a process abort.
 func RunOnce[S comparable](m sched.Model[S], p Policy[S], target func(S) bool, opts Options[S], rng *rand.Rand) (res Result[S], err error) {
-	if m == nil {
-		return Result[S]{}, fmt.Errorf("%w: nil model", ErrInvalidArgument)
-	}
 	if p == nil {
 		return Result[S]{}, fmt.Errorf("%w: nil policy", ErrInvalidArgument)
 	}
@@ -189,8 +159,14 @@ func RunOnce[S comparable](m sched.Model[S], p Policy[S], target func(S) bool, o
 	if rng == nil {
 		return Result[S]{}, fmt.Errorf("%w: nil RNG", ErrInvalidArgument)
 	}
+	cm, err := Compile(m)
+	if err != nil {
+		return Result[S]{}, err
+	}
 	defer recoverTrialPanic(&err)
-	err = runTrial(newViewScratch[S](m), p, target, opts.withDefaults(), rng, &res)
+	var sc viewScratch[S]
+	sc.init(cm)
+	err = runTrial(&sc, p, target, opts.withDefaults(), rng, &res)
 	return res, err
 }
 
@@ -200,11 +176,11 @@ func RunOnce[S comparable](m sched.Model[S], p Policy[S], target func(S) bool, o
 // still sees the partial Result. The scratch may be reused across
 // trials: runTrial resets it, and opts must already carry defaults.
 func runTrial[S comparable](sc *viewScratch[S], p Policy[S], target func(S) bool, opts Options[S], rng *rand.Rand, res *Result[S]) error {
-	sc.reset(opts.BitCompat)
+	sc.reset()
 	state := opts.Start
 	if !opts.SetStart {
 		if !sc.haveStart {
-			sc.start = sc.m.Start()[0]
+			sc.start = sc.cm.Start()[0]
 			sc.haveStart = true
 		}
 		state = sc.start
@@ -261,30 +237,23 @@ func runTrial[S comparable](sc *viewScratch[S], p Policy[S], target func(S) bool
 	return nil
 }
 
-// viewScratch holds one run's view buffers and move caches. The engine
-// reuses them across steps, so the hot loop's only steady-state
-// allocations are the ones the model makes inside Moves/UserMoves — and
-// under a compiled model (cm non-nil) not even those: build serves the
-// shared cache entry of the current state instead of querying the model.
+// viewScratch holds one run's per-step state. The engine reuses it across
+// steps and trials, and build serves the compiled model's shared cache
+// entry of the current state instead of querying the model, so the hot
+// loop allocates nothing in steady state.
 type viewScratch[S comparable] struct {
-	m sched.Model[S]
-	// n is m.NumProcs(), hoisted once per run: the per-step loop and
-	// every choice validation would otherwise call through the interface
-	// on each iteration.
+	cm *Compiled[S]
+	// n is the model's process count, hoisted once: the per-step loop
+	// and every choice validation read it.
 	n int
-	// cm is non-nil when m is a compiled model; cur is the cache entry
-	// of the state the last build saw, consumed by applyChoice.
-	cm  *Compiled[S]
+	// cur is the cache entry of the state the last build saw, consumed
+	// by applyChoice.
 	cur *stateEntry[S]
 	// pending is the cache entry of the successor applyChoice just drew,
-	// resolved through the entry's succ pointers; the next buildCompiled
-	// (always of that same state) consumes it instead of re-hashing the
-	// state into the shard maps.
+	// resolved through the entry's succ pointers; the next build (always
+	// of that same state) consumes it instead of re-hashing the state
+	// into the shard maps.
 	pending *stateEntry[S]
-	// bitCompat selects the compiled path's sampler for the current
-	// trial: frozen cumulative scans (Options.BitCompat) instead of the
-	// default alias tables. Set by reset.
-	bitCompat bool
 	// start memoizes m.Start()[0] after the first trial that needs it
 	// (models are purely functional, so the start state is a constant):
 	// an arena worker would otherwise pay Start's slice allocation on
@@ -298,103 +267,33 @@ type viewScratch[S comparable] struct {
 	view View[S]
 	// deadline persists across steps and doubles as the View's Deadline
 	// slice: deadline[i] is process i's unit-time obligation (latest
-	// legal step time), +Inf while process i is not ready.
+	// legal step time), +Inf while process i is not ready. Its backing
+	// array ends in arenaPad spare bytes, for the reason trialArena gives.
 	deadline []float64
-	// The remaining fields are used only on the uncompiled path (the
-	// compiled path shares its cache entry's slices instead).
-	ready      []int
-	userMovers []int
-	moveCount  []int
-	userCount  []int
-	moves      [][]pa.Step[S]
-	userMoves  [][]pa.Step[S]
 }
 
-func newViewScratch[S comparable](m sched.Model[S]) *viewScratch[S] {
-	n := m.NumProcs()
-	sc := &viewScratch[S]{
-		m:        m,
-		n:        n,
-		deadline: make([]float64, n),
-	}
-	sc.reset(false)
-	if cm, ok := m.(*Compiled[S]); ok {
-		sc.cm = cm
-		return sc
-	}
-	sc.moveCount = make([]int, n)
-	sc.userCount = make([]int, n)
-	sc.moves = make([][]pa.Step[S], n)
-	sc.userMoves = make([][]pa.Step[S], n)
-	return sc
+func (sc *viewScratch[S]) init(cm *Compiled[S]) {
+	sc.cm = cm
+	sc.n = cm.n
+	sc.deadline = make([]float64, cm.n, cm.n+arenaPad/8)
 }
 
 // reset clears the per-trial state — every scheduling obligation and the
-// cached compiled entry — so one scratch can serve many trials (the
-// parallel arena path) without carrying state across them.
-func (sc *viewScratch[S]) reset(bitCompat bool) {
+// cached entries — so one scratch can serve many trials (the parallel
+// arena path) without carrying state across them.
+func (sc *viewScratch[S]) reset() {
 	for i := range sc.deadline {
 		sc.deadline[i] = math.Inf(1)
 	}
 	sc.cur = nil
 	sc.pending = nil
-	sc.bitCompat = bitCompat
 }
 
-// build refreshes the deadline bookkeeping for the current state in the
-// same pass that assembles the policy's View, querying each process's
-// moves exactly once per step (or not at all when the state is compiled).
-func (sc *viewScratch[S]) build(s S, now float64) *View[S] {
-	if sc.cm != nil {
-		return sc.buildCompiled(s, now)
-	}
-	sc.ready = sc.ready[:0]
-	sc.userMovers = sc.userMovers[:0]
-	v := &sc.view
-	*v = View[S]{
-		State:         s,
-		Now:           now,
-		DeadlineMin:   math.Inf(1),
-		Deadline:      sc.deadline,
-		MoveCount:     sc.moveCount,
-		UserMoveCount: sc.userCount,
-	}
-	for i := 0; i < sc.n; i++ {
-		moves := sc.m.Moves(s, i)
-		sc.moves[i] = moves
-		sc.moveCount[i] = len(moves)
-		if len(moves) == 0 {
-			// A process that stopped being ready gives up its obligation.
-			sc.deadline[i] = math.Inf(1)
-		} else {
-			d := sc.deadline[i]
-			if math.IsInf(d, 1) {
-				d = now + 1
-				sc.deadline[i] = d
-			}
-			sc.ready = append(sc.ready, i)
-			if d < v.DeadlineMin {
-				v.DeadlineMin = d
-			}
-		}
-		user := sc.m.UserMoves(s, i)
-		sc.userMoves[i] = user
-		sc.userCount[i] = len(user)
-		if len(user) > 0 {
-			sc.userMovers = append(sc.userMovers, i)
-		}
-	}
-	v.Ready = sc.ready
-	v.UserMovers = sc.userMovers
-	return v
-}
-
-// buildCompiled assembles the View from the state's cache entry: the
+// build assembles the View from the state's cache entry: the
 // ready/userMovers/move-count slices are the entry's own (immutable,
 // shared across trials and workers), and only the deadline bookkeeping —
-// inherently per-run — is recomputed. The resulting View is
-// field-for-field what the uncompiled build produces.
-func (sc *viewScratch[S]) buildCompiled(s S, now float64) *View[S] {
+// inherently per-run — is recomputed.
+func (sc *viewScratch[S]) build(s S, now float64) *View[S] {
 	e := sc.pending
 	sc.pending = nil
 	if e == nil {
@@ -414,8 +313,7 @@ func (sc *viewScratch[S]) buildCompiled(s S, now float64) *View[S] {
 	}
 	for i := 0; i < sc.n; i++ {
 		if e.moveCount[i] == 0 {
-			// A process that stopped being ready gives up its obligation,
-			// as in the uncompiled pass.
+			// A process that stopped being ready gives up its obligation.
 			sc.deadline[i] = math.Inf(1)
 			continue
 		}
@@ -433,135 +331,61 @@ func (sc *viewScratch[S]) buildCompiled(s S, now float64) *View[S] {
 
 // applyChoice validates the policy's choice and draws the successor
 // state. It deliberately does not return the step's action label: the
-// hot loop has no use for it, and on the compiled path even loading the
-// pa.Step (a string header plus a Dist) per event costs measurable
-// throughput — runTrial fetches the label through sc.action only when
-// an observer is attached, and error paths load it on demand.
+// hot loop has no use for it, and even loading the pa.Step (a string
+// header plus a Dist) per event costs measurable throughput — runTrial
+// fetches the label through sc.action only when an observer is
+// attached, and error paths load it on demand.
 func applyChoice[S comparable](now, deadlineMin float64, c Choice, sc *viewScratch[S], rng *rand.Rand) (S, float64, error) {
 	var zero S
-	// Validate the process index before consulting the move caches:
-	// Moves / UserMoves implementations are entitled to index per-process
-	// arrays, so an out-of-range index from a malicious policy must
-	// become ErrBadChoice here, never a panic inside the model. The
-	// unsigned compare folds the negative and too-large cases into one
-	// branch, matching the compiler's own slice bounds-check idiom.
+	// Validate the process index before indexing the per-process tables.
+	// The unsigned compare folds the negative and too-large cases into
+	// one branch, matching the compiler's own slice bounds-check idiom.
 	if uint(c.Proc) >= uint(sc.n) {
 		return zero, 0, fmt.Errorf("%w: proc %d move %d (user=%t)", ErrBadChoice, c.Proc, c.Move, c.User)
 	}
-	if e := sc.cur; e != nil {
-		// Compiled path: the sampler bundles are parallel to the memoized
-		// moves (nil when the process has none), so the move-index bound
-		// and the empty-distribution probe read the same small structs the
-		// draw is about to use — the pa.Step itself stays untouched.
-		ms := e.samplers[c.Proc]
-		if c.User {
-			ms = e.userSamplers[c.Proc]
-		}
-		if uint(c.Move) >= uint(len(ms)) {
-			return zero, 0, fmt.Errorf("%w: proc %d move %d (user=%t)", ErrBadChoice, c.Proc, c.Move, c.User)
-		}
-		t := c.At
-		if t < now || t > deadlineMin {
-			return zero, 0, fmt.Errorf("%w: time %v outside [%v, %v]", ErrBadChoice, t, now, deadlineMin)
-		}
-		m := &ms[c.Move]
-		if m.alias.Len() == 0 {
-			return zero, 0, fmt.Errorf("%w: proc %d action %q has an empty successor distribution", ErrBadModel, c.Proc, sc.action(c))
-		}
-		if sc.bitCompat {
-			return m.frozen.Pick(rng.Float64()), t, nil
-		}
-		idx := m.alias.PickIndex(rng.Float64())
-		next := m.alias.At(idx)
-		// Follow (or lazily resolve) the cached successor entry so the
-		// next build skips the interning maps; see moveSampler.succ.
-		slot := &m.succ[idx]
-		ne := slot.Load()
-		if ne == nil {
-			ne = sc.cm.entry(next)
-			slot.Store(ne)
-		}
-		sc.pending = ne
-		return next, t, nil
-	}
-	moves := sc.moves[c.Proc]
+	// The sampler bundles are parallel to the memoized moves (nil when
+	// the process has none), so the move-index bound and the
+	// empty-distribution probe read the same small structs the draw is
+	// about to use — the pa.Step itself stays untouched.
+	e := sc.cur
+	ms := e.samplers[c.Proc]
 	if c.User {
-		moves = sc.userMoves[c.Proc]
+		ms = e.userSamplers[c.Proc]
 	}
-	if uint(c.Move) >= uint(len(moves)) {
+	if uint(c.Move) >= uint(len(ms)) {
 		return zero, 0, fmt.Errorf("%w: proc %d move %d (user=%t)", ErrBadChoice, c.Proc, c.Move, c.User)
 	}
 	t := c.At
 	if t < now || t > deadlineMin {
 		return zero, 0, fmt.Errorf("%w: time %v outside [%v, %v]", ErrBadChoice, t, now, deadlineMin)
 	}
-	step := &moves[c.Move]
+	m := &ms[c.Move]
 	// An empty successor distribution (the zero prob.Dist in a hand-built
 	// step) would panic inside Pick; detect it before drawing so the run
-	// fails with a typed error and — because the check precedes the draw
-	// on every path — compiled and uncompiled runs consume identical
-	// random streams.
-	if step.Next.Len() == 0 {
-		return zero, 0, fmt.Errorf("%w: proc %d action %q has an empty successor distribution", ErrBadModel, c.Proc, step.Action)
+	// fails with a typed error.
+	if m.alias.Len() == 0 {
+		return zero, 0, fmt.Errorf("%w: proc %d action %q has an empty successor distribution", ErrBadModel, c.Proc, sc.action(c))
 	}
-	return step.Next.Pick(rng.Float64()), t, nil
+	idx := m.alias.PickIndex(rng.Float64())
+	next := m.alias.At(idx)
+	// Follow (or lazily resolve) the cached successor entry so the next
+	// build skips the interning maps; see moveSampler.succ.
+	slot := &m.succ[idx]
+	ne := slot.Load()
+	if ne == nil {
+		ne = sc.cm.entry(next)
+		slot.Store(ne)
+	}
+	sc.pending = ne
+	return next, t, nil
 }
 
 // action returns the label of the step a validated choice names; callers
 // must have bounds-checked c (applyChoice's cold paths and the observer
 // hook in runTrial have).
 func (sc *viewScratch[S]) action(c Choice) string {
-	moves := sc.moves
-	user := sc.userMoves
-	if e := sc.cur; e != nil {
-		moves, user = e.moves, e.userMoves
-	}
 	if c.User {
-		return user[c.Proc][c.Move].Action
+		return sc.cur.userMoves[c.Proc][c.Move].Action
 	}
-	return moves[c.Proc][c.Move].Action
-}
-
-// EstimateReachProb runs trials independent runs and estimates the
-// probability that the target is reached within the given time.
-func EstimateReachProb[S comparable](m sched.Model[S], mk func() Policy[S], target func(S) bool, within float64, trials int, opts Options[S], rng *rand.Rand) (stats.Proportion, error) {
-	var prop stats.Proportion
-	if err := validateEstimate(m, mk, target, trials); err != nil {
-		return prop, err
-	}
-	if rng == nil {
-		return prop, fmt.Errorf("%w: nil RNG", ErrInvalidArgument)
-	}
-	for i := 0; i < trials; i++ {
-		res, err := RunOnce(m, mk(), target, opts, rng)
-		if err != nil {
-			return prop, fmt.Errorf("sim: trial %d: %w", i, err)
-		}
-		prop.Observe(res.Reached && res.ReachedAt <= within)
-	}
-	return prop, nil
-}
-
-// EstimateTimeToTarget runs trials independent runs and summarizes the
-// time to reach the target; runs that never reach it are an error (use a
-// generous Options.MaxTime for almost-sure targets).
-func EstimateTimeToTarget[S comparable](m sched.Model[S], mk func() Policy[S], target func(S) bool, trials int, opts Options[S], rng *rand.Rand) (stats.Summary, error) {
-	var sum stats.Summary
-	if err := validateEstimate(m, mk, target, trials); err != nil {
-		return sum, err
-	}
-	if rng == nil {
-		return sum, fmt.Errorf("%w: nil RNG", ErrInvalidArgument)
-	}
-	for i := 0; i < trials; i++ {
-		res, err := RunOnce(m, mk(), target, opts, rng)
-		if err != nil {
-			return sum, fmt.Errorf("sim: trial %d: %w", i, err)
-		}
-		if !res.Reached {
-			return sum, fmt.Errorf("sim: trial %d did not reach the target within budget (events=%d, state=%v)", i, res.Events, res.Final)
-		}
-		sum.Observe(res.ReachedAt)
-	}
-	return sum, nil
+	return sc.cur.moves[c.Proc][c.Move].Action
 }

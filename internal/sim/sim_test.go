@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -299,13 +300,12 @@ func TestRunOnceMaxTimeTruncation(t *testing.T) {
 }
 
 func TestEstimateReachProb(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
 	// P[heads within time 2] under the slowest policy = P[heads in <= 2
 	// flips] = 3/4.
-	prop, err := EstimateReachProb[flipState](flipper{},
+	prop, _, err := EstimateReachProbParallel[flipState](context.Background(), flipper{},
 		func() Policy[flipState] { return Slowest[flipState]() },
 		func(s flipState) bool { return s.Heads },
-		2, 4000, Options[flipState]{}, rng)
+		2, 4000, Options[flipState]{}, ParallelOptions{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +319,10 @@ func TestEstimateReachProb(t *testing.T) {
 }
 
 func TestEstimateTimeToTarget(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	sum, err := EstimateTimeToTarget[flipState](flipper{},
+	sum, _, err := EstimateTimeToTargetParallel[flipState](context.Background(), flipper{},
 		func() Policy[flipState] { return Slowest[flipState]() },
 		func(s flipState) bool { return s.Heads },
-		4000, Options[flipState]{}, rng)
+		4000, Options[flipState]{}, ParallelOptions{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,11 +337,10 @@ func TestEstimateTimeToTarget(t *testing.T) {
 }
 
 func TestEstimateTimeToTargetUnreachable(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	_, err := EstimateTimeToTarget[flipState](flipper{},
+	_, _, err := EstimateTimeToTargetParallel[flipState](context.Background(), flipper{},
 		func() Policy[flipState] { return Slowest[flipState]() },
 		func(flipState) bool { return false },
-		1, Options[flipState]{MaxEvents: 50}, rng)
+		1, Options[flipState]{MaxEvents: 50}, ParallelOptions{Seed: 1})
 	if err == nil {
 		t.Error("unreachable target accepted")
 	}

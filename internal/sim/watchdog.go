@@ -9,7 +9,7 @@ package sim
 // as a typed *TrialStalledError, exactly like a panic — recorded in the
 // checkpoint (kind "stall"), excluded from the estimate, counted against
 // the MaxPanics budget. The trial's seed is in the record, so the hang
-// reproduces deterministically in a single watched RunOnce.
+// reproduces deterministically with ReproTrial.
 //
 // Time flows through fault.Clock, so tests drive the watchdog with a
 // FakeClock instead of sleeping and stall detection stays deterministic.
@@ -31,9 +31,9 @@ var ErrTrialStalled = errors.New("sim: trial stalled")
 // TrialStalledError reports a trial abandoned by the watchdog after
 // exceeding its wall-clock budget. Like TrialPanicError, it carries the
 // trial index and the trial's private RNG seed, so the hang replays
-// deterministically (sim.ReproTrial with the root seed, or RunOnce with
-// rand.NewSource(Seed) — under a watchdog, unless you want to wait).
-// It matches ErrTrialStalled via errors.Is.
+// deterministically with sim.ReproTrial and the run's root seed (under a
+// watchdog, unless you want to wait; a plain rand.NewSource(Seed) draws
+// a different stream). It matches ErrTrialStalled via errors.Is.
 type TrialStalledError struct {
 	// Trial is the index of the stalled trial within the parallel run.
 	Trial int
@@ -45,8 +45,8 @@ type TrialStalledError struct {
 
 // Error names the trial, its budget and its repro seed.
 func (e *TrialStalledError) Error() string {
-	return fmt.Sprintf("sim: trial %d stalled: no result within %v (replay: RunOnce with rand.NewSource(%d), or sim.ReproTrial(..., rootSeed, %d))",
-		e.Trial, e.Timeout, e.Seed, e.Trial)
+	return fmt.Sprintf("sim: trial %d stalled: no result within %v (replay: sim.ReproTrial(..., rootSeed, %d); trial RNG seed %d)",
+		e.Trial, e.Timeout, e.Trial, e.Seed)
 }
 
 // Is reports a match against ErrTrialStalled.

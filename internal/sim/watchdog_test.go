@@ -137,7 +137,8 @@ func TestWatchdogQuarantinesStalled(t *testing.T) {
 }
 
 // TestWatchdogBudgetExhausted: with a zero quarantine budget the first
-// stalled trial aborts the run with a typed, seed-carrying error.
+// stalled trial aborts the run with a typed, seed-carrying error whose
+// message says how to replay it.
 func TestWatchdogBudgetExhausted(t *testing.T) {
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
@@ -158,6 +159,11 @@ func TestWatchdogBudgetExhausted(t *testing.T) {
 	}
 	if se.Timeout != 10*time.Second {
 		t.Fatalf("stall error timeout = %v, want 10s", se.Timeout)
+	}
+	// The replay hint must name the engine's own trial source: a
+	// rand.NewSource(seed) replay draws a different stream.
+	if msg := se.Error(); !strings.Contains(msg, "sim.ReproTrial(") || strings.Contains(msg, "rand.NewSource") {
+		t.Fatalf("stall error %q: replay hint must name sim.ReproTrial and not rand.NewSource", msg)
 	}
 }
 

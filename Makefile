@@ -23,8 +23,9 @@
 #                                                spans or simtrace lost the
 #                                                critical path
 #   mdp-smoke   lrcheck + dense-vs-CSR test      the on-the-fly explorer or a
-#                                                parallel sparse solver diverging
-#                                                from the dense reference
+#               + kernel agreement test          parallel sparse solver diverging
+#                                                from the dense reference, or the
+#                                                fixed-point kernel from rationals
 #   vuln        govulncheck (if installed)       known-vulnerable dependency use
 #
 # Performance regressions are gated separately by `make bench-diff`: it
@@ -64,10 +65,11 @@ BENCH_GATE = BenchmarkParallelTrials|BenchmarkMetricsOverhead|BenchmarkSpanOverh
 TRIALS_FLOOR = BenchmarkParallelTrials:trials/s=180000
 
 # Absolute backstop for the exact engine: the on-the-fly CSR explorer
-# plus the parallel sparse composed-claim check sustains ~43k states/s
-# on the dining n=3 k=2 product (reference machine); the floor catches
-# a return to per-state map interning or single-threaded sweeps.
-STATES_FLOOR = BenchmarkExactEngine:states/s=25000
+# plus the fixed-point composed-claim check sustains ~90k states/s on
+# the dining n=3 k=2 product at -cpu 1 (~115k at two CPUs; reference
+# machine), against ~25k with big.Rat sweeps; the floor catches a return
+# to big.Rat sweeps or to per-state map interning.
+STATES_FLOOR = BenchmarkExactEngine:states/s=70000
 
 all: check
 
@@ -135,11 +137,13 @@ fmt:
 #   AliasPick           random distributions: alias measure matches the scan, draws stay in the support
 #   LoadCheckpointSet   hostile checkpoint bytes: ErrCorruptArtifact, never a panic
 #   ReadManifest        hostile manifest JSONL: ErrCorruptManifest, never a panic
+#   ReachKernels        random tick MDPs: fixed-point and rational answers are equal
 fuzz:
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzRunOnceAdversarial -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzAliasPick -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzLoadCheckpointSet -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/obs -run='^$$' -fuzz=FuzzReadManifest -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzReachKernels -fuzztime=$(FUZZTIME)
 
 # Chaos packages: seeded fault/kill/corruption storms against the
 # artifact layer (in-process, injected filesystem faults) and the real
@@ -191,13 +195,15 @@ trace-smoke:
 
 # Exact-engine smoke: one end-to-end lrcheck run through the on-the-fly
 # CSR explorer and the parallel sparse solvers (all five arrows, the
-# composed claim, the expected-time sweep), plus the dense-vs-explored
-# agreement property on the election products. Seconds, so it gates
+# composed claim, the expected-time sweep), the dense-vs-explored
+# agreement property on the election products, and the fixed-point vs
+# rational kernel agreement on random tick MDPs. Seconds, so it gates
 # every check; the large-product runs live in the non-short tests and
 # EXPERIMENTS.md E22.
 mdp-smoke:
 	$(GO) run ./cmd/lrcheck -n 3 -k 1 -workers 2 >/dev/null && echo "mdp-smoke: lrcheck ok"
 	$(GO) test -run 'TestExploreMatchesDenseElection' -count=1 .
+	$(GO) test -run 'TestReachKernels' -count=1 ./internal/mdp
 
 check: build vet test test-race bench-smoke chaos-smoke chaos-net-smoke fabric-smoke trace-smoke mdp-smoke vuln
 

@@ -459,23 +459,6 @@ func BenchmarkProgressCurve(b *testing.B) {
 	}
 }
 
-// E-ablation (DESIGN.md §5.3): exact rationals vs float64 value iteration
-// on the same G --5--> P query. Compare ns/op with BenchmarkArrowG_P.
-func BenchmarkFloatVI(b *testing.B) {
-	a, _, _ := fixtures(b)
-	toMask := a.Index.Mask(sched.LiftPred(dining.InP))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, err := a.MDP.ReachWithinTicksFloat(toMask, 5, mdp.MinProb)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(v) != a.Index.Len() {
-			b.Fatal("short result")
-		}
-	}
-}
-
 // E-extra: the most-damning schedule extraction for the composed claim.
 func BenchmarkWorstWitness(b *testing.B) {
 	a, _, _ := fixtures(b)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/election"
 	"repro/internal/mdp"
+	"repro/internal/prob"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -45,14 +46,14 @@ func TestAliasDefaultMatchesExact(t *testing.T) {
 
 	model := election.MustNew(n)
 	for _, horizon := range []int{2, 4, 8} {
-		v, err := m.ReachWithinTicksFloat(mask, horizon, mdp.MinProb)
+		v, err := m.ReachWithinTicks(mask, horizon, mdp.MinProb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact := v[start]
-		if horizon == 2 && exact != 3.0/8 {
-			t.Fatalf("one-round election probability = %v, want 3/8", exact)
+		if horizon == 2 && !v[start].Equal(prob.NewRat(3, 8)) {
+			t.Fatalf("one-round election probability = %v, want 3/8", v[start])
 		}
+		exact := v[start].Float64()
 		var pooled stats.Proportion
 		for _, seed := range []int64{1, 2, 3} {
 			prop, _, err := sim.EstimateReachProbParallel[election.State](context.Background(), model,

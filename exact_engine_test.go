@@ -19,6 +19,7 @@ import (
 	"repro/internal/election"
 	"repro/internal/mdp"
 	"repro/internal/pa"
+	"repro/internal/prob"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -252,9 +253,9 @@ func TestParallelSweepDeterminism(t *testing.T) {
 	target := a.Index.Mask(sched.LiftPred(dining.InC))
 
 	type result struct {
-		reach []string
-		flt   []float64
-		ticks []float64
+		reach  []prob.Rat   // ReachWithinTicks at horizon 13
+		layers [][]prob.Rat // ReachWithinTicksLayers, horizons 0..13
+		ticks  []float64
 	}
 	run := func(workers int) result {
 		m, err := dining.NewAnalysisOpts(3, 1, dining.Opts{Workers: workers})
@@ -265,11 +266,7 @@ func TestParallelSweepDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		strs := make([]string, len(rv))
-		for i, r := range rv {
-			strs[i] = r.String()
-		}
-		fv, err := m.MDP.ReachWithinTicksFloat(target, 13, mdp.MinProb)
+		lv, err := m.MDP.ReachWithinTicksLayers(target, 13, mdp.MinProb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,18 +274,25 @@ func TestParallelSweepDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return result{reach: strs, flt: fv, ticks: tv}
+		return result{reach: rv, layers: lv, ticks: tv}
 	}
 
 	ref := run(1)
+	for s := range ref.reach {
+		if !ref.layers[13][s].Equal(ref.reach[s]) {
+			t.Fatalf("state %d: last layer %v != single-horizon %v", s, ref.layers[13][s], ref.reach[s])
+		}
+	}
 	for _, workers := range []int{2, 8} {
 		got := run(workers)
 		for s := range ref.reach {
-			if got.reach[s] != ref.reach[s] {
-				t.Fatalf("workers=%d state %d: exact %s != %s", workers, s, got.reach[s], ref.reach[s])
+			if !got.reach[s].Equal(ref.reach[s]) {
+				t.Fatalf("workers=%d state %d: exact %v != %v", workers, s, got.reach[s], ref.reach[s])
 			}
-			if got.flt[s] != ref.flt[s] {
-				t.Fatalf("workers=%d state %d: float %v != %v (not bit-identical)", workers, s, got.flt[s], ref.flt[s])
+			for h := range ref.layers {
+				if !got.layers[h][s].Equal(ref.layers[h][s]) {
+					t.Fatalf("workers=%d state %d horizon %d: exact %v != %v", workers, s, h, got.layers[h][s], ref.layers[h][s])
+				}
 			}
 			if got.ticks[s] != ref.ticks[s] && !(math.IsInf(got.ticks[s], 1) && math.IsInf(ref.ticks[s], 1)) {
 				t.Fatalf("workers=%d state %d: ticks %v != %v (not bit-identical)", workers, s, got.ticks[s], ref.ticks[s])

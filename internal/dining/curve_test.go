@@ -71,37 +71,6 @@ func TestWorstWitness(t *testing.T) {
 	}
 }
 
-// TestFloatCheckerAgreesOnPaperChain cross-validates the float and exact
-// pipelines on the full n=3 product for every paper arrow.
-func TestFloatCheckerAgreesOnPaperChain(t *testing.T) {
-	a := getAnalysisN3(t)
-	for _, st := range a.PaperStatements() {
-		horizonRat := st.Time.Big()
-		horizon := int(horizonRat.Num().Int64())
-		toMask := a.Index.Mask(func(s PState) bool { return st.To.Contains(s) })
-		fromMask := a.Index.Mask(func(s PState) bool { return st.From.Contains(s) })
-
-		exact, err := a.MDP.ReachWithinTicks(toMask, horizon, mdp.MinProb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		approx, err := a.MDP.ReachWithinTicksFloat(toMask, horizon, mdp.MinProb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		worstExact, _ := mdp.OptAt(exact, fromMask, mdp.MinProb)
-		worstFloat := 2.0
-		for s, in := range fromMask {
-			if in && approx[s] < worstFloat {
-				worstFloat = approx[s]
-			}
-		}
-		if diff := worstExact.Float64() - worstFloat; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("%s: exact %v vs float %g", st, worstExact, worstFloat)
-		}
-	}
-}
-
 // TestExecAgreesWithProductChain cross-validates the two exact engines:
 // the event-evaluation engine (exec, tree unfolding with rectangle
 // measure) run under a specific deterministic adversary must produce a

@@ -16,10 +16,13 @@ package mdp
 // contiguous range branchRow[choiceRow[s]] : branchRow[choiceRow[s+1]] —
 // the graph analyses walk that single flat range per state, with no
 // per-pop allocation (the fix for the old successors() helper). Branch
-// probabilities are kept twice: as float64 for value iteration and as
-// prob.Rat for the exact DP — the Rat array costs one pointer per branch
-// (prob.Rat shares its immutable *big.Rat across copies), so carrying it
-// to millions of branches is cheap.
+// probabilities are kept twice. The float64 copy feeds value iteration
+// and, when every probability is a multiple of 2^-62 (fixedPoint), the
+// tick-bounded DP, which rescales it to 62-bit fixed point on the fly.
+// The prob.Rat copy is the exact value: validation, export, witnesses and
+// the rational DP that answers when fixed point cannot. It costs one
+// pointer per branch (prob.Rat shares its immutable *big.Rat across
+// copies), so carrying it to millions of branches is cheap.
 //
 // Parallelism. The sparse solvers sweep states with per-worker contiguous
 // row ranges (parallelFor). Determinism for any worker count is by
@@ -66,14 +69,14 @@ func (b bitset) count() int {
 // memoized behind sync.Once.
 type CSR struct {
 	n         int
-	choiceRow []int32 // len n+1; choices of state s
-	branchRow []int32 // len NumChoices()+1; branches of choice c
-	col       []int32 // branch targets
-	pf        []float64 // branch probabilities, float64
+	choiceRow []int32    // len n+1; choices of state s
+	branchRow []int32    // len NumChoices()+1; branches of choice c
+	col       []int32    // branch targets
+	pf        []float64  // branch probabilities, float64
 	pr        []prob.Rat // branch probabilities, exact
-	tick      bitset    // per choice
-	labelID   []int32   // per choice, index into labels
-	labels    []string  // interned choice labels, first-seen order
+	tick      bitset     // per choice
+	labelID   []int32    // per choice, index into labels
+	labels    []string   // interned choice labels, first-seen order
 
 	// Non-tick level schedule (nil until first use; levelErr records a
 	// Zeno cycle instead). order lists every state grouped by level,
@@ -89,6 +92,11 @@ type CSR struct {
 	revOnce sync.Once
 	revRow  []int32
 	revCol  []int32
+
+	// Whether the tick-bounded solves may run on fixed point (fixedPoint),
+	// decided on first use.
+	fixOnce sync.Once
+	fixOK   bool
 }
 
 // NumStates returns the number of states.
@@ -451,6 +459,50 @@ func (c *CSR) buildNonTickLevels() ([]int32, []int32, error) {
 		next[lv]++
 	}
 	return order, counts[1:], nil
+}
+
+// fixedPoint reports whether the tick-bounded solves may run on 62-bit
+// fixed point: every branch probability's float copy equals the exact
+// rational and is a multiple of 2^-62 in (0,1], and every choice's
+// probabilities sum to exactly 2^62 (so no sum of exact products can
+// overflow). It is decided once per CSR and keeps no per-branch table:
+// the kernel rescales the float copy on the fly.
+func (c *CSR) fixedPoint() bool {
+	c.fixOnce.Do(func() { c.fixOK = c.buildFixedPoint() })
+	return c.fixOK
+}
+
+func (c *CSR) buildFixedPoint() bool {
+	// The rational of each distinct fixed-point value, built once.
+	exact := map[uint64]prob.Rat{fixOne: prob.One()}
+	for ci := 0; ci < c.NumChoices(); ci++ {
+		var sum uint64
+		for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
+			f := c.pf[bi]
+			if !(f > 0 && f <= 1) {
+				return false
+			}
+			q := uint64(f * (1 << fixBits))
+			if float64(q) != f*(1<<fixBits) {
+				return false
+			}
+			r, ok := exact[q]
+			if !ok {
+				r = prob.NewRat(int64(q), int64(fixOne))
+				exact[q] = r
+			}
+			if !c.pr[bi].Equal(r) {
+				return false
+			}
+			if sum += q; sum > fixOne {
+				return false
+			}
+		}
+		if sum != fixOne {
+			return false
+		}
+	}
+	return true
 }
 
 // reverse builds (once) the state-level reverse adjacency: predecessors

@@ -1,7 +1,6 @@
 package mdp
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/prob"
@@ -38,51 +37,6 @@ func TestReachWithinTicksLayers(t *testing.T) {
 		if !v[0].Equal(layers[h][0]) {
 			t.Errorf("horizon %d: layers %v vs direct %v", h, layers[h][0], v[0])
 		}
-	}
-}
-
-func TestReachWithinTicksFloatAgreesWithExact(t *testing.T) {
-	// A small MDP mixing choices, coins and zero-duration moves.
-	m := &MDP{NumStates: 4, Choices: [][]Choice{
-		{tickCoin("flip", 1, 2), tickTo("delay", 0)},
-		{moveTo("go", 3)},
-		{tickCoin("retry", 3, 0)},
-		nil,
-	}}
-	target := mask(4, 3)
-	for _, goal := range []Goal{MinProb, MaxProb} {
-		for h := 0; h <= 8; h++ {
-			exact, err := m.ReachWithinTicks(target, h, goal)
-			if err != nil {
-				t.Fatal(err)
-			}
-			approx, err := m.ReachWithinTicksFloat(target, h, goal)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for s := range exact {
-				if math.Abs(exact[s].Float64()-approx[s]) > 1e-12 {
-					t.Errorf("goal %v h=%d s=%d: exact %v vs float %g", goal, h, s, exact[s], approx[s])
-				}
-			}
-		}
-	}
-}
-
-func TestReachWithinTicksFloatErrors(t *testing.T) {
-	m := &MDP{NumStates: 2, Choices: [][]Choice{
-		{moveTo("spin", 0)},
-		nil,
-	}}
-	if _, err := m.ReachWithinTicksFloat(mask(2, 1), 2, MinProb); err == nil {
-		t.Error("Zeno cycle accepted")
-	}
-	ok := &MDP{NumStates: 1, Choices: [][]Choice{nil}}
-	if _, err := ok.ReachWithinTicksFloat(mask(2, 0), 1, MinProb); err == nil {
-		t.Error("mismatched mask accepted")
-	}
-	if _, err := ok.ReachWithinTicksFloat(mask(1), -1, MinProb); err == nil {
-		t.Error("negative horizon accepted")
 	}
 }
 

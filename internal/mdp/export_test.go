@@ -3,7 +3,25 @@ package mdp
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/prob"
 )
+
+// Test hooks into the tick-bounded solve: reachKernel reports which
+// operator answers a ReachWithinTicks call, reachRat gives the rational
+// operator's layers for the same query, whatever kernel the input selects.
+func reachKernel(m *MDP, target []bool, horizon int, goal Goal) (kernel, error) {
+	_, k, err := m.reachTicks(target, horizon, goal, false)
+	return k, err
+}
+
+func reachRat(m *MDP, target []bool, horizon int, goal Goal) ([][]prob.Rat, error) {
+	q, err := m.newTickQuery(target, horizon, goal, true)
+	if err != nil {
+		return nil, err
+	}
+	return q.ratSweep(), nil
+}
 
 func exportFixture() *MDP {
 	return &MDP{NumStates: 3, Choices: [][]Choice{

@@ -10,8 +10,9 @@
 // marked as ticks. This package enumerates such MDPs from probabilistic
 // automata and computes:
 //
-//   - exact (rational) minimum and maximum probabilities of reaching a
-//     target within a tick horizon — the quantities compared against the
+//   - exact minimum and maximum probabilities of reaching a target
+//     within a tick horizon (on 62-bit fixed point when the probabilities
+//     allow, else on rationals) — the quantities compared against the
 //     paper's p and t;
 //   - qualitative reachability sets (probability 0 / probability 1 under
 //     some or all adversaries), used by the liveness baseline;

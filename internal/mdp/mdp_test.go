@@ -239,25 +239,6 @@ func TestReachWithinTicksBadInput(t *testing.T) {
 	}
 }
 
-func TestReachWithinSteps(t *testing.T) {
-	// Cyclic zero-duration MDP: steps-bounded analysis handles cycles.
-	m := &MDP{NumStates: 3, Choices: [][]Choice{
-		{{Label: "flip", Branches: []Tr{{To: 1, P: prob.Half()}, {To: 0, P: prob.Half()}}}},
-		{moveTo("go", 2)},
-		nil,
-	}}
-	target := mask(3, 2)
-	v, err := m.ReachWithinSteps(target, 4, MinProb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Paths: flip,go within 4 steps: success after k flips and the move,
-	// k <= 3: 1/2 + 1/4 + 1/8 = 7/8.
-	if want := prob.NewRat(7, 8); !v[0].Equal(want) {
-		t.Errorf("P = %v, want %v", v[0], want)
-	}
-}
-
 func TestOptAt(t *testing.T) {
 	vals := []prob.Rat{prob.Half(), prob.One(), prob.NewRat(1, 4)}
 	got, ok := OptAt(vals, []bool{true, false, true}, MinProb)

@@ -79,7 +79,7 @@ func Uniform[T comparable](values ...T) (Dist[T], error) {
 	if len(values) == 0 {
 		return Dist[T]{}, fmt.Errorf("%w: empty support", ErrNotADistribution)
 	}
-	p := One().Div(FromInt(int64(len(values))))
+	p := NewRat(1, int64(len(values)))
 	outcomes := make([]Outcome[T], 0, len(values))
 	seen := make(map[T]bool, len(values))
 	for _, v := range values {

@@ -63,6 +63,15 @@ func FromBig(r *big.Rat) Rat {
 	return Rat{r: new(big.Rat).Set(r)}
 }
 
+// own wraps a freshly computed *big.Rat that nothing else references,
+// without copying it: the arithmetic methods hand their results here.
+func own(r *big.Rat) Rat {
+	if r.Sign() == 0 {
+		return Rat{}
+	}
+	return Rat{r: r}
+}
+
 // ParseRat parses a rational from a string such as "3/8", "1", "0.25" or
 // "-7/2". It accepts every form accepted by big.Rat.SetString.
 func ParseRat(s string) (Rat, error) {
@@ -70,7 +79,7 @@ func ParseRat(s string) (Rat, error) {
 	if !ok {
 		return Rat{}, fmt.Errorf("prob: cannot parse rational %q", s)
 	}
-	return FromBig(r), nil
+	return own(r), nil
 }
 
 // MustParseRat is like ParseRat but panics on malformed input. It is meant
@@ -83,10 +92,13 @@ func MustParseRat(s string) Rat {
 	return r
 }
 
+// bigZero is the read-only *big.Rat that big hands out for the zero Rat.
+var bigZero = new(big.Rat)
+
 // big returns the receiver as a *big.Rat that must not be mutated.
 func (x Rat) big() *big.Rat {
 	if x.r == nil {
-		return new(big.Rat)
+		return bigZero
 	}
 	return x.r
 }
@@ -102,7 +114,7 @@ func (x Rat) Add(y Rat) Rat {
 	if y.r == nil {
 		return x
 	}
-	return FromBig(new(big.Rat).Add(x.r, y.r))
+	return own(new(big.Rat).Add(x.r, y.r))
 }
 
 // Sub returns x - y.
@@ -110,7 +122,7 @@ func (x Rat) Sub(y Rat) Rat {
 	if y.r == nil {
 		return x
 	}
-	return FromBig(new(big.Rat).Sub(x.big(), y.r))
+	return own(new(big.Rat).Sub(x.big(), y.r))
 }
 
 // Mul returns x * y.
@@ -118,7 +130,7 @@ func (x Rat) Mul(y Rat) Rat {
 	if x.r == nil || y.r == nil {
 		return Rat{}
 	}
-	return FromBig(new(big.Rat).Mul(x.r, y.r))
+	return own(new(big.Rat).Mul(x.r, y.r))
 }
 
 // Div returns x / y. It panics if y is zero, mirroring integer division.
@@ -129,7 +141,7 @@ func (x Rat) Div(y Rat) Rat {
 	if x.r == nil {
 		return Rat{}
 	}
-	return FromBig(new(big.Rat).Quo(x.r, y.r))
+	return own(new(big.Rat).Quo(x.r, y.r))
 }
 
 // Neg returns -x.
@@ -137,7 +149,7 @@ func (x Rat) Neg() Rat {
 	if x.r == nil {
 		return Rat{}
 	}
-	return FromBig(new(big.Rat).Neg(x.r))
+	return own(new(big.Rat).Neg(x.r))
 }
 
 // Inv returns 1/x. It panics if x is zero.
@@ -145,14 +157,35 @@ func (x Rat) Inv() Rat {
 	if x.r == nil {
 		panic("prob: inverse of zero Rat")
 	}
-	return FromBig(new(big.Rat).Inv(x.r))
+	return own(new(big.Rat).Inv(x.r))
 }
 
-// Cmp compares x and y and returns -1, 0, or +1.
-func (x Rat) Cmp(y Rat) int { return x.big().Cmp(y.big()) }
+// Cmp compares x and y and returns -1, 0, or +1. A zero or shared
+// operand is decided without big.Rat.Cmp, which allocates.
+func (x Rat) Cmp(y Rat) int {
+	switch {
+	case x.r == y.r:
+		return 0
+	case y.r == nil:
+		return x.r.Sign()
+	case x.r == nil:
+		return -y.r.Sign()
+	}
+	return x.r.Cmp(y.r)
+}
 
-// Equal reports whether x == y as rational numbers.
-func (x Rat) Equal(y Rat) bool { return x.Cmp(y) == 0 }
+// Equal reports whether x == y as rational numbers. big.Rat keeps its
+// values normalized, so it compares numerators and denominators, which
+// allocates nothing (big.Rat.Cmp cross-multiplies).
+func (x Rat) Equal(y Rat) bool {
+	switch {
+	case x.r == y.r:
+		return true
+	case x.r == nil || y.r == nil:
+		return false
+	}
+	return x.r.Num().Cmp(y.r.Num()) == 0 && x.r.Denom().Cmp(y.r.Denom()) == 0
+}
 
 // Less reports whether x < y.
 func (x Rat) Less(y Rat) bool { return x.Cmp(y) < 0 }
@@ -172,7 +205,7 @@ func (x Rat) Sign() int {
 func (x Rat) IsZero() bool { return x.Sign() == 0 }
 
 // IsOne reports whether x == 1.
-func (x Rat) IsOne() bool { return x.r != nil && x.r.Cmp(oneRat.r) == 0 }
+func (x Rat) IsOne() bool { return x.Equal(oneRat) }
 
 // IsProbability reports whether 0 <= x <= 1.
 func (x Rat) IsProbability() bool {
@@ -231,7 +264,7 @@ func SumRats(xs ...Rat) Rat {
 			sum.Add(sum, x.r)
 		}
 	}
-	return FromBig(sum)
+	return own(sum)
 }
 
 // MinRats returns the minimum of its arguments. It panics when called with

@@ -284,3 +284,29 @@ func TestRatProperties(t *testing.T) {
 		}
 	})
 }
+
+// TestRatAllocs pins the allocations of the operations the rational
+// solvers run per branch: arithmetic wraps its fresh result instead of
+// copying it, and a comparison with a zero operand allocates nothing.
+func TestRatAllocs(t *testing.T) {
+	x, y := NewRat(3, 8), NewRat(5, 7)
+	var sink Rat
+	var less bool
+	for _, tc := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"Mul", 5, func() { sink = x.Mul(y) }},
+		{"Add", 7, func() { sink = x.Add(y) }},
+		{"Sub from zero", 6, func() { sink = Zero().Sub(x) }},
+		{"Less with a zero left operand", 0, func() { less = Zero().Less(x) }},
+		{"Less with a zero right operand", 0, func() { less = x.Less(Zero()) }},
+		{"Equal", 0, func() { less = x.Equal(y) }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.f); got > tc.max {
+			t.Errorf("%s: %v allocations, want at most %v", tc.name, got, tc.max)
+		}
+	}
+	_, _ = sink, less
+}

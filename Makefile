@@ -135,12 +135,14 @@ fmt:
 # invocation (Go allows one fuzz target per run):
 #   RunOnceAdversarial  adversarial policies: typed errors, never a crash
 #   AliasPick           random distributions: alias measure matches the scan, draws stay in the support
+#   DistBuild           byte-built outcomes: NewDist, MapDist and Uniform match a map-keyed reference
 #   LoadCheckpointSet   hostile checkpoint bytes: ErrCorruptArtifact, never a panic
 #   ReadManifest        hostile manifest JSONL: ErrCorruptManifest, never a panic
 #   ReachKernels        random tick MDPs: fixed-point and rational answers are equal
 fuzz:
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzRunOnceAdversarial -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzAliasPick -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzDistBuild -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzLoadCheckpointSet -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/obs -run='^$$' -fuzz=FuzzReadManifest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzReachKernels -fuzztime=$(FUZZTIME)

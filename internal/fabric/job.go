@@ -11,6 +11,7 @@ package fabric
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -67,6 +68,17 @@ func NewRunner(spec JobSpec) (Runner, error) {
 	}
 	if spec.MaxPanics < 0 {
 		return nil, fmt.Errorf("fabric: job max_panics must be >= 0, got %d", spec.MaxPanics)
+	}
+	if spec.MaxEvents < 0 {
+		return nil, fmt.Errorf("fabric: job max_events must be >= 0, got %d", spec.MaxEvents)
+	}
+	// A NaN bound passes every ordered comparison, and JSON cannot carry
+	// a NaN or an infinity to a worker, so non-finite times are refused.
+	if math.IsNaN(spec.MaxTime) || math.IsInf(spec.MaxTime, 0) || spec.MaxTime < 0 {
+		return nil, fmt.Errorf("fabric: job max_time must be finite and >= 0, got %g", spec.MaxTime)
+	}
+	if math.IsNaN(spec.Within) || math.IsInf(spec.Within, 0) {
+		return nil, fmt.Errorf("fabric: job within must be finite, got %g", spec.Within)
 	}
 	switch spec.Estimator {
 	case EstimatorReachProb:

@@ -10,7 +10,7 @@ package prob
 // Pick consumes exactly one uniform in [0, 1), just like Dist.Pick, so
 // the two samplers read the same random stream. Pick is distribution-
 // equivalent to Dist.Pick: the table columns are built from the measure
-// the cumulative scan induces on [0, 1) — the same weight[v].Float64()
+// the cumulative scan induces on [0, 1) — the same Rat.Float64() weight
 // values, accumulated with the scan's exact additions and clamped to the
 // unit interval — so every support element is drawn with the scan's
 // probability, up to the float64 rounding of the table build (a few
@@ -40,15 +40,28 @@ type Alias[T comparable] struct {
 
 // BuildAlias pre-resolves d into an Alias sampler using Walker's
 // two-stack construction. The support slice is shared with d (both are
-// immutable).
+// immutable). A one-element table gets no columns, since PickIndex never
+// reads them, and a table of up to stackTable elements keeps its build
+// scratch on the stack: a point mass builds with no allocation and a
+// coin with two, the columns themselves.
 func BuildAlias[T comparable](d Dist[T]) Alias[T] {
 	a := Alias[T]{support: d.support}
 	n := len(d.support)
-	if n == 0 {
+	if n <= 1 {
 		return a
 	}
 	a.prob = make([]float64, n)
 	a.alias = make([]int32, n)
+
+	var massBuf [stackTable]float64
+	var smallBuf, largeBuf [stackTable]int32
+	mass, small, large := massBuf[:], smallBuf[:0], largeBuf[:0]
+	if n > stackTable {
+		mass = make([]float64, n)
+		small = make([]int32, 0, n)
+		large = make([]int32, 0, n)
+	}
+	mass = mass[:n]
 
 	// The scan measure: Dist.Pick selects element i exactly when r lands
 	// in [cum[i-1], cum[i]) clamped to [0, 1), with the last element
@@ -57,10 +70,9 @@ func BuildAlias[T comparable](d Dist[T]) Alias[T] {
 	// masses telescope to 1 and reproduce the scan's behavior for any
 	// weights, including degenerate ones (all-zero after Float64
 	// rounding, totals past 1, non-finite outliers).
-	mass := make([]float64, n)
 	acc, prev := 0.0, 0.0
-	for i, v := range d.support {
-		acc += d.weight[v].Float64()
+	for i, w := range d.weights {
+		acc += w.Float64()
 		c := clampUnit(acc)
 		mass[i] = c - prev
 		prev = c
@@ -90,8 +102,6 @@ func BuildAlias[T comparable](d Dist[T]) Alias[T] {
 	for i := range mass {
 		mass[i] *= scale
 	}
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
 	for i := n - 1; i >= 0; i-- {
 		if mass[i] < 1 {
 			small = append(small, int32(i))
@@ -122,6 +132,10 @@ func BuildAlias[T comparable](d Dist[T]) Alias[T] {
 	}
 	return a
 }
+
+// stackTable is the largest table whose BuildAlias scratch (the masses
+// and the two work stacks) lives on the stack.
+const stackTable = 8
 
 // clampUnit clamps a cumulative weight into [0, 1]; NaN clamps to 0 so a
 // poisoned accumulation degrades to the fallthrough element instead of

@@ -13,8 +13,8 @@ func scanMeasure[T comparable](d Dist[T]) []float64 {
 	n := len(d.support)
 	mass := make([]float64, n)
 	acc, prev := 0.0, 0.0
-	for i, v := range d.support {
-		acc += d.weight[v].Float64()
+	for i, w := range d.weights {
+		acc += w.Float64()
 		c := clampUnit(acc)
 		mass[i] = c - prev
 		prev = c
@@ -60,6 +60,7 @@ func aliasTestDists() map[string]Dist[int] {
 		"dyadic-skew": mk(4, 2, 1, 1),
 		"sevenths":    mk(1, 2, 3, 4, 5, 6, 7),
 		"lopsided":    mk(997, 1, 1, 1),
+		"tenths":      mk(1, 2, 3, 4, 5, 6, 7, 8, 9, 10), // past stackTable: heap scratch
 	}
 }
 
@@ -154,20 +155,20 @@ func hugeRat() Rat {
 
 // TestAliasDegenerateWeights drives the hardened paths with hand-built
 // (invalid as probability spaces, but encounterable after Float64
-// rounding) weight maps: the alias sampler must agree with the
+// rounding) weight columns: the alias sampler must agree with the
 // cumulative scan's behavior.
 func TestAliasDegenerateWeights(t *testing.T) {
 	tiny, huge := tinyRat(), hugeRat()
 	cases := map[string]Dist[int]{
 		// Every weight rounds to zero: the scan falls through to the
 		// last element for every r.
-		"zero-total": {support: []int{0, 1, 2}, weight: map[int]Rat{0: tiny, 1: tiny, 2: tiny}},
+		"zero-total": {support: []int{0, 1, 2}, weights: []Rat{tiny, tiny, tiny}},
 		// A non-finite leading weight absorbs every draw at the scan.
-		"inf-first": {support: []int{0, 1}, weight: map[int]Rat{0: huge, 1: NewRat(1, 2)}},
+		"inf-first": {support: []int{0, 1}, weights: []Rat{huge, NewRat(1, 2)}},
 		// Half then an overflow: the scan splits at 1/2.
-		"inf-second": {support: []int{0, 1}, weight: map[int]Rat{0: NewRat(1, 2), 1: huge}},
+		"inf-second": {support: []int{0, 1}, weights: []Rat{NewRat(1, 2), huge}},
 		// Total far past one: the scan never reaches the clamped-out tail.
-		"over-unity": {support: []int{0, 1, 2}, weight: map[int]Rat{0: FromInt(1), 1: FromInt(1), 2: FromInt(1)}},
+		"over-unity": {support: []int{0, 1, 2}, weights: []Rat{FromInt(1), FromInt(1), FromInt(1)}},
 	}
 	for name, d := range cases {
 		a := BuildAlias(d)

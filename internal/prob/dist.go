@@ -3,6 +3,7 @@ package prob
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -15,13 +16,24 @@ var ErrNotADistribution = errors.New("prob: weights do not form a probability di
 // It corresponds to the probability spaces (Ω, F, P) of Definition 2.1 of
 // the paper, where Ω is finite and F = 2^Ω.
 //
+// The weights are a column parallel to the support, so P is a scan of
+// the support: the distributions the models build have a handful of
+// outcomes, where a scan beats hashing and a map would cost more to
+// build than the distribution itself.
+//
 // A Dist is immutable after construction. The zero value is an empty
 // distribution, which is not a valid probability space; distributions are
 // built with NewDist, Point, Uniform or Weighted.
 type Dist[T comparable] struct {
 	support []T
-	weight  map[T]Rat
+	weights []Rat // weights[i] is the probability of support[i]
 }
+
+// Shared read-only weight columns for the two commonest distributions.
+var (
+	pointWeights = []Rat{oneRat}
+	coinWeights  = []Rat{halfRat, halfRat}
+)
 
 // Outcome pairs a value with its probability.
 type Outcome[T comparable] struct {
@@ -34,7 +46,8 @@ type Outcome[T comparable] struct {
 // It returns ErrNotADistribution when any weight is negative or the total
 // is not exactly one.
 func NewDist[T comparable](outcomes ...Outcome[T]) (Dist[T], error) {
-	d := Dist[T]{weight: make(map[T]Rat, len(outcomes))}
+	support := make([]T, 0, len(outcomes))
+	weights := make([]Rat, 0, len(outcomes))
 	total := Zero()
 	for _, o := range outcomes {
 		if o.Prob.Sign() < 0 {
@@ -43,16 +56,18 @@ func NewDist[T comparable](outcomes ...Outcome[T]) (Dist[T], error) {
 		if o.Prob.IsZero() {
 			continue
 		}
-		if _, seen := d.weight[o.Value]; !seen {
-			d.support = append(d.support, o.Value)
+		if i := slices.Index(support, o.Value); i >= 0 {
+			weights[i] = weights[i].Add(o.Prob)
+		} else {
+			support = append(support, o.Value)
+			weights = append(weights, o.Prob)
 		}
-		d.weight[o.Value] = d.weight[o.Value].Add(o.Prob)
 		total = total.Add(o.Prob)
 	}
 	if !total.IsOne() {
 		return Dist[T]{}, fmt.Errorf("%w: total weight %v", ErrNotADistribution, total)
 	}
-	return d, nil
+	return Dist[T]{support: support, weights: weights}, nil
 }
 
 // MustDist is like NewDist but panics on invalid input. It is meant for
@@ -67,10 +82,7 @@ func MustDist[T comparable](outcomes ...Outcome[T]) Dist[T] {
 
 // Point returns the Dirac distribution concentrated on v.
 func Point[T comparable](v T) Dist[T] {
-	return Dist[T]{
-		support: []T{v},
-		weight:  map[T]Rat{v: One()},
-	}
+	return Dist[T]{support: []T{v}, weights: pointWeights}
 }
 
 // Uniform returns the uniform distribution over the given values. The
@@ -79,17 +91,25 @@ func Uniform[T comparable](values ...T) (Dist[T], error) {
 	if len(values) == 0 {
 		return Dist[T]{}, fmt.Errorf("%w: empty support", ErrNotADistribution)
 	}
-	p := NewRat(1, int64(len(values)))
-	outcomes := make([]Outcome[T], 0, len(values))
-	seen := make(map[T]bool, len(values))
-	for _, v := range values {
-		if seen[v] {
+	for i, v := range values {
+		if slices.Contains(values[:i], v) {
 			return Dist[T]{}, fmt.Errorf("prob: Uniform with duplicate value %v", v)
 		}
-		seen[v] = true
-		outcomes = append(outcomes, Outcome[T]{Value: v, Prob: p})
 	}
-	return NewDist(outcomes...)
+	d := Dist[T]{support: slices.Clone(values)}
+	switch len(values) {
+	case 1:
+		d.weights = pointWeights
+	case 2:
+		d.weights = coinWeights
+	default:
+		p := NewRat(1, int64(len(values)))
+		d.weights = make([]Rat, len(values))
+		for i := range d.weights {
+			d.weights[i] = p
+		}
+	}
+	return d, nil
 }
 
 // MustUniform is like Uniform but panics on invalid input.
@@ -124,8 +144,7 @@ func (d Dist[T]) IsValid() bool {
 		return false
 	}
 	total := Zero()
-	for _, v := range d.support {
-		w := d.weight[v]
+	for _, w := range d.weights {
 		if w.Sign() <= 0 {
 			return false
 		}
@@ -135,8 +154,13 @@ func (d Dist[T]) IsValid() bool {
 }
 
 // P returns the probability of v, which is zero when v is outside the
-// support.
-func (d Dist[T]) P(v T) Rat { return d.weight[v] }
+// support. It scans the support.
+func (d Dist[T]) P(v T) Rat {
+	if i := slices.Index(d.support, v); i >= 0 {
+		return d.weights[i]
+	}
+	return Zero()
+}
 
 // IsPoint reports whether d is a Dirac distribution, and if so on which
 // value.
@@ -152,9 +176,9 @@ func (d Dist[T]) IsPoint() (T, bool) {
 // predicate, i.e. P[{v : pred(v)}].
 func (d Dist[T]) ProbOf(pred func(T) bool) Rat {
 	total := Zero()
-	for _, v := range d.support {
+	for i, v := range d.support {
 		if pred(v) {
-			total = total.Add(d.weight[v])
+			total = total.Add(d.weights[i])
 		}
 	}
 	return total
@@ -164,7 +188,7 @@ func (d Dist[T]) ProbOf(pred func(T) bool) Rat {
 func (d Dist[T]) Outcomes() []Outcome[T] {
 	out := make([]Outcome[T], len(d.support))
 	for i, v := range d.support {
-		out[i] = Outcome[T]{Value: v, Prob: d.weight[v]}
+		out[i] = Outcome[T]{Value: v, Prob: d.weights[i]}
 	}
 	return out
 }
@@ -172,25 +196,28 @@ func (d Dist[T]) Outcomes() []Outcome[T] {
 // Map applies f to every value in the support, merging values that f
 // identifies. The result is always a valid distribution when d is.
 func MapDist[T, U comparable](d Dist[T], f func(T) U) Dist[U] {
-	out := Dist[U]{weight: make(map[U]Rat, len(d.support))}
-	for _, v := range d.support {
+	support := make([]U, 0, len(d.support))
+	weights := make([]Rat, 0, len(d.support))
+	for i, v := range d.support {
 		u := f(v)
-		if _, seen := out.weight[u]; !seen {
-			out.support = append(out.support, u)
+		if j := slices.Index(support, u); j >= 0 {
+			weights[j] = weights[j].Add(d.weights[i])
+		} else {
+			support = append(support, u)
+			weights = append(weights, d.weights[i])
 		}
-		out.weight[u] = out.weight[u].Add(d.weight[v])
 	}
-	return out
+	return Dist[U]{support: support, weights: weights}
 }
 
 // Product returns the independent product distribution of a and b.
 func Product[T, U comparable](a Dist[T], b Dist[U]) Dist[Pair[T, U]] {
-	out := Dist[Pair[T, U]]{weight: make(map[Pair[T, U]]Rat, len(a.support)*len(b.support))}
-	for _, v := range a.support {
-		for _, w := range b.support {
-			pair := Pair[T, U]{First: v, Second: w}
-			out.support = append(out.support, pair)
-			out.weight[pair] = a.weight[v].Mul(b.weight[w])
+	n := len(a.support) * len(b.support)
+	out := Dist[Pair[T, U]]{support: make([]Pair[T, U], 0, n), weights: make([]Rat, 0, n)}
+	for i, v := range a.support {
+		for j, w := range b.support {
+			out.support = append(out.support, Pair[T, U]{First: v, Second: w})
+			out.weights = append(out.weights, a.weights[i].Mul(b.weights[j]))
 		}
 	}
 	return out
@@ -211,8 +238,8 @@ func (d Dist[T]) Pick(r float64) T {
 		panic("prob: Pick on empty distribution")
 	}
 	acc := 0.0
-	for _, v := range d.support {
-		acc += d.weight[v].Float64()
+	for i, v := range d.support {
+		acc += d.weights[i].Float64()
 		if r < acc {
 			return v
 		}
@@ -226,7 +253,7 @@ func (d Dist[T]) Pick(r float64) T {
 func (d Dist[T]) String() string {
 	parts := make([]string, len(d.support))
 	for i, v := range d.support {
-		parts[i] = fmt.Sprintf("%v:%v", v, d.weight[v])
+		parts[i] = fmt.Sprintf("%v:%v", v, d.weights[i])
 	}
 	sort.Strings(parts)
 	return "{" + strings.Join(parts, ", ") + "}"

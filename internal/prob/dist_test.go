@@ -244,3 +244,218 @@ func TestDistProperties(t *testing.T) {
 		}
 	})
 }
+
+// TestDistAllocs pins, as maxima, what building the distributions and
+// samplers of a model step costs: a point mass and a fair coin share
+// their weight columns, and a point mass needs no alias columns.
+func TestDistAllocs(t *testing.T) {
+	coin, point := MustUniform(1, 2), Point(7)
+	var d Dist[int]
+	var a Alias[int]
+	for _, tc := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"Point", 1, func() { d = Point(7) }},
+		{"MustUniform of two values", 2, func() { d = MustUniform(1, 2) }},
+		{"MapDist of a coin", 2, func() { d = MapDist(coin, func(v int) int { return 2 * v }) }},
+		{"BuildAlias of a point", 0, func() { a = BuildAlias(point) }},
+		{"BuildAlias of a coin", 2, func() { a = BuildAlias(coin) }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.f); got > tc.max {
+			t.Errorf("%s: %v allocations, want at most %v", tc.name, got, tc.max)
+		}
+	}
+	_, _ = d, a
+}
+
+// refDist is the map-keyed distribution Dist replaced, kept as the
+// reference FuzzDistBuild compares against: support in first-seen order,
+// weights merged through the map.
+type refDist[T comparable] struct {
+	support []T
+	weight  map[T]Rat
+}
+
+func refNewDist[T comparable](outcomes []Outcome[T]) (refDist[T], error) {
+	d := refDist[T]{weight: map[T]Rat{}}
+	total := Zero()
+	for _, o := range outcomes {
+		if o.Prob.Sign() < 0 {
+			return refDist[T]{}, ErrNotADistribution
+		}
+		if o.Prob.IsZero() {
+			continue
+		}
+		if _, seen := d.weight[o.Value]; !seen {
+			d.support = append(d.support, o.Value)
+		}
+		d.weight[o.Value] = d.weight[o.Value].Add(o.Prob)
+		total = total.Add(o.Prob)
+	}
+	if !total.IsOne() {
+		return refDist[T]{}, ErrNotADistribution
+	}
+	return d, nil
+}
+
+func refMapDist[T, U comparable](d refDist[T], f func(T) U) refDist[U] {
+	out := refDist[U]{weight: map[U]Rat{}}
+	for _, v := range d.support {
+		u := f(v)
+		if _, seen := out.weight[u]; !seen {
+			out.support = append(out.support, u)
+		}
+		out.weight[u] = out.weight[u].Add(d.weight[v])
+	}
+	return out
+}
+
+var errDuplicate = errors.New("duplicate value")
+
+func refUniform[T comparable](values []T) (refDist[T], error) {
+	if len(values) == 0 {
+		return refDist[T]{}, ErrNotADistribution
+	}
+	outs := make([]Outcome[T], len(values))
+	for i, v := range values {
+		for _, u := range values[:i] {
+			if u == v {
+				return refDist[T]{}, errDuplicate
+			}
+		}
+		outs[i] = Outcome[T]{Value: v, Prob: NewRat(1, int64(len(values)))}
+	}
+	return refNewDist(outs)
+}
+
+// errClass buckets an error the way callers can tell errors apart.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "nil"
+	case errors.Is(err, ErrNotADistribution):
+		return "ErrNotADistribution"
+	}
+	return "other"
+}
+
+// checkSame requires got to equal the reference: the same support in the
+// same order, the same P for every probe value, and Outcomes and
+// IsValid agreeing with both.
+func checkSame[T comparable](t *testing.T, what string, got Dist[T], want refDist[T], probes []T) {
+	t.Helper()
+	if len(got.Support()) != len(want.support) {
+		t.Fatalf("%s: support %v, want %v", what, got.Support(), want.support)
+	}
+	for i, v := range want.support {
+		if got.Support()[i] != v {
+			t.Fatalf("%s: support %v, want %v", what, got.Support(), want.support)
+		}
+		if o := got.Outcomes()[i]; o.Value != v || !o.Prob.Equal(want.weight[v]) {
+			t.Fatalf("%s: outcome %d = %v, want %v:%v", what, i, o, v, want.weight[v])
+		}
+	}
+	for _, v := range probes {
+		if !got.P(v).Equal(want.weight[v]) {
+			t.Fatalf("%s: P(%v) = %v, want %v", what, v, got.P(v), want.weight[v])
+		}
+	}
+	if !got.IsValid() {
+		t.Fatalf("%s: %v is not valid", what, got)
+	}
+}
+
+// FuzzDistBuild drives NewDist, MapDist and Uniform with byte-built
+// outcomes — repeated values, zero and negative weights, supports from
+// one value to a few dozen — against the map-keyed reference.
+func FuzzDistBuild(f *testing.F) {
+	const values = 48 // outcome values are drawn from [0, values)
+	f.Add([]byte{0, 1, 2, 1})
+	f.Add([]byte{1, 5, 2, 5, 5, 0, 3, 2})
+	long := []byte{0}
+	for v := 0; v < values; v++ {
+		long = append(long, byte(v), 2) // distinct values, weight 1
+	}
+	for v := 0; v < values; v += 2 {
+		long = append(long, byte(v), 3, byte(v+1), 1) // repeats with weight 2, zeros
+	}
+	f.Add(long)
+	f.Add(append([]byte{1}, long[1:]...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		// data[0] bit 0 picks raw weights k/4, which rarely sum to one,
+		// over weights normalized by their total. Each following byte pair
+		// is one outcome: a value in [0, values) and a numerator in
+		// {-1, 0, 1, 2, 3}.
+		raw := data[0]&1 == 1
+		pairs := data[1:]
+		nums, total := make([]int64, 0, len(pairs)/2), int64(0)
+		for i := 0; i+1 < len(pairs); i += 2 {
+			k := int64(pairs[i+1]%5) - 1
+			nums = append(nums, k)
+			if k > 0 {
+				total += k
+			}
+		}
+		den := int64(4)
+		if !raw && total > 0 {
+			den = total
+		}
+		outs := make([]Outcome[int], len(nums))
+		vals := make([]int, len(nums))
+		for i, k := range nums {
+			vals[i] = int(pairs[2*i]) % values
+			outs[i] = Outcome[int]{Value: vals[i], Prob: NewRat(k, den)}
+		}
+		probes := make([]int, values+1)
+		for v := range probes {
+			probes[v] = v
+		}
+
+		got, err := NewDist(outs...)
+		want, werr := refNewDist(outs)
+		if errClass(err) != errClass(werr) {
+			t.Fatalf("NewDist error %v, reference %v", err, werr)
+		}
+		if err == nil {
+			checkSame(t, "NewDist", got, want, probes)
+			third := func(v int) int { return v / 3 }
+			checkSame(t, "MapDist(v/3)", MapDist(got, third), refMapDist(want, third), probes)
+			neg := func(v int) int { return -v }
+			checkSame(t, "MapDist(-v)", MapDist(got, neg), refMapDist(want, neg), append(probes, -1, -2, -values))
+		}
+
+		got, err = Uniform(vals...)
+		want, werr = refUniform(vals)
+		if errClass(err) != errClass(werr) {
+			t.Fatalf("Uniform error %v, reference %v", err, werr)
+		}
+		if err == nil {
+			checkSame(t, "Uniform", got, want, probes)
+		}
+		var distinct []int
+		seen := map[int]bool{}
+		for _, v := range vals {
+			if !seen[v] {
+				seen[v] = true
+				distinct = append(distinct, v)
+			}
+		}
+		if len(distinct) > 0 {
+			want, werr = refUniform(distinct)
+			if werr != nil {
+				t.Fatal(werr)
+			}
+			u := MustUniform(distinct...)
+			checkSame(t, "Uniform(distinct)", u, want, probes)
+			// A merge must never write into its input's shared column.
+			third := func(v int) int { return v / 3 }
+			checkSame(t, "MapDist(Uniform, v/3)", MapDist(u, third), refMapDist(want, third), probes)
+			checkSame(t, "Uniform(distinct) after MapDist", u, want, probes)
+		}
+	})
+}

@@ -228,9 +228,24 @@ func (x Rat) Max(y Rat) Rat {
 	return y
 }
 
-// Float64 returns the nearest float64 value to x.
+// maxExactInt is 2^53: every integer of at most this magnitude is a
+// float64.
+const maxExactInt = 1 << 53
+
+// Float64 returns the nearest float64 value to x. When the numerator and
+// the denominator are both floats exactly, one IEEE division rounds the
+// quotient correctly, as big.Rat.Float64 does, without its allocations.
 func (x Rat) Float64() float64 {
-	f, _ := x.big().Float64()
+	if x.r == nil {
+		return 0
+	}
+	num, den := x.r.Num(), x.r.Denom()
+	if num.IsInt64() && den.IsInt64() {
+		if n, d := num.Int64(), den.Int64(); -maxExactInt <= n && n <= maxExactInt && d <= maxExactInt {
+			return float64(n) / float64(d)
+		}
+	}
+	f, _ := x.r.Float64()
 	return f
 }
 

@@ -287,11 +287,13 @@ func TestRatProperties(t *testing.T) {
 
 // TestRatAllocs pins the allocations of the operations the rational
 // solvers run per branch: arithmetic wraps its fresh result instead of
-// copying it, and a comparison with a zero operand allocates nothing.
+// copying it, a comparison with a zero operand allocates nothing, and a
+// word-sized Float64 is one division.
 func TestRatAllocs(t *testing.T) {
 	x, y := NewRat(3, 8), NewRat(5, 7)
 	var sink Rat
 	var less bool
+	var f float64
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -303,10 +305,40 @@ func TestRatAllocs(t *testing.T) {
 		{"Less with a zero left operand", 0, func() { less = Zero().Less(x) }},
 		{"Less with a zero right operand", 0, func() { less = x.Less(Zero()) }},
 		{"Equal", 0, func() { less = x.Equal(y) }},
+		{"Float64 of 1/2", 0, func() { f = Half().Float64() }},
 	} {
 		if got := testing.AllocsPerRun(100, tc.f); got > tc.max {
 			t.Errorf("%s: %v allocations, want at most %v", tc.name, got, tc.max)
 		}
 	}
-	_, _ = sink, less
+	_, _, _ = sink, less, f
+}
+
+// TestRatFloat64MatchesBig: Float64's one-division path must round
+// exactly as big.Rat.Float64 does, at and past the 2^53 edge where it
+// hands over, and for random int64 fractions on both sides of it.
+func TestRatFloat64MatchesBig(t *testing.T) {
+	check := func(num, den int64) bool {
+		if den == 0 {
+			return true
+		}
+		want, _ := big.NewRat(num, den).Float64()
+		return NewRat(num, den).Float64() == want
+	}
+	const e = maxExactInt
+	for _, c := range [][2]int64{
+		{1, 2}, {1, 3}, {-2, 3}, {0, 5}, {e, 3}, {-e, 3}, {1, e}, {e - 1, e},
+		{e + 1, 3}, {3, e + 1}, {-e - 1, 7}, {1<<62 + 1, 3}, {1, 1<<62 + 1},
+	} {
+		if !check(c[0], c[1]) {
+			t.Errorf("Float64(%d/%d) differs from big.Rat", c[0], c[1])
+		}
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Error(err)
+	}
+	small := func(num, den int32) bool { return check(int64(num), int64(den)) }
+	if err := quick.Check(small, nil); err != nil {
+		t.Error(err)
+	}
 }

@@ -16,10 +16,18 @@ package sim
 //     repeated queries disagree (or panic) is rejected with
 //     ErrImpureModel.
 //
-//   - Each step's successor distribution is pre-resolved into a Walker
+//   - Each step's successor distribution is sampled through a Walker
 //     alias table (prob.Alias): O(1) per draw, one uniform per draw, and
 //     the same distribution as Dist.Pick (see prob.Alias for why it is
 //     not the same draw-for-draw partition of [0, 1)).
+//
+// Interning a state costs about as much as the model query it caches:
+// compileState keeps the steps and the counts the View needs, and
+// builds a process's alias tables and successor slots only when a trial
+// first takes one of its moves (most interned states never have most of
+// their processes stepped). A trial resolves a drawn successor's entry
+// only when it steps from it, so the state a trial ends in is never
+// compiled.
 //
 // The cache is sharded by state hash (hash/maphash.Comparable) with one
 // RWMutex per shard: steady state is a read-lock and a map hit, and
@@ -52,23 +60,31 @@ const compileShards = 64
 // but a model with an effectively unbounded or non-self-identifying
 // state type (e.g. NaN-bearing floats, which never compare equal to
 // themselves) must not grow the cache without limit: past the cap,
-// entries are computed per call and not retained.
+// entries are computed per call, used by the trial that asked, and
+// neither interned nor published in a successor slot, so they are
+// garbage once that trial moves on.
 const maxCompiledStates = 1 << 20
 
 // stateEntry is the compiled form of one interned state: the memoized
-// Moves/UserMoves of every process, their pre-resolved samplers, and the
-// derived scheduling facts the engine needs every step. All fields are
-// immutable after construction and shared read-only (including into
-// policy Views — see the View doc).
+// Moves/UserMoves of every process, the derived scheduling facts the
+// engine needs every step, and each process's samplers once built. The
+// steps and counts are immutable after construction and shared
+// read-only (including into policy Views — see the View doc); the
+// sampler sets are published once, atomically.
+//
+// An entry is a fixed few blocks whatever the model: steps (2n), one
+// backing array of 4n ints under the four int slices, and samplers (2n).
 type stateEntry[S comparable] struct {
-	moves        [][]pa.Step[S]     // per proc; nil when not ready
-	samplers     [][]moveSampler[S] // parallel to moves
-	userMoves    [][]pa.Step[S]     // per proc; nil when no user moves
-	userSamplers [][]moveSampler[S] // parallel to userMoves
-	ready        []int              // procs with algorithm moves, ascending
-	userMovers   []int              // procs with user moves, ascending
-	moveCount    []int              // per proc; len(moves), 0 when not ready
-	userCount    []int              // per proc; len(userMoves)
+	// steps[i] is process i's Moves and steps[n+i] its UserMoves; nil
+	// when it has none.
+	steps [][]pa.Step[S]
+	// samplers is parallel to steps: the sampler set of those moves, nil
+	// until a trial first takes one of them (samplerSet).
+	samplers   []atomic.Pointer[[]moveSampler[S]]
+	moveCount  []int // per proc; len(steps[i]), 0 when not ready
+	userCount  []int // per proc; len(steps[n+i])
+	ready      []int // procs with algorithm moves, ascending
+	userMovers []int // procs with user moves, ascending
 }
 
 // moveSampler bundles everything the per-event hot path needs about one
@@ -77,13 +93,13 @@ type stateEntry[S comparable] struct {
 // instead of walking parallel slice-of-slice structures.
 //
 // succ caches, per alias support index, the interned entry of that
-// outcome's successor state. The engine resolves a slot the first time
-// a trial follows that outcome and every later traversal skips the
-// shard lock and map probe entirely — in steady state the trial loop
-// walks entry to entry through these pointers. The slots are atomic
-// because entries are shared across workers; a racing double-resolve
-// stores the same canonical entry (or, past the interning cap, an
-// equivalent one), so last-write-wins is sound.
+// outcome's successor state. A trial that steps from the successor
+// resolves the slot the first time (viewScratch.build), and every later
+// traversal skips the shard lock and map probe entirely — in steady
+// state the trial loop walks entry to entry through these pointers. The
+// slots are atomic because entries are shared across workers; a racing
+// double-resolve stores the same canonical entry, so last-write-wins is
+// sound. Only interned entries are stored (see maxCompiledStates).
 type moveSampler[S comparable] struct {
 	alias prob.Alias[S]
 	succ  []atomic.Pointer[stateEntry[S]]
@@ -105,7 +121,9 @@ type Compiled[S comparable] struct {
 	inner sched.Model[S]
 	n     int
 	seed  maphash.Seed
-	count atomic.Int64 // interned entries, for the maxCompiledStates cap
+	count atomic.Int64 // interned entries, for the maxStates cap
+	// maxStates is maxCompiledStates, held per cache so tests can lower it.
+	maxStates int64
 	// packer is non-nil when the inner model implements sched.Packer:
 	// states are then interned by their packed encoding.
 	packer func(S) sched.Packed
@@ -122,11 +140,12 @@ var _ sched.Model[int] = (*Compiled[int])(nil)
 var ErrImpureModel = errors.New("sim: model failed the purity spot check")
 
 // Compile wraps m in a concurrency-safe transition cache that interns
-// states, memoizes Moves/UserMoves per state and pre-resolves every
-// successor distribution into an alias table, so the hot loop does no
-// repeated model queries, no big.Rat arithmetic and no per-draw map
-// lookups. Models that implement sched.Packer[S] are interned by their
-// fixed-width packed encoding, keeping cache keys to a few machine words.
+// states, memoizes Moves/UserMoves per state and resolves each successor
+// distribution into an alias table the first time a trial draws from it,
+// so the hot loop does no repeated model queries, no big.Rat arithmetic
+// and no per-draw map lookups. Models that implement sched.Packer[S] are
+// interned by their fixed-width packed encoding, keeping cache keys to a
+// few machine words.
 //
 // Compiling relies on the sched.Model contract that Moves/UserMoves are
 // purely functional. Compile spot-checks the contract (repeated queries
@@ -146,7 +165,7 @@ func Compile[S comparable](m sched.Model[S]) (*Compiled[S], error) {
 	if err := spotCheckPure(m); err != nil {
 		return nil, err
 	}
-	c := &Compiled[S]{inner: m, n: m.NumProcs(), seed: maphash.MakeSeed()}
+	c := &Compiled[S]{inner: m, n: m.NumProcs(), seed: maphash.MakeSeed(), maxStates: maxCompiledStates}
 	if pk, ok := m.(sched.Packer[S]); ok {
 		c.packer = pk.PackState
 		for i := range c.shards {
@@ -178,7 +197,8 @@ func (c *Compiled[S]) Moves(s S, i int) []pa.Step[S] {
 		// panic); the cache only ever holds 0..n-1.
 		return c.inner.Moves(s, i)
 	}
-	return c.entry(s).moves[i]
+	e, _ := c.entry(s)
+	return e.steps[i]
 }
 
 // UserMoves implements sched.Model by serving the memoized steps; the
@@ -187,100 +207,118 @@ func (c *Compiled[S]) UserMoves(s S, i int) []pa.Step[S] {
 	if i < 0 || i >= c.n {
 		return c.inner.UserMoves(s, i)
 	}
-	return c.entry(s).userMoves[i]
+	e, _ := c.entry(s)
+	return e.steps[c.n+i]
 }
 
-// entry returns the compiled entry for s, interning it on first sight.
-// The double-checked insert keeps exactly one canonical entry per state
-// even when two workers race to compile it.
-func (c *Compiled[S]) entry(s S) *stateEntry[S] {
+// entry returns the compiled entry for s, interning it on first sight;
+// interned is false past the maxStates cap, where the entry is the
+// caller's alone. The double-checked insert keeps exactly one canonical
+// entry per state even when two workers race to compile it.
+func (c *Compiled[S]) entry(s S) (e *stateEntry[S], interned bool) {
 	if c.packer != nil {
 		return c.entryPacked(c.packer(s), s)
 	}
 	sh := &c.shards[maphash.Comparable(c.seed, s)&(compileShards-1)]
 	sh.mu.RLock()
-	e := sh.entries[s]
+	e = sh.entries[s]
 	sh.mu.RUnlock()
 	if e != nil {
-		return e
+		return e, true
 	}
 	e = c.compileState(s)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if prev, ok := sh.entries[s]; ok {
-		sh.mu.Unlock()
-		return prev
+		return prev, true
 	}
-	if c.count.Load() < maxCompiledStates {
-		sh.entries[s] = e
-		c.count.Add(1)
+	if c.count.Load() >= c.maxStates {
+		return e, false
 	}
-	sh.mu.Unlock()
-	return e
+	sh.entries[s] = e
+	c.count.Add(1)
+	return e, true
 }
 
 // entryPacked is entry for models with a sched.Packer: the cache is
 // keyed by the packed encoding of s. Soundness is the packer's
 // injectivity contract — two states with equal encodings must be equal —
 // pinned by the trajectory-walk tests next to each Packer.
-func (c *Compiled[S]) entryPacked(k sched.Packed, s S) *stateEntry[S] {
+func (c *Compiled[S]) entryPacked(k sched.Packed, s S) (e *stateEntry[S], interned bool) {
 	sh := &c.shards[maphash.Comparable(c.seed, k)&(compileShards-1)]
 	sh.mu.RLock()
-	e := sh.packed[k]
+	e = sh.packed[k]
 	sh.mu.RUnlock()
 	if e != nil {
-		return e
+		return e, true
 	}
 	e = c.compileState(s)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if prev, ok := sh.packed[k]; ok {
-		sh.mu.Unlock()
-		return prev
+		return prev, true
 	}
-	if c.count.Load() < maxCompiledStates {
-		sh.packed[k] = e
-		c.count.Add(1)
+	if c.count.Load() >= c.maxStates {
+		return e, false
 	}
-	sh.mu.Unlock()
-	return e
+	sh.packed[k] = e
+	c.count.Add(1)
+	return e, true
 }
 
-// compileState queries the inner model once per process and derives the
-// per-state facts the engine otherwise recomputes every step.
+// compileState queries the inner model once per process — the View
+// needs every count — and derives the per-state facts the engine
+// otherwise recomputes every step. The samplers are left to samplerSet.
 func (c *Compiled[S]) compileState(s S) *stateEntry[S] {
+	n := c.n
+	ints := make([]int, 4*n)
 	e := &stateEntry[S]{
-		moves:        make([][]pa.Step[S], c.n),
-		samplers:     make([][]moveSampler[S], c.n),
-		userMoves:    make([][]pa.Step[S], c.n),
-		userSamplers: make([][]moveSampler[S], c.n),
-		moveCount:    make([]int, c.n),
-		userCount:    make([]int, c.n),
+		steps:      make([][]pa.Step[S], 2*n),
+		samplers:   make([]atomic.Pointer[[]moveSampler[S]], 2*n),
+		moveCount:  ints[:n:n],
+		userCount:  ints[n : 2*n : 2*n],
+		ready:      ints[2*n : 2*n : 3*n],
+		userMovers: ints[3*n : 3*n : 4*n],
 	}
-	for i := 0; i < c.n; i++ {
+	for i := 0; i < n; i++ {
 		moves := c.inner.Moves(s, i)
-		e.moves[i] = moves
+		e.steps[i] = moves
 		e.moveCount[i] = len(moves)
 		if len(moves) > 0 {
 			e.ready = append(e.ready, i)
-			e.samplers[i] = compileSamplers(moves)
 		}
 		user := c.inner.UserMoves(s, i)
-		e.userMoves[i] = user
+		e.steps[n+i] = user
 		e.userCount[i] = len(user)
 		if len(user) > 0 {
 			e.userMovers = append(e.userMovers, i)
-			e.userSamplers[i] = compileSamplers(user)
 		}
 	}
 	return e
 }
 
-// compileSamplers pre-resolves one process's moves into their hot-path
-// sampler bundles.
-func compileSamplers[S comparable](moves []pa.Step[S]) []moveSampler[S] {
+// samplerSet returns the samplers of steps[k], building them the first
+// time a trial takes one of those moves. Racing builders publish with
+// CompareAndSwap, so every trial draws from (and resolves the successor
+// slots of) the one set that won.
+func (e *stateEntry[S]) samplerSet(k int) []moveSampler[S] {
+	if set := e.samplers[k].Load(); set != nil {
+		return *set
+	}
+	moves := e.steps[k]
 	ms := make([]moveSampler[S], len(moves))
+	slots := 0
 	for j := range moves {
 		ms[j].alias = prob.BuildAlias(moves[j].Next)
-		ms[j].succ = make([]atomic.Pointer[stateEntry[S]], ms[j].alias.Len())
+		slots += ms[j].alias.Len()
+	}
+	succ := make([]atomic.Pointer[stateEntry[S]], slots)
+	for j := range ms {
+		l := ms[j].alias.Len()
+		ms[j].succ, succ = succ[:l:l], succ[l:]
+	}
+	if !e.samplers[k].CompareAndSwap(nil, &ms) {
+		return *e.samplers[k].Load()
 	}
 	return ms
 }

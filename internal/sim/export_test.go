@@ -21,3 +21,7 @@ func CheckOracleResume[S comparable](t *testing.T, m sched.Model[S], mk func() P
 	t.Helper()
 	checkOracleResume(t, m, mk, target, opts, trials)
 }
+
+// SetMaxStates lowers c's interning cap, so a test can run past it
+// without a million states.
+func SetMaxStates[S comparable](c *Compiled[S], n int64) { c.maxStates = n }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/sched"
 )
@@ -249,11 +250,11 @@ type viewScratch[S comparable] struct {
 	// cur is the cache entry of the state the last build saw, consumed
 	// by applyChoice.
 	cur *stateEntry[S]
-	// pending is the cache entry of the successor applyChoice just drew,
-	// resolved through the entry's succ pointers; the next build (always
-	// of that same state) consumes it instead of re-hashing the state
-	// into the shard maps.
-	pending *stateEntry[S]
+	// pending is the successor slot of the outcome applyChoice just drew;
+	// the next build (always of that same state) reads the entry from it
+	// instead of re-hashing the state into the shard maps, and fills it
+	// when the state is new (see moveSampler.succ).
+	pending *atomic.Pointer[stateEntry[S]]
 	// start memoizes m.Start()[0] after the first trial that needs it
 	// (models are purely functional, so the start state is a constant):
 	// an arena worker would otherwise pay Start's slice allocation on
@@ -294,10 +295,17 @@ func (sc *viewScratch[S]) reset() {
 // shared across trials and workers), and only the deadline bookkeeping —
 // inherently per-run — is recomputed.
 func (sc *viewScratch[S]) build(s S, now float64) *View[S] {
-	e := sc.pending
+	slot := sc.pending
 	sc.pending = nil
+	var e *stateEntry[S]
+	if slot != nil {
+		e = slot.Load()
+	}
 	if e == nil {
-		e = sc.cm.entry(s)
+		var interned bool
+		if e, interned = sc.cm.entry(s); interned && slot != nil {
+			slot.Store(e)
+		}
 	}
 	sc.cur = e
 	v := &sc.view
@@ -343,23 +351,21 @@ func applyChoice[S comparable](now, deadlineMin float64, c Choice, sc *viewScrat
 	if uint(c.Proc) >= uint(sc.n) {
 		return zero, 0, fmt.Errorf("%w: proc %d move %d (user=%t)", ErrBadChoice, c.Proc, c.Move, c.User)
 	}
-	// The sampler bundles are parallel to the memoized moves (nil when
-	// the process has none), so the move-index bound and the
-	// empty-distribution probe read the same small structs the draw is
-	// about to use — the pa.Step itself stays untouched.
+	// The move-index bound reads the entry's counts; the samplers are
+	// built only once the choice is known to be valid.
 	e := sc.cur
-	ms := e.samplers[c.Proc]
+	count, k := e.moveCount, c.Proc
 	if c.User {
-		ms = e.userSamplers[c.Proc]
+		count, k = e.userCount, c.Proc+sc.n
 	}
-	if uint(c.Move) >= uint(len(ms)) {
+	if uint(c.Move) >= uint(count[c.Proc]) {
 		return zero, 0, fmt.Errorf("%w: proc %d move %d (user=%t)", ErrBadChoice, c.Proc, c.Move, c.User)
 	}
 	t := c.At
 	if t < now || t > deadlineMin {
 		return zero, 0, fmt.Errorf("%w: time %v outside [%v, %v]", ErrBadChoice, t, now, deadlineMin)
 	}
-	m := &ms[c.Move]
+	m := &e.samplerSet(k)[c.Move]
 	// An empty successor distribution (the zero prob.Dist in a hand-built
 	// step) would panic inside Pick; detect it before drawing so the run
 	// fails with a typed error.
@@ -367,17 +373,10 @@ func applyChoice[S comparable](now, deadlineMin float64, c Choice, sc *viewScrat
 		return zero, 0, fmt.Errorf("%w: proc %d action %q has an empty successor distribution", ErrBadModel, c.Proc, sc.action(c))
 	}
 	idx := m.alias.PickIndex(rng.Float64())
-	next := m.alias.At(idx)
-	// Follow (or lazily resolve) the cached successor entry so the next
-	// build skips the interning maps; see moveSampler.succ.
-	slot := &m.succ[idx]
-	ne := slot.Load()
-	if ne == nil {
-		ne = sc.cm.entry(next)
-		slot.Store(ne)
-	}
-	sc.pending = ne
-	return next, t, nil
+	// The successor's entry is resolved by the next build, if the trial
+	// steps from it at all.
+	sc.pending = &m.succ[idx]
+	return m.alias.At(idx), t, nil
 }
 
 // action returns the label of the step a validated choice names; callers
@@ -385,7 +384,7 @@ func applyChoice[S comparable](now, deadlineMin float64, c Choice, sc *viewScrat
 // hook in runTrial have).
 func (sc *viewScratch[S]) action(c Choice) string {
 	if c.User {
-		return sc.cur.userMoves[c.Proc][c.Move].Action
+		return sc.cur.steps[sc.n+c.Proc][c.Move].Action
 	}
-	return sc.cur.moves[c.Proc][c.Move].Action
+	return sc.cur.steps[c.Proc][c.Move].Action
 }

@@ -100,16 +100,19 @@ bench-smoke:
 # BENCH_GATE (the metrics-overhead pair's equal allocs/op columns prove
 # the telemetry hook allocates nothing per trial), post-processed from
 # the `go test -json` stream into BENCH_sim.json by cmd/benchjson.
+# Rows are recorded at -cpu 1: a run at GOMAXPROCS=k names every row
+# with a -k suffix, which would match no baseline row.
 bench-json:
-	$(GO) test -run='^$$' -bench='$(BENCH_GATE)' -benchmem -json . \
+	$(GO) test -run='^$$' -bench='$(BENCH_GATE)' -benchmem -cpu 1 -json . \
 		| $(GO) run ./cmd/benchjson -o BENCH_sim.json
 	@echo "wrote BENCH_sim.json"
 
 # Perf-regression gate: re-measure the gated benchmarks into a temp file
 # and diff against the committed baseline; exits non-zero when any
-# metric regressed more than 10%.
+# metric regressed more than 10%. Measured at -cpu 1, like the baseline,
+# so every row has a baseline to compare with.
 bench-diff:
-	$(GO) test -run='^$$' -bench='$(BENCH_GATE)' -benchmem -json . \
+	$(GO) test -run='^$$' -bench='$(BENCH_GATE)' -benchmem -cpu 1 -json . \
 		| $(GO) run ./cmd/benchjson -o /tmp/bench_new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_sim.json /tmp/bench_new.json -threshold 0.10 -floor '$(TRIALS_FLOOR)' -floor '$(STATES_FLOOR)'
 

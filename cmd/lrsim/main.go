@@ -327,7 +327,7 @@ func experiments(ctx context.Context, ins *obs.Instrumentation, p params) error 
 			if err != nil {
 				return err
 			}
-			mk, err := policyFactory(name)
+			mk, err := dining.PolicyByName(name)
 			if err != nil {
 				return err
 			}
@@ -376,7 +376,7 @@ func experiments(ctx context.Context, ins *obs.Instrumentation, p params) error 
 		if err != nil {
 			return err
 		}
-		mk, err := policyFactory(name)
+		mk, err := dining.PolicyByName(name)
 		if err != nil {
 			return err
 		}
@@ -447,31 +447,4 @@ func parseSizes(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func policyFactory(name string) (func() sim.Policy[dining.State], error) {
-	switch {
-	case name == "slowest":
-		return func() sim.Policy[dining.State] {
-			return dining.KeepTrying(sim.Slowest[dining.State]())
-		}, nil
-	case name == "random":
-		return func() sim.Policy[dining.State] {
-			return dining.KeepTrying(sim.Random[dining.State](0.5))
-		}, nil
-	case name == "spiteful":
-		return func() sim.Policy[dining.State] {
-			return dining.Spiteful()
-		}, nil
-	case strings.HasPrefix(name, "paced:"):
-		alpha, err := strconv.ParseFloat(strings.TrimPrefix(name, "paced:"), 64)
-		if err != nil || alpha <= 0 || alpha > 1 {
-			return nil, fmt.Errorf("bad paced alpha in %q", name)
-		}
-		return func() sim.Policy[dining.State] {
-			return dining.KeepTrying(sim.Paced[dining.State](alpha))
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
-	}
 }

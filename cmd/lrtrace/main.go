@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	lrtrace [-n ring] [-policy slowest|random|spiteful] [-seed 1] \
+//	lrtrace [-n ring] [-policy slowest|random|spiteful|paced:<alpha>] [-seed 1] \
 //	        [-until-c] [-max-events 60] [-jsonl trace.jsonl]
 package main
 
@@ -35,7 +35,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("lrtrace", flag.ContinueOnError)
 	n := fs.Int("n", 3, "ring size")
-	policy := fs.String("policy", "slowest", "slowest, random or spiteful")
+	policy := fs.String("policy", "slowest", "slowest, random, spiteful or paced:<alpha> (0 < alpha <= 1)")
 	seed := fs.Int64("seed", 1, "random seed")
 	untilC := fs.Bool("until-c", true, "stop when some process enters its critical region")
 	maxEvents := fs.Int("max-events", 60, "event budget")
@@ -53,16 +53,9 @@ func run(args []string) error {
 	}
 
 	model := dining.MustNew(*n)
-	var pol sim.Policy[dining.State]
-	switch *policy {
-	case "slowest":
-		pol = dining.KeepTrying(sim.Slowest[dining.State]())
-	case "random":
-		pol = dining.KeepTrying(sim.Random[dining.State](0.5))
-	case "spiteful":
-		pol = dining.Spiteful()
-	default:
-		return fmt.Errorf("unknown policy %q", *policy)
+	mk, err := dining.PolicyByName(*policy)
+	if err != nil {
+		return err
 	}
 
 	start := dining.AllAt(*n, dining.F)
@@ -95,7 +88,7 @@ func run(args []string) error {
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
-	res, err := sim.RunOnce[dining.State](model, pol, target, sim.Options[dining.State]{
+	res, err := sim.RunOnce[dining.State](model, mk(), target, sim.Options[dining.State]{
 		Start:     start,
 		SetStart:  true,
 		MaxEvents: *maxEvents,

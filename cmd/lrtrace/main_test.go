@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunPolicies(t *testing.T) {
-	for _, policy := range []string{"slowest", "random", "spiteful"} {
+	for _, policy := range []string{"slowest", "random", "spiteful", "paced:0.5"} {
 		if err := run([]string{"-n", "3", "-policy", policy, "-seed", "2"}); err != nil {
 			t.Errorf("policy %s: %v", policy, err)
 		}
@@ -23,8 +23,10 @@ func TestRunNoTarget(t *testing.T) {
 }
 
 func TestRunUnknownPolicy(t *testing.T) {
-	if err := run([]string{"-policy", "nope"}); err == nil {
-		t.Error("unknown policy accepted")
+	for _, policy := range []string{"nope", "paced:2", "paced:x"} {
+		if err := run([]string{"-policy", policy}); err == nil {
+			t.Errorf("policy %q accepted", policy)
+		}
 	}
 }
 

@@ -171,8 +171,15 @@ func MustState(locals ...Local) State {
 // N returns the ring size.
 func (s State) N() int { return int(s.n) }
 
-// Local returns X_i.
-func (s State) Local(i int) Local { return unpackLocal(s.locals[s.wrap(i)]) }
+// Local returns X_i. An index outside 0..n-1 wraps around the ring
+// (Local(-1) is X_{n-1}, Local(n) is X_0); an in-range index, which is
+// every read but a neighbour lookup's i±1, skips wrap's integer modulo.
+func (s State) Local(i int) Local {
+	if uint(i) >= uint(s.n) {
+		i = s.wrap(i)
+	}
+	return unpackLocal(s.locals[i])
+}
 
 // wrap reduces an index modulo the ring size, accepting negatives.
 func (s State) wrap(i int) int {

@@ -22,6 +22,29 @@ func TestAllAt(t *testing.T) {
 	}
 }
 
+// TestPolicyByName: every name the CLIs and fabric jobs accept builds a
+// policy that drives the ring into C, and every malformed name —
+// including a paced alpha outside (0, 1] or not a number — is an error.
+func TestPolicyByName(t *testing.T) {
+	model := MustNew(3)
+	for _, name := range []string{"slowest", "random", "spiteful", "paced:1", "paced:0.25"} {
+		mk, err := PolicyByName(name)
+		if err != nil {
+			t.Fatalf("PolicyByName(%q): %v", name, err)
+		}
+		res, err := sim.RunOnce[State](model, mk(), InC,
+			sim.Options[State]{Start: AllAt(3, F), SetStart: true}, rand.New(rand.NewSource(1)))
+		if err != nil || !res.Reached {
+			t.Errorf("%s: reached=%v err=%v", name, res.Reached, err)
+		}
+	}
+	for _, name := range []string{"", "nope", "Slowest", "paced:", "paced:0", "paced:-1", "paced:1.5", "paced:NaN", "paced:x"} {
+		if _, err := PolicyByName(name); err == nil {
+			t.Errorf("PolicyByName(%q) accepted", name)
+		}
+	}
+}
+
 func TestKeepTryingInjectsTry(t *testing.T) {
 	model := MustNew(3)
 	rng := rand.New(rand.NewSource(1))

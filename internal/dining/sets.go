@@ -2,7 +2,10 @@ package dining
 
 // This file defines the state sets of Section 6.2 of the paper. Each is a
 // predicate over global states; package core pairs them with names to form
-// the sides of time-bound statements.
+// the sides of time-bound statements. The predicates sit on the Monte
+// Carlo engine's per-event path (the target test) and the exact engine's
+// per-state set checks, so they scan the packed locals s.locals[:s.n]
+// directly instead of going through Local.
 //
 //	T  — some process is in its trying region {F, W, S, D, P}
 //	C  — some process is in its critical region
@@ -19,8 +22,8 @@ func inTrying(pc PC) bool {
 
 // InT reports s ∈ T: some process is in its trying region.
 func InT(s State) bool {
-	for i := 0; i < s.N(); i++ {
-		if inTrying(s.Local(i).PC) {
+	for _, b := range s.locals[:s.n] {
+		if inTrying(unpackLocal(b).PC) {
 			return true
 		}
 	}
@@ -29,8 +32,8 @@ func InT(s State) bool {
 
 // InC reports s ∈ C: some process is in its critical region.
 func InC(s State) bool {
-	for i := 0; i < s.N(); i++ {
-		if s.Local(i).PC == C {
+	for _, b := range s.locals[:s.n] {
+		if unpackLocal(b).PC == C {
 			return true
 		}
 	}
@@ -39,8 +42,8 @@ func InC(s State) bool {
 
 // InP reports s ∈ P: some process is in its pre-critical region.
 func InP(s State) bool {
-	for i := 0; i < s.N(); i++ {
-		if s.Local(i).PC == P {
+	for _, b := range s.locals[:s.n] {
+		if unpackLocal(b).PC == P {
 			return true
 		}
 	}
@@ -54,8 +57,8 @@ func InRT(s State) bool {
 	if !InT(s) {
 		return false
 	}
-	for i := 0; i < s.N(); i++ {
-		switch pc := s.Local(i).PC; {
+	for _, b := range s.locals[:s.n] {
+		switch pc := unpackLocal(b).PC; {
 		case pc == ER || pc == R || inTrying(pc):
 		default:
 			return false
@@ -69,8 +72,8 @@ func InF(s State) bool {
 	if !InRT(s) {
 		return false
 	}
-	for i := 0; i < s.N(); i++ {
-		if s.Local(i).PC == F {
+	for _, b := range s.locals[:s.n] {
+		if unpackLocal(b).PC == F {
 			return true
 		}
 	}

@@ -12,8 +12,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"repro/internal/dining"
 	"repro/internal/election"
@@ -63,6 +61,11 @@ func NewRunner(spec JobSpec) (Runner, error) {
 	if spec.Trials <= 0 {
 		return nil, fmt.Errorf("fabric: job trials must be positive, got %d", spec.Trials)
 	}
+	// The engine refuses such a budget too, but a coordinator sizes its
+	// chunk table by the job before any engine call: refuse it here.
+	if spec.Trials > sim.MaxTrials {
+		return nil, fmt.Errorf("fabric: job trials must be at most %d (sim.MaxTrials), got %d", sim.MaxTrials, spec.Trials)
+	}
 	if spec.N <= 0 {
 		return nil, fmt.Errorf("fabric: job n must be positive, got %d", spec.N)
 	}
@@ -107,9 +110,9 @@ func newDiningRunner(spec JobSpec) (Runner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fabric: building dining model: %w", err)
 	}
-	mk, err := diningPolicy(spec.Policy)
+	mk, err := dining.PolicyByName(spec.Policy)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fabric: %w", err)
 	}
 	cm, err := sim.Compile[dining.State](m)
 	if err != nil {
@@ -127,35 +130,6 @@ func newDiningRunner(spec JobSpec) (Runner, error) {
 			MaxTime:   spec.MaxTime,
 		},
 	}, nil
-}
-
-// diningPolicy mirrors the lrsim policy table so fabric jobs explore
-// the same adversary menagerie as the single-process CLI.
-func diningPolicy(name string) (func() sim.Policy[dining.State], error) {
-	switch {
-	case name == "slowest":
-		return func() sim.Policy[dining.State] {
-			return dining.KeepTrying(sim.Slowest[dining.State]())
-		}, nil
-	case name == "random":
-		return func() sim.Policy[dining.State] {
-			return dining.KeepTrying(sim.Random[dining.State](0.5))
-		}, nil
-	case name == "spiteful":
-		return func() sim.Policy[dining.State] {
-			return dining.Spiteful()
-		}, nil
-	case strings.HasPrefix(name, "paced:"):
-		alpha, err := strconv.ParseFloat(strings.TrimPrefix(name, "paced:"), 64)
-		if err != nil || alpha <= 0 || alpha > 1 {
-			return nil, fmt.Errorf("fabric: bad paced alpha in %q", name)
-		}
-		return func() sim.Policy[dining.State] {
-			return dining.KeepTrying(sim.Paced[dining.State](alpha))
-		}, nil
-	default:
-		return nil, fmt.Errorf("fabric: unknown dining policy %q", name)
-	}
 }
 
 func newElectionRunner(spec JobSpec) (Runner, error) {

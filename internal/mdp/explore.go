@@ -23,6 +23,7 @@ package mdp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"unsafe"
 
 	"repro/internal/pa"
@@ -32,6 +33,17 @@ import (
 // abandoned because the transition structure outgrew the caller's byte
 // budget.
 var ErrMemBudget = errors.New("mdp: exploration exceeded the memory budget")
+
+// ErrIndexOverflow reports an exploration that outgrew the CSR's int32
+// numbering: more states, choices or branches than an int32 id or
+// offset can address. The explorer returns it before any id or offset
+// would wrap.
+var ErrIndexOverflow = errors.New("mdp: exploration exceeds the int32 index space")
+
+// maxIndex is the most states, choices or branches one exploration may
+// hold, each numbered by an int32 id and counted by int32 CSR offsets.
+// A variable so tests can lower it (SetMaxIndexForTest).
+var maxIndex = math.MaxInt32
 
 // BudgetError reports a blown exploration budget with the sizes reached.
 type BudgetError struct {
@@ -106,18 +118,26 @@ func ExplorePacked[S comparable, K comparable](auto *pa.Automaton[S], pack func(
 		ids    = make(map[K]int32)
 		b      = newCSRBuilder(0, 0, 0)
 	)
-	intern := func(s S) int32 {
+	overflow := func(what string) error {
+		return fmt.Errorf("%w: more than %d %s", ErrIndexOverflow, maxIndex, what)
+	}
+	intern := func(s S) (int32, error) {
 		k := pack(s)
 		if id, ok := ids[k]; ok {
-			return id
+			return id, nil
+		}
+		if len(states) >= maxIndex {
+			return 0, overflow("states")
 		}
 		id := int32(len(states))
 		ids[k] = id
 		states = append(states, s)
-		return id
+		return id, nil
 	}
 	for _, s := range auto.Start {
-		intern(s)
+		if _, err := intern(s); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	// perState collects one frontier state's outgoing steps as computed by
@@ -160,6 +180,9 @@ func ExplorePacked[S comparable, K comparable](auto *pa.Automaton[S], pack func(
 				if err != nil {
 					return nil, nil, err
 				}
+				if len(b.c.labelID) >= maxIndex {
+					return nil, nil, overflow("choices")
+				}
 				b.addChoice(step.Action, tick)
 				for _, o := range step.Next.Outcomes() {
 					if opts.Limit > 0 && len(states) >= opts.Limit {
@@ -167,7 +190,14 @@ func ExplorePacked[S comparable, K comparable](auto *pa.Automaton[S], pack func(
 							return nil, nil, fmt.Errorf("%w: more than %d states", pa.ErrLimitExceeded, opts.Limit)
 						}
 					}
-					b.addBranch(intern(o.Value), o.Prob)
+					if len(b.c.col) >= maxIndex {
+						return nil, nil, overflow("branches")
+					}
+					id, err := intern(o.Value)
+					if err != nil {
+						return nil, nil, err
+					}
+					b.addBranch(id, o.Prob)
 				}
 			}
 		}

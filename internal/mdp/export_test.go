@@ -23,6 +23,15 @@ func reachRat(m *MDP, target []bool, horizon int, goal Goal) ([][]prob.Rat, erro
 	return q.ratSweep(), nil
 }
 
+// SetMaxIndexForTest lowers the explorer's int32 index limit and returns
+// a restore function, so a test reaches ErrIndexOverflow without 2^31
+// states. The override is global, like SetMinGrainForTest's.
+func SetMaxIndexForTest(n int) (restore func()) {
+	old := maxIndex
+	maxIndex = n
+	return func() { maxIndex = old }
+}
+
 func exportFixture() *MDP {
 	return &MDP{NumStates: 3, Choices: [][]Choice{
 		{tickCoin("flip", 1, 2), moveTo("skip", 2)},

@@ -41,9 +41,10 @@ type Alias[T comparable] struct {
 // BuildAlias pre-resolves d into an Alias sampler using Walker's
 // two-stack construction. The support slice is shared with d (both are
 // immutable). A one-element table gets no columns, since PickIndex never
-// reads them, and a table of up to stackTable elements keeps its build
-// scratch on the stack: a point mass builds with no allocation and a
-// coin with two, the columns themselves.
+// reads them (Column reports the implied keep-all column), and a table
+// of up to stackTable elements keeps its build scratch on the stack: a
+// point mass builds with no allocation and a coin with two, the columns
+// themselves.
 func BuildAlias[T comparable](d Dist[T]) Alias[T] {
 	a := Alias[T]{support: d.support}
 	n := len(d.support)
@@ -150,8 +151,16 @@ func clampUnit(x float64) float64 {
 	return x
 }
 
-// Len returns the size of the support.
-func (a Alias[T]) Len() int { return len(a.support) }
+// Column returns column i of the table: the probability keep that a draw
+// landing in the column stays at support element i, and the element
+// alias it is redirected to otherwise. A one-element table has no stored
+// columns; its one column keeps every draw.
+func (a Alias[T]) Column(i int) (keep float64, alias int) {
+	if len(a.prob) == 0 {
+		return 1, i
+	}
+	return a.prob[i], int(a.alias[i])
+}
 
 // Pick selects an outcome using r, a number in [0, 1): the integer part
 // of r·n picks the column, the fractional part plays the column's coin.
@@ -161,8 +170,7 @@ func (a Alias[T]) Pick(r float64) T {
 }
 
 // PickIndex is Pick returning the support index of the outcome instead
-// of the outcome itself, for callers that keep side tables parallel to
-// the support (At recovers the outcome). Same r, same draw as Pick.
+// of the outcome itself. Same r, same draw as Pick.
 func (a Alias[T]) PickIndex(r float64) int {
 	n := len(a.support)
 	if n == 0 {
@@ -171,18 +179,26 @@ func (a Alias[T]) PickIndex(r float64) int {
 	if n == 1 {
 		return 0
 	}
-	x := r * float64(n)
-	i := int(x)
-	if i >= n {
-		// r < 1 guarantees x < n mathematically, but the multiply may
-		// round up to exactly n for r just below 1 and large n.
-		i = n - 1
-	}
-	if x-float64(i) < a.prob[i] {
+	i, u := AliasColumn(r, n)
+	if u < a.prob[i] {
 		return i
 	}
 	return int(a.alias[i])
 }
 
-// At returns the i-th support element, in the order PickIndex indexes.
-func (a Alias[T]) At(i int) T { return a.support[i] }
+// AliasColumn is Walker's pick arithmetic for an n-column table and a
+// uniform r in [0, 1): the integer part of r·n is the column col, and the
+// fractional part u plays the column's coin — the draw stays in col when
+// u is below the column's keep probability (see Column) and goes to its
+// alias otherwise. Alias.PickIndex and the Monte Carlo engine's flat
+// outcome records (internal/sim) both draw through it.
+func AliasColumn(r float64, n int) (col int, u float64) {
+	x := r * float64(n)
+	col = int(x)
+	if col >= n {
+		// r < 1 guarantees x < n mathematically, but the multiply may
+		// round up to exactly n for r just below 1 and large n.
+		col = n - 1
+	}
+	return col, x - float64(col)
+}

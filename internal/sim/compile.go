@@ -17,17 +17,21 @@ package sim
 //     ErrImpureModel.
 //
 //   - Each step's successor distribution is sampled through a Walker
-//     alias table (prob.Alias): O(1) per draw, one uniform per draw, and
-//     the same distribution as Dist.Pick (see prob.Alias for why it is
-//     not the same draw-for-draw partition of [0, 1)).
+//     alias table (prob.BuildAlias): O(1) per draw, one uniform per draw,
+//     and the same distribution as Dist.Pick (see prob.Alias for why it
+//     is not the same draw-for-draw partition of [0, 1)). The table is
+//     flattened into one array of outcome records per move — column
+//     keep probability, alias, successor state and successor slot side
+//     by side — so a draw reads one record (two when the column
+//     redirects) instead of the table's columns, the distribution's
+//     support and a separate slot array.
 //
 // Interning a state costs about as much as the model query it caches:
 // compileState keeps the steps and the counts the View needs, and
-// builds a process's alias tables and successor slots only when a trial
-// first takes one of its moves (most interned states never have most of
-// their processes stepped). A trial resolves a drawn successor's entry
-// only when it steps from it, so the state a trial ends in is never
-// compiled.
+// builds a process's outcome records only when a trial first takes one
+// of its moves (most interned states never have most of their processes
+// stepped). A trial resolves a drawn successor's entry only when it
+// steps from it, so the state a trial ends in is never compiled.
 //
 // The cache is sharded by state hash (hash/maphash.Comparable) with one
 // RWMutex per shard: steady state is a read-lock and a map hit, and
@@ -78,8 +82,8 @@ type stateEntry[S comparable] struct {
 	// steps[i] is process i's Moves and steps[n+i] its UserMoves; nil
 	// when it has none.
 	steps [][]pa.Step[S]
-	// samplers is parallel to steps: the sampler set of those moves, nil
-	// until a trial first takes one of them (samplerSet).
+	// samplers is parallel to steps: the samplers of those moves, one per
+	// move, nil until a trial first takes one of them (samplerSet).
 	samplers   []atomic.Pointer[[]moveSampler[S]]
 	moveCount  []int // per proc; len(steps[i]), 0 when not ready
 	userCount  []int // per proc; len(steps[n+i])
@@ -87,22 +91,44 @@ type stateEntry[S comparable] struct {
 	userMovers []int // procs with user moves, ascending
 }
 
-// moveSampler bundles everything the per-event hot path needs about one
-// move into one contiguous struct — the alias table and the
-// successor-entry cache — so applyChoice does a single indexed load
-// instead of walking parallel slice-of-slice structures.
+// moveSampler is one move's successor distribution as the per-event hot
+// path reads it: one outcome record per support element, in support
+// order, in one contiguous array. A draw picks a Walker column and reads
+// that column's record for the keep test, the successor state and the
+// successor slot together (the redirected case reads the alias's record
+// too), so applyChoice touches one array instead of the alias table's
+// two columns, the model's support and a parallel slot array.
+type moveSampler[S comparable] []outcome[S]
+
+// outcome is one support element of a move's successor distribution:
+// Walker column i's keep probability and alias (prob.Alias.Column),
+// support element i's state, and the slot caching that state's interned
+// entry.
 //
-// succ caches, per alias support index, the interned entry of that
-// outcome's successor state. A trial that steps from the successor
-// resolves the slot the first time (viewScratch.build), and every later
+// succ is filled by a trial that steps from the successor: the first
+// such step resolves the slot (viewScratch.build), and every later
 // traversal skips the shard lock and map probe entirely — in steady
 // state the trial loop walks entry to entry through these pointers. The
 // slots are atomic because entries are shared across workers; a racing
 // double-resolve stores the same canonical entry, so last-write-wins is
 // sound. Only interned entries are stored (see maxCompiledStates).
-type moveSampler[S comparable] struct {
-	alias prob.Alias[S]
-	succ  []atomic.Pointer[stateEntry[S]]
+type outcome[S comparable] struct {
+	keep  float64
+	alias int32
+	next  S
+	succ  atomic.Pointer[stateEntry[S]]
+}
+
+// pick draws the outcome for a uniform r in [0, 1) — prob.AliasColumn's
+// arithmetic on the records' columns, so it returns the record of the
+// index prob.Alias.PickIndex would (TestRecordPickMatchesAlias). The
+// sampler must be nonempty.
+func (m moveSampler[S]) pick(r float64) *outcome[S] {
+	i, u := prob.AliasColumn(r, len(m))
+	if u < m[i].keep {
+		return &m[i]
+	}
+	return &m[m[i].alias]
 }
 
 type compileShard[S comparable] struct {
@@ -298,24 +324,31 @@ func (c *Compiled[S]) compileState(s S) *stateEntry[S] {
 }
 
 // samplerSet returns the samplers of steps[k], building them the first
-// time a trial takes one of those moves. Racing builders publish with
-// CompareAndSwap, so every trial draws from (and resolves the successor
-// slots of) the one set that won.
+// time a trial takes one of those moves: one alias table per move
+// (prob.BuildAlias), flattened into outcome records that share one
+// backing array. Racing builders publish with CompareAndSwap, so every
+// trial draws from (and resolves the successor slots of) the one set
+// that won.
 func (e *stateEntry[S]) samplerSet(k int) []moveSampler[S] {
 	if set := e.samplers[k].Load(); set != nil {
 		return *set
 	}
 	moves := e.steps[k]
-	ms := make([]moveSampler[S], len(moves))
-	slots := 0
+	size := 0
 	for j := range moves {
-		ms[j].alias = prob.BuildAlias(moves[j].Next)
-		slots += ms[j].alias.Len()
+		size += moves[j].Next.Len()
 	}
-	succ := make([]atomic.Pointer[stateEntry[S]], slots)
-	for j := range ms {
-		l := ms[j].alias.Len()
-		ms[j].succ, succ = succ[:l:l], succ[l:]
+	recs := make([]outcome[S], size)
+	ms := make([]moveSampler[S], len(moves))
+	for j := range moves {
+		a := prob.BuildAlias(moves[j].Next)
+		support := moves[j].Next.Support()
+		ms[j], recs = recs[:len(support):len(support)], recs[len(support):]
+		for i, next := range support {
+			o := &ms[j][i]
+			keep, alias := a.Column(i)
+			o.keep, o.alias, o.next = keep, int32(alias), next
+		}
 	}
 	if !e.samplers[k].CompareAndSwap(nil, &ms) {
 		return *e.samplers[k].Load()

@@ -179,6 +179,19 @@ type ChunkRange struct {
 	Hi int `json:"hi"`
 }
 
+// MaxTrials is the largest trial budget RunParallel accepts; a larger
+// budget is ErrInvalidArgument, and fabric.NewRunner refuses a job past
+// it before anything is sized by the job. The cap bounds what a run
+// allocates up front: an accumulator, a done flag and an error slot per
+// chunk of the executed range. An unranged run at the cap has
+// NumChunks(MaxTrials) = 2^24 chunks, which with the largest built-in
+// accumulator (stats.Summary, 40 B; 57 B a chunk with the flag and the
+// error) is 2^24 × 57 B ≈ 0.96 GB, and a fabric coordinator's chunk
+// table for such a job (a state byte and a 24-byte time per chunk) is
+// 2^24 × 25 B ≈ 0.42 GB. A ranged run, such as a fabric lease, sizes
+// its tables by its range alone.
+const MaxTrials = 1 << 30
+
 // NumChunks reports how many fixed-size chunks a parallel run with the
 // given trial budget has — the index space ChunkRange addresses.
 func NumChunks(trials int) int {
@@ -394,6 +407,9 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 	if trials <= 0 {
 		return total, rep, fmt.Errorf("%w: trial budget %d is not positive", ErrInvalidArgument, trials)
 	}
+	if trials > MaxTrials {
+		return total, rep, fmt.Errorf("%w: trial budget %d exceeds MaxTrials (%d)", ErrInvalidArgument, trials, MaxTrials)
+	}
 	if observe == nil {
 		return total, rep, fmt.Errorf("%w: nil observe func", ErrInvalidArgument)
 	}
@@ -433,9 +449,11 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 		rangeTrials += chunkLenFor(trials, c)
 	}
 	rep.Total = rangeTrials
-	accs := make([]A, numChunks)
-	done := make([]bool, numChunks)
-	errs := make([]error, numChunks)
+	// Per-chunk state covers the executed range only, indexed from
+	// loChunk: a lease of a few chunks of a huge job stays small.
+	accs := make([]A, hiChunk-loChunk)
+	done := make([]bool, hiChunk-loChunk)
+	errs := make([]error, hiChunk-loChunk)
 
 	met := popts.Metrics
 	rc := &runControl{
@@ -454,12 +472,20 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 		if err := popts.Resume.validateFor(popts.kind, popts.Seed, trials, parallelChunkSize); err != nil {
 			return total, rep, err
 		}
+		// A record outside the range is still decoded (into a scratch
+		// accumulator), so a corrupt token fails the same way whatever
+		// range runs.
+		var outside A
 		for _, cr := range popts.Resume.Chunks {
-			if err := json.Unmarshal(cr.Acc, &accs[cr.Index]); err != nil {
+			acc, inRange := &outside, cr.Index >= loChunk && cr.Index < hiChunk
+			if inRange {
+				acc = &accs[cr.Index-loChunk]
+			}
+			if err := json.Unmarshal(cr.Acc, acc); err != nil {
 				return total, rep, fmt.Errorf("sim: restoring chunk %d accumulator: %w", cr.Index, err)
 			}
-			done[cr.Index] = true
-			if cr.Index >= loChunk && cr.Index < hiChunk {
+			if inRange {
+				done[cr.Index-loChunk] = true
 				rep.Resumed += chunkLenFor(trials, cr.Index)
 			}
 		}
@@ -497,6 +523,7 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 	// means the chunk was abandoned because another chunk failed. ar is
 	// the calling worker's private arena.
 	runChunk := func(chunk int, ar *trialArena[S]) error {
+		acc := &accs[chunk-loChunk]
 		lo := chunk * parallelChunkSize
 		hi := min(lo+parallelChunkSize, trials)
 		var chunkPanics []PanicRecord
@@ -575,7 +602,7 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 				} else if met != nil {
 					met.TrialDone(i, res.Events, time.Since(t0).Seconds(), res.Reached, res.ReachedAt)
 				}
-				err = observe(&accs[chunk], i, res)
+				err = observe(acc, i, res)
 				if err == nil {
 					chunkCompleted++
 				}
@@ -584,10 +611,10 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 				return fmt.Errorf("sim: trial %d: %w", i, err)
 			}
 		}
-		if err := rc.complete(chunk, &accs[chunk], chunkPanics); err != nil {
+		if err := rc.complete(chunk, acc, chunkPanics); err != nil {
 			return err
 		}
-		done[chunk] = true
+		done[chunk-loChunk] = true
 		if batch && batchN > 0 {
 			bmet.TrialBatchDone(batchN, batchHits, batchEvents[:batchN], batchReach[:batchHits],
 				time.Since(chunkT0).Seconds())
@@ -613,7 +640,7 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 					if chunk >= hiChunk {
 						return
 					}
-					if done[chunk] {
+					if done[chunk-loChunk] {
 						continue // restored from the resume token
 					}
 					if met != nil {
@@ -624,7 +651,7 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 						met.ChunkActive(-1)
 					}
 					if err != nil {
-						errs[chunk] = err
+						errs[chunk-loChunk] = err
 						stop.Store(true)
 						return
 					}
@@ -664,8 +691,8 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 
 	covered := 0
 	for chunk := loChunk; chunk < hiChunk; chunk++ {
-		if done[chunk] {
-			merge(&total, accs[chunk])
+		if done[chunk-loChunk] {
+			merge(&total, accs[chunk-loChunk])
 			covered += chunkLenFor(trials, chunk)
 		}
 	}

@@ -201,6 +201,14 @@ func TestParallelErrorSemantics(t *testing.T) {
 			t.Error("zero trials accepted")
 		}
 	})
+	t.Run("trial budget past MaxTrials", func(t *testing.T) {
+		// An empty range runs nothing, so only the cap can refuse it.
+		_, _, err := EstimateReachProbParallel[flipState](context.Background(), flipper{}, mkSlowest, heads, 2, MaxTrials+1,
+			Options[flipState]{}, ParallelOptions{Chunks: &ChunkRange{}})
+		if !errors.Is(err, ErrInvalidArgument) {
+			t.Errorf("err = %v, want ErrInvalidArgument", err)
+		}
+	})
 }
 
 // TestRunParallelCustomAccumulator exercises the exported generic layer

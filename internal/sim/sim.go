@@ -253,7 +253,7 @@ type viewScratch[S comparable] struct {
 	// pending is the successor slot of the outcome applyChoice just drew;
 	// the next build (always of that same state) reads the entry from it
 	// instead of re-hashing the state into the shard maps, and fills it
-	// when the state is new (see moveSampler.succ).
+	// when the state is new (see outcome.succ).
 	pending *atomic.Pointer[stateEntry[S]]
 	// start memoizes m.Start()[0] after the first trial that needs it
 	// (models are purely functional, so the start state is a constant):
@@ -261,10 +261,9 @@ type viewScratch[S comparable] struct {
 	// every one of its trials.
 	start     S
 	haveStart bool
-	// view is the View build assembles in place each step; handing the
-	// policy a copy of one persistent struct (instead of returning a
-	// fresh ~200-byte View up the stack) keeps a measurable slice of the
-	// per-event budget.
+	// view is the one View the policy borrows each step: build
+	// reassigns its fields in place, so no View is zeroed, copied or
+	// returned up the stack per event.
 	view View[S]
 	// deadline persists across steps and doubles as the View's Deadline
 	// slice: deadline[i] is process i's unit-time obligation (latest
@@ -293,7 +292,10 @@ func (sc *viewScratch[S]) reset() {
 // build assembles the View from the state's cache entry: the
 // ready/userMovers/move-count slices are the entry's own (immutable,
 // shared across trials and workers), and only the deadline bookkeeping —
-// inherently per-run — is recomputed.
+// inherently per-run — is recomputed. Every field is assigned in place,
+// each step, so whatever a policy did to the View's fields is undone; a
+// composite-literal assignment would zero and copy a whole temporary
+// View per event instead.
 func (sc *viewScratch[S]) build(s S, now float64) *View[S] {
 	slot := sc.pending
 	sc.pending = nil
@@ -308,32 +310,32 @@ func (sc *viewScratch[S]) build(s S, now float64) *View[S] {
 		}
 	}
 	sc.cur = e
-	v := &sc.view
-	*v = View[S]{
-		State:         s,
-		Now:           now,
-		DeadlineMin:   math.Inf(1),
-		Ready:         e.ready,
-		Deadline:      sc.deadline,
-		MoveCount:     e.moveCount,
-		UserMovers:    e.userMovers,
-		UserMoveCount: e.userCount,
-	}
-	for i := 0; i < sc.n; i++ {
-		if e.moveCount[i] == 0 {
+	dmin := math.Inf(1)
+	deadline := sc.deadline[:len(e.moveCount)]
+	for i, moves := range e.moveCount {
+		if moves == 0 {
 			// A process that stopped being ready gives up its obligation.
-			sc.deadline[i] = math.Inf(1)
+			deadline[i] = math.Inf(1)
 			continue
 		}
-		d := sc.deadline[i]
+		d := deadline[i]
 		if math.IsInf(d, 1) {
 			d = now + 1
-			sc.deadline[i] = d
+			deadline[i] = d
 		}
-		if d < v.DeadlineMin {
-			v.DeadlineMin = d
+		if d < dmin {
+			dmin = d
 		}
 	}
+	v := &sc.view
+	v.State = s
+	v.Now = now
+	v.DeadlineMin = dmin
+	v.Ready = e.ready
+	v.Deadline = deadline
+	v.MoveCount = e.moveCount
+	v.UserMovers = e.userMovers
+	v.UserMoveCount = e.userCount
 	return v
 }
 
@@ -365,18 +367,18 @@ func applyChoice[S comparable](now, deadlineMin float64, c Choice, sc *viewScrat
 	if t < now || t > deadlineMin {
 		return zero, 0, fmt.Errorf("%w: time %v outside [%v, %v]", ErrBadChoice, t, now, deadlineMin)
 	}
-	m := &e.samplerSet(k)[c.Move]
+	m := e.samplerSet(k)[c.Move]
 	// An empty successor distribution (the zero prob.Dist in a hand-built
-	// step) would panic inside Pick; detect it before drawing so the run
+	// step) has no record to draw; detect it before drawing so the run
 	// fails with a typed error.
-	if m.alias.Len() == 0 {
+	if len(m) == 0 {
 		return zero, 0, fmt.Errorf("%w: proc %d action %q has an empty successor distribution", ErrBadModel, c.Proc, sc.action(c))
 	}
-	idx := m.alias.PickIndex(rng.Float64())
+	o := m.pick(rng.Float64())
 	// The successor's entry is resolved by the next build, if the trial
 	// steps from it at all.
-	sc.pending = &m.succ[idx]
-	return m.alias.At(idx), t, nil
+	sc.pending = &o.succ
+	return o.next, t, nil
 }
 
 // action returns the label of the step a validated choice names; callers

@@ -7,10 +7,10 @@
 //
 // With -compare, benchjson is a perf-regression gate instead: it diffs
 // two of its own JSON artifacts and exits non-zero when any metric moved
-// in the bad direction by more than the threshold. Units ending in "/op"
-// (ns/op, B/op, allocs/op) regress upward; units ending in "/s"
-// (trials/s) regress downward; anything else is reported but never fails
-// the gate. Benchmarks present only in the old file are noted, not fatal
+// in the bad direction by more than the threshold. Costs regress upward:
+// units ending in "/op" (ns/op, B/op, allocs/op) and byte counts starting
+// with "B/" (B/state). Rates, units ending in "/s" (trials/s), regress
+// downward. Anything else is reported but never fails the gate. Benchmarks present only in the old file are noted, not fatal
 // (renames and retirements happen); a *metric* that an old benchmark
 // reported but the new run lost IS fatal — a vanished trials/s column
 // must not read as a pass — as is a NaN on either side, and a zero
@@ -19,8 +19,8 @@
 //
 // The repeatable -floor flag adds absolute constraints on the new
 // artifact, independent of the old one: -floor 'Benchmark:unit=value'
-// fails the gate when the named metric is below value (units ending in
-// "/op" are ceilings instead: they fail above value). The benchmark name
+// fails the gate when the named metric is below value (on costs it is a
+// ceiling instead: they fail above value). The benchmark name
 // matches with or without the -GOMAXPROCS suffix, so one floor covers
 // runs at any -cpu setting.
 //
@@ -147,8 +147,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 }
 
 // floor is one -floor constraint: an absolute bound on a metric of the
-// new artifact. For "/op" units min is a ceiling (costs must stay
-// below); for everything else it is a floor (rates must stay above).
+// new artifact. For costs min is a ceiling (they must stay below); for
+// everything else it is a floor (rates must stay above).
 type floor struct {
 	bench, unit string
 	min         float64
@@ -166,6 +166,16 @@ func parseFloor(s string) (floor, error) {
 		return floor{}, fmt.Errorf("-floor value in %q is not a number", s)
 	}
 	return floor{bench: bench, unit: unit, min: v}, nil
+}
+
+// rate reports whether a unit is a rate, which regresses downward:
+// trials/s, states/s.
+func rate(unit string) bool { return strings.HasSuffix(unit, "/s") }
+
+// cost reports whether a unit is a cost, which regresses upward: ns/op,
+// B/op and allocs/op, and byte counts such as B/state.
+func cost(unit string) bool {
+	return !rate(unit) && (strings.HasSuffix(unit, "/op") || strings.HasPrefix(unit, "B/"))
 }
 
 // matches reports whether the floor names this benchmark, with or
@@ -266,10 +276,10 @@ func compare(args []string, stdout io.Writer) error {
 			}
 			if ov == 0 {
 				// No relative delta exists. Zero is a real baseline for
-				// /op units (0 allocs/op): any increase regresses. For
-				// rates a zero baseline cannot be regressed below.
+				// costs (0 allocs/op): any increase regresses. For rates
+				// a zero baseline cannot be regressed below.
 				verdict := "ok"
-				if nv != 0 && strings.HasSuffix(unit, "/op") {
+				if nv != 0 && cost(unit) {
 					verdict = "REGRESSION"
 					regressions++
 				} else if nv != 0 {
@@ -281,16 +291,12 @@ func compare(args []string, stdout io.Writer) error {
 			delta := (nv - ov) / ov
 			verdict := "ok"
 			switch {
-			case strings.HasSuffix(unit, "/op") && delta > threshold:
+			case cost(unit) && delta > threshold, rate(unit) && delta < -threshold:
 				verdict = "REGRESSION"
 				regressions++
-			case strings.HasSuffix(unit, "/s") && delta < -threshold:
-				verdict = "REGRESSION"
-				regressions++
-			case strings.HasSuffix(unit, "/op") && delta < -threshold,
-				strings.HasSuffix(unit, "/s") && delta > threshold:
+			case cost(unit) && delta < -threshold, rate(unit) && delta > threshold:
 				verdict = "improved"
-			case !strings.HasSuffix(unit, "/op") && !strings.HasSuffix(unit, "/s"):
+			case !cost(unit) && !rate(unit):
 				verdict = "info"
 			}
 			fmt.Fprintf(tw, "%s\t%s\t%g\t%g\t%+.1f%%\t%s\n", old.Name, unit, ov, nv, 100*delta, verdict)
@@ -332,7 +338,7 @@ func checkFloors(floors []floor, rep Report, stdout io.Writer) int {
 			v, ok := r.Metrics[f.unit]
 			bad := !ok || math.IsNaN(v)
 			if !bad {
-				if strings.HasSuffix(f.unit, "/op") {
+				if cost(f.unit) {
 					bad = v > f.min
 				} else {
 					bad = v < f.min

@@ -169,6 +169,21 @@ func TestCompare(t *testing.T) {
 	if err := run([]string{"-compare", oldPath, thr, "-threshold", "0.5"}, nil, &sb); err != nil {
 		t.Errorf("loose threshold still failed: %v", err)
 	}
+
+	// Bytes per state is a cost like B/op: growing past the threshold
+	// fails the gate, shrinking past it is an improvement.
+	bOld := writeReport(t, dir, "b_old.json",
+		Result{Name: "BenchmarkE-1", Iterations: 10, Metrics: map[string]float64{"B/state": 40}})
+	bFat := writeReport(t, dir, "b_fat.json",
+		Result{Name: "BenchmarkE-1", Iterations: 10, Metrics: map[string]float64{"B/state": 86}})
+	sb.Reset()
+	if err := run([]string{"-compare", bOld, bFat}, nil, &sb); err == nil {
+		t.Errorf("B/state growing 40 -> 86 passed the gate:\n%s", sb.String())
+	}
+	sb.Reset()
+	if err := run([]string{"-compare", bFat, bOld}, nil, &sb); err != nil || !strings.Contains(sb.String(), "improved") {
+		t.Errorf("B/state shrinking 86 -> 40: err = %v, want an improvement:\n%s", err, sb.String())
+	}
 }
 
 // TestCompareMetricMissing: a metric the baseline had but the new run
@@ -249,6 +264,19 @@ func TestCompareFloor(t *testing.T) {
 	err := run([]string{"-compare", oldPath, newPath, "-floor", "BenchmarkA:trials/s=8000"}, nil, &sb)
 	if err == nil || !strings.Contains(err.Error(), "floor") {
 		t.Errorf("violated floor passed the gate (err=%v):\n%s", err, sb.String())
+	}
+	// Bytes per state is a cost, so its -floor is a ceiling: 86 B/state
+	// violates a bound of 45, and 40 meets it.
+	fat := writeReport(t, dir, "fat.json",
+		Result{Name: "BenchmarkE-1", Iterations: 10, Metrics: map[string]float64{"B/state": 86}})
+	lean := writeReport(t, dir, "lean.json",
+		Result{Name: "BenchmarkE-1", Iterations: 10, Metrics: map[string]float64{"B/state": 40}})
+	if err := run([]string{"-compare", fat, fat, "-floor", "BenchmarkE:B/state=45"}, nil, io.Discard); err == nil {
+		t.Error("86 B/state passed a 45 B/state ceiling")
+	}
+	sb.Reset()
+	if err := run([]string{"-compare", lean, lean, "-floor", "BenchmarkE:B/state=45"}, nil, &sb); err != nil || !strings.Contains(sb.String(), "floor ok") {
+		t.Errorf("40 B/state against a 45 B/state ceiling: err = %v\n%s", err, sb.String())
 	}
 	// Floor on a benchmark the artifact does not have: violation.
 	if err := run([]string{"-compare", oldPath, newPath, "-floor", "BenchmarkNope:trials/s=1"}, nil, io.Discard); err == nil {

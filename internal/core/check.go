@@ -132,9 +132,17 @@ func CheckedPremise[S comparable](m *mdp.MDP, ix *mdp.Index[S], st Statement[S],
 	if err != nil {
 		return nil, r, err
 	}
-	if !r.Holds {
-		return nil, r, fmt.Errorf("core: statement %s fails: worst-case P = %v at %v", st, r.WorstProb, r.WorstState)
-	}
-	p, err := Premise(st, fmt.Sprintf("%s; measured worst-case P = %v", origin, r.WorstProb))
+	p, err := r.Premise(origin)
 	return p, r, err
+}
+
+// Premise wraps a checked statement as a premise whose note records the
+// measured worst case after origin, or reports that the statement fails.
+// Callers that already hold a check's result use it instead of
+// CheckedPremise, so the statement is not solved twice.
+func (r CheckResult[S]) Premise(origin string) (*Proof[S], error) {
+	if !r.Holds {
+		return nil, fmt.Errorf("core: statement %s fails: worst-case P = %v at %v", r.Stmt, r.WorstProb, r.WorstState)
+	}
+	return Premise(r.Stmt, fmt.Sprintf("%s; measured worst-case P = %v", origin, r.WorstProb))
 }

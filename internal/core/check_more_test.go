@@ -57,6 +57,33 @@ func TestCheckedPremise(t *testing.T) {
 	}
 }
 
+// TestCheckResultPremise: a result already checked becomes a premise
+// without a second solve, with the note and the "fails" error of
+// CheckedPremise.
+func TestCheckResultPremise(t *testing.T) {
+	sc := scriptFixture(t, true)
+	a := listSet("A", 0)
+	d := listSet("D", 3)
+	results, err := CheckAll(sc.Model, sc.Index, stmt(a, d, "3", "1"), stmt(a, d, "1", "1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := CheckedPremise(sc.Model, sc.Index, results[0].Stmt, "toy chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := results[0].Premise("toy chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Rule != RulePremise || p.Note != want.Note || p.Stmt.String() != want.Stmt.String() {
+		t.Errorf("premise (%q, %q, %s), CheckedPremise gives (%q, %q, %s)", p.Rule, p.Note, p.Stmt, want.Rule, want.Note, want.Stmt)
+	}
+	if _, err := results[1].Premise("false"); err == nil || !strings.Contains(err.Error(), "fails") {
+		t.Errorf("failing result: err = %v, want the statement-fails error", err)
+	}
+}
+
 func TestIntTimeBounds(t *testing.T) {
 	if _, err := intTime(prob.MustParseRat("1000000000000")); err == nil {
 		t.Error("absurd time bound accepted")

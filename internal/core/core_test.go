@@ -93,6 +93,23 @@ func TestUniverseRelations(t *testing.T) {
 	}
 }
 
+// TestNewUniverseSharesStates: a universe keeps the caller's state list
+// rather than copying it, so building one over an analysis's explored
+// states allocates the Universe alone.
+func TestNewUniverseSharesStates(t *testing.T) {
+	states := make([]int, 10_000)
+	for i := range states {
+		states[i] = i
+	}
+	var u *Universe[int]
+	if allocs := testing.AllocsPerRun(100, func() { u = NewUniverse(states) }); allocs != 1 {
+		t.Errorf("NewUniverse on %d states: %v allocs, want 1", len(states), allocs)
+	}
+	if u.Len() != len(states) || u.Count(listSet("last", len(states)-1)) != 1 {
+		t.Errorf("universe over %d states: Len %d", len(states), u.Len())
+	}
+}
+
 func TestStatementValidate(t *testing.T) {
 	a, b := listSet("A", 1), listSet("B", 2)
 	if err := stmt(a, b, "3", "1/2").Validate(); err != nil {

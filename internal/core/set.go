@@ -66,9 +66,11 @@ type Universe[S comparable] struct {
 	states []S
 }
 
-// NewUniverse builds a universe from a state list; the slice is copied.
+// NewUniverse builds a universe from a state list. The universe keeps
+// the slice itself, not a copy (an analysis shares its mdp.Index's state
+// list this way), so callers must not modify it afterwards.
 func NewUniverse[S comparable](states []S) *Universe[S] {
-	return &Universe[S]{states: append([]S(nil), states...)}
+	return &Universe[S]{states: states}
 }
 
 // Len returns the number of states in the universe.

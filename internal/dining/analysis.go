@@ -9,6 +9,8 @@ package dining
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mdp"
@@ -35,6 +37,12 @@ type Analysis struct {
 	Schema core.SchemaInfo
 
 	sets map[string]core.Set[PState]
+
+	// The five arrows' check, run once: CheckPaperChain and
+	// BuildPaperProof both read it.
+	chainOnce sync.Once
+	chain     []core.CheckResult[PState]
+	chainErr  error
 }
 
 // NewAnalysis enumerates the n-process ring under the k-steps-per-window
@@ -105,18 +113,13 @@ func NewAnalysisOpts(n, k int, opts Opts) (*Analysis, error) {
 }
 
 func newAnalysis(n, k int, model *Model, m *mdp.MDP, ix *mdp.Index[PState]) *Analysis {
-	states := make([]PState, ix.Len())
-	for i := range states {
-		states[i] = ix.State(i)
-	}
-
 	a := &Analysis{
 		N:        n,
 		K:        k,
 		Model:    model,
 		MDP:      m,
 		Index:    ix,
-		Universe: core.NewUniverse(states),
+		Universe: core.NewUniverse(ix.States()),
 		Schema:   core.UnitTimeSchema(k),
 	}
 	a.sets = map[string]core.Set[PState]{
@@ -201,25 +204,34 @@ func (a *Analysis) ComposedStatement() core.Statement[PState] {
 }
 
 // CheckPaperChain checks the five arrows against the enumerated model and
-// returns the results in proof order.
+// returns the results in proof order (on an error, those checked before
+// it). The check runs once per Analysis; every call returns its own copy
+// of the results.
 func (a *Analysis) CheckPaperChain() ([]core.CheckResult[PState], error) {
-	return core.CheckAll(a.MDP, a.Index, a.PaperStatements()...)
+	a.chainOnce.Do(func() {
+		a.chain, a.chainErr = core.CheckAll(a.MDP, a.Index, a.PaperStatements()...)
+	})
+	return slices.Clone(a.chain), a.chainErr
 }
 
 // BuildPaperProof reproduces the Section 6.2 derivation: each premise is
-// checked against the model, weakened per Proposition 3.2 so the chain
-// connects, and composed by Theorem 3.4 into T --13,1/8--> C.
+// checked against the model (by CheckPaperChain, so the arrows are solved
+// once whichever of the two runs first), weakened per Proposition 3.2 so
+// the chain connects, and composed by Theorem 3.4 into T --13,1/8--> C.
 func (a *Analysis) BuildPaperProof() (*core.Proof[PState], error) {
-	stmts := a.PaperStatements()
+	results, checkErr := a.CheckPaperChain()
 	origins := PaperStatementOrigins()
 
-	premises := make([]*core.Proof[PState], len(stmts))
-	for i, st := range stmts {
-		p, _, err := core.CheckedPremise(a.MDP, a.Index, st, origins[i])
+	premises := make([]*core.Proof[PState], len(results))
+	for i, r := range results {
+		p, err := r.Premise(origins[i])
 		if err != nil {
 			return nil, err
 		}
 		premises[i] = p
+	}
+	if checkErr != nil {
+		return nil, checkErr
 	}
 
 	cSet := a.Set("C")

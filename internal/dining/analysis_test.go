@@ -2,6 +2,7 @@ package dining
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -87,6 +88,71 @@ func TestBuildPaperProof(t *testing.T) {
 		if !strings.Contains(rendered, want) {
 			t.Errorf("rendered proof missing %q:\n%s", want, rendered)
 		}
+	}
+}
+
+// TestPaperChainMemoized: CheckPaperChain solves the five arrows once
+// per Analysis, and BuildPaperProof builds on those results. Concurrent
+// first calls must agree (run under -race), and a caller mutating the
+// slice it got back must not change what later calls see.
+func TestPaperChainMemoized(t *testing.T) {
+	a, err := NewAnalysisOpts(3, 1, Opts{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 4
+	var (
+		wg     sync.WaitGroup
+		chains [callers][]core.CheckResult[PState]
+		proofs [callers]*core.Proof[PState]
+		errs   [2 * callers]error
+	)
+	for i := 0; i < callers; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			chains[i], errs[2*i] = a.CheckPaperChain()
+		}()
+		go func() {
+			defer wg.Done()
+			proofs[i], errs[2*i+1] = a.BuildPaperProof()
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	want := proofs[0].Render()
+	for i := 0; i < callers; i++ {
+		if len(chains[i]) != 5 {
+			t.Fatalf("caller %d: %d results, want 5", i, len(chains[i]))
+		}
+		for j, r := range chains[i] {
+			if !r.Holds || !r.WorstProb.Equal(chains[0][j].WorstProb) {
+				t.Errorf("caller %d arrow %d: %s", i, j, r)
+			}
+		}
+		if got := proofs[i].Render(); got != want {
+			t.Errorf("caller %d proof differs:\n%s\nvs\n%s", i, got, want)
+		}
+	}
+
+	mine := chains[0]
+	mine[0].Holds = false
+	mine[1] = core.CheckResult[PState]{}
+	again, err := a.CheckPaperChain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, r := range again {
+		if !r.Holds || !r.WorstProb.Equal(chains[1][j].WorstProb) || r.Stmt.String() != chains[1][j].Stmt.String() {
+			t.Errorf("after mutating a returned slice, arrow %d reads %s", j, r)
+		}
+	}
+	if p, err := a.BuildPaperProof(); err != nil || p.Render() != want {
+		t.Errorf("after mutating a returned slice, BuildPaperProof = %v", err)
 	}
 }
 

@@ -38,17 +38,13 @@ func NewGeneralAnalysis(t Topology, k, limit int) (*GeneralAnalysis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dining: enumerating %s product: %w", t.Name, err)
 	}
-	states := make([]PState, ix.Len())
-	for i := range states {
-		states[i] = ix.State(i)
-	}
 	return &GeneralAnalysis{
 		Topo:     t,
 		K:        k,
 		Model:    model,
 		MDP:      m,
 		Index:    ix,
-		Universe: core.NewUniverse(states),
+		Universe: core.NewUniverse(ix.States()),
 		Schema:   core.UnitTimeSchema(k),
 	}, nil
 }

@@ -6,6 +6,8 @@ package election
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mdp"
@@ -25,6 +27,12 @@ type Analysis struct {
 	Index    *mdp.Index[PState]
 	Universe *core.Universe[PState]
 	Schema   core.SchemaInfo
+
+	// The level statements' check, run once: CheckLevels and BuildProof
+	// both read it.
+	levelsOnce sync.Once
+	levels     []core.CheckResult[PState]
+	levelsErr  error
 }
 
 // NewAnalysis enumerates the n-process protocol under the
@@ -95,17 +103,13 @@ func NewAnalysisOpts(n, k int, opts Opts) (*Analysis, error) {
 }
 
 func newAnalysis(n, k int, model *Model, m *mdp.MDP, ix *mdp.Index[PState]) *Analysis {
-	states := make([]PState, ix.Len())
-	for i := range states {
-		states[i] = ix.State(i)
-	}
 	return &Analysis{
 		N:        n,
 		K:        k,
 		Model:    model,
 		MDP:      m,
 		Index:    ix,
-		Universe: core.NewUniverse(states),
+		Universe: core.NewUniverse(ix.States()),
 		Schema:   core.UnitTimeSchema(k),
 	}
 }
@@ -155,16 +159,24 @@ func (a *Analysis) LevelStatements() []core.Statement[PState] {
 	return out
 }
 
-// CheckLevels checks every level statement against the enumerated model.
+// CheckLevels checks every level statement against the enumerated model
+// and returns the results in LevelStatements order (on an error, those
+// checked before it). The check runs once per Analysis; every call
+// returns its own copy of the results.
 func (a *Analysis) CheckLevels() ([]core.CheckResult[PState], error) {
-	return core.CheckAll(a.MDP, a.Index, a.LevelStatements()...)
+	a.levelsOnce.Do(func() {
+		a.levels, a.levelsErr = core.CheckAll(a.MDP, a.Index, a.LevelStatements()...)
+	})
+	return slices.Clone(a.levels), a.levelsErr
 }
 
-// BuildProof composes the level statements, Prop 3.2-weakening each level
-// so the chain connects, into
+// BuildProof composes the level statements, checked by CheckLevels (so
+// they are solved once whichever of the two runs first) and
+// Prop 3.2-weakened so the chain connects, into
 //
 //	Fresh_n --2(n-1), Π p_k--> Elected.
 func (a *Analysis) BuildProof() (*core.Proof[PState], error) {
+	results, checkErr := a.CheckLevels()
 	elected := a.Elected()
 
 	// down_k = Elected ∪ Fresh_k ∪ ... ∪ Fresh_1.
@@ -177,9 +189,9 @@ func (a *Analysis) BuildProof() (*core.Proof[PState], error) {
 	}
 
 	var chain []*core.Proof[PState]
-	for k := a.N; k >= 2; k-- {
-		premise, _, err := core.CheckedPremise(a.MDP, a.Index, a.LevelStatement(k),
-			fmt.Sprintf("round rule at %d active processes", k))
+	for i, r := range results {
+		k := a.N - i
+		premise, err := r.Premise(fmt.Sprintf("round rule at %d active processes", k))
 		if err != nil {
 			return nil, err
 		}
@@ -201,6 +213,9 @@ func (a *Analysis) BuildProof() (*core.Proof[PState], error) {
 			}
 		}
 		chain = append(chain, step)
+	}
+	if checkErr != nil {
+		return nil, checkErr
 	}
 	composed, err := core.ComposeChain(a.Universe, chain...)
 	if err != nil {

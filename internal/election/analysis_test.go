@@ -2,8 +2,10 @@ package election
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/prob"
 )
 
@@ -43,6 +45,71 @@ func TestLevelStatementsHold(t *testing.T) {
 	}
 	if !results[1].WorstProb.Equal(prob.Half()) {
 		t.Errorf("level 2 worst-case P = %v, want exactly 1/2", results[1].WorstProb)
+	}
+}
+
+// TestLevelsMemoized: CheckLevels solves the level statements once per
+// Analysis, and BuildProof builds on those results. Concurrent first
+// calls must agree (run under -race), and a caller mutating the slice it
+// got back must not change what later calls see.
+func TestLevelsMemoized(t *testing.T) {
+	a, err := NewAnalysisOpts(4, 1, Opts{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 4
+	var (
+		wg     sync.WaitGroup
+		levels [callers][]core.CheckResult[PState]
+		proofs [callers]*core.Proof[PState]
+		errs   [2 * callers]error
+	)
+	for i := 0; i < callers; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			levels[i], errs[2*i] = a.CheckLevels()
+		}()
+		go func() {
+			defer wg.Done()
+			proofs[i], errs[2*i+1] = a.BuildProof()
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	want := proofs[0].Render()
+	for i := 0; i < callers; i++ {
+		if len(levels[i]) != 3 {
+			t.Fatalf("caller %d: %d results, want 3", i, len(levels[i]))
+		}
+		for j, r := range levels[i] {
+			if !r.Holds || !r.WorstProb.Equal(levels[0][j].WorstProb) {
+				t.Errorf("caller %d level %d: %s", i, j, r)
+			}
+		}
+		if got := proofs[i].Render(); got != want {
+			t.Errorf("caller %d proof differs:\n%s\nvs\n%s", i, got, want)
+		}
+	}
+
+	mine := levels[0]
+	mine[0].Holds = false
+	mine[1] = core.CheckResult[PState]{}
+	again, err := a.CheckLevels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, r := range again {
+		if !r.Holds || !r.WorstProb.Equal(levels[1][j].WorstProb) || r.Stmt.String() != levels[1][j].Stmt.String() {
+			t.Errorf("after mutating a returned slice, level %d reads %s", j, r)
+		}
+	}
+	if p, err := a.BuildProof(); err != nil || p.Render() != want {
+		t.Errorf("after mutating a returned slice, BuildProof = %v", err)
 	}
 }
 

@@ -2,27 +2,29 @@ package mdp
 
 // This file is the sparse core of the exact engine: transitions stored in
 // compressed-sparse-row (CSR) form — flat int32 row-pointer/column arrays
-// plus parallel probability arrays, one contiguous allocation each —
-// instead of the per-state Choices/Branches slice-of-slices the package
-// grew up with. Both representations coexist: MDPs hand-built through the
-// Choices field (tests, small models) are converted lazily by MDP.CSR,
-// while the on-the-fly explorer (explore.go) emits CSR directly and never
-// materializes Choices. Every analysis in the package runs on the CSR
-// form, so callers see identical results whichever way the MDP was built.
+// plus a one-byte probability index per branch, one contiguous allocation
+// each — instead of the per-state Choices/Branches slice-of-slices the
+// package grew up with. Both representations coexist: MDPs hand-built
+// through the Choices field (tests, small models) are converted lazily by
+// MDP.CSR, while the on-the-fly explorer (explore.go) emits CSR directly
+// and never materializes Choices. Every analysis in the package runs on
+// the CSR form, so callers see identical results whichever way the MDP
+// was built.
 //
 // Layout. State s owns choices csr.choiceRow[s] : csr.choiceRow[s+1];
 // choice c owns branches csr.branchRow[c] : csr.branchRow[c+1]. Because
 // both levels are contiguous, the branches of *state* s are themselves one
 // contiguous range branchRow[choiceRow[s]] : branchRow[choiceRow[s+1]] —
 // the graph analyses walk that single flat range per state, with no
-// per-pop allocation (the fix for the old successors() helper). Branch
-// probabilities are kept twice. The float64 copy feeds value iteration
-// and, when every probability is a multiple of 2^-62 (fixedPoint), the
-// tick-bounded DP, which rescales it to 62-bit fixed point on the fly.
-// The prob.Rat copy is the exact value: validation, export, witnesses and
-// the rational DP that answers when fixed point cannot. It costs one
-// pointer per branch (prob.Rat shares its immutable *big.Rat across
-// copies), so carrying it to millions of branches is cheap.
+// per-pop allocation (the fix for the old successors() helper). A branch
+// stores its probability as a one-byte index into the CSR's probability
+// table, which holds each distinct value once: as the exact prob.Rat, as
+// a float64 and, once fixedPoint has found every entry to be a multiple
+// of 2^-62, as 62-bit fixed point. Value iteration reads the float, the
+// tick-bounded DP the fixed point; validation, export, witnesses and the
+// rational DP that answers when fixed point cannot read the rational.
+// Every shipped model uses two values, 1/2 and 1; a 257th distinct value
+// is an error (ErrTooManyProbabilities).
 //
 // Parallelism. The sparse solvers sweep states with per-worker contiguous
 // row ranges (parallelFor). Determinism for any worker count is by
@@ -35,6 +37,7 @@ package mdp
 // worker sweeps or sixteen do.
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -69,14 +72,14 @@ func (b bitset) count() int {
 // memoized behind sync.Once.
 type CSR struct {
 	n         int
-	choiceRow []int32    // len n+1; choices of state s
-	branchRow []int32    // len NumChoices()+1; branches of choice c
-	col       []int32    // branch targets
-	pf        []float64  // branch probabilities, float64
-	pr        []prob.Rat // branch probabilities, exact
-	tick      bitset     // per choice
-	labelID   []int32    // per choice, index into labels
-	labels    []string   // interned choice labels, first-seen order
+	choiceRow []int32   // len n+1; choices of state s
+	branchRow []int32   // len NumChoices()+1; branches of choice c
+	col       []int32   // branch targets
+	pi        []uint8   // branch probabilities, as indices into probs
+	probs     probTable // each distinct branch probability once
+	tick      bitset    // per choice
+	labelID   []int32   // per choice, index into labels
+	labels    []string  // interned choice labels, first-seen order
 
 	// Non-tick level schedule (nil until first use; levelErr records a
 	// Zeno cycle instead). order lists every state grouped by level,
@@ -99,6 +102,43 @@ type CSR struct {
 	fixOK   bool
 }
 
+// maxProbs is the most distinct branch probabilities one CSR can hold:
+// a branch names its probability by a one-byte table index.
+const maxProbs = 1 << 8
+
+// ErrTooManyProbabilities reports an MDP whose branches use more distinct
+// probabilities than the CSR's one-byte probability index can name.
+var ErrTooManyProbabilities = errors.New("mdp: more than 256 distinct branch probabilities")
+
+// probTable holds each distinct branch probability of a CSR once, in
+// first-seen order.
+type probTable struct {
+	rat []prob.Rat // the exact value
+	f   []float64  // rat[i].Float64()
+	fix []uint64   // rat[i]·2^62, set by fixedPoint when it holds
+}
+
+// probEntryBytes is the resident size of one table entry: a prob.Rat
+// pointer, a float64 and a fixed-point word (the *big.Rat values are
+// shared with the model that produced them).
+const probEntryBytes = 8 + 8 + 8
+
+// index returns the entry of p, adding one when p is new. It reports
+// false when p is new and the table already holds maxProbs entries.
+func (t *probTable) index(p prob.Rat) (uint8, bool) {
+	for i, r := range t.rat {
+		if r.Equal(p) {
+			return uint8(i), true
+		}
+	}
+	if len(t.rat) == maxProbs {
+		return 0, false
+	}
+	t.rat = append(t.rat, p)
+	t.f = append(t.f, p.Float64())
+	return uint8(len(t.rat) - 1), true
+}
+
 // NumStates returns the number of states.
 func (c *CSR) NumStates() int { return c.n }
 
@@ -114,6 +154,9 @@ func (c *CSR) terminal(s int) bool { return c.choiceRow[s] == c.choiceRow[s+1] }
 // label returns the label of choice ci.
 func (c *CSR) label(ci int32) string { return c.labels[c.labelID[ci]] }
 
+// ratAt returns the exact probability of branch bi.
+func (c *CSR) ratAt(bi int32) prob.Rat { return c.probs.rat[c.pi[bi]] }
+
 // stateBranches returns the flat branch index range of state s: every
 // branch of every choice of s lives in branchLo..branchHi. This is the
 // zero-allocation replacement for the old successors() helper.
@@ -123,21 +166,25 @@ func (c *CSR) stateBranches(s int32) (lo, hi int32) {
 
 // MemFootprint estimates the resident bytes of the transition structure
 // (excluding memoized derivations): the quantity the exploration budget
-// accounts against.
+// accounts against. A branch costs its 4-byte target and its 1-byte
+// probability index; the probability table adds probEntryBytes per
+// distinct value.
 func (c *CSR) MemFootprint() int64 {
 	return int64(len(c.choiceRow))*4 +
 		int64(len(c.branchRow))*4 +
 		int64(len(c.labelID))*4 +
 		int64(len(c.tick))*8 +
 		int64(len(c.col))*4 +
-		int64(len(c.pf))*8 +
-		int64(len(c.pr))*8
+		int64(len(c.pi)) +
+		int64(len(c.probs.rat))*probEntryBytes
 }
 
-// csrFromChoices converts the slice-of-slices form into CSR. Labels are
-// interned in first-seen order, matching the explorer's interning so a
-// densely built MDP and an explored one produce identical structures.
-func csrFromChoices(n int, choices [][]Choice) *CSR {
+// csrFromChoices converts the slice-of-slices form into CSR. Labels and
+// probabilities are interned in first-seen order, matching the
+// explorer's interning so a densely built MDP and an explored one
+// produce identical structures. It fails only with
+// ErrTooManyProbabilities.
+func csrFromChoices(n int, choices [][]Choice) (*CSR, error) {
 	numChoices, numBranches := 0, 0
 	for _, cs := range choices {
 		numChoices += len(cs)
@@ -151,11 +198,13 @@ func csrFromChoices(n int, choices [][]Choice) *CSR {
 		for _, ch := range cs {
 			b.addChoice(ch.Label, ch.Tick)
 			for _, tr := range ch.Branches {
-				b.addBranch(int32(tr.To), tr.P)
+				if err := b.addBranch(int32(tr.To), tr.P); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
-	return b.finish()
+	return b.finish(), nil
 }
 
 // csrBuilder accumulates a CSR row by row. The explorer and the Choices
@@ -171,8 +220,7 @@ func newCSRBuilder(nStates, nChoices, nBranches int) *csrBuilder {
 			choiceRow: make([]int32, 1, nStates+1),
 			branchRow: make([]int32, 1, nChoices+1),
 			col:       make([]int32, 0, nBranches),
-			pf:        make([]float64, 0, nBranches),
-			pr:        make([]prob.Rat, 0, nBranches),
+			pi:        make([]uint8, 0, nBranches),
 			labelID:   make([]int32, 0, nChoices),
 		},
 		labelOf: make(map[string]int32),
@@ -204,12 +252,17 @@ func (b *csrBuilder) addChoice(label string, tick bool) {
 	b.c.choiceRow[len(b.c.choiceRow)-1]++
 }
 
-// addBranch appends a probabilistic branch to the current choice.
-func (b *csrBuilder) addBranch(to int32, p prob.Rat) {
+// addBranch appends a probabilistic branch to the current choice. It
+// fails when p would be the table's 257th distinct probability.
+func (b *csrBuilder) addBranch(to int32, p prob.Rat) error {
+	i, ok := b.c.probs.index(p)
+	if !ok {
+		return fmt.Errorf("%w: adding %v", ErrTooManyProbabilities, p)
+	}
 	b.c.col = append(b.c.col, to)
-	b.c.pf = append(b.c.pf, p.Float64())
-	b.c.pr = append(b.c.pr, p)
+	b.c.pi = append(b.c.pi, i)
 	b.c.branchRow[len(b.c.branchRow)-1]++
+	return nil
 }
 
 // finish seals the structure.
@@ -234,10 +287,11 @@ func (c *CSR) validate() error {
 				if to < 0 || int(to) >= c.n {
 					return fmt.Errorf("mdp: state %d choice %d targets out-of-range state %d", s, ci-c.choiceRow[s], to)
 				}
-				if c.pr[bi].Sign() <= 0 {
-					return fmt.Errorf("mdp: state %d choice %d has non-positive branch probability %v", s, ci-c.choiceRow[s], c.pr[bi])
+				p := c.ratAt(bi)
+				if p.Sign() <= 0 {
+					return fmt.Errorf("mdp: state %d choice %d has non-positive branch probability %v", s, ci-c.choiceRow[s], p)
 				}
-				total = total.Add(c.pr[bi])
+				total = total.Add(p)
 			}
 			if !total.IsOne() {
 				return fmt.Errorf("mdp: state %d choice %d branches sum to %v", s, ci-c.choiceRow[s], total)
@@ -462,39 +516,33 @@ func (c *CSR) buildNonTickLevels() ([]int32, []int32, error) {
 }
 
 // fixedPoint reports whether the tick-bounded solves may run on 62-bit
-// fixed point: every branch probability's float copy equals the exact
-// rational and is a multiple of 2^-62 in (0,1], and every choice's
+// fixed point: every probability in the table is a multiple of 2^-62 in
+// (0,1] whose float64 equals the rational, and every choice's
 // probabilities sum to exactly 2^62 (so no sum of exact products can
-// overflow). It is decided once per CSR and keeps no per-branch table:
-// the kernel rescales the float copy on the fly.
+// overflow). It is decided once per CSR; when it holds, probs.fix holds
+// each entry's fixed-point value for the kernel to read.
 func (c *CSR) fixedPoint() bool {
 	c.fixOnce.Do(func() { c.fixOK = c.buildFixedPoint() })
 	return c.fixOK
 }
 
 func (c *CSR) buildFixedPoint() bool {
-	// The rational of each distinct fixed-point value, built once.
-	exact := map[uint64]prob.Rat{fixOne: prob.One()}
+	fix := make([]uint64, len(c.probs.rat))
+	for i, r := range c.probs.rat {
+		f := c.probs.f[i]
+		if !(f > 0 && f <= 1) {
+			return false
+		}
+		q := uint64(f * (1 << fixBits))
+		if float64(q) != f*(1<<fixBits) || !r.Equal(prob.NewRat(int64(q), int64(fixOne))) {
+			return false
+		}
+		fix[i] = q
+	}
 	for ci := 0; ci < c.NumChoices(); ci++ {
 		var sum uint64
 		for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
-			f := c.pf[bi]
-			if !(f > 0 && f <= 1) {
-				return false
-			}
-			q := uint64(f * (1 << fixBits))
-			if float64(q) != f*(1<<fixBits) {
-				return false
-			}
-			r, ok := exact[q]
-			if !ok {
-				r = prob.NewRat(int64(q), int64(fixOne))
-				exact[q] = r
-			}
-			if !c.pr[bi].Equal(r) {
-				return false
-			}
-			if sum += q; sum > fixOne {
+			if sum += fix[c.pi[bi]]; sum > fixOne {
 				return false
 			}
 		}
@@ -502,6 +550,7 @@ func (c *CSR) buildFixedPoint() bool {
 			return false
 		}
 	}
+	c.probs.fix = fix
 	return true
 }
 
@@ -569,11 +618,8 @@ func (c *CSR) Equal(o *CSR) error {
 		if c.col[bi] != o.col[bi] {
 			return fmt.Errorf("csr: branch %d targets %d vs %d", bi, c.col[bi], o.col[bi])
 		}
-		if !c.pr[bi].Equal(o.pr[bi]) {
-			return fmt.Errorf("csr: branch %d probability %v vs %v", bi, c.pr[bi], o.pr[bi])
-		}
-		if c.pf[bi] != o.pf[bi] {
-			return fmt.Errorf("csr: branch %d float probability %v vs %v", bi, c.pf[bi], o.pf[bi])
+		if p, q := c.ratAt(int32(bi)), o.ratAt(int32(bi)); !p.Equal(q) {
+			return fmt.Errorf("csr: branch %d probability %v vs %v", bi, p, q)
 		}
 	}
 	return nil

@@ -65,7 +65,7 @@ func (m *MDP) WorstWitness(target []bool, horizon int, from int, maxLen int) ([]
 			}
 			v := prob.Zero()
 			for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
-				v = v.Add(c.pr[bi].Mul(layer[c.col[bi]]))
+				v = v.Add(c.ratAt(bi).Mul(layer[c.col[bi]]))
 			}
 			return v
 		}
@@ -98,7 +98,7 @@ func (m *MDP) WorstWitness(target []bool, horizon int, from int, maxLen int) ([]
 			Choice:     int(bestCI - cLo),
 			Action:     c.label(bestCI),
 			Next:       int(c.col[best]),
-			BranchProb: c.pr[best],
+			BranchProb: c.ratAt(best),
 		})
 		s = c.col[best]
 		if tick {

@@ -147,6 +147,7 @@ func (m *MDP) expectedTicks(target []bool, cfg VIConfig, maximize bool) ([]float
 	if !maximize {
 		worst = math.Inf(1)
 	}
+	pf := c.probs.f
 	return m.valueIterate(cfg, v, skip, func(s int32, nonTick, tick []float64) float64 {
 		best := worst
 		for ci := c.choiceRow[s]; ci < c.choiceRow[s+1]; ci++ {
@@ -157,7 +158,7 @@ func (m *MDP) expectedTicks(target []bool, cfg VIConfig, maximize bool) ([]float
 				layer = tick
 			}
 			for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
-				val += c.pf[bi] * layer[c.col[bi]]
+				val += pf[c.pi[bi]] * layer[c.col[bi]]
 			}
 			if maximize == (val > best) && val != best {
 				best = val
@@ -238,6 +239,7 @@ func (m *MDP) ReachUnboundedFloat(target []bool, goal Goal, cfg VIConfig) ([]flo
 		return nil, fmt.Errorf("mdp: unknown goal %d", goal)
 	}
 
+	pf := c.probs.f
 	return m.valueIterate(cfg, v, skip, func(s int32, nonTick, tick []float64) float64 {
 		cLo := c.choiceRow[s]
 		best := 0.0
@@ -248,7 +250,7 @@ func (m *MDP) ReachUnboundedFloat(target []bool, goal Goal, cfg VIConfig) ([]flo
 				layer = tick
 			}
 			for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
-				val += c.pf[bi] * layer[c.col[bi]]
+				val += pf[c.pi[bi]] * layer[c.col[bi]]
 			}
 			if ci == cLo || (goal == MinProb && val < best) || (goal == MaxProb && val > best) {
 				best = val

@@ -67,8 +67,10 @@ type ExploreOptions struct {
 	// worker per available CPU. Any value yields the identical MDP.
 	Workers int
 	// MemBudget bounds (approximately) the resident bytes of the interned
-	// states plus the CSR under construction; exploration past the bound
-	// fails with a *BudgetError. <= 0 means unlimited.
+	// states plus the CSR under construction, which costs about 4 bytes
+	// per state, 8 per choice and 5 per branch (a target and a one-byte
+	// probability index); exploration past the bound fails with a
+	// *BudgetError. <= 0 means unlimited.
 	MemBudget int64
 	// Limit bounds the number of states, mirroring FromAutomaton's limit
 	// argument; exploration past it fails with pa.ErrLimitExceeded.
@@ -88,7 +90,9 @@ func Explore[S comparable](auto *pa.Automaton[S], opts ExploreOptions) (*MDP, *I
 // itself. pack must be injective on the reachable states (the
 // sched.Packer contract); fixed-width keys keep the interning map's
 // hashing and equality to a few machine-word operations, which is where
-// exploration time goes at millions of states.
+// exploration time goes at millions of states. A model whose branches
+// use more distinct probabilities than the CSR can index fails with
+// ErrTooManyProbabilities.
 func ExplorePacked[S comparable, K comparable](auto *pa.Automaton[S], pack func(S) K, opts ExploreOptions) (*MDP, *Index[S], error) {
 	workers := resolveWorkers(opts.Workers)
 
@@ -197,7 +201,9 @@ func ExplorePacked[S comparable, K comparable](auto *pa.Automaton[S], pack func(
 					if err != nil {
 						return nil, nil, err
 					}
-					b.addBranch(id, o.Prob)
+					if err := b.addBranch(id, o.Prob); err != nil {
+						return nil, nil, fmt.Errorf("%w (action %q)", err, step.Action)
+					}
 				}
 			}
 		}
@@ -220,8 +226,9 @@ func ExplorePacked[S comparable, K comparable](auto *pa.Automaton[S], pack func(
 }
 
 // footprint estimates the builder's resident bytes mid-construction, for
-// the exploration budget (rationals carry one pointer per branch beyond
-// the shared *big.Rat values, counted like the finished CSR's arrays).
+// the exploration budget: the arrays' capacities, counted like the
+// finished CSR's MemFootprint (1 byte per branch for its probability
+// index, plus the probability table).
 func (b *csrBuilder) footprint() int64 {
 	c := b.c
 	return int64(cap(c.choiceRow))*4 +
@@ -229,6 +236,6 @@ func (b *csrBuilder) footprint() int64 {
 		int64(cap(c.labelID))*4 +
 		int64(cap(c.tick))*8 +
 		int64(cap(c.col))*4 +
-		int64(cap(c.pf))*8 +
-		int64(cap(c.pr))*8
+		int64(cap(c.pi)) +
+		int64(len(c.probs.rat))*probEntryBytes
 }

@@ -71,3 +71,95 @@ func TestExploreIndexOverflow(t *testing.T) {
 		})
 	}
 }
+
+// coinsAutomaton has one choice per coin j = 1..128 from state 0, each
+// moving to state 1 with probability j/512 and to state 2 otherwise, so
+// its branches use 256 distinct probabilities (j/512 and 1 - j/512 never
+// coincide for j ≤ 128); extra adds a point-mass choice, a 257th distinct
+// probability (1).
+func coinsAutomaton(t *testing.T, extra bool) *pa.Automaton[int] {
+	t.Helper()
+	var steps []pa.Step[int]
+	for j := 1; j <= 128; j++ {
+		d, err := prob.FlipRat(1, prob.NewRat(int64(j), 512), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps = append(steps, pa.Step[int]{Action: fmt.Sprintf("coin%d", j), Next: d})
+	}
+	if extra {
+		steps = append(steps, pa.Step[int]{Action: "stay", Next: prob.Point(1)})
+	}
+	return &pa.Automaton[int]{Start: []int{0}, Steps: func(s int) []pa.Step[int] {
+		if s != 0 {
+			return nil
+		}
+		return steps
+	}}
+}
+
+// TestTooManyProbabilities: a branch names its probability by a one-byte
+// index into the CSR's table, so an MDP may use 256 distinct branch
+// probabilities and the 257th is ErrTooManyProbabilities: from the
+// explorer, from FromAutomaton, and from Validate on a hand-built MDP.
+// At 256 the last table entries must answer correctly: the worst choice
+// for reaching state 2 is the last coin, whose 3/4 is entry 255.
+func TestTooManyProbabilities(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(*pa.Automaton[int]) (*MDP, error)
+	}{
+		{"ExplorePacked", func(a *pa.Automaton[int]) (*MDP, error) {
+			m, _, err := ExplorePacked(a, func(s int) int64 { return int64(s) }, ExploreOptions{Workers: 1})
+			return m, err
+		}},
+		{"FromAutomaton", func(a *pa.Automaton[int]) (*MDP, error) {
+			m, _, err := FromAutomaton(a, 0)
+			return m, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := tc.build(coinsAutomaton(t, false))
+			if err != nil {
+				t.Fatalf("256 distinct probabilities: %v", err)
+			}
+			if n := len(m.CSR().probs.rat); n != maxProbs {
+				t.Fatalf("probability table has %d entries, want %d", n, maxProbs)
+			}
+			if err := m.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			v, err := m.ReachWithinTicks(mask(3, 2), 0, MinProb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := prob.NewRat(3, 4); !v[0].Equal(want) {
+				t.Errorf("min P(reach 2) = %v, want %v", v[0], want)
+			}
+			if _, err := tc.build(coinsAutomaton(t, true)); !errors.Is(err, ErrTooManyProbabilities) {
+				t.Fatalf("257 distinct probabilities: err = %v, want ErrTooManyProbabilities", err)
+			}
+		})
+	}
+
+	t.Run("Validate", func(t *testing.T) {
+		hand := func(extra bool) *MDP {
+			m := &MDP{NumStates: 3, Choices: make([][]Choice, 3)}
+			for j := int64(1); j <= 128; j++ {
+				m.Choices[0] = append(m.Choices[0], Choice{Label: "coin", Branches: []Tr{
+					{To: 1, P: prob.NewRat(j, 512)}, {To: 2, P: prob.NewRat(512-j, 512)},
+				}})
+			}
+			if extra {
+				m.Choices[0] = append(m.Choices[0], moveTo("stay", 1))
+			}
+			return m
+		}
+		if err := hand(false).Validate(); err != nil {
+			t.Fatalf("256 distinct probabilities: %v", err)
+		}
+		if err := hand(true).Validate(); !errors.Is(err, ErrTooManyProbabilities) {
+			t.Fatalf("257 distinct probabilities: err = %v, want ErrTooManyProbabilities", err)
+		}
+	})
+}

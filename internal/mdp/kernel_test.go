@@ -155,6 +155,26 @@ func TestReachKernelsThirdCoin(t *testing.T) {
 	}
 }
 
+// TestReachKernelsOverfullChoice: every probability in the table is
+// dyadic, but one choice's branches sum to 5/4, so fixed-point sums
+// could pass 2^62. fixedPoint checks the per-choice sums and the
+// rationals answer. The MDP fails Validate; the solvers still run on it.
+func TestReachKernelsOverfullChoice(t *testing.T) {
+	m := &MDP{NumStates: 3, Choices: [][]Choice{
+		{{Label: "over", Tick: true, Branches: []Tr{{To: 1, P: prob.NewRat(3, 4)}, {To: 0, P: half}}}, moveTo("skip", 2)},
+		nil,
+		{tickCoin("flip", 1, 0)},
+	}}
+	if err := m.Validate(); err == nil {
+		t.Fatal("a choice summing to 5/4 passed Validate")
+	}
+	for _, k := range checkKernels(t, m, mask(3, 1), 6) {
+		if k != kernelRat {
+			t.Fatalf("kernel %d answered a model with a choice summing past 1, want the rational operator", k)
+		}
+	}
+}
+
 // TestReachKernelsFallbackMidSolve: on the geometric fair coin the value
 // within h ticks is 1 - 2^-h. Up to h = 62 it fits the fixed point; at
 // h = 63 a product drops a bit, and the solve reruns on rationals.

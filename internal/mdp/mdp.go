@@ -74,11 +74,19 @@ type MDP struct {
 
 // CSR returns the sparse transition structure of the MDP, converting the
 // Choices form on first call. The result is immutable and shared; callers
-// must not modify Choices after the first analysis.
+// must not modify Choices after the first analysis. On a hand-built MDP
+// that fails Validate, CSR or the analyses built on it may panic: a
+// branch target out of range panics in the first solve, and more
+// distinct branch probabilities than the CSR can index
+// (ErrTooManyProbabilities) panics here.
 func (m *MDP) CSR() *CSR {
 	m.csrOnce.Do(func() {
 		if m.csr == nil {
-			m.csr = csrFromChoices(m.NumStates, m.Choices)
+			csr, err := csrFromChoices(m.NumStates, m.Choices)
+			if err != nil {
+				panic(err)
+			}
+			m.csr = csr
 		}
 	})
 	return m.csr
@@ -87,8 +95,9 @@ func (m *MDP) CSR() *CSR {
 // workers resolves the Workers field to a concrete worker count.
 func (m *MDP) workers() int { return resolveWorkers(m.Workers) }
 
-// Validate checks structural invariants: branch targets in range and
-// branch probabilities summing to one per choice.
+// Validate checks structural invariants: branch targets in range, branch
+// probabilities summing to one per choice, and at most 256 distinct
+// branch probabilities across the MDP (ErrTooManyProbabilities).
 func (m *MDP) Validate() error {
 	if m.Choices == nil && m.csr != nil {
 		if m.NumStates != m.csr.n {
@@ -99,6 +108,7 @@ func (m *MDP) Validate() error {
 	if m.NumStates != len(m.Choices) {
 		return fmt.Errorf("mdp: NumStates %d != len(Choices) %d", m.NumStates, len(m.Choices))
 	}
+	var probs probTable
 	for s, choices := range m.Choices {
 		for ci, c := range choices {
 			total := prob.Zero()
@@ -108,6 +118,9 @@ func (m *MDP) Validate() error {
 				}
 				if tr.P.Sign() <= 0 {
 					return fmt.Errorf("mdp: state %d choice %d has non-positive branch probability %v", s, ci, tr.P)
+				}
+				if _, ok := probs.index(tr.P); !ok {
+					return fmt.Errorf("%w: state %d choice %d adds %v", ErrTooManyProbabilities, s, ci, tr.P)
 				}
 				total = total.Add(tr.P)
 			}
@@ -140,6 +153,10 @@ type Index[S comparable] struct {
 
 // Len returns the number of indexed states.
 func (ix *Index[S]) Len() int { return len(ix.states) }
+
+// States returns every indexed state in index order. The slice is the
+// index's own, not a copy: callers must not modify it.
+func (ix *Index[S]) States() []S { return ix.states }
 
 // State returns the automaton state with index i.
 func (ix *Index[S]) State(i int) S { return ix.states[i] }
@@ -185,7 +202,9 @@ var ErrBadDuration = errors.New("mdp: action duration must be 0 or 1")
 // FromAutomaton enumerates the reachable states of m (with pa.Reachable
 // semantics and the given limit) and converts its transition structure to
 // an MDP. Actions of duration one become tick choices; duration zero,
-// ordinary choices; any other duration is rejected.
+// ordinary choices; any other duration is rejected. The CSR form is built
+// up front, so a model with more distinct branch probabilities than the
+// CSR can index fails here with ErrTooManyProbabilities.
 func FromAutomaton[S comparable](m *pa.Automaton[S], limit int) (*MDP, *Index[S], error) {
 	states, err := m.Reachable(limit)
 	if err != nil {
@@ -227,5 +246,10 @@ func FromAutomaton[S comparable](m *pa.Automaton[S], limit int) (*MDP, *Index[S]
 		}
 		mm.Choices[i] = choices
 	}
+	csr, err := csrFromChoices(mm.NumStates, mm.Choices)
+	if err != nil {
+		return nil, nil, err
+	}
+	mm.csr = csr
 	return mm, ix, nil
 }

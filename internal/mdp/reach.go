@@ -215,7 +215,7 @@ func (c *CSR) ratState(s int32, target []bool, goal Goal, cur, prev []prob.Rat, 
 				layer = prev
 			}
 			for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
-				v = v.Add(c.pr[bi].Mul(layer[c.col[bi]]))
+				v = v.Add(c.ratAt(bi).Mul(layer[c.col[bi]]))
 			}
 		}
 		// A tick at an exhausted horizon contributes probability zero of
@@ -235,9 +235,10 @@ const (
 )
 
 // fixState is ratState on fixed-point values. A branch probability is
-// read from the float array (exact there when c.fixedPoint holds); each
-// product is a 128-bit bits.Mul64 rescaled by 2^-62, exact iff the low 62
-// bits are zero. It returns false when some product was not.
+// read from the table's fixed-point column (filled when c.fixedPoint
+// holds); each product is a 128-bit bits.Mul64 rescaled by 2^-62, exact
+// iff the low 62 bits are zero. It returns false when some product was
+// not.
 func (c *CSR) fixState(s int32, target []bool, goal Goal, cur, prev []uint64, ticksLeft bool) (uint64, bool) {
 	if target[s] {
 		return fixOne, true
@@ -246,6 +247,7 @@ func (c *CSR) fixState(s int32, target []bool, goal Goal, cur, prev []uint64, ti
 	if cLo == cHi {
 		return 0, true
 	}
+	fix := c.probs.fix
 	var best, dropped uint64
 	for ci := cLo; ci < cHi; ci++ {
 		var v uint64
@@ -256,7 +258,7 @@ func (c *CSR) fixState(s int32, target []bool, goal Goal, cur, prev []uint64, ti
 				layer = prev
 			}
 			for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
-				hi, lo := bits.Mul64(uint64(c.pf[bi]*(1<<fixBits)), layer[c.col[bi]])
+				hi, lo := bits.Mul64(fix[c.pi[bi]], layer[c.col[bi]])
 				dropped |= lo & fixFrac
 				v += hi<<(64-fixBits) | lo>>fixBits
 			}

@@ -242,7 +242,8 @@ func UnionSets[S comparable](sets ...StateSet[S]) StateSet[S] {
 	return core.Union(sets...)
 }
 
-// NewUniverse builds a universe from a state list.
+// NewUniverse builds a universe from a state list. The universe keeps
+// the slice itself, not a copy, so callers must not modify it afterwards.
 func NewUniverse[S comparable](states []S) *Universe[S] {
 	return core.NewUniverse(states)
 }

@@ -22,9 +22,9 @@
 #   trace-smoke simd local -trace-out | simtrace a traced run stopped emitting
 #                                                spans or simtrace lost the
 #                                                critical path
-#   mdp-smoke   lrcheck + dense-vs-CSR test      the on-the-fly explorer or a
-#               + kernel agreement test          parallel sparse solver diverging
-#                                                from the dense reference, or the
+#   mdp-smoke   lrcheck + explorer-vs-oracle     the on-the-fly explorer or a
+#               test + kernel agreement test     parallel sparse solver diverging
+#                                                from the test oracle, or the
 #                                                fixed-point kernel from rationals
 #   vuln        govulncheck (if installed)       known-vulnerable dependency use
 #
@@ -151,6 +151,7 @@ fmt:
 #   LoadCheckpointSet   hostile checkpoint bytes: ErrCorruptArtifact, never a panic
 #   ReadManifest        hostile manifest JSONL: ErrCorruptManifest, never a panic
 #   ReachKernels        random tick MDPs: fixed-point and rational answers are equal
+#   ExploreMatchesDense random automata: the explorer builds the test oracle's MDP
 fuzz:
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzRunOnceAdversarial -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzAliasPick -fuzztime=$(FUZZTIME)
@@ -158,6 +159,7 @@ fuzz:
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzLoadCheckpointSet -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/obs -run='^$$' -fuzz=FuzzReadManifest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzReachKernels -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzExploreMatchesDense -fuzztime=$(FUZZTIME)
 
 # Chaos packages: seeded fault/kill/corruption storms against the
 # artifact layer (in-process, injected filesystem faults) and the real
@@ -209,14 +211,15 @@ trace-smoke:
 
 # Exact-engine smoke: one end-to-end lrcheck run through the on-the-fly
 # CSR explorer and the parallel sparse solvers (all five arrows, the
-# composed claim, the expected-time sweep), the dense-vs-explored
-# agreement property on the election products, and the fixed-point vs
+# composed claim, the expected-time sweep), the explorer against the test
+# oracle (internal/mdp/oracle_test.go, which numbers states by
+# pa.Reachable) on the election products, and the fixed-point vs
 # rational kernel agreement on random tick MDPs. Seconds, so it gates
 # every check; the large-product runs live in the non-short tests and
 # EXPERIMENTS.md E22.
 mdp-smoke:
 	$(GO) run ./cmd/lrcheck -n 3 -k 1 -workers 2 >/dev/null && echo "mdp-smoke: lrcheck ok"
-	$(GO) test -run 'TestExploreMatchesDenseElection' -count=1 .
+	$(GO) test -run 'TestExploreMatchesDenseElection' -count=1 ./internal/mdp
 	$(GO) test -run 'TestReachKernels' -count=1 ./internal/mdp
 
 check: build vet test test-race bench-smoke chaos-smoke chaos-net-smoke fabric-smoke trace-smoke mdp-smoke vuln

@@ -6,8 +6,8 @@
 // the digitized Unit-Time product. The product is generated on the fly
 // into compressed-sparse-row form (sharing the Monte Carlo engine's
 // compiled transition cache) and solved by -workers parallel sweeps, so
-// sizes far beyond the dense enumerator's practical limit stay exact;
-// -mem-budget caps the resident transition structure.
+// products of millions of states stay exact; -mem-budget caps the
+// resident transition structure.
 //
 // With -sample, the exact analysis is cross-validated by dense-time Monte
 // Carlo: the requested number of election runs is sharded across a worker

@@ -48,7 +48,7 @@ func run(args []string) error {
 
 	analyses := make([]*dining.Analysis, len(configs))
 	for i, cfg := range configs {
-		a, err := dining.NewAnalysis(cfg.n, cfg.k, 0)
+		a, err := dining.NewAnalysisOpts(cfg.n, cfg.k, dining.Opts{})
 		if err != nil {
 			return err
 		}
@@ -197,7 +197,7 @@ func curveTable(a *dining.Analysis, horizon int) error {
 }
 
 func electionTable(n int) error {
-	a, err := election.NewAnalysis(n, 1, 0)
+	a, err := election.NewAnalysisOpts(n, 1, election.Opts{})
 	if err != nil {
 		return err
 	}

@@ -34,7 +34,7 @@ func TestAliasDefaultMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ix, err := mdp.FromAutomaton(auto, 0)
+	m, ix, err := mdp.Explore(auto, mdp.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func intTime(t prob.Rat) (int, error) {
 // set. The statement holds when that minimum is at least the claimed
 // probability.
 //
-// The model's MDP and state index are produced by mdp.FromAutomaton from a
+// The model's MDP and state index are produced by mdp.Explore from a
 // sched.Product automaton; the statement's schema is only recorded, not
 // interpreted — the digitization is fixed by the product.
 func CheckStatement[S comparable](m *mdp.MDP, ix *mdp.Index[S], st Statement[S]) (CheckResult[S], error) {

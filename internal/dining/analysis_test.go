@@ -17,9 +17,9 @@ var analysisN3 *Analysis
 func getAnalysisN3(t *testing.T) *Analysis {
 	t.Helper()
 	if analysisN3 == nil {
-		a, err := NewAnalysis(3, 1, 0)
+		a, err := NewAnalysisOpts(3, 1, Opts{})
 		if err != nil {
-			t.Fatalf("NewAnalysis: %v", err)
+			t.Fatalf("NewAnalysisOpts: %v", err)
 		}
 		analysisN3 = a
 	}

@@ -291,7 +291,7 @@ func CheckLemma(lemma Lemma, i, n, k int, baseStates []State) (LemmaResult, erro
 	if err != nil {
 		return res, err
 	}
-	m, ix, err := mdp.FromAutomaton(auto, 0)
+	m, ix, err := mdp.Explore(auto, mdp.ExploreOptions{})
 	if err != nil {
 		return res, err
 	}
@@ -329,7 +329,7 @@ func CheckLemma(lemma Lemma, i, n, k int, baseStates []State) (LemmaResult, erro
 // when nil.
 func CheckAppendix(n, k int, baseStates []State) ([]LemmaResult, error) {
 	if baseStates == nil {
-		a, err := NewAnalysis(n, k, 0)
+		a, err := NewAnalysisOpts(n, k, Opts{})
 		if err != nil {
 			return nil, err
 		}

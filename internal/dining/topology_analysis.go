@@ -23,8 +23,9 @@ type GeneralAnalysis struct {
 	Schema   core.SchemaInfo
 }
 
-// NewGeneralAnalysis enumerates the product of the topology under the
-// k-steps-per-window digitization.
+// NewGeneralAnalysis explores the product of the topology under the
+// k-steps-per-window digitization, with one explorer worker per CPU.
+// limit bounds the number of product states (<= 0 for unlimited).
 func NewGeneralAnalysis(t Topology, k, limit int) (*GeneralAnalysis, error) {
 	model, err := NewGeneral(t)
 	if err != nil {
@@ -34,7 +35,7 @@ func NewGeneralAnalysis(t Topology, k, limit int) (*GeneralAnalysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, ix, err := mdp.FromAutomaton(auto, limit)
+	m, ix, err := mdp.Explore(auto, mdp.ExploreOptions{Limit: limit})
 	if err != nil {
 		return nil, fmt.Errorf("dining: enumerating %s product: %w", t.Name, err)
 	}
@@ -77,7 +78,7 @@ func (a *GeneralAnalysis) ProgressCurve(maxHorizon int) ([]core.CurvePoint, erro
 // WorstExpectedTime computes the worst-case expected time from T to C.
 func (a *GeneralAnalysis) WorstExpectedTime() (float64, PState, error) {
 	target := a.Index.Mask(sched.LiftPred(InC))
-	values, err := a.MDP.MaxExpectedTicks(target, mdp.VIConfig{})
+	values, err := a.MDP.MaxExpectedTicks(target)
 	if err != nil {
 		return 0, PState{}, err
 	}

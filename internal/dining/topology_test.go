@@ -1,6 +1,7 @@
 package dining
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/prob"
@@ -134,6 +135,32 @@ func TestPathInvariantOverReachableStates(t *testing.T) {
 			t.Fatalf("invariant violated at %v", ps.Base)
 		}
 	}
+}
+
+// TestGeneralStepsConcurrent: NewGeneralAnalysis explores with one
+// worker per CPU, so the product's Steps runs on several goroutines at
+// once on frontiers of 2048 states or more. Under -race this pins that
+// GeneralModel's moves only read what construction built.
+func TestGeneralStepsConcurrent(t *testing.T) {
+	auto, err := sched.Product[State](MustNewGeneral(Path(3)), sched.Config{StepsPerWindow: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states, err := auto.Reachable(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, ps := range states {
+				auto.Steps(ps)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestPathProgress(t *testing.T) {

@@ -35,44 +35,18 @@ type Analysis struct {
 	levelsErr  error
 }
 
-// NewAnalysis enumerates the n-process protocol under the
-// k-steps-per-window digitization with the dense enumerator. For large
-// instances use NewAnalysisOpts, which explores on the fly into the
-// sparse form.
-func NewAnalysis(n, k, limit int) (*Analysis, error) {
-	model, err := New(n)
-	if err != nil {
-		return nil, err
-	}
-	auto, err := sched.Product[State](model, sched.Config{StepsPerWindow: k})
-	if err != nil {
-		return nil, err
-	}
-	m, ix, err := mdp.FromAutomaton(auto, limit)
-	if err != nil {
-		return nil, fmt.Errorf("election: enumerating product: %w", err)
-	}
-	return newAnalysis(n, k, model, m, ix), nil
-}
+// Opts configures the exploration of the product space: its state
+// limit, its worker count (which the solvers inherit) and its memory
+// budget.
+type Opts = mdp.ExploreOptions
 
-// Opts configures on-the-fly enumeration of the product space.
-type Opts struct {
-	// Limit bounds the number of product states (<= 0 for unlimited).
-	Limit int
-	// Workers sets the exploration and solver parallelism: 0 means one
-	// worker per CPU. Any value yields identical results.
-	Workers int
-	// MemBudget bounds the explorer's resident bytes (<= 0 for
-	// unlimited); exceeding it fails with *mdp.BudgetError.
-	MemBudget int64
-}
-
-// NewAnalysisOpts is NewAnalysis built by the on-the-fly CSR explorer:
-// the model is compiled so exploration shares the Monte Carlo engine's
+// NewAnalysisOpts explores the n-process product under the
+// k-steps-per-window digitization with the on-the-fly CSR explorer: the
+// model is compiled so exploration shares the Monte Carlo engine's
 // sharded transition cache, product states are interned by their packed
-// fingerprints, and the resulting MDP carries only the sparse form, with
-// every solver running opts.Workers wide. The state numbering — and
-// therefore every analysis result — is identical to NewAnalysis.
+// fingerprints, and every solver runs opts.Workers wide. State numbering
+// is pa.Reachable's breadth-first order, so every analysis result is the
+// same for any opts.Workers.
 func NewAnalysisOpts(n, k int, opts Opts) (*Analysis, error) {
 	model, err := New(n)
 	if err != nil {
@@ -86,16 +60,9 @@ func NewAnalysisOpts(n, k int, opts Opts) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	eo := mdp.ExploreOptions{Workers: opts.Workers, MemBudget: opts.MemBudget, Limit: opts.Limit}
-	var (
-		m  *mdp.MDP
-		ix *mdp.Index[PState]
-	)
-	if pack, ok := sched.ProductPacker[State](model); ok {
-		m, ix, err = mdp.ExplorePacked(auto, pack, eo)
-	} else {
-		m, ix, err = mdp.Explore(auto, eo)
-	}
+	// *Model implements sched.Packer (pack.go), so the packer exists.
+	pack, _ := sched.ProductPacker[State](model)
+	m, ix, err := mdp.ExplorePacked(auto, pack, opts)
 	if err != nil {
 		return nil, fmt.Errorf("election: exploring product: %w", err)
 	}
@@ -251,7 +218,7 @@ func (a *Analysis) ExpectedTimeBound() (prob.Rat, error) {
 // fresh start.
 func (a *Analysis) WorstExpectedTime() (float64, error) {
 	target := a.Index.Mask(sched.LiftPred(State.HasLeader))
-	values, err := a.MDP.MaxExpectedTicks(target, mdp.VIConfig{})
+	values, err := a.MDP.MaxExpectedTicks(target)
 	if err != nil {
 		return 0, err
 	}

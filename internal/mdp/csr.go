@@ -3,13 +3,8 @@ package mdp
 // This file is the sparse core of the exact engine: transitions stored in
 // compressed-sparse-row (CSR) form — flat int32 row-pointer/column arrays
 // plus a one-byte probability index per branch, one contiguous allocation
-// each — instead of the per-state Choices/Branches slice-of-slices the
-// package grew up with. Both representations coexist: MDPs hand-built
-// through the Choices field (tests, small models) are converted lazily by
-// MDP.CSR, while the on-the-fly explorer (explore.go) emits CSR directly
-// and never materializes Choices. Every analysis in the package runs on
-// the CSR form, so callers see identical results whichever way the MDP
-// was built.
+// each. The on-the-fly explorer (explore.go) emits it directly through
+// csrBuilder, and every analysis in the package runs on it.
 //
 // Layout. State s owns choices csr.choiceRow[s] : csr.choiceRow[s+1];
 // choice c owns branches csr.branchRow[c] : csr.branchRow[c+1]. Because
@@ -21,8 +16,8 @@ package mdp
 // table, which holds each distinct value once: as the exact prob.Rat, as
 // a float64 and, once fixedPoint has found every entry to be a multiple
 // of 2^-62, as 62-bit fixed point. Value iteration reads the float, the
-// tick-bounded DP the fixed point; validation, export, witnesses and the
-// rational DP that answers when fixed point cannot read the rational.
+// tick-bounded DP the fixed point; export, witnesses and the rational DP
+// that answers when fixed point cannot read the rational.
 // Every shipped model uses two values, 1/2 and 1; a 257th distinct value
 // is an error (ErrTooManyProbabilities).
 //
@@ -45,26 +40,12 @@ import (
 	"repro/internal/prob"
 )
 
-// bitset is a packed bool vector; the MEC decomposition and the tick
-// flags use it instead of map[int]bool / []bool for density and O(1)
-// clearing by word.
+// bitset is a packed bool vector: the per-choice tick flags, one bit
+// each.
 type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) get(i int32) bool { return b[uint32(i)>>6]&(1<<(uint32(i)&63)) != 0 }
 func (b bitset) set(i int32)      { b[uint32(i)>>6] |= 1 << (uint32(i) & 63) }
-func (b bitset) clear(i int32)    { b[uint32(i)>>6] &^= 1 << (uint32(i) & 63) }
-
-func (b bitset) count() int {
-	total := 0
-	for _, w := range b {
-		for ; w != 0; w &= w - 1 {
-			total++
-		}
-	}
-	return total
-}
 
 // CSR is the compressed-sparse-row transition structure of an MDP. All
 // slices are immutable after construction and shared freely across
@@ -179,50 +160,16 @@ func (c *CSR) MemFootprint() int64 {
 		int64(len(c.probs.rat))*probEntryBytes
 }
 
-// csrFromChoices converts the slice-of-slices form into CSR. Labels and
-// probabilities are interned in first-seen order, matching the
-// explorer's interning so a densely built MDP and an explored one
-// produce identical structures. It fails only with
-// ErrTooManyProbabilities.
-func csrFromChoices(n int, choices [][]Choice) (*CSR, error) {
-	numChoices, numBranches := 0, 0
-	for _, cs := range choices {
-		numChoices += len(cs)
-		for _, ch := range cs {
-			numBranches += len(ch.Branches)
-		}
-	}
-	b := newCSRBuilder(n, numChoices, numBranches)
-	for _, cs := range choices {
-		b.startState()
-		for _, ch := range cs {
-			b.addChoice(ch.Label, ch.Tick)
-			for _, tr := range ch.Branches {
-				if err := b.addBranch(int32(tr.To), tr.P); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return b.finish(), nil
-}
-
-// csrBuilder accumulates a CSR row by row. The explorer and the Choices
-// converter both drive it, guaranteeing one canonical construction order.
+// csrBuilder accumulates a CSR row by row, in the order the explorer
+// discovers states, choices and branches.
 type csrBuilder struct {
 	c       *CSR
 	labelOf map[string]int32
 }
 
-func newCSRBuilder(nStates, nChoices, nBranches int) *csrBuilder {
+func newCSRBuilder() *csrBuilder {
 	return &csrBuilder{
-		c: &CSR{
-			choiceRow: make([]int32, 1, nStates+1),
-			branchRow: make([]int32, 1, nChoices+1),
-			col:       make([]int32, 0, nBranches),
-			pi:        make([]uint8, 0, nBranches),
-			labelID:   make([]int32, 0, nChoices),
-		},
+		c:       &CSR{choiceRow: []int32{0}, branchRow: []int32{0}},
 		labelOf: make(map[string]int32),
 	}
 }
@@ -276,46 +223,13 @@ func (b *csrBuilder) finish() *CSR {
 	return c
 }
 
-// validate checks the CSR invariants mirrored from MDP.Validate: targets
-// in range and exact branch probabilities summing to one per choice.
-func (c *CSR) validate() error {
-	for s := 0; s < c.n; s++ {
-		for ci := c.choiceRow[s]; ci < c.choiceRow[s+1]; ci++ {
-			total := prob.Zero()
-			for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
-				to := c.col[bi]
-				if to < 0 || int(to) >= c.n {
-					return fmt.Errorf("mdp: state %d choice %d targets out-of-range state %d", s, ci-c.choiceRow[s], to)
-				}
-				p := c.ratAt(bi)
-				if p.Sign() <= 0 {
-					return fmt.Errorf("mdp: state %d choice %d has non-positive branch probability %v", s, ci-c.choiceRow[s], p)
-				}
-				total = total.Add(p)
-			}
-			if !total.IsOne() {
-				return fmt.Errorf("mdp: state %d choice %d branches sum to %v", s, ci-c.choiceRow[s], total)
-			}
-		}
-	}
-	return nil
-}
-
 // minGrain is the smallest per-sweep work size worth fanning out to
 // goroutines; below it the scheduling overhead dominates and the sweep
 // runs inline (results are identical either way — see the determinism
 // note at the top of the file). A variable so the determinism tests can
-// force the parallel path on small models via SetMinGrainForTest.
+// force the parallel path on small models (SetMinGrainForTest in
+// export_test.go).
 var minGrain = 2048
-
-// SetMinGrainForTest overrides the inline-sweep threshold and returns a
-// restore function. Test-only: the override is global, so callers must
-// not run overridden code in parallel with other tests' sweeps.
-func SetMinGrainForTest(g int) (restore func()) {
-	old := minGrain
-	minGrain = g
-	return func() { minGrain = old }
-}
 
 // resolveWorkers maps the MDP.Workers convention (0 = all cores) to a
 // concrete count.
@@ -579,48 +493,4 @@ func (c *CSR) reverse() ([]int32, []int32) {
 		c.revRow, c.revCol = row, colOut
 	})
 	return c.revRow, c.revCol
-}
-
-// Equal reports whether two CSR structures are identical: same states,
-// choices, branches, tick marks, labels, successor columns, and exact
-// branch probabilities, position for position. The dense-vs-explored
-// equality tests and the mdp smoke check rest on it: the on-the-fly
-// explorer must reproduce the dense enumerator's arrays exactly. It
-// returns nil on equality and a description of the first difference
-// otherwise.
-func (c *CSR) Equal(o *CSR) error {
-	if c.n != o.n {
-		return fmt.Errorf("csr: %d states != %d states", c.n, o.n)
-	}
-	if nc, no := c.NumChoices(), o.NumChoices(); nc != no {
-		return fmt.Errorf("csr: %d choices != %d choices", nc, no)
-	}
-	if nb, no := c.NumBranches(), o.NumBranches(); nb != no {
-		return fmt.Errorf("csr: %d branches != %d branches", nb, no)
-	}
-	for s := 0; s <= c.n; s++ {
-		if c.choiceRow[s] != o.choiceRow[s] {
-			return fmt.Errorf("csr: state %d starts at choice %d vs %d", s, c.choiceRow[s], o.choiceRow[s])
-		}
-	}
-	for ci := int32(0); int(ci) < c.NumChoices(); ci++ {
-		if c.branchRow[ci] != o.branchRow[ci] {
-			return fmt.Errorf("csr: choice %d starts at branch %d vs %d", ci, c.branchRow[ci], o.branchRow[ci])
-		}
-		if c.tick.get(ci) != o.tick.get(ci) {
-			return fmt.Errorf("csr: choice %d tick %v vs %v", ci, c.tick.get(ci), o.tick.get(ci))
-		}
-		if c.label(ci) != o.label(ci) {
-			return fmt.Errorf("csr: choice %d label %q vs %q", ci, c.label(ci), o.label(ci))
-		}
-	}
-	for bi := range c.col {
-		if c.col[bi] != o.col[bi] {
-			return fmt.Errorf("csr: branch %d targets %d vs %d", bi, c.col[bi], o.col[bi])
-		}
-		if p, q := c.ratAt(int32(bi)), o.ratAt(int32(bi)); !p.Equal(q) {
-			return fmt.Errorf("csr: branch %d probability %v vs %v", bi, p, q)
-		}
-	}
-	return nil
 }

@@ -8,10 +8,10 @@ import (
 
 func TestReachWithinTicksLayers(t *testing.T) {
 	// Geometric coin: layer h must equal 1 - 2^-h at state 0.
-	m := &MDP{NumStates: 2, Choices: [][]Choice{
+	m := hand([][]Choice{
 		{tickCoin("flip", 1, 0)},
 		nil,
-	}}
+	})
 	layers, err := m.ReachWithinTicksLayers(mask(2, 1), 5, MinProb)
 	if err != nil {
 		t.Fatal(err)
@@ -44,11 +44,11 @@ func TestWorstWitness(t *testing.T) {
 	// 0: adversary picks between a coin (reaches target half the time)
 	// and a safe delay loop... make delay lead to a dead end so min play
 	// is forced through the coin, and the damning branch is the miss.
-	m := &MDP{NumStates: 3, Choices: [][]Choice{
+	m := hand([][]Choice{
 		{tickCoin("flip", 1, 2)},
 		nil, // target
 		{tickTo("stuck", 2)},
-	}}
+	})
 	target := mask(3, 1)
 	steps, err := m.WorstWitness(target, 4, 0, 0)
 	if err != nil {
@@ -67,10 +67,10 @@ func TestWorstWitness(t *testing.T) {
 }
 
 func TestWorstWitnessStopsAtTarget(t *testing.T) {
-	m := &MDP{NumStates: 2, Choices: [][]Choice{
+	m := hand([][]Choice{
 		{tickTo("go", 1)},
 		nil,
-	}}
+	})
 	steps, err := m.WorstWitness(mask(2, 1), 3, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -91,10 +91,10 @@ func TestWorstWitnessStopsAtTarget(t *testing.T) {
 func TestWorstWitnessClockExpiry(t *testing.T) {
 	// The minimizing adversary's best move at budget 0 is to tick the
 	// clock out; the witness stops there.
-	m := &MDP{NumStates: 2, Choices: [][]Choice{
+	m := hand([][]Choice{
 		{tickTo("go", 1)},
 		nil,
-	}}
+	})
 	steps, err := m.WorstWitness(mask(2, 1), 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestWorstWitnessClockExpiry(t *testing.T) {
 }
 
 func TestWorstWitnessBadStart(t *testing.T) {
-	m := &MDP{NumStates: 1, Choices: [][]Choice{nil}}
+	m := hand([][]Choice{nil})
 	if _, err := m.WorstWitness(mask(1, 0), 1, 5, 0); err == nil {
 		t.Error("out-of-range start accepted")
 	}

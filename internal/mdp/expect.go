@@ -7,27 +7,15 @@ import (
 )
 
 // ErrNoConvergence is returned when value iteration fails to converge
-// within the configured iteration budget.
+// within viMaxIter sweeps.
 var ErrNoConvergence = errors.New("mdp: value iteration did not converge")
 
-// VIConfig configures floating-point value iteration.
-type VIConfig struct {
-	// Epsilon is the termination threshold on the max-norm difference of
-	// successive iterates. Zero means 1e-12.
-	Epsilon float64
-	// MaxIter caps the number of sweeps. Zero means 1_000_000.
-	MaxIter int
-}
-
-func (c VIConfig) withDefaults() VIConfig {
-	if c.Epsilon <= 0 {
-		c.Epsilon = 1e-12
-	}
-	if c.MaxIter <= 0 {
-		c.MaxIter = 1_000_000
-	}
-	return c
-}
+// Value iteration stops once the max-norm difference of two successive
+// iterates is at most viEpsilon, and gives up after viMaxIter sweeps.
+const (
+	viEpsilon = 1e-12
+	viMaxIter = 1_000_000
+)
 
 // sweepPlan is the deterministic schedule of one value-iteration sweep:
 // states grouped by non-tick level (csr.nonTickLevels), so that within a
@@ -62,15 +50,14 @@ func (c *CSR) sweepPlan() sweepPlan {
 // tick successors from tick (the two coincide under a Jacobi plan). skip
 // marks rows that stay pinned at their initial value (targets, states
 // pinned by qualitative precomputation, +Inf rows).
-func (m *MDP) valueIterate(cfg VIConfig, prev []float64, skip []bool,
+func (m *MDP) valueIterate(prev []float64, skip []bool,
 	eval func(s int32, nonTick, tick []float64) float64) ([]float64, error) {
-	cfg = cfg.withDefaults()
 	c := m.CSR()
 	workers := m.workers()
 	plan := c.sweepPlan()
 	cur := make([]float64, c.n)
 
-	for iter := 0; iter < cfg.MaxIter; iter++ {
+	for iter := 0; iter < viMaxIter; iter++ {
 		// Pinned and skipped rows carry over; updated rows overwrite below.
 		parallelFor(workers, c.n, func(w, a, b int) {
 			copy(cur[a:b], prev[a:b])
@@ -104,17 +91,17 @@ func (m *MDP) valueIterate(cfg VIConfig, prev []float64, skip []bool,
 			lo = hi
 		}
 		prev, cur = cur, prev
-		if delta <= cfg.Epsilon {
+		if delta <= viEpsilon {
 			return prev, nil
 		}
 	}
-	return nil, fmt.Errorf("%w after %d sweeps", ErrNoConvergence, cfg.MaxIter)
+	return nil, fmt.Errorf("%w after %d sweeps", ErrNoConvergence, viMaxIter)
 }
 
 // expectedTicks is the shared core of Max/MinExpectedTicks: optimize the
 // expected number of ticks to the target, with +Inf pinned on infinite
 // rows and the opt direction selected by maximize.
-func (m *MDP) expectedTicks(target []bool, cfg VIConfig, maximize bool) ([]float64, error) {
+func (m *MDP) expectedTicks(target []bool, maximize bool) ([]float64, error) {
 	if len(target) != m.NumStates {
 		return nil, fmt.Errorf("mdp: target mask has %d entries, want %d", len(target), m.NumStates)
 	}
@@ -148,7 +135,7 @@ func (m *MDP) expectedTicks(target []bool, cfg VIConfig, maximize bool) ([]float
 		worst = math.Inf(1)
 	}
 	pf := c.probs.f
-	return m.valueIterate(cfg, v, skip, func(s int32, nonTick, tick []float64) float64 {
+	return m.valueIterate(v, skip, func(s int32, nonTick, tick []float64) float64 {
 		best := worst
 		for ci := c.choiceRow[s]; ci < c.choiceRow[s+1]; ci++ {
 			val := 0.0
@@ -177,8 +164,8 @@ func (m *MDP) expectedTicks(target []bool, cfg VIConfig, maximize bool) ([]float
 // In the Lehmann–Rabin reproduction this is the worst-case expected time
 // for some process to enter the critical region, compared against the
 // paper's derived bound of 63 (Section 6.2).
-func (m *MDP) MaxExpectedTicks(target []bool, cfg VIConfig) ([]float64, error) {
-	return m.expectedTicks(target, cfg, true)
+func (m *MDP) MaxExpectedTicks(target []bool) ([]float64, error) {
+	return m.expectedTicks(target, true)
 }
 
 // MinExpectedTicks computes, for every state, the infimum over
@@ -191,71 +178,6 @@ func (m *MDP) MaxExpectedTicks(target []bool, cfg VIConfig) ([]float64, error) {
 // the target almost surely (true in particular when, as in the
 // Lehmann–Rabin product, every state has a strategy driving it to the
 // target with probability one).
-func (m *MDP) MinExpectedTicks(target []bool, cfg VIConfig) ([]float64, error) {
-	return m.expectedTicks(target, cfg, false)
-}
-
-// ReachUnboundedFloat computes, for every state, the optimal probability
-// of eventually reaching the target, by value iteration with qualitative
-// precomputation pinning the probability-0 and probability-1 states
-// exactly.
-func (m *MDP) ReachUnboundedFloat(target []bool, goal Goal, cfg VIConfig) ([]float64, error) {
-	if len(target) != m.NumStates {
-		return nil, fmt.Errorf("mdp: target mask has %d entries, want %d", len(target), m.NumStates)
-	}
-	c := m.CSR()
-
-	v := make([]float64, c.n)
-	skip := make([]bool, c.n)
-	switch goal {
-	case MinProb:
-		one := m.MinProbOne(target)
-		zero := m.Prob0E(target)
-		for s := range v {
-			switch {
-			case target[s] || one[s]:
-				v[s] = 1
-				skip[s] = true
-			case zero[s]:
-				skip[s] = true
-			case c.terminal(s):
-				skip[s] = true
-			}
-		}
-	case MaxProb:
-		pos := m.MaxProbPositive(target)
-		for s := range v {
-			switch {
-			case target[s]:
-				v[s] = 1
-				skip[s] = true
-			case !pos[s]:
-				skip[s] = true
-			case c.terminal(s):
-				skip[s] = true
-			}
-		}
-	default:
-		return nil, fmt.Errorf("mdp: unknown goal %d", goal)
-	}
-
-	pf := c.probs.f
-	return m.valueIterate(cfg, v, skip, func(s int32, nonTick, tick []float64) float64 {
-		cLo := c.choiceRow[s]
-		best := 0.0
-		for ci := cLo; ci < c.choiceRow[s+1]; ci++ {
-			val := 0.0
-			layer := nonTick
-			if c.tick.get(ci) {
-				layer = tick
-			}
-			for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
-				val += pf[c.pi[bi]] * layer[c.col[bi]]
-			}
-			if ci == cLo || (goal == MinProb && val < best) || (goal == MaxProb && val > best) {
-				best = val
-			}
-		}
-		return best
-	})
+func (m *MDP) MinExpectedTicks(target []bool) ([]float64, error) {
+	return m.expectedTicks(target, false)
 }

@@ -2,23 +2,23 @@ package mdp
 
 // On-the-fly state-space generation: Explore walks a probabilistic
 // automaton frontier by frontier and emits the CSR transition structure
-// directly, never materializing the per-state Choices slices the dense
-// FromAutomaton path builds. Callers with large models pair it with a
-// fixed-width packed state encoding (ExplorePacked) so the interning map
-// keys are a few machine words — the same trick the Monte Carlo engine's
-// compiled cache plays — and pass a sim.Compile'd model into
-// sched.Product so every Steps call during exploration hits the
-// simulator's 64-way-sharded transition cache instead of re-deriving
-// moves the trial engine already knows.
+// directly; it is how every MDP in the repository is built. Callers with
+// large models pair it with a fixed-width packed state encoding
+// (ExplorePacked) so the interning map keys are a few machine words —
+// the same trick the Monte Carlo engine's compiled cache plays — and
+// pass a sim.Compile'd model into sched.Product so every Steps call
+// during exploration hits the simulator's 64-way-sharded transition
+// cache instead of re-deriving moves the trial engine already knows.
 //
 // Determinism. Exploration is parallel but the state numbering is not a
 // function of scheduling: each BFS level's successor sets are computed by
 // workers on contiguous frontier chunks, then interned by a single
 // sequential merge that scans the per-state results in frontier order.
 // The numbering is therefore exactly the breadth-first discovery order of
-// pa.Automaton.Reachable — an explored MDP and a densely enumerated one
-// are structurally identical arrays, which is what the dense-vs-CSR
-// equality tests pin.
+// pa.Automaton.Reachable. The test oracle (oracle_test.go) numbers states
+// by calling pa.Reachable and builds the CSR from that list; the identity
+// tests and FuzzExploreMatchesDense pin the explorer's arrays to it,
+// position for position.
 
 import (
 	"errors"
@@ -64,7 +64,10 @@ func (e *BudgetError) Unwrap() error { return ErrMemBudget }
 // ExploreOptions configures on-the-fly exploration.
 type ExploreOptions struct {
 	// Workers sets the exploration and solver parallelism: 0 means one
-	// worker per available CPU. Any value yields the identical MDP.
+	// worker per available CPU. Any value yields the identical MDP. With
+	// more than one worker the automaton's Steps runs on several
+	// goroutines at once and must be safe for concurrent use; with one,
+	// Explore calls it on the calling goroutine only.
 	Workers int
 	// MemBudget bounds (approximately) the resident bytes of the interned
 	// states plus the CSR under construction, which costs about 4 bytes
@@ -72,16 +75,16 @@ type ExploreOptions struct {
 	// probability index); exploration past the bound fails with a
 	// *BudgetError. <= 0 means unlimited.
 	MemBudget int64
-	// Limit bounds the number of states, mirroring FromAutomaton's limit
-	// argument; exploration past it fails with pa.ErrLimitExceeded.
-	// <= 0 means unlimited.
+	// Limit bounds the number of states, as pa.Automaton.Reachable's
+	// limit does: the start states are always interned, and exploration
+	// that would intern a successor past the limit fails with
+	// pa.ErrLimitExceeded. <= 0 means unlimited.
 	Limit int
 }
 
 // Explore builds the MDP of auto's reachable space on the fly, interning
-// states by their own (comparable) value. The resulting MDP carries only
-// the CSR transition form (Choices stays nil); every analysis runs on it
-// unchanged. State numbering equals pa.Reachable discovery order.
+// states by their own (comparable) value. State numbering equals
+// pa.Reachable discovery order.
 func Explore[S comparable](auto *pa.Automaton[S], opts ExploreOptions) (*MDP, *Index[S], error) {
 	return ExplorePacked(auto, func(s S) S { return s }, opts)
 }
@@ -120,7 +123,7 @@ func ExplorePacked[S comparable, K comparable](auto *pa.Automaton[S], pack func(
 	var (
 		states []S
 		ids    = make(map[K]int32)
-		b      = newCSRBuilder(0, 0, 0)
+		b      = newCSRBuilder()
 	)
 	overflow := func(what string) error {
 		return fmt.Errorf("%w: more than %d %s", ErrIndexOverflow, maxIndex, what)

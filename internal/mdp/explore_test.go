@@ -3,6 +3,7 @@ package mdp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -100,66 +101,143 @@ func coinsAutomaton(t *testing.T, extra bool) *pa.Automaton[int] {
 
 // TestTooManyProbabilities: a branch names its probability by a one-byte
 // index into the CSR's table, so an MDP may use 256 distinct branch
-// probabilities and the 257th is ErrTooManyProbabilities: from the
-// explorer, from FromAutomaton, and from Validate on a hand-built MDP.
-// At 256 the last table entries must answer correctly: the worst choice
-// for reaching state 2 is the last coin, whose 3/4 is entry 255.
+// probabilities and the 257th is ErrTooManyProbabilities. At 256 the
+// last table entries must answer correctly: the worst choice for
+// reaching state 2 is the last coin, whose 3/4 is entry 255.
 func TestTooManyProbabilities(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		build func(*pa.Automaton[int]) (*MDP, error)
-	}{
-		{"ExplorePacked", func(a *pa.Automaton[int]) (*MDP, error) {
+	t.Run("ExplorePacked", func(t *testing.T) {
+		build := func(a *pa.Automaton[int]) (*MDP, error) {
 			m, _, err := ExplorePacked(a, func(s int) int64 { return int64(s) }, ExploreOptions{Workers: 1})
 			return m, err
-		}},
-		{"FromAutomaton", func(a *pa.Automaton[int]) (*MDP, error) {
-			m, _, err := FromAutomaton(a, 0)
-			return m, err
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m, err := tc.build(coinsAutomaton(t, false))
-			if err != nil {
-				t.Fatalf("256 distinct probabilities: %v", err)
-			}
-			if n := len(m.CSR().probs.rat); n != maxProbs {
-				t.Fatalf("probability table has %d entries, want %d", n, maxProbs)
-			}
-			if err := m.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			v, err := m.ReachWithinTicks(mask(3, 2), 0, MinProb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := prob.NewRat(3, 4); !v[0].Equal(want) {
-				t.Errorf("min P(reach 2) = %v, want %v", v[0], want)
-			}
-			if _, err := tc.build(coinsAutomaton(t, true)); !errors.Is(err, ErrTooManyProbabilities) {
-				t.Fatalf("257 distinct probabilities: err = %v, want ErrTooManyProbabilities", err)
-			}
-		})
-	}
-
-	t.Run("Validate", func(t *testing.T) {
-		hand := func(extra bool) *MDP {
-			m := &MDP{NumStates: 3, Choices: make([][]Choice, 3)}
-			for j := int64(1); j <= 128; j++ {
-				m.Choices[0] = append(m.Choices[0], Choice{Label: "coin", Branches: []Tr{
-					{To: 1, P: prob.NewRat(j, 512)}, {To: 2, P: prob.NewRat(512-j, 512)},
-				}})
-			}
-			if extra {
-				m.Choices[0] = append(m.Choices[0], moveTo("stay", 1))
-			}
-			return m
 		}
-		if err := hand(false).Validate(); err != nil {
+		m, err := build(coinsAutomaton(t, false))
+		if err != nil {
 			t.Fatalf("256 distinct probabilities: %v", err)
 		}
-		if err := hand(true).Validate(); !errors.Is(err, ErrTooManyProbabilities) {
+		if n := len(m.CSR().probs.rat); n != maxProbs {
+			t.Fatalf("probability table has %d entries, want %d", n, maxProbs)
+		}
+		v, err := m.ReachWithinTicks(mask(3, 2), 0, MinProb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := prob.NewRat(3, 4); !v[0].Equal(want) {
+			t.Errorf("min P(reach 2) = %v, want %v", v[0], want)
+		}
+		if _, err := build(coinsAutomaton(t, true)); !errors.Is(err, ErrTooManyProbabilities) {
 			t.Fatalf("257 distinct probabilities: err = %v, want ErrTooManyProbabilities", err)
+		}
+	})
+}
+
+// fuzzAutomaton decodes data into a small automaton over states 0..11:
+// one to three start states, up to three steps per state, each with one
+// to three outcomes over the probabilities {1, 1/2, 1/4, 3/4}, and
+// actions of duration 0 or 1. The steps are tabulated up front, so Steps
+// is a pure read and safe for concurrent use.
+func fuzzAutomaton(data []byte) *pa.Automaton[int] {
+	pick := func(n int) int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b) % n
+	}
+	q, h := prob.NewRat(1, 4), prob.Half()
+	dists := [][]prob.Rat{{prob.One()}, {h, h}, {q, prob.NewRat(3, 4)}, {q, q, h}}
+	n := 1 + pick(12)
+	actions := []string{"a", "b", "c", "d"}
+	tick := make(map[string]bool, len(actions))
+	for _, a := range actions {
+		tick[a] = pick(2) == 1
+	}
+	start := make([]int, 1+pick(3))
+	for i := range start {
+		start[i] = pick(n)
+	}
+	table := make([][]pa.Step[int], n)
+	for s := range table {
+		for range pick(4) {
+			ps := dists[pick(len(dists))]
+			outs := make([]prob.Outcome[int], len(ps))
+			for i, p := range ps {
+				outs[i] = prob.Outcome[int]{Value: pick(n), Prob: p}
+			}
+			table[s] = append(table[s], pa.Step[int]{
+				Action: actions[pick(len(actions))],
+				Next:   prob.MustDist(outs...),
+			})
+		}
+	}
+	return &pa.Automaton[int]{
+		Name:  "fuzz",
+		Start: start,
+		Steps: func(s int) []pa.Step[int] { return table[s] },
+		Duration: func(a string) prob.Rat {
+			if tick[a] {
+				return prob.One()
+			}
+			return prob.Zero()
+		},
+	}
+}
+
+// FuzzExploreMatchesDense: on any small automaton, Explore at one and two
+// workers (with the parallel grain forced to 1) must number states as the
+// oracle does, in pa.Reachable's order, and build the oracle's CSR. Both
+// builders must also agree on the state limit: at the state count both
+// succeed, and one below it both fail with pa.ErrLimitExceeded, unless
+// every state is a start state, which no limit refuses.
+func FuzzExploreMatchesDense(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 1, 0, 1, 0, 2, 0, 1, 2, 1, 3, 0, 2, 0, 1, 2, 3})
+	f.Add([]byte{11, 0, 1, 1, 0, 2, 5, 0, 3, 3, 1, 4, 2, 7, 9, 1, 3, 0, 2, 2, 6, 8, 10, 3, 1, 1, 11})
+	f.Add([]byte{2, 1, 1, 1, 1, 2, 0, 1, 3, 1, 0, 0, 0, 0})
+	defer SetMinGrainForTest(1)()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		auto := fuzzAutomaton(data)
+		dense, dIx, err := fromAutomaton(auto, 0)
+		if err != nil {
+			t.Fatalf("oracle: %v", err)
+		}
+		for _, workers := range []int{1, 2} {
+			m, ix, err := Explore(auto, ExploreOptions{Workers: workers})
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if !slices.Equal(ix.States(), dIx.States()) {
+				t.Fatalf("workers=%d: explored order %v, oracle %v", workers, ix.States(), dIx.States())
+			}
+			if err := equalCSR(dense.CSR(), m.CSR()); err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+		}
+
+		states := dIx.Len()
+		if _, _, err := fromAutomaton(auto, states); err != nil {
+			t.Fatalf("oracle at limit %d: %v", states, err)
+		}
+		if _, _, err := Explore(auto, ExploreOptions{Workers: 1, Limit: states}); err != nil {
+			t.Fatalf("Explore at limit %d: %v", states, err)
+		}
+		if states < 2 {
+			return
+		}
+		starts := make(map[int]bool)
+		for _, s := range auto.Start {
+			starts[s] = true
+		}
+		_, _, dErr := fromAutomaton(auto, states-1)
+		_, _, eErr := Explore(auto, ExploreOptions{Workers: 1, Limit: states - 1})
+		if len(starts) == states {
+			if dErr != nil || eErr != nil {
+				t.Fatalf("only start states, limit %d: oracle %v, Explore %v", states-1, dErr, eErr)
+			}
+			return
+		}
+		if !errors.Is(dErr, pa.ErrLimitExceeded) || !errors.Is(eErr, pa.ErrLimitExceeded) {
+			t.Fatalf("limit %d of %d states: oracle %v, Explore %v; want pa.ErrLimitExceeded", states-1, states, dErr, eErr)
 		}
 	})
 }

@@ -4,8 +4,27 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/pa"
 	"repro/internal/prob"
 )
+
+// DenseFromAutomaton and EqualCSR expose the test oracle (oracle_test.go)
+// to the identity tests in package mdp_test.
+func DenseFromAutomaton[S comparable](m *pa.Automaton[S], limit int) (*MDP, *Index[S], error) {
+	return fromAutomaton(m, limit)
+}
+
+func EqualCSR(c, o *CSR) error { return equalCSR(c, o) }
+
+// SetMinGrainForTest overrides the inline-sweep threshold and returns a
+// restore function, so the determinism tests take the parallel path on
+// small models. The override is global: callers must not run overridden
+// code in parallel with other tests' sweeps.
+func SetMinGrainForTest(g int) (restore func()) {
+	old := minGrain
+	minGrain = g
+	return func() { minGrain = old }
+}
 
 // Test hooks into the tick-bounded solve: reachKernel reports which
 // operator answers a ReachWithinTicks call, reachRat gives the rational
@@ -33,11 +52,11 @@ func SetMaxIndexForTest(n int) (restore func()) {
 }
 
 func exportFixture() *MDP {
-	return &MDP{NumStates: 3, Choices: [][]Choice{
+	return hand([][]Choice{
 		{tickCoin("flip", 1, 2), moveTo("skip", 2)},
 		nil,
 		{tickTo("retry", 0)},
-	}}
+	})
 }
 
 func TestExportTra(t *testing.T) {

@@ -1,13 +1,13 @@
-// Dense-vs-sparse identity of the exact engine. The on-the-fly explorer
-// (mdp.Explore / mdp.ExplorePacked) must be a pure scalability change:
-// for every model the explored MDP is structurally identical — the same
-// CSR arrays, position for position — to the densely enumerated one, and
-// every solver returns the same answers on both. The solvers themselves
-// must be deterministic in the worker count: parallel sweeps are
-// bit-identical whether one goroutine sweeps or eight do (run under
-// -race by make test-race, which also exercises the data-sharing
-// discipline of the level schedule).
-package timedpa_test
+// The explorer against the test oracle. The on-the-fly explorer
+// (mdp.Explore / mdp.ExplorePacked) builds every MDP; for every model the
+// explored MDP must be structurally identical — the same CSR arrays,
+// position for position — to the one the dense oracle (oracle_test.go)
+// builds from pa.Reachable's state list, and every solver returns the
+// same answers on both. The solvers themselves must be deterministic in
+// the worker count: parallel sweeps are bit-identical whether one
+// goroutine sweeps or eight do (run under -race by make test-race, which
+// also exercises the data-sharing discipline of the level schedule).
+package mdp_test
 
 import (
 	"errors"
@@ -25,7 +25,7 @@ import (
 )
 
 // exploreProduct builds the digitized product of a model both ways:
-// densely via FromAutomaton and on the fly via ExplorePacked (with the
+// densely via the oracle and on the fly via ExplorePacked (with the
 // compiled-model cache, as the analysis constructors do).
 func exploreProduct[S comparable](t *testing.T, model sched.Model[S], k int, opts mdp.ExploreOptions) (dense, explored *mdp.MDP, dIx, eIx *mdp.Index[sched.State[S]]) {
 	t.Helper()
@@ -33,7 +33,7 @@ func exploreProduct[S comparable](t *testing.T, model sched.Model[S], k int, opt
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, dIx, err = mdp.FromAutomaton(auto, 0)
+	dense, dIx, err = mdp.DenseFromAutomaton(auto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func requireSameMDP[S comparable](t *testing.T, dense, explored *mdp.MDP, dIx, e
 			t.Fatalf("state %d: dense %v != explored %v", i, dIx.State(i), eIx.State(i))
 		}
 	}
-	if err := dense.CSR().Equal(explored.CSR()); err != nil {
+	if err := mdp.EqualCSR(dense.CSR(), explored.CSR()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -98,11 +98,11 @@ func requireSolverAgreement(t *testing.T, dense, explored *mdp.MDP, target []boo
 		}
 	}
 
-	dt, err := dense.MaxExpectedTicks(target, mdp.VIConfig{})
+	dt, err := dense.MaxExpectedTicks(target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	et, err := explored.MaxExpectedTicks(target, mdp.VIConfig{})
+	et, err := explored.MaxExpectedTicks(target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,70 +161,10 @@ func TestExploreMatchesDenseConsensus(t *testing.T) {
 	requireSolverAgreement(t, dense, explored, target, 6)
 }
 
-// TestAnalysisOptsMatchesDense pins the user-facing constructors: the
-// explorer-backed analyses must compute the paper's headline quantities
-// identically to the dense ones.
-func TestAnalysisOptsMatchesDense(t *testing.T) {
-	ad, err := dining.NewAnalysis(3, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ae, err := dining.NewAnalysisOpts(3, 1, dining.Opts{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ad.MDP.CSR().Equal(ae.MDP.CSR()); err != nil {
-		t.Fatal(err)
-	}
-	wd := ad.ComposedStatement()
-	we := ae.ComposedStatement()
-	rd, err := ad.CheckPaperChain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := ae.CheckPaperChain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rd) != len(re) {
-		t.Fatalf("check results: %d vs %d", len(rd), len(re))
-	}
-	for i := range rd {
-		if rd[i].Holds != re[i].Holds || !rd[i].WorstProb.Equal(re[i].WorstProb) {
-			t.Fatalf("arrow %d: dense (%v, %v) vs explored (%v, %v)", i, rd[i].Holds, rd[i].WorstProb, re[i].Holds, re[i].WorstProb)
-		}
-	}
-	if !wd.Prob.Equal(we.Prob) || !wd.Time.Equal(we.Time) {
-		t.Fatalf("composed statement differs: %v vs %v", wd, we)
-	}
-
-	ed, err := election.NewAnalysis(3, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ee, err := election.NewAnalysisOpts(3, 1, election.Opts{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ed.MDP.CSR().Equal(ee.MDP.CSR()); err != nil {
-		t.Fatal(err)
-	}
-	xd, err := ed.WorstExpectedTime()
-	if err != nil {
-		t.Fatal(err)
-	}
-	xe, err := ee.WorstExpectedTime()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(xd-xe) > 1e-9 {
-		t.Fatalf("worst expected time: dense %v vs explored %v", xd, xe)
-	}
-}
-
 // TestExploreLimitAndBudget pins the two failure modes: the state limit
-// mirrors FromAutomaton's pa.ErrLimitExceeded, and the byte budget fails
-// with a typed *mdp.BudgetError carrying the footprint reached.
+// fails with pa.ErrLimitExceeded, as pa.Reachable's does, and the byte
+// budget fails with a typed *mdp.BudgetError carrying the footprint
+// reached.
 func TestExploreLimitAndBudget(t *testing.T) {
 	model := election.MustNew(3)
 	auto, err := sched.Product[election.State](model, sched.Config{StepsPerWindow: 1})
@@ -278,7 +218,7 @@ func TestParallelSweepDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tv, err := m.MDP.MaxExpectedTicks(target, mdp.VIConfig{})
+		tv, err := m.MDP.MaxExpectedTicks(target)
 		if err != nil {
 			t.Fatal(err)
 		}

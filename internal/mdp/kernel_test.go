@@ -39,7 +39,7 @@ var (
 // DAG; a tick may move anywhere.
 func buildTickMDP(pick func(n int) int, dists [][]prob.Rat) (*MDP, []bool) {
 	n := 2 + pick(7)
-	m := &MDP{NumStates: n, Choices: make([][]Choice, n)}
+	choices := make([][]Choice, n)
 	target := make([]bool, n)
 	for s := 0; s < n; s++ {
 		target[s] = pick(4) == 0
@@ -53,10 +53,10 @@ func buildTickMDP(pick func(n int) int, dists [][]prob.Rat) (*MDP, []bool) {
 				}
 				ch.Branches = append(ch.Branches, Tr{To: to, P: p})
 			}
-			m.Choices[s] = append(m.Choices[s], ch)
+			choices[s] = append(choices[s], ch)
 		}
 	}
-	return m, target
+	return hand(choices), target
 }
 
 // checkKernels requires ReachWithinTicks at every horizon 0..horizon and
@@ -112,9 +112,6 @@ func TestReachKernelsAgree(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m, target := buildTickMDP(rng.Intn, dyadicDists)
-		if err := m.Validate(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
 		for _, workers := range []int{1, 2, 8} {
 			m.Workers = workers
 			for _, k := range checkKernels(t, m, target, 12) {
@@ -135,11 +132,11 @@ func TestReachKernelsAgree(t *testing.T) {
 // TestReachKernelsThirdCoin: a 1/3 coin is not a multiple of 2^-62, so
 // the fixed-point kernel is never taken and the rationals answer.
 func TestReachKernelsThirdCoin(t *testing.T) {
-	m := &MDP{NumStates: 3, Choices: [][]Choice{
+	m := hand([][]Choice{
 		{{Label: "roll", Tick: true, Branches: []Tr{{To: 1, P: third}, {To: 0, P: prob.NewRat(2, 3)}}}, moveTo("skip", 2)},
 		nil,
 		{tickCoin("flip", 1, 0)},
-	}}
+	})
 	target := mask(3, 1)
 	for _, k := range checkKernels(t, m, target, 6) {
 		if k != kernelRat {
@@ -158,16 +155,14 @@ func TestReachKernelsThirdCoin(t *testing.T) {
 // TestReachKernelsOverfullChoice: every probability in the table is
 // dyadic, but one choice's branches sum to 5/4, so fixed-point sums
 // could pass 2^62. fixedPoint checks the per-choice sums and the
-// rationals answer. The MDP fails Validate; the solvers still run on it.
+// rationals answer. The MDP is invalid on purpose; the solvers still run
+// on it.
 func TestReachKernelsOverfullChoice(t *testing.T) {
-	m := &MDP{NumStates: 3, Choices: [][]Choice{
+	m := hand([][]Choice{
 		{{Label: "over", Tick: true, Branches: []Tr{{To: 1, P: prob.NewRat(3, 4)}, {To: 0, P: half}}}, moveTo("skip", 2)},
 		nil,
 		{tickCoin("flip", 1, 0)},
-	}}
-	if err := m.Validate(); err == nil {
-		t.Fatal("a choice summing to 5/4 passed Validate")
-	}
+	})
 	for _, k := range checkKernels(t, m, mask(3, 1), 6) {
 		if k != kernelRat {
 			t.Fatalf("kernel %d answered a model with a choice summing past 1, want the rational operator", k)
@@ -179,10 +174,10 @@ func TestReachKernelsOverfullChoice(t *testing.T) {
 // within h ticks is 1 - 2^-h. Up to h = 62 it fits the fixed point; at
 // h = 63 a product drops a bit, and the solve reruns on rationals.
 func TestReachKernelsFallbackMidSolve(t *testing.T) {
-	m := &MDP{NumStates: 2, Choices: [][]Choice{
+	m := hand([][]Choice{
 		{tickCoin("flip", 1, 0)},
 		nil,
-	}}
+	})
 	target := mask(2, 1)
 	for _, tc := range []struct {
 		horizon int
@@ -231,13 +226,9 @@ func FuzzReachKernels(f *testing.F) {
 		m.Workers = 1 + pick(3)
 		horizon := pick(13)
 		dyadic := true
-		for _, cs := range m.Choices {
-			for _, ch := range cs {
-				for _, br := range ch.Branches {
-					if br.P.Equal(third) {
-						dyadic = false
-					}
-				}
+		for _, p := range m.CSR().probs.rat {
+			if p.Equal(third) {
+				dyadic = false
 			}
 		}
 		for _, k := range checkKernels(t, m, target, horizon) {

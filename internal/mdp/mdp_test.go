@@ -36,65 +36,13 @@ func tickCoin(label string, a, b int) Choice {
 	}}
 }
 
-func TestValidate(t *testing.T) {
-	tests := []struct {
-		name    string
-		m       *MDP
-		wantErr bool
-	}{
-		{
-			name: "valid",
-			m: &MDP{NumStates: 2, Choices: [][]Choice{
-				{tickCoin("flip", 0, 1)},
-				nil,
-			}},
-		},
-		{
-			name:    "shape mismatch",
-			m:       &MDP{NumStates: 3, Choices: make([][]Choice, 2)},
-			wantErr: true,
-		},
-		{
-			name: "target out of range",
-			m: &MDP{NumStates: 1, Choices: [][]Choice{
-				{moveTo("bad", 5)},
-			}},
-			wantErr: true,
-		},
-		{
-			name: "bad distribution",
-			m: &MDP{NumStates: 2, Choices: [][]Choice{
-				{{Label: "half", Branches: []Tr{{To: 1, P: prob.Half()}}}},
-				nil,
-			}},
-			wantErr: true,
-		},
-		{
-			name: "zero probability branch",
-			m: &MDP{NumStates: 2, Choices: [][]Choice{
-				{{Label: "z", Branches: []Tr{{To: 1, P: prob.One()}, {To: 0, P: prob.Zero()}}}},
-				nil,
-			}},
-			wantErr: true,
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			err := tt.m.Validate()
-			if (err != nil) != tt.wantErr {
-				t.Errorf("Validate = %v, wantErr %t", err, tt.wantErr)
-			}
-		})
-	}
-}
-
 func TestReachWithinTicksChain(t *testing.T) {
 	// 0 -tick-> 1 -tick-> 2 (target, absorbing).
-	m := &MDP{NumStates: 3, Choices: [][]Choice{
+	m := hand([][]Choice{
 		{tickTo("a", 1)},
 		{tickTo("b", 2)},
 		nil,
-	}}
+	})
 	target := mask(3, 2)
 	tests := []struct {
 		horizon int
@@ -120,11 +68,11 @@ func TestReachWithinTicksChain(t *testing.T) {
 
 func TestReachWithinTicksChoice(t *testing.T) {
 	// From 0 the adversary picks: tick to target 1, or tick to sink 2.
-	m := &MDP{NumStates: 3, Choices: [][]Choice{
+	m := hand([][]Choice{
 		{tickTo("good", 1), tickTo("bad", 2)},
 		nil,
 		{tickTo("stay", 2)},
-	}}
+	})
 	target := mask(3, 1)
 
 	vMin, err := m.ReachWithinTicks(target, 10, MinProb)
@@ -145,10 +93,10 @@ func TestReachWithinTicksChoice(t *testing.T) {
 
 func TestReachWithinTicksGeometric(t *testing.T) {
 	// Each tick flips a fair coin: target 1 or retry 0.
-	m := &MDP{NumStates: 2, Choices: [][]Choice{
+	m := hand([][]Choice{
 		{tickCoin("flip", 1, 0)},
 		nil,
-	}}
+	})
 	target := mask(2, 1)
 	for h, want := range map[int]prob.Rat{
 		0: prob.Zero(),
@@ -169,11 +117,11 @@ func TestReachWithinTicksGeometric(t *testing.T) {
 func TestReachWithinTicksZeroDurationTail(t *testing.T) {
 	// A zero-duration move after the last tick still counts as within the
 	// bound: 0 -tick-> 1 -move-> 2 (target) is reachable within 1 tick.
-	m := &MDP{NumStates: 3, Choices: [][]Choice{
+	m := hand([][]Choice{
 		{tickTo("t", 1)},
 		{moveTo("m", 2)},
 		nil,
-	}}
+	})
 	target := mask(3, 2)
 	v, err := m.ReachWithinTicks(target, 1, MinProb)
 	if err != nil {
@@ -197,10 +145,10 @@ func TestReachWithinTicksMinPrefersLateTick(t *testing.T) {
 	// remaining obligation: state 0 chooses a zero-duration move into the
 	// target or a tick into the target. At horizon 0, ticking exceeds the
 	// deadline so min picks it; max picks the free move.
-	m := &MDP{NumStates: 2, Choices: [][]Choice{
+	m := hand([][]Choice{
 		{moveTo("now", 1), tickTo("later", 1)},
 		nil,
-	}}
+	})
 	target := mask(2, 1)
 	vMin, err := m.ReachWithinTicks(target, 0, MinProb)
 	if err != nil {
@@ -219,10 +167,10 @@ func TestReachWithinTicksMinPrefersLateTick(t *testing.T) {
 }
 
 func TestReachWithinTicksZenoCycle(t *testing.T) {
-	m := &MDP{NumStates: 2, Choices: [][]Choice{
+	m := hand([][]Choice{
 		{moveTo("spin", 0), tickTo("t", 1)},
 		nil,
-	}}
+	})
 	_, err := m.ReachWithinTicks(mask(2, 1), 3, MinProb)
 	if !errors.Is(err, ErrZenoCycle) {
 		t.Errorf("err = %v, want ErrZenoCycle", err)
@@ -230,7 +178,7 @@ func TestReachWithinTicksZenoCycle(t *testing.T) {
 }
 
 func TestReachWithinTicksBadInput(t *testing.T) {
-	m := &MDP{NumStates: 1, Choices: [][]Choice{nil}}
+	m := hand([][]Choice{nil})
 	if _, err := m.ReachWithinTicks(mask(2, 0), 1, MinProb); err == nil {
 		t.Error("mismatched mask accepted")
 	}
@@ -254,7 +202,7 @@ func TestOptAt(t *testing.T) {
 	}
 }
 
-func TestFromAutomaton(t *testing.T) {
+func TestExploreTimedCoin(t *testing.T) {
 	// Timed automaton: 0 -tick-> coin: heads(1) absorbing target, tails
 	// back to 0; plus a zero-duration reset choice 0 -> 0? (skipped: keep
 	// it acyclic on non-tick edges).
@@ -276,12 +224,9 @@ func TestFromAutomaton(t *testing.T) {
 			return prob.Zero()
 		},
 	}
-	m, ix, err := FromAutomaton(auto, 0)
+	m, ix, err := Explore(auto, ExploreOptions{})
 	if err != nil {
-		t.Fatalf("FromAutomaton: %v", err)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+		t.Fatalf("Explore: %v", err)
 	}
 	if ix.Len() != 2 {
 		t.Fatalf("indexed %d states, want 2", ix.Len())
@@ -293,7 +238,7 @@ func TestFromAutomaton(t *testing.T) {
 	if got := ix.State(id0); got != 0 {
 		t.Errorf("State(ID(0)) = %d, want 0", got)
 	}
-	if !m.Choices[id0][0].Tick {
+	if c := m.CSR(); !c.tick.get(c.choiceRow[id0]) {
 		t.Error("tick action not marked as tick choice")
 	}
 
@@ -311,7 +256,7 @@ func TestFromAutomaton(t *testing.T) {
 	}
 }
 
-func TestFromAutomatonBadDuration(t *testing.T) {
+func TestExploreBadDuration(t *testing.T) {
 	auto := &pa.Automaton[int]{
 		Start: []int{0},
 		Steps: func(s int) []pa.Step[int] {
@@ -322,52 +267,21 @@ func TestFromAutomatonBadDuration(t *testing.T) {
 		},
 		Duration: func(string) prob.Rat { return prob.Half() },
 	}
-	_, _, err := FromAutomaton(auto, 0)
+	_, _, err := Explore(auto, ExploreOptions{})
 	if !errors.Is(err, ErrBadDuration) {
 		t.Errorf("err = %v, want ErrBadDuration", err)
-	}
-}
-
-func TestSCCs(t *testing.T) {
-	// 0 <-> 1 -> 2, 2 -> 2 (self loop), 3 isolated.
-	m := &MDP{NumStates: 4, Choices: [][]Choice{
-		{moveTo("a", 1)},
-		{moveTo("b", 0), moveTo("c", 2)},
-		{moveTo("d", 2)},
-		nil,
-	}}
-	comps := m.SCCs()
-	if len(comps) != 3 {
-		t.Fatalf("got %d SCCs, want 3", len(comps))
-	}
-	sizes := map[int]int{}
-	for _, c := range comps {
-		sizes[len(c)]++
-	}
-	if sizes[2] != 1 || sizes[1] != 2 {
-		t.Errorf("component sizes = %v, want one of size 2 and two of size 1", sizes)
-	}
-	// Reverse topological order: the {0,1} component must come after {2}.
-	pos := map[int]int{}
-	for i, c := range comps {
-		for _, s := range c {
-			pos[s] = i
-		}
-	}
-	if pos[2] > pos[0] {
-		t.Errorf("SCC order not reverse topological: pos(2)=%d > pos(0)=%d", pos[2], pos[0])
 	}
 }
 
 func TestQualitative(t *testing.T) {
 	// 0: choice A -> 1 (target), choice B -> 2 (sink with self loop).
 	// 3: single fair-coin choice between 1 and 3 (a.s. reaches target).
-	m := &MDP{NumStates: 4, Choices: [][]Choice{
+	m := hand([][]Choice{
 		{moveTo("A", 1), moveTo("B", 2)},
 		nil,
 		{moveTo("stay", 2)},
 		{{Label: "flip", Branches: []Tr{{To: 1, P: prob.Half()}, {To: 3, P: prob.Half()}}}},
-	}}
+	})
 	target := mask(4, 1)
 
 	avoid := m.Prob0E(target)
@@ -392,58 +306,13 @@ func TestQualitative(t *testing.T) {
 	}
 }
 
-func TestReachableFrom(t *testing.T) {
-	m := &MDP{NumStates: 3, Choices: [][]Choice{
-		{moveTo("a", 1)},
-		nil,
-		{moveTo("b", 0)},
-	}}
-	got := m.ReachableFrom(mask(3, 0))
-	for s, want := range []bool{true, true, false} {
-		if got[s] != want {
-			t.Errorf("ReachableFrom[%d] = %t, want %t", s, got[s], want)
-		}
-	}
-}
-
-func TestMECs(t *testing.T) {
-	// States 0,1 form an end component under the "cycle" choices; state 2
-	// is absorbing with a self-loop (its own MEC); state 3 only leaks.
-	m := &MDP{NumStates: 4, Choices: [][]Choice{
-		{moveTo("to1", 1), moveTo("leak", 2)},
-		{moveTo("to0", 0)},
-		{moveTo("stay", 2)},
-		{moveTo("out", 2)},
-	}}
-	mecs := m.MECs()
-	if len(mecs) != 2 {
-		t.Fatalf("got %d MECs (%v), want 2", len(mecs), mecs)
-	}
-	var found01, found2 bool
-	for _, mec := range mecs {
-		switch {
-		case len(mec.States) == 2 && mec.States[0] == 0 && mec.States[1] == 1:
-			found01 = true
-			// The leaking choice of state 0 must not be in the MEC.
-			if got := mec.Choices[0]; len(got) != 1 || got[0] != 0 {
-				t.Errorf("MEC choices for state 0 = %v, want [0]", got)
-			}
-		case len(mec.States) == 1 && mec.States[0] == 2:
-			found2 = true
-		}
-	}
-	if !found01 || !found2 {
-		t.Errorf("MECs = %+v, want {0,1} and {2}", mecs)
-	}
-}
-
 func TestMaxExpectedTicks(t *testing.T) {
 	t.Run("geometric", func(t *testing.T) {
-		m := &MDP{NumStates: 2, Choices: [][]Choice{
+		m := hand([][]Choice{
 			{tickCoin("flip", 1, 0)},
 			nil,
-		}}
-		v, err := m.MaxExpectedTicks(mask(2, 1), VIConfig{})
+		})
+		v, err := m.MaxExpectedTicks(mask(2, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,7 +322,7 @@ func TestMaxExpectedTicks(t *testing.T) {
 	})
 	t.Run("adversary maximizes", func(t *testing.T) {
 		// Choice between a fair coin (E=2) and a 1/4 coin (E=4).
-		m := &MDP{NumStates: 2, Choices: [][]Choice{
+		m := hand([][]Choice{
 			{
 				tickCoin("fair", 1, 0),
 				{Label: "biased", Tick: true, Branches: []Tr{
@@ -462,8 +331,8 @@ func TestMaxExpectedTicks(t *testing.T) {
 				}},
 			},
 			nil,
-		}}
-		v, err := m.MaxExpectedTicks(mask(2, 1), VIConfig{})
+		})
+		v, err := m.MaxExpectedTicks(mask(2, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -472,12 +341,12 @@ func TestMaxExpectedTicks(t *testing.T) {
 		}
 	})
 	t.Run("escapable target is infinite", func(t *testing.T) {
-		m := &MDP{NumStates: 3, Choices: [][]Choice{
+		m := hand([][]Choice{
 			{tickTo("good", 1), tickTo("bad", 2)},
 			nil,
 			{tickTo("stay", 2)},
-		}}
-		v, err := m.MaxExpectedTicks(mask(3, 1), VIConfig{})
+		})
+		v, err := m.MaxExpectedTicks(mask(3, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -489,7 +358,7 @@ func TestMaxExpectedTicks(t *testing.T) {
 
 func TestMinExpectedTicks(t *testing.T) {
 	t.Run("picks the faster coin", func(t *testing.T) {
-		m := &MDP{NumStates: 2, Choices: [][]Choice{
+		m := hand([][]Choice{
 			{
 				tickCoin("fair", 1, 0),
 				{Label: "biased", Tick: true, Branches: []Tr{
@@ -498,8 +367,8 @@ func TestMinExpectedTicks(t *testing.T) {
 				}},
 			},
 			nil,
-		}}
-		v, err := m.MinExpectedTicks(mask(2, 1), VIConfig{})
+		})
+		v, err := m.MinExpectedTicks(mask(2, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -508,11 +377,11 @@ func TestMinExpectedTicks(t *testing.T) {
 		}
 	})
 	t.Run("unreachable target is infinite", func(t *testing.T) {
-		m := &MDP{NumStates: 2, Choices: [][]Choice{
+		m := hand([][]Choice{
 			{tickTo("stay", 0)},
 			nil,
-		}}
-		v, err := m.MinExpectedTicks(mask(2, 1), VIConfig{})
+		})
+		v, err := m.MinExpectedTicks(mask(2, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -521,7 +390,7 @@ func TestMinExpectedTicks(t *testing.T) {
 		}
 	})
 	t.Run("min below max", func(t *testing.T) {
-		m := &MDP{NumStates: 2, Choices: [][]Choice{
+		m := hand([][]Choice{
 			{
 				tickCoin("fair", 1, 0),
 				{Label: "slow", Tick: true, Branches: []Tr{
@@ -530,12 +399,12 @@ func TestMinExpectedTicks(t *testing.T) {
 				}},
 			},
 			nil,
-		}}
-		lo, err := m.MinExpectedTicks(mask(2, 1), VIConfig{})
+		})
+		lo, err := m.MinExpectedTicks(mask(2, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		hi, err := m.MaxExpectedTicks(mask(2, 1), VIConfig{})
+		hi, err := m.MaxExpectedTicks(mask(2, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -545,40 +414,6 @@ func TestMinExpectedTicks(t *testing.T) {
 	})
 }
 
-func TestReachUnboundedFloat(t *testing.T) {
-	// Geometric reaches the target with probability 1 under the only
-	// adversary; a controllable escape gives min 0 / max 1.
-	m := &MDP{NumStates: 4, Choices: [][]Choice{
-		{tickCoin("flip", 1, 0)},
-		nil,
-		{tickTo("good", 1), tickTo("bad", 3)},
-		{tickTo("stay", 3)},
-	}}
-	target := mask(4, 1)
-
-	vMin, err := m.ReachUnboundedFloat(target, MinProb, VIConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(vMin[0]-1) > 1e-9 {
-		t.Errorf("min P(0) = %g, want 1", vMin[0])
-	}
-	if vMin[2] != 0 {
-		t.Errorf("min P(2) = %g, want 0", vMin[2])
-	}
-
-	vMax, err := m.ReachUnboundedFloat(target, MaxProb, VIConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vMax[2] != 1 {
-		t.Errorf("max P(2) = %g, want 1", vMax[2])
-	}
-	if vMax[3] != 0 {
-		t.Errorf("max P(3) = %g, want 0", vMax[3])
-	}
-}
-
 // TestHorizonMonotonicity checks, on a pseudo-randomly generated family of
 // tick-structured MDPs, that reach probabilities are monotone in the
 // horizon and that min never exceeds max.
@@ -586,25 +421,22 @@ func TestHorizonMonotonicity(t *testing.T) {
 	build := func(seed uint32) *MDP {
 		// Three states, state 2 absorbing; choices derived from seed bits.
 		next := func() int { seed = seed*1664525 + 1013904223; return int(seed>>16) % 3 }
-		m := &MDP{NumStates: 3, Choices: make([][]Choice, 3)}
+		choices := make([][]Choice, 3)
 		for s := 0; s < 2; s++ {
 			nChoices := 1 + next()%2
 			for c := 0; c < nChoices; c++ {
 				a, b := next(), next()
 				if a == b {
-					m.Choices[s] = append(m.Choices[s], tickTo("d", a))
+					choices[s] = append(choices[s], tickTo("d", a))
 				} else {
-					m.Choices[s] = append(m.Choices[s], tickCoin("c", a, b))
+					choices[s] = append(choices[s], tickCoin("c", a, b))
 				}
 			}
 		}
-		return m
+		return hand(choices)
 	}
 	for seed := uint32(1); seed <= 200; seed++ {
 		m := build(seed)
-		if err := m.Validate(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
 		target := mask(3, 2)
 		var prevMin, prevMax prob.Rat
 		for h := 0; h <= 6; h++ {

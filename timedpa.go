@@ -33,8 +33,9 @@
 //   - the Lehmann–Rabin algorithm itself (dining) with the paper's five
 //     arrows checked and composed into T --13,1/8--> C, plus a dense-time
 //     Monte Carlo engine (sim) with programmable malicious schedulers;
-//   - a second case study (election) and a qualitative Zuck–Pnueli-style
-//     baseline (liveness) for contrast.
+//   - a second case study (election) and, for contrast, the qualitative
+//     Zuck–Pnueli-style baseline: almost-sure progress with no time bound
+//     (dining.Analysis.QualitativeProgress, on mdp.MinProbOne).
 //
 // The type aliases and constructors below re-export the stable API so that
 // examples, commands and downstream users have a single import; the
@@ -151,12 +152,12 @@ type (
 // k-steps-per-window digitized Unit-Time schema (limit caps enumeration;
 // 0 means unlimited).
 func NewDiningAnalysis(n, k, limit int) (*DiningAnalysis, error) {
-	return dining.NewAnalysis(n, k, limit)
+	return dining.NewAnalysisOpts(n, k, dining.Opts{Limit: limit})
 }
 
 // NewElectionAnalysis enumerates the n-process leader-election protocol.
 func NewElectionAnalysis(n, k, limit int) (*ElectionAnalysis, error) {
-	return election.NewAnalysis(n, k, limit)
+	return election.NewAnalysisOpts(n, k, election.Opts{Limit: limit})
 }
 
 // UnitTimeSchema names the digitized Unit-Time schema for statements.
@@ -274,9 +275,13 @@ func BuildProduct[S comparable](m SchedulerModel[S], stepsPerWindow int) (*Autom
 	return sched.Product(m, sched.Config{StepsPerWindow: stepsPerWindow})
 }
 
-// EnumerateMDP converts an automaton into an indexed finite MDP.
+// EnumerateMDP converts an automaton into an indexed finite MDP, numbering
+// states in Reachable's breadth-first order (limit caps the states; 0
+// means unlimited). It explores on one goroutine, so m's Steps need not
+// be safe for concurrent use; the solvers then run on one worker too,
+// unless the caller sets the returned MDP's Workers.
 func EnumerateMDP[S comparable](m *Automaton[S], limit int) (*MDP, *mdp.Index[S], error) {
-	return mdp.FromAutomaton(m, limit)
+	return mdp.Explore(m, mdp.ExploreOptions{Workers: 1, Limit: limit})
 }
 
 // CheckStatement computes the exact worst-case probability of a statement

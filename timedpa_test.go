@@ -196,3 +196,40 @@ func TestFacadeSetOps(t *testing.T) {
 		t.Error("Zero is not zero")
 	}
 }
+
+// TestFacadeEnumerateMDPOneGoroutine pins EnumerateMDP's promise that an
+// automaton's Steps need not be safe for concurrent use: this one writes
+// an unsynchronized map on every call, and its second breadth-first
+// level (4096 states) is wide enough that a parallel exploration would
+// fan out across goroutines, which -race (or the runtime's map check)
+// reports.
+func TestFacadeEnumerateMDPOneGoroutine(t *testing.T) {
+	const width = 1 << 12
+	wide := make([]int, width)
+	for i := range wide {
+		wide[i] = i + 1
+	}
+	fanOut, err := timedpa.UniformDist(wide...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	visited := make(map[int]bool)
+	auto := &timedpa.Automaton[int]{
+		Name:  "fan-out",
+		Start: []int{0},
+		Steps: func(s int) []timedpa.Step[int] {
+			visited[s] = true
+			if s != 0 {
+				return nil
+			}
+			return []timedpa.Step[int]{{Action: "spread", Next: fanOut}}
+		},
+	}
+	m, ix, err := timedpa.EnumerateMDP(auto, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NumStates != width+1 || ix.Len() != width+1 || len(visited) != width+1 {
+		t.Fatalf("%d states, %d indexed, %d visited; want %d each", m.NumStates, ix.Len(), len(visited), width+1)
+	}
+}

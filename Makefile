@@ -53,8 +53,9 @@ FUZZTIME ?= 30s
 # Benchmarks recorded in BENCH_sim.json and gated by bench-diff: the
 # parallel-engine throughput row, the metrics- and span-overhead pairs,
 # the cold-cache trial rows for the election and consensus case studies,
-# the exact-engine explore+solve row and the breaker-overhead row.
-BENCH_GATE = BenchmarkParallelTrials|BenchmarkMetricsOverhead|BenchmarkSpanOverhead|BenchmarkElectionTrials|BenchmarkConsensusTrials|BenchmarkExactEngine|BenchmarkBreakerOverhead
+# the exact-engine explore+solve row, the expected-time solver row and
+# the breaker-overhead row.
+BENCH_GATE = BenchmarkParallelTrials|BenchmarkMetricsOverhead|BenchmarkSpanOverhead|BenchmarkElectionTrials|BenchmarkConsensusTrials|BenchmarkExactEngine|BenchmarkExpectedTicks|BenchmarkBreakerOverhead
 
 # Absolute throughput backstop for the headline engine benchmark,
 # enforced by bench-diff on top of the relative 10% gate: the alias
@@ -152,6 +153,9 @@ fmt:
 #   ReadManifest        hostile manifest JSONL: ErrCorruptManifest, never a panic
 #   ReachKernels        random tick MDPs: fixed-point and rational answers are equal
 #   ExploreMatchesDense random automata: the explorer builds the test oracle's MDP
+#   ExpectedTicksMatchesOracle  random tick MDPs, Zeno ones included: the sweep
+#                       program's expected ticks equal the reference value iteration's, bit for bit
+#   Prob0EMatchesOracle random tick MDPs: the worklist Prob0E and MinProbOne equal the pass loop's
 fuzz:
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzRunOnceAdversarial -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzAliasPick -fuzztime=$(FUZZTIME)
@@ -160,6 +164,8 @@ fuzz:
 	$(GO) test ./internal/obs -run='^$$' -fuzz=FuzzReadManifest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzReachKernels -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzExploreMatchesDense -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzExpectedTicksMatchesOracle -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzProb0EMatchesOracle -fuzztime=$(FUZZTIME)
 
 # Chaos packages: seeded fault/kill/corruption storms against the
 # artifact layer (in-process, injected filesystem faults) and the real

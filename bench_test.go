@@ -527,6 +527,29 @@ func BenchmarkExactEngine(b *testing.B) {
 	b.ReportMetric(float64(footprint)/float64(states), "B/state")
 }
 
+// The expected-time solver on its own: MaxExpectedTicks and
+// MinExpectedTicks to C on the dining n=3 k=2 product, which is explored
+// once, outside the timer. BenchmarkExactEngine never runs value
+// iteration; this row does nothing else (the qualitative precomputation
+// each solve needs included).
+func BenchmarkExpectedTicks(b *testing.B) {
+	a, err := dining.NewAnalysisOpts(3, 2, dining.Opts{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	target := a.Index.Mask(sched.LiftPred(dining.InC))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.MDP.MaxExpectedTicks(target); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := a.MDP.MinExpectedTicks(target); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Observability overhead: the same parallel run with the telemetry hook
 // disabled (nil Metrics — the default every existing caller gets) and
 // enabled (the registry-backed obs.SimMetrics the CLIs install). The

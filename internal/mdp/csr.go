@@ -21,15 +21,19 @@ package mdp
 // Every shipped model uses two values, 1/2 and 1; a 257th distinct value
 // is an error (ErrTooManyProbabilities).
 //
-// Parallelism. The sparse solvers sweep states with per-worker contiguous
-// row ranges (parallelFor). Determinism for any worker count is by
-// construction: within a sweep each worker writes only its own rows, and
-// cross-row reads go either to the previous sweep's array or — for
-// zero-duration (non-tick) edges — to rows of strictly lower "level" in
-// the non-tick DAG, which earlier barriers have already completed. The
-// per-sweep convergence delta is reduced with max, which is exact in
-// floating point, so the iteration trajectory is bit-identical whether one
-// worker sweeps or sixteen do.
+// Parallelism. The sparse solvers sweep the states of one level of the
+// non-tick DAG at a time, split across workers: the tick-bounded DP in
+// per-worker contiguous ranges of the level (parallelFor), value
+// iteration in the per-worker chunks of its compiled sweep program
+// (expect.go), which groups each chunk's rows by shape. Determinism for
+// any worker count is by construction: within a sweep each worker writes
+// only its own rows, and cross-row reads go either to the previous
+// sweep's array or — for zero-duration (non-tick) edges — to rows of
+// strictly lower "level", which earlier barriers have already completed,
+// so a row's value does not depend on which worker computes it or in
+// what order. The per-sweep convergence delta is reduced with max, which
+// is exact in floating point, so the iteration trajectory is
+// bit-identical whether one worker sweeps or sixteen do.
 
 import (
 	"errors"
@@ -249,65 +253,30 @@ func parallelFor(workers, n int, fn func(w, lo, hi int)) {
 		fn(0, 0, n)
 		return
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	fanOut((n+chunk-1)/chunk, func(w int) {
 		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		fn(w, lo, min(lo+chunk, n))
+	})
 }
 
-// parallelForMax is parallelFor with a max-reduction over per-worker
-// results. max is exact in floating point, so the reduced value does not
-// depend on the worker count or completion order.
-func parallelForMax(workers, n int, fn func(lo, hi int) float64) float64 {
-	if workers <= 1 || n < minGrain {
-		return fn(0, n)
+// fanOut runs fn(0), ..., fn(k-1), each on its own goroutine when k > 1,
+// and returns when all have.
+func fanOut(k int, fn func(i int)) {
+	if k == 1 {
+		fn(0)
+		return
 	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	out := make([]float64, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
+	wg.Add(k)
+	for i := 0; i < k; i++ {
+		go func(i int) {
 			defer wg.Done()
-			out[w] = fn(lo, hi)
-		}(w, lo, hi)
+			fn(i)
+		}(i)
 	}
 	wg.Wait()
-	best := 0.0
-	for _, d := range out {
-		if d > best {
-			best = d
-		}
-	}
-	return best
 }
 
 // nonTickLevels computes the level schedule of the zero-duration edge

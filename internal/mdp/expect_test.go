@@ -1,0 +1,157 @@
+package mdp
+
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/prob"
+)
+
+// picker returns a source of choices in [0, n) read from data, one byte
+// per choice; an exhausted input reads as zeros.
+func picker(data []byte) func(n int) int {
+	return func(n int) int {
+		if n <= 0 || len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b) % n
+	}
+}
+
+// TestSettleSweeps pins the settle pass on a hand-built MDP: along a
+// tick chain into the target F grows by one per tick, a non-tick edge
+// adds nothing (it reads this sweep's value), and a row on a tick
+// self-loop, or leading into one, never settles. Under a Jacobi plan
+// every edge reads the previous sweep, so the non-tick edge adds one.
+func TestSettleSweeps(t *testing.T) {
+	m := hand([][]Choice{
+		nil,                      // 0: the target
+		{tickTo("t", 0)},         // 1: F = 1
+		{tickTo("t", 1)},         // 2: F = 2
+		{tickTo("t", 2)},         // 3: F = 3
+		{moveTo("m", 3)},         // 4: F = 3, or 4 under Jacobi
+		{tickCoin("flip", 0, 5)}, // 5: tick self-loop, live
+		{tickTo("t", 5)},         // 6: reaches the loop, live
+	})
+	target := mask(7, 0)
+	_, skip := m.pinned(target, true)
+	for _, tc := range []struct {
+		jacobi bool
+		want   []int32
+		maxF   int32
+	}{
+		{false, []int32{0, 1, 2, 3, 3, 0, 0}, 3},
+		{true, []int32{0, 1, 2, 3, 4, 0, 0}, 4},
+	} {
+		_, _, pending, _ := m.CSR().rowShapes(skip)
+		settle, maxF := m.CSR().settleSweeps(skip, pending, tc.jacobi)
+		if !slices.Equal(settle, tc.want) || maxF != tc.maxF {
+			t.Errorf("jacobi=%t: settle %v max %d, want %v max %d", tc.jacobi, settle, maxF, tc.want, tc.maxF)
+		}
+	}
+
+	// The program sweeps the two live rows to the end, the four settled
+	// ones until sweep max F + 1, and answers as the reference loop does.
+	p := m.compileSweeps(skip, true)
+	live, settled := 0, 0
+	for _, g := range p.groups {
+		live += int(g.live - g.lo)
+		settled += int(g.hi - g.live)
+	}
+	if live != 2 || settled != 4 || p.retire != 5 {
+		t.Errorf("program: %d live, %d settled, retire at sweep %d; want 2, 4, 5", live, settled, p.retire)
+	}
+	got, err := m.MaxExpectedTicks(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := expectedTicksOracle(m, target, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameTicks(t, got, want)
+	if got[4] != 3 || math.Abs(got[5]-2) > 1e-9 || math.Abs(got[6]-3) > 1e-9 {
+		t.Errorf("E = %v, want E(4) = 3, E(5) ≈ 2, E(6) ≈ 3", got)
+	}
+}
+
+// requireSameTicks fails unless two expected-tick vectors are
+// bit-identical.
+func requireSameTicks(t *testing.T, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d values, reference %d", len(got), len(want))
+	}
+	for s := range want {
+		if math.Float64bits(got[s]) != math.Float64bits(want[s]) {
+			t.Fatalf("state %d: %v, reference %v (not bit-identical)", s, got[s], want[s])
+		}
+	}
+}
+
+// FuzzExpectedTicksMatchesOracle builds a small tick MDP from the input
+// bytes, with 3-branch choices, non-dyadic probabilities, terminal and
+// +Inf rows and, when the first byte is odd, zero-duration edges that may
+// close cycles (so the sweep plan is Jacobi). Both directions, at one
+// and two workers with the parallel grain forced to 1, must return the
+// reference value iteration's vector (at one worker) bit for bit, or the
+// same error. The last seed's minimizing value grows by one tick per
+// sweep (a tick self-loop against a coin into a dead end), so both
+// solvers give up with ErrNoConvergence.
+func FuzzExpectedTicksMatchesOracle(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 3, 1, 2, 0, 1, 1, 4, 0, 2, 3, 1, 0, 5, 2, 2, 1, 9})
+	f.Add([]byte{1, 6, 0, 3, 1, 6, 2, 0, 3, 1, 1, 5, 0, 4, 2, 6, 1, 0, 2, 3, 3, 12})
+	f.Add([]byte{1, 4, 1, 1, 2, 0, 1, 3, 2, 1, 0, 2, 1, 1, 3, 0, 2, 2, 1, 4, 0, 1})
+	f.Add([]byte{0, 1, 1, 2, 0, 0, 1, 1, 2, 0, 0, 1, 0})
+	dists := append(append([][]prob.Rat(nil), dyadicDists...), thirdDists...)
+	defer SetMinGrainForTest(1)()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pick := picker(data)
+		zeno := pick(2) == 1
+		m, target := buildTickMDP(pick, dists, zeno)
+		for _, maximize := range []bool{true, false} {
+			m.Workers = 1
+			want, wantErr := expectedTicksOracle(m, target, maximize)
+			for _, workers := range []int{1, 2} {
+				m.Workers = workers
+				got, err := m.expectedTicks(target, maximize)
+				if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+					t.Fatalf("maximize=%t workers=%d: err %v, reference %v", maximize, workers, err, wantErr)
+				}
+				if err == nil {
+					requireSameTicks(t, got, want)
+				}
+			}
+		}
+		short := target[:len(target)-1]
+		_, err := m.expectedTicks(short, true)
+		_, wantErr := expectedTicksOracle(m, short, true)
+		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("short target mask: err %v, reference %v", err, wantErr)
+		}
+	})
+}
+
+// FuzzProb0EMatchesOracle: on small tick MDPs with terminal rows,
+// self-loops and targets, the worklist Prob0E and MinProbOne on it must
+// return the pass loop's masks.
+func FuzzProb0EMatchesOracle(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 3, 1, 2, 0, 1, 1, 4, 0, 2, 3, 1, 0, 5, 2, 2, 1, 9})
+	f.Add([]byte{1, 6, 0, 3, 1, 6, 2, 0, 3, 1, 1, 5, 0, 4, 2, 6, 1, 0, 2, 3, 3, 12})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pick := picker(data)
+		zeno := pick(2) == 1
+		m, target := buildTickMDP(pick, dyadicDists, zeno)
+		if got, want := m.Prob0E(target), prob0EOracle(m, target); !slices.Equal(got, want) {
+			t.Fatalf("Prob0E %v, pass loop %v", got, want)
+		}
+		if got, want := m.MinProbOne(target), minProbOneOracle(m, target); !slices.Equal(got, want) {
+			t.Fatalf("MinProbOne %v, on the pass loop %v", got, want)
+		}
+	})
+}

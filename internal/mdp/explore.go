@@ -76,9 +76,9 @@ type ExploreOptions struct {
 	// *BudgetError. <= 0 means unlimited.
 	MemBudget int64
 	// Limit bounds the number of states, as pa.Automaton.Reachable's
-	// limit does: the start states are always interned, and exploration
-	// that would intern a successor past the limit fails with
-	// pa.ErrLimitExceeded. <= 0 means unlimited.
+	// limit does: exploration that would intern a state past the limit,
+	// a start state or a successor, fails with pa.ErrLimitExceeded.
+	// <= 0 means unlimited.
 	Limit int
 }
 
@@ -132,6 +132,9 @@ func ExplorePacked[S comparable, K comparable](auto *pa.Automaton[S], pack func(
 		k := pack(s)
 		if id, ok := ids[k]; ok {
 			return id, nil
+		}
+		if opts.Limit > 0 && len(states) >= opts.Limit {
+			return 0, fmt.Errorf("%w: more than %d states", pa.ErrLimitExceeded, opts.Limit)
 		}
 		if len(states) >= maxIndex {
 			return 0, overflow("states")
@@ -192,11 +195,6 @@ func ExplorePacked[S comparable, K comparable](auto *pa.Automaton[S], pack func(
 				}
 				b.addChoice(step.Action, tick)
 				for _, o := range step.Next.Outcomes() {
-					if opts.Limit > 0 && len(states) >= opts.Limit {
-						if _, seen := ids[pack(o.Value)]; !seen {
-							return nil, nil, fmt.Errorf("%w: more than %d states", pa.ErrLimitExceeded, opts.Limit)
-						}
-					}
 					if len(b.c.col) >= maxIndex {
 						return nil, nil, overflow("branches")
 					}

@@ -130,6 +130,31 @@ func TestTooManyProbabilities(t *testing.T) {
 	})
 }
 
+// TestExploreLimitCountsStartStates: the state limit counts the start
+// states. Three distinct start states with no steps are three states, so
+// a limit of 2 fails with pa.ErrLimitExceeded in both builders (the
+// oracle enumerates with pa.Reachable), and a limit of 3 admits them.
+// A repeated start state is one state.
+func TestExploreLimitCountsStartStates(t *testing.T) {
+	auto := &pa.Automaton[int]{Start: []int{4, 7, 4, 9}, Steps: func(int) []pa.Step[int] { return nil }}
+	if _, _, err := Explore(auto, ExploreOptions{Limit: 2}); !errors.Is(err, pa.ErrLimitExceeded) {
+		t.Errorf("Explore, limit 2: err = %v, want pa.ErrLimitExceeded", err)
+	}
+	if _, _, err := fromAutomaton(auto, 2); !errors.Is(err, pa.ErrLimitExceeded) {
+		t.Errorf("oracle, limit 2: err = %v, want pa.ErrLimitExceeded", err)
+	}
+	m, ix, err := Explore(auto, ExploreOptions{Limit: 3})
+	if err != nil {
+		t.Fatalf("Explore, limit 3: %v", err)
+	}
+	if m.NumStates != 3 || !slices.Equal(ix.States(), []int{4, 7, 9}) {
+		t.Errorf("Explore, limit 3: %d states %v, want [4 7 9]", m.NumStates, ix.States())
+	}
+	if _, _, err := fromAutomaton(auto, 3); err != nil {
+		t.Errorf("oracle, limit 3: %v", err)
+	}
+}
+
 // fuzzAutomaton decodes data into a small automaton over states 0..11:
 // one to three start states, up to three steps per state, each with one
 // to three outcomes over the probabilities {1, 1/2, 1/4, 3/4}, and
@@ -187,8 +212,7 @@ func fuzzAutomaton(data []byte) *pa.Automaton[int] {
 // workers (with the parallel grain forced to 1) must number states as the
 // oracle does, in pa.Reachable's order, and build the oracle's CSR. Both
 // builders must also agree on the state limit: at the state count both
-// succeed, and one below it both fail with pa.ErrLimitExceeded, unless
-// every state is a start state, which no limit refuses.
+// succeed, and one below it both fail with pa.ErrLimitExceeded.
 func FuzzExploreMatchesDense(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 0, 1, 0, 2, 0, 1, 2, 1, 3, 0, 2, 0, 1, 2, 3})
@@ -224,18 +248,8 @@ func FuzzExploreMatchesDense(f *testing.F) {
 		if states < 2 {
 			return
 		}
-		starts := make(map[int]bool)
-		for _, s := range auto.Start {
-			starts[s] = true
-		}
 		_, _, dErr := fromAutomaton(auto, states-1)
 		_, _, eErr := Explore(auto, ExploreOptions{Workers: 1, Limit: states - 1})
-		if len(starts) == states {
-			if dErr != nil || eErr != nil {
-				t.Fatalf("only start states, limit %d: oracle %v, Explore %v", states-1, dErr, eErr)
-			}
-			return
-		}
 		if !errors.Is(dErr, pa.ErrLimitExceeded) || !errors.Is(eErr, pa.ErrLimitExceeded) {
 			t.Fatalf("limit %d of %d states: oracle %v, Explore %v; want pa.ErrLimitExceeded", states-1, states, dErr, eErr)
 		}

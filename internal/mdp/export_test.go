@@ -42,6 +42,19 @@ func reachRat(m *MDP, target []bool, horizon int, goal Goal) ([][]prob.Rat, erro
 	return q.ratSweep(), nil
 }
 
+// SettleCounts compiles MaxExpectedTicks' sweep program for target and
+// reports how many of its rows settle, how many stay live, and the
+// largest settle sweep.
+func SettleCounts(m *MDP, target []bool) (settled, live, maxSettle int) {
+	_, skip := m.pinned(target, true)
+	p := m.compileSweeps(skip, true)
+	for _, g := range p.groups {
+		live += int(g.live - g.lo)
+		settled += int(g.hi - g.live)
+	}
+	return settled, live, p.retire - 2
+}
+
 // SetMaxIndexForTest lowers the explorer's int32 index limit and returns
 // a restore function, so a test reaches ErrIndexOverflow without 2^31
 // states. The override is global, like SetMinGrainForTest's.

@@ -49,33 +49,52 @@ func (m *MDP) canReachAvoiding(target, blocked []bool) []bool {
 // Prob0E returns the mask of states from which some adversary avoids the
 // target forever, i.e. achieves P(eventually target) = 0. It is the
 // greatest set X of non-target states such that every state of X is
-// terminal or has a choice whose branches all stay in X.
+// terminal or has a choice whose branches all stay in X. The set starts
+// as every non-target state; a state is dropped once none of its choices
+// stays in it, and only the predecessors of a dropped state (through the
+// reverse adjacency) are checked again. The greatest fixpoint is unique,
+// so the order of the drops does not change the result.
 func (m *MDP) Prob0E(target []bool) []bool {
 	c := m.CSR()
+	revRow, revCol := c.reverse()
 	in := make([]bool, c.n)
 	for s := range in {
 		in[s] = !target[s]
 	}
-	for changed := true; changed; {
-		changed = false
-		for s := int32(0); int(s) < c.n; s++ {
-			if !in[s] || c.terminal(int(s)) {
-				continue
-			}
-			ok := false
-			for ci := c.choiceRow[s]; ci < c.choiceRow[s+1] && !ok; ci++ {
-				all := true
-				for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
-					if !in[c.col[bi]] {
-						all = false
-						break
-					}
+	// keeps reports whether in-set state s still has a choice staying in
+	// the set; terminal states always do.
+	keeps := func(s int32) bool {
+		if c.terminal(int(s)) {
+			return true
+		}
+		for ci := c.choiceRow[s]; ci < c.choiceRow[s+1]; ci++ {
+			all := true
+			for _, t := range c.col[c.branchRow[ci]:c.branchRow[ci+1]] {
+				if !in[t] {
+					all = false
+					break
 				}
-				ok = all
 			}
-			if !ok {
+			if all {
+				return true
+			}
+		}
+		return false
+	}
+	var dropped []int32
+	for s := int32(0); int(s) < c.n; s++ {
+		if in[s] && !keeps(s) {
+			in[s] = false
+			dropped = append(dropped, s)
+		}
+	}
+	for len(dropped) > 0 {
+		t := dropped[len(dropped)-1]
+		dropped = dropped[:len(dropped)-1]
+		for _, s := range revCol[revRow[t]:revRow[t+1]] {
+			if in[s] && !keeps(s) {
 				in[s] = false
-				changed = true
+				dropped = append(dropped, s)
 			}
 		}
 	}

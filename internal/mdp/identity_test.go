@@ -201,9 +201,10 @@ func TestParallelSweepDeterminism(t *testing.T) {
 	target := a.Index.Mask(sched.LiftPred(dining.InC))
 
 	type result struct {
-		reach  []prob.Rat   // ReachWithinTicks at horizon 13
-		layers [][]prob.Rat // ReachWithinTicksLayers, horizons 0..13
-		ticks  []float64
+		reach    []prob.Rat   // ReachWithinTicks at horizon 13
+		layers   [][]prob.Rat // ReachWithinTicksLayers, horizons 0..13
+		ticks    []float64    // MaxExpectedTicks
+		minTicks []float64    // MinExpectedTicks
 	}
 	run := func(workers int) result {
 		m, err := dining.NewAnalysisOpts(3, 1, dining.Opts{Workers: workers})
@@ -222,7 +223,11 @@ func TestParallelSweepDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return result{reach: rv, layers: lv, ticks: tv}
+		mv, err := m.MDP.MinExpectedTicks(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return result{reach: rv, layers: lv, ticks: tv, minTicks: mv}
 	}
 
 	ref := run(1)
@@ -245,6 +250,24 @@ func TestParallelSweepDeterminism(t *testing.T) {
 			if got.ticks[s] != ref.ticks[s] && !(math.IsInf(got.ticks[s], 1) && math.IsInf(ref.ticks[s], 1)) {
 				t.Fatalf("workers=%d state %d: ticks %v != %v (not bit-identical)", workers, s, got.ticks[s], ref.ticks[s])
 			}
+			if got.minTicks[s] != ref.minTicks[s] && !(math.IsInf(got.minTicks[s], 1) && math.IsInf(ref.minTicks[s], 1)) {
+				t.Fatalf("workers=%d state %d: min ticks %v != %v (not bit-identical)", workers, s, got.minTicks[s], ref.minTicks[s])
+			}
 		}
+	}
+}
+
+// TestSettleDining pins the settle pass on the dining n=3 k=2 product:
+// of the 30,922 rows MaxExpectedTicks to C sweeps, 9,732 reach no cycle
+// of swept rows and settle by sweep 5, and the other 21,190 are swept
+// to the end.
+func TestSettleDining(t *testing.T) {
+	a, err := dining.NewAnalysisOpts(3, 2, dining.Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled, live, maxSettle := mdp.SettleCounts(a.MDP, a.Index.Mask(sched.LiftPred(dining.InC)))
+	if settled != 9732 || live != 21190 || maxSettle != 5 {
+		t.Errorf("%d settled, %d live, max settle sweep %d; want 9732, 21190, 5", settled, live, maxSettle)
 	}
 }

@@ -34,10 +34,10 @@ var (
 
 // buildTickMDP builds a small tick MDP from pick, a source of choices in
 // [0, n): 2 to 8 states, some of them targets, each with up to three
-// choices over the given branch distributions. A zero-duration choice
-// only moves to lower-numbered states, so the zero-duration graph is a
-// DAG; a tick may move anywhere.
-func buildTickMDP(pick func(n int) int, dists [][]prob.Rat) (*MDP, []bool) {
+// choices over the given branch distributions. Unless zeno is set, a
+// zero-duration choice only moves to lower-numbered states, so the
+// zero-duration graph is a DAG; a tick may move anywhere.
+func buildTickMDP(pick func(n int) int, dists [][]prob.Rat, zeno bool) (*MDP, []bool) {
 	n := 2 + pick(7)
 	choices := make([][]Choice, n)
 	target := make([]bool, n)
@@ -48,7 +48,7 @@ func buildTickMDP(pick func(n int) int, dists [][]prob.Rat) (*MDP, []bool) {
 			ch := Choice{Label: "c", Tick: tick}
 			for _, p := range dists[pick(len(dists))] {
 				to := pick(n)
-				if !tick {
+				if !tick && !zeno {
 					to = pick(s)
 				}
 				ch.Branches = append(ch.Branches, Tr{To: to, P: p})
@@ -111,7 +111,7 @@ func TestReachKernelsAgree(t *testing.T) {
 	fixed := 0
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m, target := buildTickMDP(rng.Intn, dyadicDists)
+		m, target := buildTickMDP(rng.Intn, dyadicDists, false)
 		for _, workers := range []int{1, 2, 8} {
 			m.Workers = workers
 			for _, k := range checkKernels(t, m, target, 12) {
@@ -214,15 +214,8 @@ func FuzzReachKernels(f *testing.F) {
 	f.Add([]byte{6, 0, 3, 1, 6, 2, 0, 3, 1, 1, 5, 0, 4, 2, 6, 1, 0, 2, 3, 3, 12})
 	dists := append(append([][]prob.Rat(nil), dyadicDists...), thirdDists...)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pick := func(n int) int {
-			if n <= 0 || len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int(b) % n
-		}
-		m, target := buildTickMDP(pick, dists)
+		pick := picker(data)
+		m, target := buildTickMDP(pick, dists, false)
 		m.Workers = 1 + pick(3)
 		horizon := pick(13)
 		dyadic := true

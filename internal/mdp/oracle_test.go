@@ -1,15 +1,20 @@
 package mdp
 
-// The test oracle for the explorer. ExplorePacked is the only production
-// builder; fromAutomaton is an independent dense one, so the identity
-// tests (identity_test.go) and FuzzExploreMatchesDense can pin the
-// explorer's state numbering and arrays against it: it numbers states by
-// calling pa.Reachable, then fills the CSR state by state from that
-// list. This file also holds the per-state choice form that hand-built
-// test MDPs are written in.
+// The test oracles. ExplorePacked is the only production builder;
+// fromAutomaton is an independent dense one, so the identity tests
+// (identity_test.go) and FuzzExploreMatchesDense can pin the explorer's
+// state numbering and arrays against it: it numbers states by calling
+// pa.Reachable, then fills the CSR state by state from that list. The
+// reference value iteration (expectedTicksOracle) and the pass-loop
+// Prob0E (prob0EOracle) are the solvers the compiled sweep program and
+// the worklist replaced; FuzzExpectedTicksMatchesOracle and
+// FuzzQualitativeMatchesOracle pin the production solvers to them. This
+// file also holds the per-state choice form that hand-built test MDPs
+// are written in.
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/pa"
 	"repro/internal/prob"
@@ -129,4 +134,145 @@ func equalCSR(c, o *CSR) error {
 		}
 	}
 	return nil
+}
+
+// expectedTicksOracle is the reference value iteration: the closure loop
+// that MaxExpectedTicks (maximize) and MinExpectedTicks ran before the
+// sweep program. Every sweep copies prev into cur, then walks every
+// state of the plan level by level, each level split into parallelFor's
+// chunks, and evaluates each updated state's choices in CSR order.
+func expectedTicksOracle(m *MDP, target []bool, maximize bool) ([]float64, error) {
+	if len(target) != m.NumStates {
+		return nil, fmt.Errorf("mdp: target mask has %d entries, want %d", len(target), m.NumStates)
+	}
+	c := m.CSR()
+	var finite []bool
+	if maximize {
+		finite = minProbOneOracle(m, target)
+	} else {
+		finite = m.MaxProbPositive(target)
+	}
+	prev := make([]float64, c.n)
+	skip := make([]bool, c.n)
+	for s := range prev {
+		switch {
+		case target[s]:
+			skip[s] = true
+		case !finite[s]:
+			prev[s] = math.Inf(1)
+			skip[s] = true
+		case c.terminal(s):
+			skip[s] = true
+		}
+	}
+	worst := math.Inf(-1)
+	if !maximize {
+		worst = math.Inf(1)
+	}
+	pf := c.probs.f
+	eval := func(s int32, nonTick, tick []float64) float64 {
+		best := worst
+		for ci := c.choiceRow[s]; ci < c.choiceRow[s+1]; ci++ {
+			val := 0.0
+			layer := nonTick
+			if c.tick.get(ci) {
+				val = 1.0
+				layer = tick
+			}
+			for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
+				val += pf[c.pi[bi]] * layer[c.col[bi]]
+			}
+			if maximize == (val > best) && val != best {
+				best = val
+			}
+		}
+		return best
+	}
+
+	workers := m.workers()
+	plan := c.sweepPlan()
+	cur := make([]float64, c.n)
+	for iter := 0; iter < viMaxIter; iter++ {
+		copy(cur, prev)
+		nonTick := cur
+		if plan.jacobi {
+			nonTick = prev
+		}
+		delta := 0.0
+		lo := int32(0)
+		for _, hi := range plan.levels {
+			span := plan.order[lo:hi]
+			out := make([]float64, max(workers, 1))
+			parallelFor(workers, len(span), func(w, a, b int) {
+				dd := 0.0
+				for _, s := range span[a:b] {
+					if skip[s] {
+						continue
+					}
+					nv := eval(s, nonTick, prev)
+					if d := math.Abs(nv - prev[s]); d > dd {
+						dd = d
+					}
+					cur[s] = nv
+				}
+				out[w] = dd
+			})
+			for _, d := range out {
+				if d > delta {
+					delta = d
+				}
+			}
+			lo = hi
+		}
+		prev, cur = cur, prev
+		if delta <= viEpsilon {
+			return prev, nil
+		}
+	}
+	return nil, fmt.Errorf("%w after %d sweeps", ErrNoConvergence, viMaxIter)
+}
+
+// prob0EOracle is the pass-loop Prob0E: full passes over the CSR, each
+// dropping every in-set non-terminal state with no choice whose branches
+// all stay in the set, until a pass changes nothing.
+func prob0EOracle(m *MDP, target []bool) []bool {
+	c := m.CSR()
+	in := make([]bool, c.n)
+	for s := range in {
+		in[s] = !target[s]
+	}
+	for changed := true; changed; {
+		changed = false
+		for s := int32(0); int(s) < c.n; s++ {
+			if !in[s] || c.terminal(int(s)) {
+				continue
+			}
+			ok := false
+			for ci := c.choiceRow[s]; ci < c.choiceRow[s+1] && !ok; ci++ {
+				all := true
+				for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
+					if !in[c.col[bi]] {
+						all = false
+						break
+					}
+				}
+				ok = all
+			}
+			if !ok {
+				in[s] = false
+				changed = true
+			}
+		}
+	}
+	return in
+}
+
+// minProbOneOracle is MinProbOne on prob0EOracle.
+func minProbOneOracle(m *MDP, target []bool) []bool {
+	canFail := m.canReachAvoiding(prob0EOracle(m, target), target)
+	out := make([]bool, m.NumStates)
+	for s := range out {
+		out[s] = target[s] || !canFail[s]
+	}
+	return out
 }

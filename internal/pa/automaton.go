@@ -119,14 +119,17 @@ func (m *Automaton[S]) EnabledFrom(s S) bool { return len(m.Steps(s)) > 0 }
 
 // Reachable explores the state space breadth-first from the start states
 // and returns every reachable state (rstates(M)), in discovery order. It
-// returns ErrLimitExceeded if more than limit states are discovered;
-// limit <= 0 means no limit.
+// returns ErrLimitExceeded if more than limit states are discovered, the
+// distinct start states included; limit <= 0 means no limit.
 func (m *Automaton[S]) Reachable(limit int) ([]S, error) {
 	seen := make(map[S]bool, len(m.Start))
 	var order []S
 	queue := make([]S, 0, len(m.Start))
 	for _, s := range m.Start {
 		if !seen[s] {
+			if limit > 0 && len(order) >= limit {
+				return order, fmt.Errorf("%w: more than %d states", ErrLimitExceeded, limit)
+			}
 			seen[s] = true
 			order = append(order, s)
 			queue = append(queue, s)

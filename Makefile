@@ -5,6 +5,7 @@
 #   target      command                          catches
 #   ----------  -------------------------------  ----------------------------------
 #   build       go build ./...                   compile errors across all packages
+#   fmt         gofmt -l on tracked .go files    unformatted files (fails when any)
 #   vet         go vet (+ staticcheck if found)  suspicious constructs, dead code
 #   test        go test ./...                    unit + integration + fuzz seed corpus
 #   test-race   go test -race ./...              data races in the sharded Monte
@@ -141,8 +142,12 @@ vet:
 		echo "staticcheck not installed; skipping (go vet still ran)"; \
 	fi
 
+# Lists the tracked Go files gofmt would change and fails when there are
+# any. Only tracked files: build trees under .bench_build are not walked.
 fmt:
-	gofmt -l .
+	@files=$$(git ls-files '*.go') && [ -n "$$files" ] || { echo "fmt: no tracked Go files"; exit 1; }; \
+	out=$$(gofmt -l $$files); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Fuzz the engine and the artifact layer. Each -fuzz run is a separate
 # invocation (Go allows one fuzz target per run):
@@ -228,7 +233,7 @@ mdp-smoke:
 	$(GO) test -run 'TestExploreMatchesDenseElection' -count=1 ./internal/mdp
 	$(GO) test -run 'TestReachKernels' -count=1 ./internal/mdp
 
-check: build vet test test-race bench-smoke chaos-smoke chaos-net-smoke fabric-smoke trace-smoke mdp-smoke vuln
+check: build fmt vet test test-race bench-smoke chaos-smoke chaos-net-smoke fabric-smoke trace-smoke mdp-smoke vuln
 
 # The headline reproduction: the paper's table, derivation and bounds.
 lrcheck:

@@ -23,6 +23,7 @@ import (
 	"os"
 	"text/tabwriter"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/dining"
 	"repro/internal/report"
@@ -49,6 +50,14 @@ func run(args []string) error {
 	memBudget := fs.Int64("mem-budget", 0, "abort enumeration beyond this many bytes of transition structure (0 = unlimited)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	switch {
+	case *workers < 0:
+		return cli.UsageError(fs, "-workers must be >= 0, got %d", *workers)
+	case *memBudget < 0:
+		return cli.UsageError(fs, "-mem-budget must be >= 0, got %d", *memBudget)
+	case *curve < 0:
+		return cli.UsageError(fs, "-curve must be >= 0, got %d", *curve)
 	}
 	opts := dining.Opts{Workers: *workers, MemBudget: *memBudget}
 

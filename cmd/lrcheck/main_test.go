@@ -37,4 +37,13 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-n", "1"}); err == nil {
 		t.Error("ring of one accepted")
 	}
+	for _, args := range [][]string{
+		{"-n", "2", "-workers", "-3"},
+		{"-n", "2", "-mem-budget", "-5"},
+		{"-n", "2", "-curve", "-2"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
+	}
 }

@@ -53,18 +53,15 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"sync"
-	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -92,11 +89,8 @@ func run(ctx context.Context, args []string) error {
 		fmt.Fprintln(os.Stderr, usage)
 		return errors.New("missing subcommand")
 	}
-	// SIGINT/SIGTERM cancel for a graceful drain; a second signal kills
-	// the process the default way (stop re-arms on cancellation).
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.SignalContext(ctx)
 	defer stop()
-	context.AfterFunc(ctx, stop)
 
 	switch args[0] {
 	case "local":
@@ -189,15 +183,9 @@ func engineHooks(tr *span.Tracer, parent span.SpanContext, spec fabric.JobSpec) 
 
 // reportRun sends the run summary (and quarantine repro seeds, if any)
 // to stderr, keeping stdout canonical.
-func reportRun(rep sim.RunReport) {
+func reportRun(spec fabric.JobSpec, rep sim.RunReport) {
 	fmt.Fprintf(os.Stderr, "simd: %s\n", rep)
-	for _, pr := range rep.Panics {
-		verb := "panicked"
-		if pr.Kind == sim.RecordStalled {
-			verb = "stalled"
-		}
-		fmt.Fprintf(os.Stderr, "simd: trial %d %s: %s (trial RNG seed %d)\n", pr.Trial, verb, pr.Value, pr.Seed)
-	}
+	cli.ReportQuarantine(os.Stderr, "simd", jobLine(spec), spec.Seed, rep)
 }
 
 func runLocal(ctx context.Context, args []string) error {
@@ -227,7 +215,7 @@ func runLocal(ctx context.Context, args []string) error {
 		outcome = "error"
 	}
 	root.End(span.Str("outcome", outcome), span.Int("completed", rep.Completed))
-	reportRun(rep)
+	reportRun(spec, rep)
 	if errors.Is(err, sim.ErrInterrupted) {
 		fmt.Fprintf(os.Stderr, "simd: interrupted: partial %s over %d/%d trials\n", est, rep.Completed, rep.Total)
 		return err
@@ -263,27 +251,15 @@ func runCoordinate(ctx context.Context, args []string) error {
 		return err
 	}
 
-	reg := obs.NewRegistry()
 	// The metrics snapshot must land on every exit path — clean finish,
-	// SIGINT/SIGTERM drain, and the -quorum-timeout degraded path — so it
-	// is a once-guarded helper deferred here, before anything can fail.
-	writeMetrics := func() {}
-	if *metricsOut != "" {
-		var once sync.Once
-		writeMetrics = func() {
-			once.Do(func() {
-				data, err := json.Marshal(reg.Snapshot())
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "simd: encoding -metrics-out: %v\n", err)
-					return
-				}
-				if err := os.WriteFile(*metricsOut, data, 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "simd: writing -metrics-out: %v\n", err)
-				}
-			})
-		}
-		defer writeMetrics()
+	// SIGINT/SIGTERM drain, and the -quorum-timeout degraded path — so
+	// its write is deferred here, before anything else can fail.
+	reg := obs.NewRegistry()
+	mf, err := obs.CreateMetricsFile(*metricsOut)
+	if err != nil {
+		return err
 	}
+	defer writeMetrics(mf, reg)
 
 	tr, err := openTracer(*traceOut, "coord")
 	if err != nil {
@@ -384,7 +360,7 @@ func runCoordinate(ctx context.Context, args []string) error {
 		fmt.Fprintf(os.Stderr, "simd: hardening: %d hedges issued, %d workers quarantined, %d rpcs shed\n",
 			st.HedgesIssued, st.WorkersQuarantined, st.RPCsShed)
 	}
-	reportRun(rep)
+	reportRun(c.Job(), rep)
 
 	if waitErr == nil && ferr == nil {
 		// Complete run: the one canonical stdout line.
@@ -434,17 +410,11 @@ func runWork(ctx context.Context, args []string) error {
 		service = fmt.Sprintf("worker-%d", os.Getpid())
 	}
 	reg := obs.NewRegistry()
-	if *metricsOut != "" {
-		defer func() {
-			data, err := json.Marshal(reg.Snapshot())
-			if err == nil {
-				err = os.WriteFile(*metricsOut, data, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "simd: writing -metrics-out: %v\n", err)
-			}
-		}()
+	mf, err := obs.CreateMetricsFile(*metricsOut)
+	if err != nil {
+		return err
 	}
+	defer writeMetrics(mf, reg)
 	client := &http.Client{Timeout: 30 * time.Second}
 	if *chaosNet != "" {
 		script, err := fault.ParseNetScript(*chaosNet)
@@ -489,4 +459,12 @@ func runWork(ctx context.Context, args []string) error {
 	}
 	w.Tracer = tr
 	return w.Run(ctx)
+}
+
+// writeMetrics writes reg's final snapshot to the -metrics-out sink. A
+// failed write is a warning: the job's outcome stands.
+func writeMetrics(mf *obs.MetricsFile, reg *obs.Registry) {
+	if err := mf.Write(reg.Snapshot()); err != nil {
+		fmt.Fprintf(os.Stderr, "simd: writing %v\n", err)
+	}
 }

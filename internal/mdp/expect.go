@@ -48,9 +48,9 @@ func (c *CSR) sweepPlan() sweepPlan {
 }
 
 // sweepProgram is one expected-ticks solve compiled for its sweeps. It
-// sweeps only the updated rows (not targets, +Inf rows or terminal
-// rows), level by level; each level is split into per-worker chunks,
-// and each chunk into groups of rows of one shape: the same number of
+// sweeps only the updated rows (not targets or +Inf rows), level by
+// level; each level is split into per-worker chunks, and each chunk
+// into groups of rows of one shape: the same number of
 // non-tick and of tick choices and the same width, the most branches of
 // any of their choices rounded up to even. A row's choices are stored
 // non-tick first, each as width slots of a branch column and a one-byte
@@ -431,16 +431,19 @@ func (m *MDP) expectedTicks(target []bool, maximize bool) ([]float64, error) {
 }
 
 // pinned returns the initial values of an expected-ticks solve and the
-// rows that keep them: targets (0), states where the optimizing
-// direction does not reach the target almost surely (maximize) or at all
-// (+Inf), and terminal states (0). Every other row starts at 0.
+// rows that keep them: targets (0) and states where the optimizing
+// direction does not reach the target almost surely (+Inf: some
+// adversary avoids it with positive probability when maximizing, every
+// adversary does when minimizing). A terminal state that is not a
+// target reaches no target, so it is among the latter. Every other row
+// starts at 0.
 func (m *MDP) pinned(target []bool, maximize bool) (v []float64, skip []bool) {
 	c := m.CSR()
 	var finite []bool
 	if maximize {
 		finite = m.MinProbOne(target)
 	} else {
-		finite = m.MaxProbPositive(target)
+		finite = m.MaxProbOne(target)
 	}
 	v = make([]float64, c.n)
 	skip = make([]bool, c.n)
@@ -450,8 +453,6 @@ func (m *MDP) pinned(target []bool, maximize bool) (v []float64, skip []bool) {
 			skip[s] = true
 		case !finite[s]:
 			v[s] = math.Inf(1)
-			skip[s] = true
-		case c.terminal(s):
 			skip[s] = true
 		}
 	}
@@ -475,12 +476,12 @@ func (m *MDP) MaxExpectedTicks(target []bool) ([]float64, error) {
 // adversaries of the expected number of ticks until a target state is
 // first visited — the cooperative-scheduler counterpart of
 // MaxExpectedTicks, useful for reporting the best-case/worst-case spread
-// of a model. States from which no adversary can reach the target at all
-// get +Inf; value iteration from zero converges to the least fixpoint,
-// which is the min-cost value whenever the minimizing scheduler reaches
-// the target almost surely (true in particular when, as in the
-// Lehmann–Rabin product, every state has a strategy driving it to the
-// target with probability one).
+// of a model. States from which no adversary reaches the target almost
+// surely (outside MaxProbOne) get +Inf: every adversary misses the
+// target with positive probability there, and a run that misses it
+// counts +Inf ticks. On the rest an adversary reaches the target almost surely
+// inside MaxProbOne, so its expected ticks bound the iterates, and value
+// iteration from zero converges to the least fixpoint.
 func (m *MDP) MinExpectedTicks(target []bool) ([]float64, error) {
 	return m.expectedTicks(target, false)
 }

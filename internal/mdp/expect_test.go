@@ -1,6 +1,7 @@
 package mdp
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -98,9 +99,12 @@ func requireSameTicks(t *testing.T, got, want []float64) {
 // close cycles (so the sweep plan is Jacobi). Both directions, at one
 // and two workers with the parallel grain forced to 1, must return the
 // reference value iteration's vector (at one worker) bit for bit, or the
-// same error. The last seed's minimizing value grows by one tick per
-// sweep (a tick self-loop against a coin into a dead end), so both
-// solvers give up with ErrNoConvergence.
+// same error, and neither may give up with ErrNoConvergence. The last
+// seed has a state whose minimizing scheduler can only choose between a
+// tick self-loop and a coin into a dead end: some scheduler reaches the
+// target with positive probability, none almost surely, so both solvers
+// give it +Inf (where a solver that pinned only the states that cannot
+// reach the target would sweep forever).
 func FuzzExpectedTicksMatchesOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 1, 2, 0, 1, 1, 4, 0, 2, 3, 1, 0, 5, 2, 2, 1, 9})
@@ -116,6 +120,9 @@ func FuzzExpectedTicksMatchesOracle(f *testing.F) {
 		for _, maximize := range []bool{true, false} {
 			m.Workers = 1
 			want, wantErr := expectedTicksOracle(m, target, maximize)
+			if errors.Is(wantErr, ErrNoConvergence) {
+				t.Fatalf("maximize=%t: reference: %v", maximize, wantErr)
+			}
 			for _, workers := range []int{1, 2} {
 				m.Workers = workers
 				got, err := m.expectedTicks(target, maximize)
@@ -137,8 +144,8 @@ func FuzzExpectedTicksMatchesOracle(f *testing.F) {
 }
 
 // FuzzProb0EMatchesOracle: on small tick MDPs with terminal rows,
-// self-loops and targets, the worklist Prob0E and MinProbOne on it must
-// return the pass loop's masks.
+// self-loops and targets, the worklist Prob0E, MinProbOne on it and
+// MaxProbOne must return the pass loops' masks.
 func FuzzProb0EMatchesOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 1, 2, 0, 1, 1, 4, 0, 2, 3, 1, 0, 5, 2, 2, 1, 9})
@@ -152,6 +159,9 @@ func FuzzProb0EMatchesOracle(f *testing.F) {
 		}
 		if got, want := m.MinProbOne(target), minProbOneOracle(m, target); !slices.Equal(got, want) {
 			t.Fatalf("MinProbOne %v, on the pass loop %v", got, want)
+		}
+		if got, want := m.MaxProbOne(target), maxProbOneOracle(m, target); !slices.Equal(got, want) {
+			t.Fatalf("MaxProbOne %v, pass loops %v", got, want)
 		}
 	})
 }

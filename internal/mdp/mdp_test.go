@@ -3,6 +3,7 @@ package mdp
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/pa"
@@ -304,6 +305,13 @@ func TestQualitative(t *testing.T) {
 			t.Errorf("MaxProbPositive[%d] = %t, want %t", s, pos[s], want)
 		}
 	}
+
+	sure := m.MaxProbOne(target)
+	for s, want := range []bool{true, true, false, true} {
+		if sure[s] != want {
+			t.Errorf("MaxProbOne[%d] = %t, want %t", s, sure[s], want)
+		}
+	}
 }
 
 func TestMaxExpectedTicks(t *testing.T) {
@@ -382,6 +390,27 @@ func TestMinExpectedTicks(t *testing.T) {
 			nil,
 		})
 		v, err := m.MinExpectedTicks(mask(2, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !math.IsInf(v[0], 1) {
+			t.Errorf("E_min = %g, want +Inf", v[0])
+		}
+	})
+	t.Run("target reachable but not almost surely is infinite", func(t *testing.T) {
+		// State 0 may wait a tick forever or flip a coin between the
+		// target and a dead end: no scheduler reaches the target almost
+		// surely, though one reaches it with positive probability.
+		m := hand([][]Choice{
+			{tickTo("wait", 0), tickCoin("flip", 1, 2)},
+			nil,
+			nil,
+		})
+		target := mask(3, 1)
+		if got := m.MaxProbOne(target); !slices.Equal(got, []bool{false, true, false}) {
+			t.Errorf("MaxProbOne = %v, want only the target", got)
+		}
+		v, err := m.MinExpectedTicks(target)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,14 +7,16 @@ package mdp
 // pa.Reachable, then fills the CSR state by state from that list. The
 // reference value iteration (expectedTicksOracle) and the pass-loop
 // Prob0E (prob0EOracle) are the solvers the compiled sweep program and
-// the worklist replaced; FuzzExpectedTicksMatchesOracle and
-// FuzzQualitativeMatchesOracle pin the production solvers to them. This
+// the worklist replaced, and maxProbOneOracle is MaxProbOne as pass
+// loops; FuzzExpectedTicksMatchesOracle and FuzzProb0EMatchesOracle pin
+// the production solvers to them. This
 // file also holds the per-state choice form that hand-built test MDPs
 // are written in.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/pa"
 	"repro/internal/prob"
@@ -150,7 +152,7 @@ func expectedTicksOracle(m *MDP, target []bool, maximize bool) ([]float64, error
 	if maximize {
 		finite = minProbOneOracle(m, target)
 	} else {
-		finite = m.MaxProbPositive(target)
+		finite = maxProbOneOracle(m, target)
 	}
 	prev := make([]float64, c.n)
 	skip := make([]bool, c.n)
@@ -160,8 +162,6 @@ func expectedTicksOracle(m *MDP, target []bool, maximize bool) ([]float64, error
 			skip[s] = true
 		case !finite[s]:
 			prev[s] = math.Inf(1)
-			skip[s] = true
-		case c.terminal(s):
 			skip[s] = true
 		}
 	}
@@ -275,4 +275,40 @@ func minProbOneOracle(m *MDP, target []bool) []bool {
 		out[s] = target[s] || !canFail[s]
 	}
 	return out
+}
+
+// maxProbOneOracle is MaxProbOne as pass loops. U starts as every state.
+// A round grows a set R from the target by full passes over the CSR,
+// adding each state of U with a choice whose branches all stay in U and
+// one of which is in R, until a pass adds nothing; R becomes the next U.
+// The rounds stop when one changes nothing.
+func maxProbOneOracle(m *MDP, target []bool) []bool {
+	c := m.CSR()
+	u := make([]bool, c.n)
+	for s := range u {
+		u[s] = true
+	}
+	for {
+		r := slices.Clone(target)
+		for changed := true; changed; {
+			changed = false
+			for s := int32(0); int(s) < c.n; s++ {
+				for ci := c.choiceRow[s]; ci < c.choiceRow[s+1] && u[s] && !r[s]; ci++ {
+					stays, hits := true, false
+					for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
+						stays = stays && u[c.col[bi]]
+						hits = hits || r[c.col[bi]]
+					}
+					if stays && hits {
+						r[s] = true
+						changed = true
+					}
+				}
+			}
+		}
+		if slices.Equal(r, u) {
+			return r
+		}
+		u = r
+	}
 }

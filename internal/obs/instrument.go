@@ -48,7 +48,7 @@ type Instrumentation struct {
 	reporter     *ProgressReporter
 	debug        *DebugServer
 	manifestFile *os.File
-	metricsFile  *os.File
+	metricsFile  *MetricsFile
 }
 
 // Setup validates the requested sinks up front — creating the manifest and
@@ -84,13 +84,11 @@ func Setup(cfg Config) (*Instrumentation, error) {
 			Resume:  cfg.Resume,
 		})
 	}
-	if cfg.MetricsOut != "" {
-		f, err := os.Create(cfg.MetricsOut)
-		if err != nil {
-			return nil, fmt.Errorf("-metrics-out: %w", err)
-		}
-		ins.metricsFile = f
+	mf, err := CreateMetricsFile(cfg.MetricsOut)
+	if err != nil {
+		return nil, err
 	}
+	ins.metricsFile = mf
 	if cfg.Pprof != "" {
 		d, err := ServeDebug(cfg.Pprof, ins.Registry)
 		if err != nil {
@@ -161,7 +159,7 @@ func (ins *Instrumentation) teardown() {
 		ins.manifestFile.Close()
 	}
 	if ins.metricsFile != nil {
-		ins.metricsFile.Close()
+		ins.metricsFile.f.Close()
 	}
 }
 
@@ -179,26 +177,8 @@ func (ins *Instrumentation) Close(runErr error) error {
 		ins.reporter = nil
 	}
 	snap := ins.Registry.Snapshot()
-	var firstErr error
-	if ins.metricsFile != nil {
-		data, err := json.MarshalIndent(snap, "", " ")
-		if err == nil {
-			data = append(data, '\n')
-			_, err = ins.metricsFile.Write(data)
-		}
-		// Fsync before close: the metrics snapshot is a run artifact, and
-		// a post-run crash must not be able to take it with it.
-		if serr := ins.metricsFile.Sync(); err == nil {
-			err = serr
-		}
-		if cerr := ins.metricsFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("-metrics-out: %w", err)
-		}
-		ins.metricsFile = nil
-	}
+	firstErr := ins.metricsFile.Write(snap)
+	ins.metricsFile = nil
 	if ins.Manifest != nil {
 		err := ins.Manifest.Close(&snap, runErr)
 		if serr := ins.manifestFile.Sync(); err == nil {
@@ -217,4 +197,48 @@ func (ins *Instrumentation) Close(runErr error) error {
 		ins.debug = nil
 	}
 	return firstErr
+}
+
+// MetricsFile is the -metrics-out sink of a run. The file is created when
+// the run starts, so an unwritable path fails before any work. A nil
+// *MetricsFile writes nothing.
+type MetricsFile struct{ f *os.File }
+
+// CreateMetricsFile creates the -metrics-out file, or returns nil when
+// path is empty.
+func CreateMetricsFile(path string) (*MetricsFile, error) {
+	if path == "" {
+		return nil, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("-metrics-out: %w", err)
+	}
+	return &MetricsFile{f: f}, nil
+}
+
+// Write stores snap as indented JSON, fsyncs and closes the file. Only
+// the first call writes.
+func (m *MetricsFile) Write(snap Snapshot) error {
+	if m == nil || m.f == nil {
+		return nil
+	}
+	f := m.f
+	m.f = nil
+	data, err := json.MarshalIndent(snap, "", " ")
+	if err == nil {
+		_, err = f.Write(append(data, '\n'))
+	}
+	// Fsync before close: the metrics snapshot is a run artifact, and a
+	// post-run crash must not be able to take it with it.
+	if serr := f.Sync(); err == nil {
+		err = serr
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("-metrics-out: %w", err)
+	}
+	return nil
 }

@@ -157,10 +157,13 @@ fmt:
 #   LoadCheckpointSet   hostile checkpoint bytes: ErrCorruptArtifact, never a panic
 #   ReadManifest        hostile manifest JSONL: ErrCorruptManifest, never a panic
 #   ReachKernels        random tick MDPs: fixed-point and rational answers are equal
-#   ExploreMatchesDense random automata: the explorer builds the test oracle's MDP
+#   ExploreMatchesDense random automata: the explorer builds the test oracle's MDP,
+#                       with the queue cut into chunks of one and three states
 #   ExpectedTicksMatchesOracle  random tick MDPs, Zeno ones included: the sweep
 #                       program's expected ticks equal the reference value iteration's, bit for bit
 #   Prob0EMatchesOracle random tick MDPs: the worklist Prob0E and MinProbOne equal the pass loop's
+#   SetExtents          random predicates, universes and unions of unions: memoized set
+#                       extents answer Subset, Equal, Count, Witness and Mask as per-state loops do
 fuzz:
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzRunOnceAdversarial -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzAliasPick -fuzztime=$(FUZZTIME)
@@ -171,6 +174,7 @@ fuzz:
 	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzExploreMatchesDense -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzExpectedTicksMatchesOracle -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzProb0EMatchesOracle -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzSetExtents -fuzztime=$(FUZZTIME)
 
 # Chaos packages: seeded fault/kill/corruption storms against the
 # artifact layer (in-process, injected filesystem faults) and the real
@@ -224,13 +228,16 @@ trace-smoke:
 # CSR explorer and the parallel sparse solvers (all five arrows, the
 # composed claim, the expected-time sweep), the explorer against the test
 # oracle (internal/mdp/oracle_test.go, which numbers states by
-# pa.Reachable) on the election products, and the fixed-point vs
+# pa.Reachable) on the election and the dining n=3 products, with the
+# explorer's chunk size lowered so each crosses hundreds to thousands of
+# chunk boundaries at one, two and eight workers, and the fixed-point vs
 # rational kernel agreement on random tick MDPs. Seconds, so it gates
 # every check; the large-product runs live in the non-short tests and
 # EXPERIMENTS.md E22.
 mdp-smoke:
 	$(GO) run ./cmd/lrcheck -n 3 -k 1 -workers 2 >/dev/null && echo "mdp-smoke: lrcheck ok"
 	$(GO) test -run 'TestExploreMatchesDenseElection' -count=1 ./internal/mdp
+	$(GO) test -short -run 'TestExploreMatchesDenseDining' -count=1 ./internal/mdp
 	$(GO) test -run 'TestReachKernels' -count=1 ./internal/mdp
 
 check: build fmt vet test test-race bench-smoke chaos-smoke chaos-net-smoke fabric-smoke trace-smoke mdp-smoke vuln

@@ -75,30 +75,20 @@ func CheckStatement[S comparable](m *mdp.MDP, ix *mdp.Index[S], st Statement[S])
 		return res, err
 	}
 
-	fromMask := ix.Mask(func(s S) bool { return st.From.Contains(s) })
-	toMask := ix.Mask(func(s S) bool { return st.To.Contains(s) })
-	for _, in := range fromMask {
-		if in {
-			res.FromCount++
-		}
-	}
-	for _, in := range toMask {
-		if in {
-			res.ToCount++
-		}
-	}
+	from, to := st.From.extent(ix.States()), st.To.extent(ix.States())
+	res.FromCount, res.ToCount = from.count(), to.count()
 	if res.FromCount == 0 {
 		return res, ErrEmptyFrom
 	}
 
-	values, err := m.ReachWithinTicks(toMask, horizon, mdp.MinProb)
+	values, err := m.ReachWithinTicks(to.bools(ix.Len()), horizon, mdp.MinProb)
 	if err != nil {
 		return res, err
 	}
 
 	first := true
-	for s, in := range fromMask {
-		if !in {
+	for s := range values {
+		if !from.has(s) {
 			continue
 		}
 		if first || values[s].Less(res.WorstProb) {

@@ -25,19 +25,12 @@ type CurvePoint struct {
 // the curve delivers them — every t where the curve is below p is a
 // certified counterexample horizon.
 func WorstCaseCurve[S comparable](m *mdp.MDP, ix *mdp.Index[S], from, to Set[S], maxHorizon int) ([]CurvePoint, error) {
-	fromMask := ix.Mask(func(s S) bool { return from.Contains(s) })
-	toMask := ix.Mask(func(s S) bool { return to.Contains(s) })
-	hasFrom := false
-	for _, in := range fromMask {
-		if in {
-			hasFrom = true
-			break
-		}
-	}
-	if !hasFrom {
+	fromExt := from.extent(ix.States())
+	if fromExt.count() == 0 {
 		return nil, ErrEmptyFrom
 	}
-	layers, err := m.ReachWithinTicksLayers(toMask, maxHorizon, mdp.MinProb)
+	fromMask := fromExt.bools(ix.Len())
+	layers, err := m.ReachWithinTicksLayers(to.Mask(ix.States()), maxHorizon, mdp.MinProb)
 	if err != nil {
 		return nil, err
 	}

@@ -16,22 +16,39 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
+	"unsafe"
 )
 
 // Set is a named set of states, given extensionally by a predicate. Names
 // follow the paper's conventions ("T", "RT", "F∪G∪P", ...) and appear in
 // statements and proof trees.
+//
+// A set built by NewSet or Union memoizes its extent: the bitset of its
+// members among the state list it was last evaluated on (a Universe's,
+// or an mdp.Index's, which an analysis shares with its Universe). The
+// side conditions of a proof and the masks of its checks then evaluate
+// each predicate once per state, however many rules and statements
+// mention the set, and a union ORs its operands' extents. A set built as
+// a struct literal has no memo and calls Pred on every query.
 type Set[S comparable] struct {
 	// Name renders the set in statements.
 	Name string
 	// Pred reports membership.
 	Pred func(S) bool
+
+	memo *extentMemo[S]
 }
 
 // NewSet builds a named set.
 func NewSet[S comparable](name string, pred func(S) bool) Set[S] {
-	return Set[S]{Name: name, Pred: pred}
+	u := Set[S]{Name: name, Pred: pred}
+	u.memo = &extentMemo[S]{compute: u.evaluate}
+	return u
 }
 
 // Contains reports membership of s, treating a nil predicate as empty.
@@ -45,6 +62,7 @@ func Union[S comparable](sets ...Set[S]) Set[S] {
 		names[i] = set.Name
 		preds[i] = set.Pred
 	}
+	parts := append([]Set[S](nil), sets...)
 	return Set[S]{
 		Name: strings.Join(names, "∪"),
 		Pred: func(s S) bool {
@@ -55,7 +73,117 @@ func Union[S comparable](sets ...Set[S]) Set[S] {
 			}
 			return false
 		},
+		memo: &extentMemo[S]{compute: func(states []S) bitset {
+			ext := newBitset(len(states))
+			for _, p := range parts {
+				ext.or(p.extent(states))
+			}
+			return ext
+		}},
 	}
+}
+
+// Mask returns the set's membership over states, one bool per state:
+// mask[i] reports whether states[i] is in the set. The slice is the
+// caller's own.
+func (u Set[S]) Mask(states []S) []bool { return u.extent(states).bools(len(states)) }
+
+// extent returns the set's members among states as a bitset, from the
+// memo when it was computed on this very state list. The result is
+// shared and must not be modified.
+func (u Set[S]) extent(states []S) bitset {
+	m := u.memo
+	if m == nil {
+		return u.evaluate(states)
+	}
+	if e := m.cur.Load(); e.on(states) {
+		return e.bits
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e := m.cur.Load(); e.on(states) {
+		return e.bits
+	}
+	ext := m.compute(states)
+	m.cur.Store(&extent[S]{first: unsafe.SliceData(states), n: len(states), bits: ext})
+	return ext
+}
+
+// evaluate calls Pred on every state.
+func (u Set[S]) evaluate(states []S) bitset {
+	ext := newBitset(len(states))
+	if u.Pred != nil {
+		for i, s := range states {
+			if u.Pred(s) {
+				ext.set(i)
+			}
+		}
+	}
+	return ext
+}
+
+// extentMemo is a set's memoized extent. compute evaluates it on a state
+// list; cur is the last one computed, published once complete, so a
+// reader needs no lock, and mu makes concurrent first uses compute it
+// once.
+type extentMemo[S comparable] struct {
+	compute func(states []S) bitset
+	mu      sync.Mutex
+	cur     atomic.Pointer[extent[S]]
+}
+
+// extent is a set's members among one state list, which it names by its
+// first element and its length.
+type extent[S comparable] struct {
+	first *S
+	n     int
+	bits  bitset
+}
+
+// on reports whether e was computed on states.
+func (e *extent[S]) on(states []S) bool {
+	return e != nil && e.n == len(states) && e.first == unsafe.SliceData(states)
+}
+
+// bitset is a packed membership vector over a state list.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
+
+// bools returns the first n bits as a fresh []bool.
+func (b bitset) bools(n int) []bool {
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = b.has(i)
+	}
+	return out
+}
+
+func (b bitset) or(o bitset) {
+	for w := range b {
+		b[w] |= o[w]
+	}
+}
+
+func (b bitset) count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// firstAndNot returns the least index in b but not in o, or -1.
+func (b bitset) firstAndNot(o bitset) int {
+	for w := range b {
+		if d := b[w] &^ o[w]; d != 0 {
+			return w<<6 + bits.TrailingZeros64(d)
+		}
+	}
+	return -1
 }
 
 // Universe is an explicit finite collection of states over which set
@@ -78,36 +206,22 @@ func (u *Universe[S]) Len() int { return len(u.states) }
 
 // Subset reports whether a ⊆ b over the universe.
 func (u *Universe[S]) Subset(a, b Set[S]) bool {
-	for _, s := range u.states {
-		if a.Contains(s) && !b.Contains(s) {
-			return false
-		}
-	}
-	return true
+	return a.extent(u.states).firstAndNot(b.extent(u.states)) < 0
 }
 
 // Equal reports whether a and b contain the same universe states.
 func (u *Universe[S]) Equal(a, b Set[S]) bool {
-	return u.Subset(a, b) && u.Subset(b, a)
+	return slices.Equal(a.extent(u.states), b.extent(u.states))
 }
 
 // Count returns how many universe states are in the set.
-func (u *Universe[S]) Count(a Set[S]) int {
-	n := 0
-	for _, s := range u.states {
-		if a.Contains(s) {
-			n++
-		}
-	}
-	return n
-}
+func (u *Universe[S]) Count(a Set[S]) int { return a.extent(u.states).count() }
 
-// Witness returns a universe state in a but not in b, for diagnostics.
+// Witness returns the first universe state in a but not in b, for
+// diagnostics.
 func (u *Universe[S]) Witness(a, b Set[S]) (S, bool) {
-	for _, s := range u.states {
-		if a.Contains(s) && !b.Contains(s) {
-			return s, true
-		}
+	if i := a.extent(u.states).firstAndNot(b.extent(u.states)); i >= 0 {
+		return u.states[i], true
 	}
 	var zero S
 	return zero, false

@@ -117,6 +117,10 @@ func (a *Analysis) Sets() map[string]core.Set[PState] {
 // Set returns a named set from the registry.
 func (a *Analysis) Set(name string) core.Set[PState] { return a.sets[name] }
 
+// mask returns a registry set's membership over the indexed states, read
+// off the set's memoized extent.
+func (a *Analysis) mask(name string) []bool { return a.sets[name].Mask(a.Index.States()) }
+
 // stmt builds a statement from registry names and string bounds.
 func (a *Analysis) stmt(fromExpr, toExpr, time, pr string) core.Statement[PState] {
 	from, err := core.ParseSetExpr(a.sets, fromExpr)
@@ -257,22 +261,16 @@ func (a *Analysis) ExpectedTimeBound() (prob.Rat, error) {
 // process is in C, from the worst reachable state in T. It is the measured
 // counterpart of ExpectedTimeBound.
 func (a *Analysis) WorstExpectedTime() (float64, PState, error) {
-	target := a.Index.Mask(sched.LiftPred(InC))
-	values, err := a.MDP.MaxExpectedTicks(target)
+	values, err := a.MDP.MaxExpectedTicks(a.mask("C"))
 	if err != nil {
 		return 0, PState{}, err
 	}
 	worst := -1.0
 	var worstState PState
-	inT := sched.LiftPred(InT)
-	for i := 0; i < a.Index.Len(); i++ {
-		s := a.Index.State(i)
-		if !inT(s) {
-			continue
-		}
-		if values[i] > worst {
+	for i, in := range a.mask("T") {
+		if in && values[i] > worst {
 			worst = values[i]
-			worstState = s
+			worstState = a.Index.State(i)
 		}
 	}
 	if worst < 0 {
@@ -286,18 +284,13 @@ func (a *Analysis) WorstExpectedTime() (float64, PState, error) {
 // that metric — the cooperative-scheduler counterpart of
 // WorstExpectedTime, bounding the spread any scheduler can induce.
 func (a *Analysis) BestExpectedTime() (float64, error) {
-	target := a.Index.Mask(sched.LiftPred(InC))
-	values, err := a.MDP.MinExpectedTicks(target)
+	values, err := a.MDP.MinExpectedTicks(a.mask("C"))
 	if err != nil {
 		return 0, err
 	}
 	worst := -1.0
-	inT := sched.LiftPred(InT)
-	for i := 0; i < a.Index.Len(); i++ {
-		if !inT(a.Index.State(i)) {
-			continue
-		}
-		if values[i] > worst {
+	for i, in := range a.mask("T") {
+		if in && values[i] > worst {
 			worst = values[i]
 		}
 	}
@@ -330,8 +323,7 @@ func (a *Analysis) WorstWitness(horizon int) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("dining: worst state not indexed")
 	}
-	target := a.Index.Mask(sched.LiftPred(InC))
-	steps, err := a.MDP.WorstWitness(target, horizon, fromID, 0)
+	steps, err := a.MDP.WorstWitness(a.mask("C"), horizon, fromID, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -353,16 +345,13 @@ func (a *Analysis) WorstWitness(horizon int) ([]string, error) {
 // one? It returns the number of T-states and how many of them satisfy the
 // almost-sure property.
 func (a *Analysis) QualitativeProgress() (total, almostSure int) {
-	target := a.Index.Mask(sched.LiftPred(InC))
-	one := a.MDP.MinProbOne(target)
-	inT := sched.LiftPred(InT)
-	for i := 0; i < a.Index.Len(); i++ {
-		if !inT(a.Index.State(i)) {
-			continue
-		}
-		total++
-		if one[i] {
-			almostSure++
+	one := a.MDP.MinProbOne(a.mask("C"))
+	for i, in := range a.mask("T") {
+		if in {
+			total++
+			if one[i] {
+				almostSure++
+			}
 		}
 	}
 	return total, almostSure

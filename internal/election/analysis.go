@@ -217,8 +217,7 @@ func (a *Analysis) ExpectedTimeBound() (prob.Rat, error) {
 // digitized adversaries of the expected time to elect a leader from the
 // fresh start.
 func (a *Analysis) WorstExpectedTime() (float64, error) {
-	target := a.Index.Mask(sched.LiftPred(State.HasLeader))
-	values, err := a.MDP.MaxExpectedTicks(target)
+	values, err := a.MDP.MaxExpectedTicks(a.Elected().Mask(a.Index.States()))
 	if err != nil {
 		return 0, err
 	}

@@ -183,14 +183,25 @@ func (b *csrBuilder) startState() {
 	b.c.choiceRow = append(b.c.choiceRow, b.c.choiceRow[len(b.c.choiceRow)-1])
 }
 
-// addChoice appends a choice to the current state.
-func (b *csrBuilder) addChoice(label string, tick bool) {
+// labelID returns the id of a choice label, adding it to the CSR's
+// labels when it is new.
+func (b *csrBuilder) labelID(label string) int32 {
 	id, ok := b.labelOf[label]
 	if !ok {
 		id = int32(len(b.c.labels))
 		b.c.labels = append(b.c.labels, label)
 		b.labelOf[label] = id
 	}
+	return id
+}
+
+// addChoice appends a choice to the current state.
+func (b *csrBuilder) addChoice(label string, tick bool) {
+	b.addChoiceID(b.labelID(label), tick)
+}
+
+// addChoiceID appends a choice whose label has the given id.
+func (b *csrBuilder) addChoiceID(id int32, tick bool) {
 	ci := int32(len(b.c.labelID))
 	b.c.labelID = append(b.c.labelID, id)
 	b.c.branchRow = append(b.c.branchRow, b.c.branchRow[len(b.c.branchRow)-1])

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/pa"
 	"repro/internal/prob"
@@ -70,6 +72,34 @@ func TestExploreIndexOverflow(t *testing.T) {
 				t.Fatalf("limit %d: err = %v, want ErrIndexOverflow naming %s", limit-1, err, tc.largest)
 			}
 		})
+	}
+}
+
+// TestExploreErrorWaitsForWorkers: when the merge fails while the next
+// chunk is still expanding on worker goroutines, ExplorePacked returns
+// only after every expansion goroutine has, so no Steps call is in
+// flight once it returns. Each Steps call sleeps briefly so that an
+// explorer that returned early would be caught with calls in flight.
+func TestExploreErrorWaitsForWorkers(t *testing.T) {
+	defer SetChunkForTest(4, 1)()
+	var inFlight atomic.Int32
+	tree := &pa.Automaton[int]{Start: []int{1}, Steps: func(s int) []pa.Step[int] {
+		inFlight.Add(1)
+		defer inFlight.Add(-1)
+		time.Sleep(200 * time.Microsecond)
+		return []pa.Step[int]{{Action: "split", Next: prob.MustUniform(2*s, 2*s+1)}}
+	}}
+	for _, workers := range []int{2, 8} {
+		for _, opts := range []ExploreOptions{{Limit: 40}, {MemBudget: 4096}} {
+			opts.Workers = workers
+			_, _, err := Explore(tree, opts)
+			if err == nil {
+				t.Fatalf("workers=%d %+v: the infinite tree explored without error", workers, opts)
+			}
+			if n := inFlight.Load(); n != 0 {
+				t.Errorf("workers=%d %+v: returned %v with %d Steps calls in flight", workers, opts, err, n)
+			}
+		}
 	}
 }
 
@@ -208,34 +238,40 @@ func fuzzAutomaton(data []byte) *pa.Automaton[int] {
 	}
 }
 
-// FuzzExploreMatchesDense: on any small automaton, Explore at one and two
-// workers (with the parallel grain forced to 1) must number states as the
-// oracle does, in pa.Reachable's order, and build the oracle's CSR. Both
-// builders must also agree on the state limit: at the state count both
-// succeed, and one below it both fail with pa.ErrLimitExceeded.
+// FuzzExploreMatchesDense: on any small automaton, Explore at one, two
+// and eight workers must number states as the oracle does, in
+// pa.Reachable's order, and build the oracle's CSR. The chunk size is
+// lowered so the queue is cut after every state or every third one, and
+// the fan-out threshold to one, so each chunk of three expands on
+// goroutines while the one before it merges. Both builders must also
+// agree on the state limit: at the state count both succeed, and one
+// below it both fail with pa.ErrLimitExceeded.
 func FuzzExploreMatchesDense(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 0, 1, 0, 2, 0, 1, 2, 1, 3, 0, 2, 0, 1, 2, 3})
 	f.Add([]byte{11, 0, 1, 1, 0, 2, 5, 0, 3, 3, 1, 4, 2, 7, 9, 1, 3, 0, 2, 2, 6, 8, 10, 3, 1, 1, 11})
 	f.Add([]byte{2, 1, 1, 1, 1, 2, 0, 1, 3, 1, 0, 0, 0, 0})
-	defer SetMinGrainForTest(1)()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		auto := fuzzAutomaton(data)
 		dense, dIx, err := fromAutomaton(auto, 0)
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
-		for _, workers := range []int{1, 2} {
-			m, ix, err := Explore(auto, ExploreOptions{Workers: workers})
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
+		for _, chunk := range []int{1, 3} {
+			restore := SetChunkForTest(chunk, 1)
+			for _, workers := range []int{1, 2, 8} {
+				m, ix, err := Explore(auto, ExploreOptions{Workers: workers})
+				if err != nil {
+					t.Fatalf("chunk=%d workers=%d: %v", chunk, workers, err)
+				}
+				if !slices.Equal(ix.States(), dIx.States()) {
+					t.Fatalf("chunk=%d workers=%d: explored order %v, oracle %v", chunk, workers, ix.States(), dIx.States())
+				}
+				if err := equalCSR(dense.CSR(), m.CSR()); err != nil {
+					t.Fatalf("chunk=%d workers=%d: %v", chunk, workers, err)
+				}
 			}
-			if !slices.Equal(ix.States(), dIx.States()) {
-				t.Fatalf("workers=%d: explored order %v, oracle %v", workers, ix.States(), dIx.States())
-			}
-			if err := equalCSR(dense.CSR(), m.CSR()); err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
+			restore()
 		}
 
 		states := dIx.Len()

@@ -64,6 +64,33 @@ func SetMaxIndexForTest(n int) (restore func()) {
 	return func() { maxIndex = old }
 }
 
+// SetChunkForTest lowers the explorer's chunk size and its fan-out
+// threshold and returns a restore function, so the identity tests cross
+// many chunk boundaries, with overlapped expansion on goroutines, on
+// small models. The override is global, like SetMinGrainForTest's.
+func SetChunkForTest(chunk, fanOut int) (restore func()) {
+	oldChunk, oldFanOut := exploreChunk, exploreFanOut
+	exploreChunk, exploreFanOut = chunk, fanOut
+	return func() { exploreChunk, exploreFanOut = oldChunk, oldFanOut }
+}
+
+// ChunkFootprint is the explorer's state count and budget estimate after
+// one merged chunk.
+type ChunkFootprint struct {
+	States int
+	Bytes  int64
+}
+
+// ExploreFootprints is ExplorePacked, also returning the state count and
+// budget estimate after every merged chunk, in merge order.
+func ExploreFootprints[S comparable, K comparable](auto *pa.Automaton[S], pack func(S) K, opts ExploreOptions) ([]ChunkFootprint, error) {
+	var out []ChunkFootprint
+	_, _, err := explore(auto, pack, opts, func(states int, bytes int64) {
+		out = append(out, ChunkFootprint{States: states, Bytes: bytes})
+	})
+	return out, err
+}
+
 func exportFixture() *MDP {
 	return hand([][]Choice{
 		{tickCoin("flip", 1, 2), moveTo("skip", 2)},

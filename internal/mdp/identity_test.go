@@ -121,14 +121,34 @@ func requireSolverAgreement(t *testing.T, dense, explored *mdp.MDP, target []boo
 	}
 }
 
+// identityChunk and identityFanOut lower the explorer's chunk size and
+// fan-out threshold for the identity tests (SetChunkForTest), so even
+// the small products cross hundreds of chunk boundaries (dining n=3 k=2
+// over two thousand), and most chunks expand on goroutines while the
+// previous one merges.
+const identityChunk, identityFanOut = 16, 4
+
+// identityWorkers are the worker counts every identity test explores
+// with: all on the calling goroutine, fewer workers than CPUs on a
+// small host, and more.
+var identityWorkers = []int{1, 2, 8}
+
 func TestExploreMatchesDenseDining(t *testing.T) {
 	cases := []struct{ n, k, horizon int }{{3, 1, 13}, {3, 2, 13}}
 	if !testing.Short() {
 		cases = append(cases, struct{ n, k, horizon int }{4, 1, 13})
 	}
 	for _, tc := range cases {
+		// The n=3 products cross hundreds to thousands of lowered chunk
+		// boundaries; n=4 k=1 (206,254 states) crosses about 200 at the
+		// default size, which keeps the test affordable under the race
+		// detector.
+		restore := func() {}
+		if tc.n == 3 {
+			restore = mdp.SetChunkForTest(identityChunk, identityFanOut)
+		}
 		model := dining.MustNew(tc.n)
-		for _, workers := range []int{1, 4} {
+		for _, workers := range identityWorkers {
 			dense, explored, dIx, eIx := exploreProduct[dining.State](t, model, tc.k, mdp.ExploreOptions{Workers: workers})
 			requireSameMDP(t, dense, explored, dIx, eIx)
 			requireSolverAgreement(t, dense, explored, eIx.Mask(sched.LiftPred(dining.InC)), tc.horizon)
@@ -141,24 +161,31 @@ func TestExploreMatchesDenseDining(t *testing.T) {
 				}
 			}
 		}
+		restore()
 	}
 }
 
 func TestExploreMatchesDenseElection(t *testing.T) {
+	defer mdp.SetChunkForTest(identityChunk, identityFanOut)()
 	for _, n := range []int{3, 4} {
 		model := election.MustNew(n)
-		dense, explored, dIx, eIx := exploreProduct[election.State](t, model, 1, mdp.ExploreOptions{})
-		requireSameMDP(t, dense, explored, dIx, eIx)
-		requireSolverAgreement(t, dense, explored, eIx.Mask(sched.LiftPred(election.State.HasLeader)), 8)
+		for _, workers := range identityWorkers {
+			dense, explored, dIx, eIx := exploreProduct[election.State](t, model, 1, mdp.ExploreOptions{Workers: workers})
+			requireSameMDP(t, dense, explored, dIx, eIx)
+			requireSolverAgreement(t, dense, explored, eIx.Mask(sched.LiftPred(election.State.HasLeader)), 8)
+		}
 	}
 }
 
 func TestExploreMatchesDenseConsensus(t *testing.T) {
+	defer mdp.SetChunkForTest(identityChunk, identityFanOut)()
 	model := consensus.MustNew(3, 1)
-	dense, explored, dIx, eIx := exploreProduct[consensus.State](t, model, 1, mdp.ExploreOptions{})
-	requireSameMDP(t, dense, explored, dIx, eIx)
-	target := eIx.Mask(sched.LiftPred(consensus.State.AllCorrectDecided))
-	requireSolverAgreement(t, dense, explored, target, 6)
+	for _, workers := range identityWorkers {
+		dense, explored, dIx, eIx := exploreProduct[consensus.State](t, model, 1, mdp.ExploreOptions{Workers: workers})
+		requireSameMDP(t, dense, explored, dIx, eIx)
+		target := eIx.Mask(sched.LiftPred(consensus.State.AllCorrectDecided))
+		requireSolverAgreement(t, dense, explored, target, 6)
+	}
 }
 
 // TestExploreLimitAndBudget pins the two failure modes: the state limit
@@ -184,6 +211,47 @@ func TestExploreLimitAndBudget(t *testing.T) {
 	}
 	if be.Budget != 64 || be.Bytes <= 64 || be.States <= 0 {
 		t.Fatalf("budget error fields: %+v", be)
+	}
+}
+
+// TestExploreBudgetPerChunk: the budget estimate is checked after every
+// merged chunk, so a budget at half the final estimate fails at the very
+// chunk whose estimate first crosses it, with that chunk's state count
+// and estimate, not up to a BFS level later. Where a chunk ends does not
+// depend on the worker count, so neither does the failure.
+func TestExploreBudgetPerChunk(t *testing.T) {
+	model := dining.MustNew(3)
+	cm, err := sim.Compile[dining.State](model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auto, err := sched.Product[dining.State](cm, sched.Config{StepsPerWindow: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pack, _ := sched.ProductPacker[dining.State](model)
+	trace, err := mdp.ExploreFootprints(auto, pack, mdp.ExploreOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trace) < 4 {
+		t.Fatalf("%d merged chunks, want several", len(trace))
+	}
+	budget := trace[len(trace)-1].Bytes / 2
+	cross := 0
+	for trace[cross].Bytes <= budget {
+		cross++
+	}
+	for _, workers := range []int{1, 2} {
+		_, _, err := mdp.ExplorePacked(auto, pack, mdp.ExploreOptions{Workers: workers, MemBudget: budget})
+		var be *mdp.BudgetError
+		if !errors.As(err, &be) {
+			t.Fatalf("workers=%d: err = %v, want *mdp.BudgetError", workers, err)
+		}
+		if want := trace[cross]; be.States != want.States || be.Bytes != want.Bytes {
+			t.Errorf("workers=%d: stopped at %d states, %d bytes; the estimate crossed %d bytes at %d states, %d bytes (chunk %d of %d)",
+				workers, be.States, be.Bytes, budget, want.States, want.Bytes, cross+1, len(trace))
+		}
 	}
 }
 

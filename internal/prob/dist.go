@@ -134,6 +134,11 @@ func FlipRat[T comparable](heads T, p Rat, tails T) (Dist[T], error) {
 // modify the returned slice.
 func (d Dist[T]) Support() []T { return d.support }
 
+// Weights returns the probabilities of the support, index-aligned with
+// Support. It reads the distribution in place, where Outcomes copies;
+// the caller must not modify the returned slice.
+func (d Dist[T]) Weights() []Rat { return d.weights }
+
 // Len returns the size of the support.
 func (d Dist[T]) Len() int { return len(d.support) }
 
@@ -194,18 +199,31 @@ func (d Dist[T]) Outcomes() []Outcome[T] {
 }
 
 // Map applies f to every value in the support, merging values that f
-// identifies. The result is always a valid distribution when d is.
+// identifies. The result is always a valid distribution when d is. When
+// f merges nothing, the result shares d's weight column: both are
+// immutable, and an injective f (a scheduler product relabelling its
+// base model's outcomes) then costs one allocation, not two.
 func MapDist[T, U comparable](d Dist[T], f func(T) U) Dist[U] {
 	support := make([]U, 0, len(d.support))
-	weights := make([]Rat, 0, len(d.support))
+	var weights []Rat // nil until f merges two values
 	for i, v := range d.support {
 		u := f(v)
-		if j := slices.Index(support, u); j >= 0 {
-			weights[j] = weights[j].Add(d.weights[i])
-		} else {
+		j := slices.Index(support, u)
+		switch {
+		case j < 0:
 			support = append(support, u)
-			weights = append(weights, d.weights[i])
+			if weights != nil {
+				weights = append(weights, d.weights[i])
+			}
+		case weights == nil:
+			weights = append(make([]Rat, 0, len(d.support)), d.weights[:i]...)
+			fallthrough
+		default:
+			weights[j] = weights[j].Add(d.weights[i])
 		}
+	}
+	if weights == nil {
+		weights = d.weights
 	}
 	return Dist[U]{support: support, weights: weights}
 }

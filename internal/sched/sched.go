@@ -128,21 +128,37 @@ func Product[S comparable](m Model[S], cfg Config) (*pa.Automaton[State[S]], err
 	}
 
 	steps := func(ps State[S]) []pa.Step[State[S]] {
-		var out []pa.Step[State[S]]
+		// Each process's Moves and UserMoves are queried once; the ready
+		// mask the tick needs is read off the same answers.
+		var moves, user [MaxProcs][]pa.Step[S]
+		var ready uint16
+		count := 0
+		for i := 0; i < n; i++ {
+			moves[i] = m.Moves(ps.Base, i)
+			user[i] = m.UserMoves(ps.Base, i)
+			if len(moves[i]) > 0 {
+				ready |= 1 << i
+				if left(ps.Left, i) > 0 {
+					count += len(moves[i])
+				}
+			}
+			count += len(user[i])
+		}
+		tick := ps.Owes&ready == 0
+		if tick {
+			count++
+		}
+		out := make([]pa.Step[State[S]], 0, count)
 
 		// Algorithm steps, budget permitting.
 		for i := 0; i < n; i++ {
 			budget := left(ps.Left, i)
-			if budget == 0 {
-				continue
-			}
-			moves := m.Moves(ps.Base, i)
-			if len(moves) == 0 {
+			if budget == 0 || len(moves[i]) == 0 {
 				continue
 			}
 			owes := ps.Owes &^ (1 << i)
 			newLeft := setLeft(ps.Left, i, budget-1)
-			for _, mv := range moves {
+			for _, mv := range moves[i] {
 				out = append(out, pa.Step[State[S]]{
 					Action: mv.Action,
 					Next: prob.MapDist(mv.Next, func(b S) State[S] {
@@ -154,7 +170,7 @@ func Product[S comparable](m Model[S], cfg Config) (*pa.Automaton[State[S]], err
 
 		// User moves: always schedulable, no obligations touched.
 		for i := 0; i < n; i++ {
-			for _, mv := range m.UserMoves(ps.Base, i) {
+			for _, mv := range user[i] {
 				out = append(out, pa.Step[State[S]]{
 					Action: mv.Action,
 					Next: prob.MapDist(mv.Next, func(b S) State[S] {
@@ -165,12 +181,12 @@ func Product[S comparable](m Model[S], cfg Config) (*pa.Automaton[State[S]], err
 		}
 
 		// Tick: allowed when no currently-ready process still owes a step.
-		if ps.Owes&readyMask(ps.Base) == 0 {
+		if tick {
 			out = append(out, pa.Step[State[S]]{
 				Action: TickAction,
 				Next: prob.Point(State[S]{
 					Base: ps.Base,
-					Owes: readyMask(ps.Base),
+					Owes: ready,
 					Left: fullBudget,
 				}),
 			})

@@ -564,52 +564,53 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 				ar.rng.Seed(seed)
 				res, err = runArenaTrial(&ar.sc, mk(), target, opts, ar.rng)
 			}
-			var se *TrialStalledError
-			if errors.As(err, &se) {
-				if !rc.allowPanic() {
-					return se
-				}
-				if met != nil {
-					met.TrialStalled(i)
-				}
-				chunkPanics = append(chunkPanics, PanicRecord{
-					Trial: i, Seed: seed, Kind: RecordStalled, Value: se.Error(),
-				})
-				continue // quarantined like a panic: recorded, excluded
-			}
-			var pe *TrialPanicError
-			if errors.As(err, &pe) {
-				pe.Trial, pe.Seed = i, seed
-				if !rc.allowPanic() {
-					return pe
-				}
-				if met != nil {
-					met.TrialQuarantined(i)
-				}
-				chunkPanics = append(chunkPanics, PanicRecord{
-					Trial: i, Seed: seed, Value: fmt.Sprint(pe.Value), Stack: pe.Stack,
-				})
-				continue // quarantined: recorded, excluded from the estimate
-			}
-			if err == nil {
-				if batch {
-					batchEvents[batchN] = int64(res.Events)
-					batchN++
-					if res.Reached {
-						batchReach[batchHits] = res.ReachedAt
-						batchHits++
-					}
-				} else if met != nil {
-					met.TrialDone(i, res.Events, time.Since(t0).Seconds(), res.Reached, res.ReachedAt)
-				}
-				err = observe(acc, i, res)
-				if err == nil {
-					chunkCompleted++
-				}
-			}
 			if err != nil {
+				// The error boxes live in this branch: declared outside
+				// it, errors.As would move them to the heap on every
+				// trial, failed or not.
+				var se *TrialStalledError
+				if errors.As(err, &se) {
+					if !rc.allowPanic() {
+						return se
+					}
+					if met != nil {
+						met.TrialStalled(i)
+					}
+					chunkPanics = append(chunkPanics, PanicRecord{
+						Trial: i, Seed: seed, Kind: RecordStalled, Value: se.Error(),
+					})
+					continue // quarantined like a panic: recorded, excluded
+				}
+				var pe *TrialPanicError
+				if errors.As(err, &pe) {
+					pe.Trial, pe.Seed = i, seed
+					if !rc.allowPanic() {
+						return pe
+					}
+					if met != nil {
+						met.TrialQuarantined(i)
+					}
+					chunkPanics = append(chunkPanics, PanicRecord{
+						Trial: i, Seed: seed, Value: fmt.Sprint(pe.Value), Stack: pe.Stack,
+					})
+					continue // quarantined: recorded, excluded from the estimate
+				}
 				return fmt.Errorf("sim: trial %d: %w", i, err)
 			}
+			if batch {
+				batchEvents[batchN] = int64(res.Events)
+				batchN++
+				if res.Reached {
+					batchReach[batchHits] = res.ReachedAt
+					batchHits++
+				}
+			} else if met != nil {
+				met.TrialDone(i, res.Events, time.Since(t0).Seconds(), res.Reached, res.ReachedAt)
+			}
+			if err := observe(acc, i, res); err != nil {
+				return fmt.Errorf("sim: trial %d: %w", i, err)
+			}
+			chunkCompleted++
 		}
 		if err := rc.complete(chunk, acc, chunkPanics); err != nil {
 			return err

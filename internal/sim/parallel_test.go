@@ -254,3 +254,33 @@ func TestTrialSeedSpread(t *testing.T) {
 		}
 	}
 }
+
+// TestRunParallelWarmAllocs: with a warm compiled cache and a factory
+// that hands out one shared stateless policy, RunParallel allocates less
+// than one object per trial. A trial that succeeds must not pay for the
+// error boxes its failure checks unwrap into.
+func TestRunParallelWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const trials = 4096
+	cm, err := Compile[flipState](flipper{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := Slowest[flipState]()
+	mk := func() Policy[flipState] { return pol }
+	run := func() {
+		_, _, err := RunParallel[flipState](context.Background(), cm, mk, heads, trials,
+			Options[flipState]{}, ParallelOptions{Workers: 1, Seed: 3},
+			func(acc *int, _ int, _ Result[flipState]) error { *acc++; return nil },
+			func(dst *int, src int) { *dst += src })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // intern every state these trials visit
+	if got := testing.AllocsPerRun(3, run) / trials; got >= 1 {
+		t.Errorf("warm RunParallel: %.3f allocations per trial, want < 1", got)
+	}
+}

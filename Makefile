@@ -27,6 +27,9 @@
 #               test + kernel agreement test     parallel sparse solver diverging
 #                                                from the test oracle, or the
 #                                                fixed-point kernel from rationals
+#   perfbench-check cd perfbench && go vet, go test  an internal API change that
+#                                                breaks the benchmark module
+#                                                (its own go.mod, so ./... skips it)
 #   vuln        govulncheck (if installed)       known-vulnerable dependency use
 #
 # Performance regressions are gated separately by `make bench-diff`: it
@@ -49,7 +52,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test test-short test-race bench bench-smoke bench-json bench-diff vuln vet fmt fuzz chaos chaos-smoke chaos-net chaos-net-smoke fabric-smoke trace-smoke mdp-smoke check lrcheck experiments
+.PHONY: all build test test-short test-race bench bench-smoke bench-json bench-diff vuln vet fmt fuzz chaos chaos-smoke chaos-net chaos-net-smoke fabric-smoke trace-smoke mdp-smoke perfbench-check check lrcheck experiments
 
 # Benchmarks recorded in BENCH_sim.json and gated by bench-diff: the
 # parallel-engine throughput row, the metrics- and span-overhead pairs,
@@ -60,7 +63,7 @@ BENCH_GATE = BenchmarkParallelTrials|BenchmarkMetricsOverhead|BenchmarkSpanOverh
 
 # Absolute throughput backstop for the headline engine benchmark,
 # enforced by bench-diff on top of the relative 10% gate: the alias
-# sampler + packed interning + arena engine with the by-pointer policy
+# sampler + arena engine with the by-pointer policy
 # view measures ~208k trials/s on the reference machine (5.7x the 36,431
 # pre-alias baseline recorded in EXPERIMENTS.md); the floor sits below
 # that to absorb machine noise while still catching any change that
@@ -240,7 +243,14 @@ mdp-smoke:
 	$(GO) test -short -run 'TestExploreMatchesDenseDining' -count=1 ./internal/mdp
 	$(GO) test -run 'TestReachKernels' -count=1 ./internal/mdp
 
-check: build fmt vet test test-race bench-smoke chaos-smoke chaos-net-smoke fabric-smoke trace-smoke mdp-smoke vuln
+# The benchmark module (perfbench/, its own go.mod with replace repro =>
+# ../) imports internal packages, so `go build ./...` at the root never
+# compiles it. Vet and test it in place; `go build` would write a
+# perfbench/perfbench binary into the tree.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+check: build fmt vet test test-race bench-smoke chaos-smoke chaos-net-smoke fabric-smoke trace-smoke mdp-smoke perfbench-check vuln
 
 # The headline reproduction: the paper's table, derivation and bounds.
 lrcheck:

@@ -43,16 +43,16 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *n <= 0 {
+	model, err := dining.New(*n)
+	if err != nil {
 		fs.Usage()
-		return fmt.Errorf("-n must be positive, got %d", *n)
+		return fmt.Errorf("-n: %w", err)
 	}
 	if *maxEvents <= 0 {
 		fs.Usage()
 		return fmt.Errorf("-max-events must be positive, got %d", *maxEvents)
 	}
 
-	model := dining.MustNew(*n)
 	mk, err := dining.PolicyByName(*policy)
 	if err != nil {
 		return err

@@ -34,6 +34,8 @@ func TestRunBadFlags(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no", "such", "dir")
 	tests := [][]string{
 		{"-n", "0"},
+		{"-n", "1"},
+		{"-n", "17"},
 		{"-max-events", "0"},
 		{"-jsonl", filepath.Join(missing, "t.jsonl")},
 	}

@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/dining"
 	"repro/internal/election"
@@ -39,6 +40,12 @@ func run(args []string) error {
 	electionN := fs.Int("election", 4, "election size (0 to skip)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	switch {
+	case *curveHorizon < 0:
+		return cli.UsageError(fs, "-curve must be >= 0, got %d", *curveHorizon)
+	case *electionN < 0 || *electionN == 1:
+		return cli.UsageError(fs, "-election must be 0 or at least 2, got %d", *electionN)
 	}
 
 	configs, err := parseConfigs(*configsFlag)
@@ -69,7 +76,7 @@ func run(args []string) error {
 			return err
 		}
 	}
-	if *electionN > 1 {
+	if *electionN > 0 {
 		if err := electionTable(*electionN); err != nil {
 			return err
 		}

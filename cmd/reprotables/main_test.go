@@ -14,6 +14,19 @@ func TestRunSkips(t *testing.T) {
 	}
 }
 
+func TestRunBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-configs", "2x1", "-curve", "-1"},
+		{"-configs", "2x1", "-election", "-3"},
+		{"-configs", "2x1", "-election", "1"},
+		{"-configs", "2x1", "-curve", "0", "-election", "17"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
 func TestParseConfigs(t *testing.T) {
 	got, err := parseConfigs("3x1, 4x2")
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/mdp"
 	"repro/internal/prob"
 	"repro/internal/sched"
-	"repro/internal/sim"
 )
 
 // PState is a scheduler-product state of the election protocol.
@@ -40,29 +39,21 @@ type Analysis struct {
 // budget.
 type Opts = mdp.ExploreOptions
 
-// NewAnalysisOpts explores the n-process product under the
-// k-steps-per-window digitization with the on-the-fly CSR explorer: the
-// model is compiled so exploration shares the Monte Carlo engine's
-// sharded transition cache, product states are interned by their packed
-// fingerprints, and every solver runs opts.Workers wide. State numbering
-// is pa.Reachable's breadth-first order, so every analysis result is the
-// same for any opts.Workers.
+// NewAnalysisOpts explores the model's n-process product under the
+// k-steps-per-window digitization with the on-the-fly CSR explorer,
+// which interns product states by value; every solver runs opts.Workers
+// wide. State numbering is pa.Reachable's breadth-first order, so every
+// analysis result is the same for any opts.Workers.
 func NewAnalysisOpts(n, k int, opts Opts) (*Analysis, error) {
 	model, err := New(n)
 	if err != nil {
 		return nil, err
 	}
-	compiled, err := sim.Compile[State](model)
+	auto, err := sched.Product[State](model, sched.Config{StepsPerWindow: k})
 	if err != nil {
 		return nil, err
 	}
-	auto, err := sched.Product[State](compiled, sched.Config{StepsPerWindow: k})
-	if err != nil {
-		return nil, err
-	}
-	// *Model implements sched.Packer (pack.go), so the packer exists.
-	pack, _ := sched.ProductPacker[State](model)
-	m, ix, err := mdp.ExplorePacked(auto, pack, opts)
+	m, ix, err := mdp.Explore(auto, opts)
 	if err != nil {
 		return nil, fmt.Errorf("election: exploring product: %w", err)
 	}

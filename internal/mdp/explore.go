@@ -1,19 +1,18 @@
 package mdp
 
-// On-the-fly state-space generation: ExplorePacked walks a probabilistic
+// On-the-fly state-space generation: Explore walks a probabilistic
 // automaton's discovered states in first-in first-out order and emits
 // the CSR transition structure directly; it is how every MDP in the
-// repository is built. States are interned in an open-addressed table
-// of int32 ids hashed from a fixed-width packed key (pack(s)), so the
-// table stores no key at all, and callers pass a sim.Compile'd model
-// into sched.Product so every Steps call during exploration hits the
-// simulator's 64-way-sharded transition cache instead of re-deriving
-// moves the trial engine already knows.
+// repository is built. States are interned by their own value in an
+// open-addressed table of int32 ids hashed with maphash.Comparable; the
+// table stores ids only, and a probe confirms a hit by comparing the
+// states themselves. The analysis constructors explore the raw model's
+// product, so nothing is cached between Steps calls.
 //
 // Determinism. Exploration is parallel but the state numbering is not a
 // function of scheduling. The queue of discovered states is cut into
 // chunks of at most exploreChunk states; workers expand a chunk (its
-// states' steps and, for every branch, the hash of the successor's key)
+// states' steps and, for every branch, the hash of the successor)
 // on contiguous parts, and a single sequential merge on the calling
 // goroutine then walks the chunk in queue order, probing the id table
 // and appending CSR rows. While chunk k merges, chunk k+1 — cut from
@@ -107,28 +106,18 @@ type ExploreOptions struct {
 
 // Explore builds the MDP of auto's reachable space on the fly, interning
 // states by their own (comparable) value. State numbering equals
-// pa.Reachable discovery order.
+// pa.Reachable discovery order. A model whose branches use more distinct
+// probabilities than the CSR can index fails with
+// ErrTooManyProbabilities.
 func Explore[S comparable](auto *pa.Automaton[S], opts ExploreOptions) (*MDP, *Index[S], error) {
-	return ExplorePacked(auto, func(s S) S { return s }, opts)
+	return explore(auto, opts, nil)
 }
 
-// ExplorePacked is Explore interning states by pack(s) instead of s
-// itself. pack must be injective on the reachable states (the
-// sched.Packer contract): the id table hashes pack(s), and since two
-// reachable states share a key exactly when they are equal, a probe
-// confirms a hit by comparing the states themselves. A model whose
-// branches use more distinct probabilities than the CSR can index fails
-// with ErrTooManyProbabilities.
-func ExplorePacked[S comparable, K comparable](auto *pa.Automaton[S], pack func(S) K, opts ExploreOptions) (*MDP, *Index[S], error) {
-	return explore(auto, pack, opts, nil)
-}
-
-// explore is ExplorePacked with an observer: onChunk, when non-nil, sees
-// the state count and the budget estimate after every merged chunk.
-func explore[S comparable, K comparable](auto *pa.Automaton[S], pack func(S) K, opts ExploreOptions, onChunk func(states int, bytes int64)) (*MDP, *Index[S], error) {
-	e := &explorer[S, K]{
+// explore is Explore with an observer: onChunk, when non-nil, sees the
+// state count and the budget estimate after every merged chunk.
+func explore[S comparable](auto *pa.Automaton[S], opts ExploreOptions, onChunk func(states int, bytes int64)) (*MDP, *Index[S], error) {
+	e := &explorer[S]{
 		auto:    auto,
-		pack:    pack,
 		opts:    opts,
 		workers: resolveWorkers(opts.Workers),
 		seed:    maphash.MakeSeed(),
@@ -206,9 +195,8 @@ type labelEntry struct {
 
 // explorer is the state of one exploration. Everything but the
 // expansions is owned by the calling goroutine.
-type explorer[S comparable, K comparable] struct {
+type explorer[S comparable] struct {
 	auto    *pa.Automaton[S]
-	pack    func(S) K
 	opts    ExploreOptions
 	workers int
 	seed    maphash.Seed
@@ -224,7 +212,7 @@ type explorer[S comparable, K comparable] struct {
 
 // expansion is one chunk of the queue expanded: the steps of each of
 // its states, and for every branch of every step, in order, the hash of
-// its successor's key. Each part is one goroutine's contiguous share of
+// its successor. Each part is one goroutine's contiguous share of
 // the chunk.
 type expansion[S comparable] struct {
 	states []S // the chunk, a window of the explorer's states
@@ -238,15 +226,15 @@ type expansionPart struct {
 	hashes []uint32 // one per branch of those states' steps, in order
 }
 
-// hash hashes the key of s. A table never has more than 2^32 slots, so
-// 32 bits place any state.
-func (e *explorer[S, K]) hash(s S) uint32 {
-	return uint32(maphash.Comparable(e.seed, e.pack(s)))
+// hash hashes s. A table never has more than 2^32 slots, so 32 bits
+// place any state.
+func (e *explorer[S]) hash(s S) uint32 {
+	return uint32(maphash.Comparable(e.seed, s))
 }
 
-// find probes the id table for s, whose key hashes to h: it returns s's
+// find probes the id table for s, which hashes to h: it returns s's
 // id, or -1 when s is new.
-func (e *explorer[S, K]) find(h uint32, s S) int32 {
+func (e *explorer[S]) find(h uint32, s S) int32 {
 	mask := uint32(len(e.table) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		v := e.table[i]
@@ -259,9 +247,9 @@ func (e *explorer[S, K]) find(h uint32, s S) int32 {
 	}
 }
 
-// add interns the new state s, whose key hashes to h, and returns its
+// add interns the new state s, which hashes to h, and returns its
 // id: the next in discovery order.
-func (e *explorer[S, K]) add(h uint32, s S) (int32, error) {
+func (e *explorer[S]) add(h uint32, s S) (int32, error) {
 	if e.opts.Limit > 0 && len(e.states) >= e.opts.Limit {
 		return 0, fmt.Errorf("%w: more than %d states", pa.ErrLimitExceeded, e.opts.Limit)
 	}
@@ -277,8 +265,8 @@ func (e *explorer[S, K]) add(h uint32, s S) (int32, error) {
 	return id, nil
 }
 
-// grow doubles the id table, hashing every state's key again.
-func (e *explorer[S, K]) grow() {
+// grow doubles the id table, hashing every state again.
+func (e *explorer[S]) grow() {
 	t := make([]int32, 2*len(e.table))
 	for id, s := range e.states {
 		place(t, e.hash(s), int32(id))
@@ -303,7 +291,7 @@ func overflow(what string) error {
 // label returns the label table's entry for action, adding one when
 // the action is new: its duration must be zero or one, validated once
 // per label instead of once per choice.
-func (e *explorer[S, K]) label(action string) (labelEntry, error) {
+func (e *explorer[S]) label(action string) (labelEntry, error) {
 	if l, ok := e.labels[action]; ok {
 		return l, nil
 	}
@@ -324,7 +312,7 @@ func (e *explorer[S, K]) label(action string) (labelEntry, error) {
 // and returns where the chunk ends. A chunk of at least exploreFanOut
 // states, with more than one worker, expands on worker goroutines (wait
 // on x.wg); a smaller one expands before expand returns.
-func (e *explorer[S, K]) expand(x *expansion[S], lo int) int {
+func (e *explorer[S]) expand(x *expansion[S], lo int) int {
 	hi := min(len(e.states), lo+exploreChunk)
 	n := hi - lo
 	x.states = e.states[lo:hi]
@@ -354,10 +342,10 @@ func (e *explorer[S, K]) expand(x *expansion[S], lo int) int {
 	return hi
 }
 
-// expandPart computes the steps of one part's states and hashes the key
-// of every successor. It writes only the part's rows of x.steps and the
+// expandPart computes the steps of one part's states and hashes every
+// successor. It writes only the part's rows of x.steps and the
 // part's own hashes.
-func (e *explorer[S, K]) expandPart(x *expansion[S], part *expansionPart) {
+func (e *explorer[S]) expandPart(x *expansion[S], part *expansionPart) {
 	hs := part.hashes[:0]
 	for i := part.lo; i < part.hi; i++ {
 		steps := e.auto.Steps(x.states[i])
@@ -374,7 +362,7 @@ func (e *explorer[S, K]) expandPart(x *expansion[S], part *expansionPart) {
 // merge interns the successors of an expanded chunk in queue order — the
 // BFS discovery order — and appends the chunk's CSR rows, reading every
 // branch in place from its step.
-func (e *explorer[S, K]) merge(x *expansion[S]) error {
+func (e *explorer[S]) merge(x *expansion[S]) error {
 	b := e.b
 	for p := range x.parts {
 		part := &x.parts[p]
@@ -418,8 +406,8 @@ func (e *explorer[S, K]) merge(x *expansion[S]) error {
 // expanded steps of two chunks the size of x — the one merged and the
 // one in flight. A chunk's steps are counted from what the merge
 // appended for it: a slice header per state, a pa.Step per choice, and
-// per branch its successor, its probability and its key's hash.
-func (e *explorer[S, K]) footprint(x *expansion[S]) int64 {
+// per branch its successor, its probability and its hash.
+func (e *explorer[S]) footprint(x *expansion[S]) int64 {
 	var (
 		zeroS     S
 		zeroSteps []pa.Step[S]

@@ -76,7 +76,7 @@ func TestExploreIndexOverflow(t *testing.T) {
 }
 
 // TestExploreErrorWaitsForWorkers: when the merge fails while the next
-// chunk is still expanding on worker goroutines, ExplorePacked returns
+// chunk is still expanding on worker goroutines, Explore returns
 // only after every expansion goroutine has, so no Steps call is in
 // flight once it returns. Each Steps call sleeps briefly so that an
 // explorer that returned early would be caught with calls in flight.
@@ -133,14 +133,11 @@ func coinsAutomaton(t *testing.T, extra bool) *pa.Automaton[int] {
 // index into the CSR's table, so an MDP may use 256 distinct branch
 // probabilities and the 257th is ErrTooManyProbabilities. At 256 the
 // last table entries must answer correctly: the worst choice for
-// reaching state 2 is the last coin, whose 3/4 is entry 255.
+// reaching state 2 is the last coin, whose 3/4 is entry 255. The subtest
+// explores straight into that packed form, one byte per branch probability.
 func TestTooManyProbabilities(t *testing.T) {
 	t.Run("ExplorePacked", func(t *testing.T) {
-		build := func(a *pa.Automaton[int]) (*MDP, error) {
-			m, _, err := ExplorePacked(a, func(s int) int64 { return int64(s) }, ExploreOptions{Workers: 1})
-			return m, err
-		}
-		m, err := build(coinsAutomaton(t, false))
+		m, _, err := Explore(coinsAutomaton(t, false), ExploreOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("256 distinct probabilities: %v", err)
 		}
@@ -154,7 +151,7 @@ func TestTooManyProbabilities(t *testing.T) {
 		if want := prob.NewRat(3, 4); !v[0].Equal(want) {
 			t.Errorf("min P(reach 2) = %v, want %v", v[0], want)
 		}
-		if _, err := build(coinsAutomaton(t, true)); !errors.Is(err, ErrTooManyProbabilities) {
+		if _, _, err := Explore(coinsAutomaton(t, true), ExploreOptions{Workers: 1}); !errors.Is(err, ErrTooManyProbabilities) {
 			t.Fatalf("257 distinct probabilities: err = %v, want ErrTooManyProbabilities", err)
 		}
 	})

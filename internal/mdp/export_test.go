@@ -81,11 +81,11 @@ type ChunkFootprint struct {
 	Bytes  int64
 }
 
-// ExploreFootprints is ExplorePacked, also returning the state count and
+// ExploreFootprints is Explore, also returning the state count and
 // budget estimate after every merged chunk, in merge order.
-func ExploreFootprints[S comparable, K comparable](auto *pa.Automaton[S], pack func(S) K, opts ExploreOptions) ([]ChunkFootprint, error) {
+func ExploreFootprints[S comparable](auto *pa.Automaton[S], opts ExploreOptions) ([]ChunkFootprint, error) {
 	var out []ChunkFootprint
-	_, _, err := explore(auto, pack, opts, func(states int, bytes int64) {
+	_, _, err := explore(auto, opts, func(states int, bytes int64) {
 		out = append(out, ChunkFootprint{States: states, Bytes: bytes})
 	})
 	return out, err

@@ -1,7 +1,7 @@
 // The explorer against the test oracle. The on-the-fly explorer
-// (mdp.Explore / mdp.ExplorePacked) builds every MDP; for every model the
-// explored MDP must be structurally identical — the same CSR arrays,
-// position for position — to the one the dense oracle (oracle_test.go)
+// (mdp.Explore) builds every MDP; for every model the explored MDP must
+// be structurally identical — the same CSR arrays, position for
+// position — to the one the dense oracle (oracle_test.go)
 // builds from pa.Reachable's state list, and every solver returns the
 // same answers on both. The solvers themselves must be deterministic in
 // the worker count: parallel sweeps are bit-identical whether one
@@ -21,12 +21,12 @@ import (
 	"repro/internal/pa"
 	"repro/internal/prob"
 	"repro/internal/sched"
-	"repro/internal/sim"
 )
 
 // exploreProduct builds the digitized product of a model both ways:
-// densely via the oracle and on the fly via ExplorePacked (with the
-// compiled-model cache, as the analysis constructors do).
+// densely via the oracle and on the fly via Explore over the raw model,
+// as the analysis constructors do. With more than one worker the model's
+// Steps runs on several goroutines at once.
 func exploreProduct[S comparable](t *testing.T, model sched.Model[S], k int, opts mdp.ExploreOptions) (dense, explored *mdp.MDP, dIx, eIx *mdp.Index[sched.State[S]]) {
 	t.Helper()
 	auto, err := sched.Product[S](model, sched.Config{StepsPerWindow: k})
@@ -37,19 +37,7 @@ func exploreProduct[S comparable](t *testing.T, model sched.Model[S], k int, opt
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := sim.Compile[S](model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cauto, err := sched.Product[S](cm, sched.Config{StepsPerWindow: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pack, ok := sched.ProductPacker[S](model); ok {
-		explored, eIx, err = mdp.ExplorePacked(cauto, pack, opts)
-	} else {
-		explored, eIx, err = mdp.Explore(cauto, opts)
-	}
+	explored, eIx, err = mdp.Explore(auto, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,17 +208,11 @@ func TestExploreLimitAndBudget(t *testing.T) {
 // and estimate, not up to a BFS level later. Where a chunk ends does not
 // depend on the worker count, so neither does the failure.
 func TestExploreBudgetPerChunk(t *testing.T) {
-	model := dining.MustNew(3)
-	cm, err := sim.Compile[dining.State](model)
+	auto, err := sched.Product[dining.State](dining.MustNew(3), sched.Config{StepsPerWindow: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := sched.Product[dining.State](cm, sched.Config{StepsPerWindow: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pack, _ := sched.ProductPacker[dining.State](model)
-	trace, err := mdp.ExploreFootprints(auto, pack, mdp.ExploreOptions{Workers: 1})
+	trace, err := mdp.ExploreFootprints(auto, mdp.ExploreOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +225,7 @@ func TestExploreBudgetPerChunk(t *testing.T) {
 		cross++
 	}
 	for _, workers := range []int{1, 2} {
-		_, _, err := mdp.ExplorePacked(auto, pack, mdp.ExploreOptions{Workers: workers, MemBudget: budget})
+		_, _, err := mdp.Explore(auto, mdp.ExploreOptions{Workers: workers, MemBudget: budget})
 		var be *mdp.BudgetError
 		if !errors.As(err, &be) {
 			t.Fatalf("workers=%d: err = %v, want *mdp.BudgetError", workers, err)

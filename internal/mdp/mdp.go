@@ -8,7 +8,7 @@
 // MDP: the adversary picks a choice in every state, probabilistic
 // transitions resolve the algorithm's coins, and time advances on choices
 // marked as ticks. This package explores such MDPs from probabilistic
-// automata (Explore, ExplorePacked), numbering states in pa.Reachable's
+// automata (Explore), numbering states in pa.Reachable's
 // breadth-first order, and computes on them:
 //
 //   - exact minimum and maximum probabilities of reaching a target
@@ -28,8 +28,7 @@ import (
 
 // MDP is a finite Markov decision process. States are dense indices
 // 0..NumStates-1, and the transitions live in compressed-sparse-row
-// form (CSR). ExplorePacked builds every MDP; Explore is ExplorePacked
-// with each state as its own key.
+// form (CSR). Explore builds every MDP.
 type MDP struct {
 	NumStates int
 

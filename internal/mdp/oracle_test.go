@@ -1,6 +1,6 @@
 package mdp
 
-// The test oracles. ExplorePacked is the only production builder;
+// The test oracles. Explore is the only production builder;
 // fromAutomaton is an independent dense one, so the identity tests
 // (identity_test.go) and FuzzExploreMatchesDense can pin the explorer's
 // state numbering and arrays against it: it numbers states by calling

@@ -201,16 +201,13 @@ func TestArenaFieldsApart(t *testing.T) {
 	runtime.KeepAlive(arenas)
 }
 
-// TestPackedInterningZeroStateGrowth: a model with a sched.Packer is
-// interned by packed key; the cache warms once and serves identical
-// results, and the count matches the unpacked cache for the same run.
-func TestPackedInterningZeroStateGrowth(t *testing.T) {
-	cm, err := Compile[flipState](packedFlip{})
+// TestInterningZeroStateGrowth: the cache interns states by value; it
+// warms once, and a second identical run interns nothing and gives the
+// same answer.
+func TestInterningZeroStateGrowth(t *testing.T) {
+	cm, err := Compile[flipState](flipper{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cm.packer == nil {
-		t.Fatal("packer not detected on a sched.Packer model")
 	}
 	first, _, err := EstimateReachProbParallel[flipState](context.Background(), cm, mkSlowest, heads, 5, 400,
 		Options[flipState]{}, ParallelOptions{Seed: 2})
@@ -227,35 +224,9 @@ func TestPackedInterningZeroStateGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cm.count.Load() != warm {
-		t.Errorf("second identical run grew the packed cache: %d -> %d states", warm, cm.count.Load())
+		t.Errorf("second identical run grew the cache: %d -> %d states", warm, cm.count.Load())
 	}
 	if first != second {
-		t.Errorf("warm packed cache run %+v != cold run %+v", second, first)
-	}
-
-	// And the packed cache answers the same runs as the struct-keyed one.
-	plain, _, err := EstimateReachProbParallel[flipState](context.Background(), flipper{}, mkSlowest, heads, 5, 400,
-		Options[flipState]{}, ParallelOptions{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != plain {
-		t.Errorf("packed-interned run %+v != struct-interned %+v", first, plain)
+		t.Errorf("warm cache run %+v != cold run %+v", second, first)
 	}
 }
-
-// packedFlip is flipper plus a sched.Packer implementation, so the sim
-// package can exercise the packed interning path without importing a
-// case-study model (which would cycle: the models' policies import sim).
-type packedFlip struct{ flipper }
-
-func (packedFlip) PackState(s flipState) sched.Packed {
-	var p sched.Packed
-	if s.Heads {
-		p[0] = 1
-	}
-	p[1] = uint64(s.Flips)
-	return p
-}
-
-var _ sched.Packer[flipState] = packedFlip{}

@@ -33,14 +33,11 @@ package sim
 // stepped). A trial resolves a drawn successor's entry only when it
 // steps from it, so the state a trial ends in is never compiled.
 //
-// The cache is sharded by state hash (hash/maphash.Comparable) with one
-// RWMutex per shard: steady state is a read-lock and a map hit, and
-// distinct states contend only 1/compileShards of the time while the
-// cache warms. Models that implement sched.Packer[S] are interned by
-// their fixed-width packed encoding instead of the state struct itself,
-// which keeps the map keys to a few machine words (hashing and equality
-// on a [4]uint64 instead of a larger struct); the Packer is optional, so
-// models without one are interned by value.
+// The cache interns states by their own value, sharded by state hash
+// (hash/maphash.Comparable) with one RWMutex per shard: a lookup is a
+// read-lock and a map hit, and distinct states contend only
+// 1/compileShards of the time while the cache warms. In steady state a
+// trial walks the successor slots and takes no lock at all.
 
 import (
 	"errors"
@@ -134,9 +131,6 @@ func (m moveSampler[S]) pick(r float64) *outcome[S] {
 type compileShard[S comparable] struct {
 	mu      sync.RWMutex
 	entries map[S]*stateEntry[S]
-	// packed replaces entries when the model implements sched.Packer:
-	// same interning, keyed by the fixed-width encoding.
-	packed map[sched.Packed]*stateEntry[S]
 }
 
 // Compiled is the transition-cached form of a model returned by
@@ -150,9 +144,6 @@ type Compiled[S comparable] struct {
 	count atomic.Int64 // interned entries, for the maxStates cap
 	// maxStates is maxCompiledStates, held per cache so tests can lower it.
 	maxStates int64
-	// packer is non-nil when the inner model implements sched.Packer:
-	// states are then interned by their packed encoding.
-	packer func(S) sched.Packed
 
 	shards [compileShards]compileShard[S]
 }
@@ -169,9 +160,7 @@ var ErrImpureModel = errors.New("sim: model failed the purity spot check")
 // states, memoizes Moves/UserMoves per state and resolves each successor
 // distribution into an alias table the first time a trial draws from it,
 // so the hot loop does no repeated model queries, no big.Rat arithmetic
-// and no per-draw map lookups. Models that implement sched.Packer[S] are
-// interned by their fixed-width packed encoding, keeping cache keys to a
-// few machine words.
+// and no per-draw map lookups. States are interned by their own value.
 //
 // Compiling relies on the sched.Model contract that Moves/UserMoves are
 // purely functional. Compile spot-checks the contract (repeated queries
@@ -192,13 +181,6 @@ func Compile[S comparable](m sched.Model[S]) (*Compiled[S], error) {
 		return nil, err
 	}
 	c := &Compiled[S]{inner: m, n: m.NumProcs(), seed: maphash.MakeSeed(), maxStates: maxCompiledStates}
-	if pk, ok := m.(sched.Packer[S]); ok {
-		c.packer = pk.PackState
-		for i := range c.shards {
-			c.shards[i].packed = make(map[sched.Packed]*stateEntry[S])
-		}
-		return c, nil
-	}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[S]*stateEntry[S])
 	}
@@ -242,9 +224,6 @@ func (c *Compiled[S]) UserMoves(s S, i int) []pa.Step[S] {
 // caller's alone. The double-checked insert keeps exactly one canonical
 // entry per state even when two workers race to compile it.
 func (c *Compiled[S]) entry(s S) (e *stateEntry[S], interned bool) {
-	if c.packer != nil {
-		return c.entryPacked(c.packer(s), s)
-	}
 	sh := &c.shards[maphash.Comparable(c.seed, s)&(compileShards-1)]
 	sh.mu.RLock()
 	e = sh.entries[s]
@@ -262,32 +241,6 @@ func (c *Compiled[S]) entry(s S) (e *stateEntry[S], interned bool) {
 		return e, false
 	}
 	sh.entries[s] = e
-	c.count.Add(1)
-	return e, true
-}
-
-// entryPacked is entry for models with a sched.Packer: the cache is
-// keyed by the packed encoding of s. Soundness is the packer's
-// injectivity contract — two states with equal encodings must be equal —
-// pinned by the trajectory-walk tests next to each Packer.
-func (c *Compiled[S]) entryPacked(k sched.Packed, s S) (e *stateEntry[S], interned bool) {
-	sh := &c.shards[maphash.Comparable(c.seed, k)&(compileShards-1)]
-	sh.mu.RLock()
-	e = sh.packed[k]
-	sh.mu.RUnlock()
-	if e != nil {
-		return e, true
-	}
-	e = c.compileState(s)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if prev, ok := sh.packed[k]; ok {
-		return prev, true
-	}
-	if c.count.Load() >= c.maxStates {
-		return e, false
-	}
-	sh.packed[k] = e
 	c.count.Add(1)
 	return e, true
 }

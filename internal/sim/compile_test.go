@@ -133,11 +133,11 @@ func TestCompileRejectsImpure(t *testing.T) {
 
 // TestCompiledBitIdentical: every trial of the engine equals the
 // uncompiled oracle's run of it, at every identity seed and worker count
-// and under both state interning paths — on a plain coin and a model with
-// user moves (the skewed coin is TestBitCompatParallelMatchesUncompiled).
+// — on a plain coin and a model with user moves (the skewed coin is
+// TestBitCompatParallelMatchesUncompiled).
 func TestCompiledBitIdentical(t *testing.T) {
 	const trials = 256
-	checkOracleIdentity[flipState](t, packedFlip{}, mkSlowest, heads, Options[flipState]{}, trials)
+	checkOracleIdentity[flipState](t, flipper{}, mkSlowest, heads, Options[flipState]{}, trials)
 	checkOracleIdentity[ufState](t, userFlip{}, mkUserFlip, ufHeads, Options[ufState]{}, trials)
 }
 
@@ -165,7 +165,7 @@ func TestCompiledRunOnceMatchesUncompiled(t *testing.T) {
 // on another worker count runs every trial exactly as the oracle does.
 func TestCompiledInterruptResume(t *testing.T) {
 	const trials = 640
-	checkOracleResume[flipState](t, packedFlip{}, mkSlowest, heads, Options[flipState]{}, trials)
+	checkOracleResume[flipState](t, flipper{}, mkSlowest, heads, Options[flipState]{}, trials)
 	checkOracleResume[ufState](t, userFlip{}, mkUserFlip, ufHeads, Options[ufState]{}, trials)
 	checkOracleResume[flipState](t, skewFlip{}, mkSlowest, heads, Options[flipState]{}, trials)
 }

@@ -1,8 +1,7 @@
 // Engine-vs-oracle identity across the three case studies: every trial
 // RunParallel runs on a case-study model must equal the uncompiled
 // oracle's run of the same trial (oracle_test.go), for every identity
-// seed and worker count, under packed and hashed state interning, and
-// through an interrupt and resume. The in-package half (hand-built
+// seed and worker count, and through an interrupt and resume. The in-package half (hand-built
 // models with user moves and a skewed coin) lives in compile_test.go and
 // alias_engine_test.go.
 package sim_test

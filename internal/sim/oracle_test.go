@@ -155,43 +155,31 @@ func compareTrials[S comparable](t *testing.T, cfg string, want, got []Result[S]
 	}
 }
 
-// hashedModel hides a model's sched.Packer, so Compile interns its
-// states by value instead of by packed encoding.
-type hashedModel[S comparable] struct{ sched.Model[S] }
-
 var (
 	identitySeeds   = []int64{1, 2, 3}
 	identityWorkers = []int{1, 2, 8}
 )
 
 // checkOracleIdentity runs m through RunParallel at every identity seed
-// and worker count, with packed interning when m has a sched.Packer and
-// with hashed interning, and requires every trial's Result to equal the
+// and worker count and requires every trial's Result to equal the
 // oracle's.
 func checkOracleIdentity[S comparable](t *testing.T, m sched.Model[S], mk func() Policy[S], target func(S) bool,
 	opts Options[S], trials int) {
 	t.Helper()
-	interning := []sched.Model[S]{hashedModel[S]{m}}
-	if _, ok := m.(sched.Packer[S]); ok {
-		interning = append(interning, m)
-	}
 	for _, seed := range identitySeeds {
 		want := oracleTrials(t, m, mk, target, opts, seed, trials)
-		for _, im := range interning {
-			_, packed := im.(sched.Packer[S])
-			for _, workers := range identityWorkers {
-				cfg := fmt.Sprintf("%s seed=%d workers=%d packed=%t", m.Name(), seed, workers, packed)
-				got, ran := make([]Result[S], trials), make([]bool, trials)
-				rep, err := recordTrials(context.Background(), im, mk, target, opts, trials,
-					ParallelOptions{Seed: seed, Workers: workers}, got, ran)
-				if err != nil {
-					t.Fatalf("%s: %v", cfg, err)
-				}
-				if rep.Completed != trials {
-					t.Fatalf("%s: completed %d/%d", cfg, rep.Completed, trials)
-				}
-				compareTrials(t, cfg, want, got, ran)
+		for _, workers := range identityWorkers {
+			cfg := fmt.Sprintf("%s seed=%d workers=%d", m.Name(), seed, workers)
+			got, ran := make([]Result[S], trials), make([]bool, trials)
+			rep, err := recordTrials(context.Background(), m, mk, target, opts, trials,
+				ParallelOptions{Seed: seed, Workers: workers}, got, ran)
+			if err != nil {
+				t.Fatalf("%s: %v", cfg, err)
 			}
+			if rep.Completed != trials {
+				t.Fatalf("%s: completed %d/%d", cfg, rep.Completed, trials)
+			}
+			compareTrials(t, cfg, want, got, ran)
 		}
 	}
 }

@@ -12,22 +12,34 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/dining"
+	"repro/internal/mdp"
 	"repro/internal/prob"
+	"repro/internal/sched"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "lrtopo:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// study is one topology's exact answers.
+type study struct {
+	name   string
+	states int
+	curve  []core.CurvePoint
+	worst  float64
+}
+
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("lrtopo", flag.ContinueOnError)
 	n := fs.Int("n", 3, "number of processes")
 	k := fs.Int("k", 1, "steps per process per unit-time window")
@@ -35,32 +47,27 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	type study struct {
-		name  string
-		curve []core.CurvePoint
-		worst float64
+	switch {
+	case *n < 2 || *n > sched.MaxProcs:
+		return cli.UsageError(fs, "-n must be in 2..%d, got %d", sched.MaxProcs, *n)
+	case *k < 1 || *k > sched.MaxStepsPerWindow:
+		return cli.UsageError(fs, "-k must be in 1..%d, got %d", sched.MaxStepsPerWindow, *k)
+	case *horizon < 0:
+		return cli.UsageError(fs, "-horizon must be >= 0, got %d", *horizon)
 	}
+
 	var studies []study
 	for _, topo := range []dining.Topology{dining.Ring(*n), dining.Path(*n)} {
-		a, err := dining.NewGeneralAnalysis(topo, *k, 0)
+		st, err := explore(topo, *k, *horizon)
 		if err != nil {
 			return err
 		}
-		curve, err := a.ProgressCurve(*horizon)
-		if err != nil {
-			return err
-		}
-		worst, _, err := a.WorstExpectedTime()
-		if err != nil {
-			return err
-		}
-		studies = append(studies, study{name: topo.Name, curve: curve, worst: worst})
-		fmt.Printf("%s: %d product states\n", topo.Name, a.Index.Len())
+		studies = append(studies, st)
+		fmt.Fprintf(out, "%s: %d product states\n", st.name, st.states)
 	}
 
-	fmt.Printf("\nWorst-case P[T reaches C within t], exact, every digitized adversary (k=%d):\n", *k)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(out, "\nWorst-case P[T reaches C within t], exact, every digitized adversary (k=%d):\n", *k)
+	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "t\t%s\t%s\n", studies[0].name, studies[1].name)
 	for h := 0; h <= *horizon; h++ {
 		fmt.Fprintf(tw, "%d\t%v\t%v\n", h, studies[0].curve[h].WorstProb, studies[1].curve[h].WorstProb)
@@ -72,10 +79,39 @@ func run(args []string) error {
 	p := prob.NewRat(1, 8)
 	for _, st := range studies {
 		if tight, ok := core.TightestTime(st.curve, p); ok {
-			fmt.Printf("\n%s: tightest horizon for p=1/8 is t=%d; worst expected time to C = %.4f",
+			fmt.Fprintf(out, "\n%s: tightest horizon for p=1/8 is t=%d; worst expected time to C = %.4f",
 				st.name, tight, st.worst)
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	return nil
+}
+
+// explore enumerates the topology's product under the k-steps-per-window
+// digitization and solves T → C on it: the worst-case curve up to horizon
+// and the worst-case expected time.
+func explore(topo dining.Topology, k, horizon int) (study, error) {
+	model, err := dining.NewGeneral(topo)
+	if err != nil {
+		return study{}, err
+	}
+	auto, err := sched.Product[dining.State](model, sched.Config{StepsPerWindow: k})
+	if err != nil {
+		return study{}, err
+	}
+	m, ix, err := mdp.Explore(auto, mdp.ExploreOptions{})
+	if err != nil {
+		return study{}, fmt.Errorf("enumerating %s product: %w", topo.Name, err)
+	}
+	inT := core.NewSet("T", sched.LiftPred(dining.InT))
+	inC := core.NewSet("C", sched.LiftPred(dining.InC))
+	curve, err := core.WorstCaseCurve(m, ix, inT, inC, horizon)
+	if err != nil {
+		return study{}, err
+	}
+	worst, _, err := core.WorstExpectedTime(ix, inT, inC, m.MaxExpectedTicks)
+	if err != nil {
+		return study{}, err
+	}
+	return study{name: topo.Name, states: ix.Len(), curve: curve, worst: worst}, nil
 }

@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dining"
 	"repro/internal/election"
+	"repro/internal/sched"
 )
 
 func main() {
@@ -44,8 +45,8 @@ func run(args []string) error {
 	switch {
 	case *curveHorizon < 0:
 		return cli.UsageError(fs, "-curve must be >= 0, got %d", *curveHorizon)
-	case *electionN < 0 || *electionN == 1:
-		return cli.UsageError(fs, "-election must be 0 or at least 2, got %d", *electionN)
+	case *electionN < 0 || *electionN == 1 || *electionN > sched.MaxProcs:
+		return cli.UsageError(fs, "-election must be 0 or in 2..%d, got %d", sched.MaxProcs, *electionN)
 	}
 
 	configs, err := parseConfigs(*configsFlag)

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunSmall(t *testing.T) {
 	if err := run([]string{"-configs", "2x1", "-curve", "8", "-election", "3"}); err != nil {
@@ -14,15 +17,21 @@ func TestRunSkips(t *testing.T) {
 	}
 }
 
+// TestRunBadFlags: every out-of-range flag is refused by the flag
+// checks, before any table is computed.
 func TestRunBadFlags(t *testing.T) {
-	for _, args := range [][]string{
-		{"-configs", "2x1", "-curve", "-1"},
-		{"-configs", "2x1", "-election", "-3"},
-		{"-configs", "2x1", "-election", "1"},
-		{"-configs", "2x1", "-curve", "0", "-election", "17"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-configs", "2x1", "-curve", "-1"}, "-curve must be"},
+		{[]string{"-configs", "2x1", "-election", "-3"}, "-election must be"},
+		{[]string{"-configs", "2x1", "-election", "1"}, "-election must be"},
+		{[]string{"-configs", "2x1", "-curve", "0", "-election", "17"}, "-election must be"},
 	} {
-		if err := run(args); err == nil {
-			t.Errorf("args %v accepted", args)
+		err := run(tc.args)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("args %v: err = %v, want prefix %q", tc.args, err, tc.want)
 		}
 	}
 }

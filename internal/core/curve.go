@@ -42,6 +42,31 @@ func WorstCaseCurve[S comparable](m *mdp.MDP, ix *mdp.Index[S], from, to Set[S],
 	return curve, nil
 }
 
+// WorstExpectedTime solves the expected number of ticks until `to` is
+// first visited with solve (an MDP's MaxExpectedTicks for the worst
+// adversary, MinExpectedTicks for the best) and returns the largest value
+// over the reachable states of `from`, with the first such state in index
+// order that attains it: the worst source state's expected time under
+// that adversary.
+func WorstExpectedTime[S comparable](ix *mdp.Index[S], from, to Set[S], solve func(target []bool) ([]float64, error)) (float64, S, error) {
+	var worst S
+	fromExt := from.extent(ix.States())
+	if fromExt.count() == 0 {
+		return 0, worst, ErrEmptyFrom
+	}
+	values, err := solve(to.Mask(ix.States()))
+	if err != nil {
+		return 0, worst, err
+	}
+	at := -1
+	for s, v := range values {
+		if fromExt.has(s) && (at < 0 || v > values[at]) {
+			at = s
+		}
+	}
+	return values[at], ix.State(at), nil
+}
+
 // TightestTime returns the least horizon at which the curve reaches p, or
 // ok = false if it never does within the computed range.
 func TightestTime(curve []CurvePoint, p prob.Rat) (int, bool) {

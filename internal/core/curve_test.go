@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -42,6 +43,26 @@ func TestWorstCaseCurveEmptyFrom(t *testing.T) {
 	empty := listSet("E")
 	if _, err := WorstCaseCurve(sc.Model, sc.Index, empty, listSet("D", 3), 2); err == nil {
 		t.Error("empty source accepted")
+	}
+}
+
+func TestWorstExpectedTime(t *testing.T) {
+	sc := scriptFixture(t, true) // the 4-state tick chain 0→1→2→3
+	to := listSet("D", 3)
+	for name, solve := range map[string]func([]bool) ([]float64, error){
+		"max": sc.Model.MaxExpectedTicks,
+		"min": sc.Model.MinExpectedTicks,
+	} {
+		worst, at, err := WorstExpectedTime(sc.Index, listSet("AB", 1, 0), to, solve)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if worst != 3 || at != 0 {
+			t.Errorf("%s: worst = %v at %d, want 3 at 0", name, worst, at)
+		}
+	}
+	if _, _, err := WorstExpectedTime(sc.Index, listSet("E"), to, sc.Model.MaxExpectedTicks); !errors.Is(err, ErrEmptyFrom) {
+		t.Errorf("empty source: err = %v, want ErrEmptyFrom", err)
 	}
 }
 

@@ -252,22 +252,7 @@ func (a *Analysis) ExpectedTimeBound() (prob.Rat, error) {
 // process is in C, from the worst reachable state in T. It is the measured
 // counterpart of ExpectedTimeBound.
 func (a *Analysis) WorstExpectedTime() (float64, PState, error) {
-	values, err := a.MDP.MaxExpectedTicks(a.mask("C"))
-	if err != nil {
-		return 0, PState{}, err
-	}
-	worst := -1.0
-	var worstState PState
-	for i, in := range a.mask("T") {
-		if in && values[i] > worst {
-			worst = values[i]
-			worstState = a.Index.State(i)
-		}
-	}
-	if worst < 0 {
-		return 0, PState{}, core.ErrEmptyFrom
-	}
-	return worst, worstState, nil
+	return core.WorstExpectedTime(a.Index, a.Set("T"), a.Set("C"), a.MDP.MaxExpectedTicks)
 }
 
 // BestExpectedTime computes the infimum over digitized adversaries of the
@@ -275,20 +260,8 @@ func (a *Analysis) WorstExpectedTime() (float64, PState, error) {
 // that metric — the cooperative-scheduler counterpart of
 // WorstExpectedTime, bounding the spread any scheduler can induce.
 func (a *Analysis) BestExpectedTime() (float64, error) {
-	values, err := a.MDP.MinExpectedTicks(a.mask("C"))
-	if err != nil {
-		return 0, err
-	}
-	worst := -1.0
-	for i, in := range a.mask("T") {
-		if in && values[i] > worst {
-			worst = values[i]
-		}
-	}
-	if worst < 0 {
-		return 0, core.ErrEmptyFrom
-	}
-	return worst, nil
+	best, _, err := core.WorstExpectedTime(a.Index, a.Set("T"), a.Set("C"), a.MDP.MinExpectedTicks)
+	return best, err
 }
 
 // ProgressCurve computes the exact worst-case probability of reaching C

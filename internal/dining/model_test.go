@@ -382,7 +382,7 @@ func TestInvariantOverReachableStates(t *testing.T) {
 	}
 	t.Logf("reachable product states (n=3, k=1): %d", len(states))
 	for _, ps := range states {
-		if !ps.Base.InvariantHolds() {
+		if !model.InvariantHolds(ps.Base) {
 			t.Fatalf("Lemma 6.1 invariant violated in reachable state %v", ps.Base)
 		}
 	}
@@ -391,12 +391,13 @@ func TestInvariantOverReachableStates(t *testing.T) {
 // TestNoDoubleHoldEverywhere double-checks the invariant checker itself on
 // a state built to violate it.
 func TestNoDoubleHoldEverywhere(t *testing.T) {
+	model := MustNew(3)
 	bad := mk(t, "S→ S← R") // both hold Res_0
-	if bad.InvariantHolds() {
+	if model.InvariantHolds(bad) {
 		t.Error("violating state reported as satisfying the invariant")
 	}
 	good := mk(t, "S→ S→ R")
-	if !good.InvariantHolds() {
+	if !model.InvariantHolds(good) {
 		t.Error("valid state reported as violating the invariant")
 	}
 }

@@ -2,7 +2,7 @@ package dining
 
 // This file addresses the second future-work direction of Section 7 of
 // the paper: "it would be interesting to consider topologies that are
-// more general than rings". GeneralModel runs the unmodified Lehmann–Rabin
+// more general than rings". NewGeneral runs the unmodified Lehmann–Rabin
 // process code on any topology that assigns each process a left and a
 // right resource — rings, open chains (paths, where the two end resources
 // are uncontested), or any other two-resources-per-process layout.
@@ -14,8 +14,6 @@ package dining
 import (
 	"fmt"
 
-	"repro/internal/pa"
-	"repro/internal/prob"
 	"repro/internal/sched"
 )
 
@@ -42,11 +40,13 @@ func Ring(n int) Topology {
 		Resources: n,
 	}
 	for i := 0; i < n; i++ {
-		t.Left[i] = ((i-1)%n + n) % n
-		t.Right[i] = i
+		t.Left[i], t.Right[i] = ringSides(n, i)
 	}
 	return t
 }
+
+// ringSides returns process i's left and right resources on the n-ring.
+func ringSides(n, i int) (left, right int) { return (i + n - 1) % n, i }
 
 // Path returns an open chain: n processes, n+1 resources, process i using
 // resources i (left) and i+1 (right); the outermost resources are
@@ -68,7 +68,8 @@ func Path(n int) Topology {
 // NumProcs returns the number of processes.
 func (t Topology) NumProcs() int { return len(t.Left) }
 
-// Validate checks structural sanity: matching lengths, indices in range,
+// Validate checks structural sanity: matching lengths, at most 2·n
+// resources (n processes use at most that many), indices in range,
 // distinct resources per process, and no resource shared by more than two
 // process sides (nor twice from the same side).
 func (t Topology) Validate() error {
@@ -78,6 +79,9 @@ func (t Topology) Validate() error {
 	}
 	if len(t.Right) != n {
 		return fmt.Errorf("dining: %d left vs %d right assignments", n, len(t.Right))
+	}
+	if t.Resources > 2*n {
+		return fmt.Errorf("dining: %d resources for %d processes, more than the %d they can use", t.Resources, n, 2*n)
 	}
 	leftUsed := make(map[int]bool, n)
 	rightUsed := make(map[int]bool, n)
@@ -99,173 +103,4 @@ func (t Topology) Validate() error {
 		rightUsed[r] = true
 	}
 	return nil
-}
-
-// GeneralModel is the Lehmann–Rabin algorithm on an arbitrary topology.
-type GeneralModel struct {
-	topo Topology
-}
-
-var _ sched.Model[State] = (*GeneralModel)(nil)
-
-// NewGeneral builds the model after validating the topology.
-func NewGeneral(t Topology) (*GeneralModel, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return &GeneralModel{topo: t}, nil
-}
-
-// MustNewGeneral is like NewGeneral but panics on invalid input.
-func MustNewGeneral(t Topology) *GeneralModel {
-	m, err := NewGeneral(t)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Topology returns the model's topology.
-func (m *GeneralModel) Topology() Topology { return m.topo }
-
-// Name implements sched.Model.
-func (m *GeneralModel) Name() string {
-	return fmt.Sprintf("lehmann-rabin(%s)", m.topo.Name)
-}
-
-// NumProcs implements sched.Model.
-func (m *GeneralModel) NumProcs() int { return m.topo.NumProcs() }
-
-// Start implements sched.Model.
-func (m *GeneralModel) Start() []State {
-	locals := make([]Local, m.NumProcs())
-	for i := range locals {
-		locals[i] = Local{PC: R}
-	}
-	return []State{MustState(locals...)}
-}
-
-// resOnSide returns the resource on side d of process i.
-func (m *GeneralModel) resOnSide(i int, d Dir) int {
-	if d == Right {
-		return m.topo.Right[i]
-	}
-	return m.topo.Left[i]
-}
-
-// ResTaken derives the shared variable Res_r from the local states, the
-// topology-general form of Lemma 6.1.
-func (m *GeneralModel) ResTaken(s State, r int) bool {
-	for i := 0; i < m.NumProcs(); i++ {
-		l := s.Local(i)
-		if holdsRight(l) && m.topo.Right[i] == r {
-			return true
-		}
-		if holdsLeft(l) && m.topo.Left[i] == r {
-			return true
-		}
-	}
-	return false
-}
-
-// InvariantHolds checks that no resource is held from two sides at once
-// (the Lemma 6.1 mutual-exclusion invariant, generalized).
-func (m *GeneralModel) InvariantHolds(s State) bool {
-	for r := 0; r < m.topo.Resources; r++ {
-		holders := 0
-		for i := 0; i < m.NumProcs(); i++ {
-			l := s.Local(i)
-			if holdsRight(l) && m.topo.Right[i] == r {
-				holders++
-			}
-			if holdsLeft(l) && m.topo.Left[i] == r {
-				holders++
-			}
-		}
-		if holders > 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// Moves implements sched.Model with the exact transition rules of
-// Figure 1, resource lookups going through the topology.
-func (m *GeneralModel) Moves(s State, i int) []pa.Step[State] {
-	l := s.Local(i)
-	switch l.PC {
-	case F:
-		return []pa.Step[State]{{
-			Action: FlipAction(i),
-			Next: prob.MustUniform(
-				s.with(i, Local{PC: W, U: Left}),
-				s.with(i, Local{PC: W, U: Right}),
-			),
-		}}
-	case W:
-		next := s
-		if !m.ResTaken(s, m.resOnSide(i, l.U)) {
-			next = s.with(i, Local{PC: S, U: l.U})
-		}
-		return []pa.Step[State]{{Action: actionName("wait", i), Next: prob.Point(next)}}
-	case S:
-		var next State
-		if !m.ResTaken(s, m.resOnSide(i, l.U.Opp())) {
-			next = s.with(i, Local{PC: P})
-		} else {
-			next = s.with(i, Local{PC: D, U: l.U})
-		}
-		return []pa.Step[State]{{Action: actionName("second", i), Next: prob.Point(next)}}
-	case D:
-		return []pa.Step[State]{{
-			Action: actionName("drop", i),
-			Next:   prob.Point(s.with(i, Local{PC: F})),
-		}}
-	case P:
-		return []pa.Step[State]{{
-			Action: actionName("crit", i),
-			Next:   prob.Point(s.with(i, Local{PC: C})),
-		}}
-	case EF:
-		return []pa.Step[State]{
-			{
-				Action: actionName("dropf", i),
-				Next:   prob.Point(s.with(i, Local{PC: ES, U: Right})),
-			},
-			{
-				Action: actionName("dropf", i),
-				Next:   prob.Point(s.with(i, Local{PC: ES, U: Left})),
-			},
-		}
-	case ES:
-		return []pa.Step[State]{{
-			Action: actionName("drops", i),
-			Next:   prob.Point(s.with(i, Local{PC: ER})),
-		}}
-	case ER:
-		return []pa.Step[State]{{
-			Action: actionName("rem", i),
-			Next:   prob.Point(s.with(i, Local{PC: R})),
-		}}
-	default: // R, C
-		return nil
-	}
-}
-
-// UserMoves implements sched.Model.
-func (m *GeneralModel) UserMoves(s State, i int) []pa.Step[State] {
-	switch s.Local(i).PC {
-	case R:
-		return []pa.Step[State]{{
-			Action: actionName("try", i),
-			Next:   prob.Point(s.with(i, Local{PC: F})),
-		}}
-	case C:
-		return []pa.Step[State]{{
-			Action: actionName("exit", i),
-			Next:   prob.Point(s.with(i, Local{PC: EF})),
-		}}
-	default:
-		return nil
-	}
 }

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/mdp"
 	"repro/internal/prob"
 	"repro/internal/sched"
 )
@@ -50,6 +52,10 @@ func TestTopologyValidate(t *testing.T) {
 			name: "resource right of two processes",
 			topo: Topology{Left: []int{0, 2}, Right: []int{1, 1}, Resources: 3},
 		},
+		{
+			name: "more resources than processes can use",
+			topo: Topology{Left: []int{0, 2}, Right: []int{1, 3}, Resources: 5},
+		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -57,53 +63,6 @@ func TestTopologyValidate(t *testing.T) {
 				t.Error("invalid topology accepted")
 			}
 		})
-	}
-}
-
-// TestGeneralRingEquivalence is the divergence guard: the general model on
-// Ring(n) must produce exactly the same transition structure as the
-// ring-specialized Model on every reachable state.
-func TestGeneralRingEquivalence(t *testing.T) {
-	const n = 3
-	ring := MustNew(n)
-	general := MustNewGeneral(Ring(n))
-
-	auto, err := sched.Product[State](ring, sched.Config{StepsPerWindow: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	states, err := auto.Reachable(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ps := range states {
-		s := ps.Base
-		for i := 0; i < n; i++ {
-			a, b := ring.Moves(s, i), general.Moves(s, i)
-			if len(a) != len(b) {
-				t.Fatalf("state %v proc %d: %d vs %d moves", s, i, len(a), len(b))
-			}
-			for mi := range a {
-				if a[mi].Action != b[mi].Action {
-					t.Fatalf("state %v proc %d move %d: action %q vs %q", s, i, mi, a[mi].Action, b[mi].Action)
-				}
-				for _, v := range a[mi].Next.Support() {
-					if !a[mi].Next.P(v).Equal(b[mi].Next.P(v)) {
-						t.Fatalf("state %v proc %d move %d: distributions differ at %v", s, i, mi, v)
-					}
-				}
-			}
-			ua, ub := ring.UserMoves(s, i), general.UserMoves(s, i)
-			if len(ua) != len(ub) {
-				t.Fatalf("state %v proc %d: user moves %d vs %d", s, i, len(ua), len(ub))
-			}
-		}
-		// Resource derivations agree too.
-		for r := 0; r < n; r++ {
-			if s.ResTaken(r) != general.ResTaken(s, r) {
-				t.Fatalf("state %v: ResTaken(%d) disagree", s, r)
-			}
-		}
 	}
 }
 
@@ -137,10 +96,10 @@ func TestPathInvariantOverReachableStates(t *testing.T) {
 	}
 }
 
-// TestGeneralStepsConcurrent: NewGeneralAnalysis explores with one
-// worker per CPU, so the product's Steps runs on several goroutines at
-// once on frontiers of 2048 states or more. Under -race this pins that
-// GeneralModel's moves only read what construction built.
+// TestGeneralStepsConcurrent: the explorer runs the product's Steps on
+// several goroutines at once on frontiers of 2048 states or more. Under
+// -race this pins that a topology's moves only read the tables that
+// construction built.
 func TestGeneralStepsConcurrent(t *testing.T) {
 	auto, err := sched.Product[State](MustNewGeneral(Path(3)), sched.Config{StepsPerWindow: 1})
 	if err != nil {
@@ -163,12 +122,26 @@ func TestGeneralStepsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestPathProgress(t *testing.T) {
-	a, err := NewGeneralAnalysis(Path(3), 1, 0)
+// exploreTopology enumerates the topology's product at one step per
+// window and returns it with the sets T and C.
+func exploreTopology(t *testing.T, topo Topology) (*mdp.MDP, *mdp.Index[PState], core.Set[PState], core.Set[PState]) {
+	t.Helper()
+	auto, err := sched.Product[State](MustNewGeneral(topo), sched.Config{StepsPerWindow: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := a.CheckProgress(prob.FromInt(13), prob.NewRat(1, 8))
+	m, ix, err := mdp.Explore(auto, mdp.ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, ix, core.NewSet("T", sched.LiftPred(InT)), core.NewSet("C", sched.LiftPred(InC))
+}
+
+func TestPathProgress(t *testing.T) {
+	m, ix, inT, inC := exploreTopology(t, Path(3))
+	r, err := core.CheckStatement(m, ix, core.Statement[PState]{
+		From: inT, To: inC, Time: prob.FromInt(13), Prob: prob.NewRat(1, 8), Schema: core.UnitTimeSchema(1),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +150,7 @@ func TestPathProgress(t *testing.T) {
 		t.Errorf("T --13,1/8--> C fails on the path: %s", r)
 	}
 
-	worst, state, err := a.WorstExpectedTime()
+	worst, state, err := core.WorstExpectedTime(ix, inT, inC, m.MaxExpectedTicks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,15 +165,12 @@ func TestPathProgress(t *testing.T) {
 // symmetric livelock).
 func TestPathEasierThanRing(t *testing.T) {
 	ringA := getAnalysisN3(t)
-	pathA, err := NewGeneralAnalysis(Path(3), 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ringCurve, err := ringA.ProgressCurve(13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pathCurve, err := pathA.ProgressCurve(13)
+	m, ix, inT, inC := exploreTopology(t, Path(3))
+	pathCurve, err := core.WorstCaseCurve(m, ix, inT, inC, 13)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,28 +206,8 @@ func (a *Analysis) ExpectedTimeBound() (prob.Rat, error) {
 
 // WorstExpectedTime computes the measured counterpart: the supremum over
 // digitized adversaries of the expected time to elect a leader from the
-// fresh start.
+// fresh start (Fresh_n, whose one base state is FreshStart(n)).
 func (a *Analysis) WorstExpectedTime() (float64, error) {
-	values, err := a.MDP.MaxExpectedTicks(a.Elected().Mask(a.Index.States()))
-	if err != nil {
-		return 0, err
-	}
-	fresh, err := FreshStart(a.N)
-	if err != nil {
-		return 0, err
-	}
-	worst := -1.0
-	for i := 0; i < a.Index.Len(); i++ {
-		ps := a.Index.State(i)
-		if ps.Base != fresh {
-			continue
-		}
-		if values[i] > worst {
-			worst = values[i]
-		}
-	}
-	if worst < 0 {
-		return 0, core.ErrEmptyFrom
-	}
-	return worst, nil
+	worst, _, err := core.WorstExpectedTime(a.Index, a.Fresh(a.N), a.Elected(), a.MDP.MaxExpectedTicks)
+	return worst, err
 }

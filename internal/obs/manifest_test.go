@@ -229,9 +229,11 @@ func TestInstrumentationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	ins.PhaseStart("stage")
-	for i := 0; i < 64; i++ {
-		ins.Metrics().TrialDone(i, 10, 0.0001, true, 4)
+	events, reach := make([]int64, 64), make([]float64, 64)
+	for i := range events {
+		events[i], reach[i] = 10, 4
 	}
+	ins.Metrics().TrialBatchDone(64, 64, events, reach, 0.0064)
 	ins.PhaseDone("stage", "est", "64/64 trials", nil)
 	if err := ins.Close(nil); err != nil {
 		t.Fatal(err)

@@ -263,8 +263,18 @@ func TestDebugServer(t *testing.T) {
 func TestSimMetricsProgress(t *testing.T) {
 	reg := NewRegistry()
 	m := NewSimMetrics(reg, 100)
-	for i := 0; i < 40; i++ {
-		m.TrialDone(i, 10+i, 0.001, i%2 == 0, float64(5+i%3))
+	// Two chunks of 20 trials: trial i takes 10+i steps and, when even,
+	// reaches the target at time 5+i%3.
+	for lo := 0; lo < 40; lo += 20 {
+		var events []int64
+		var reach []float64
+		for i := lo; i < lo+20; i++ {
+			events = append(events, int64(10+i))
+			if i%2 == 0 {
+				reach = append(reach, float64(5+i%3))
+			}
+		}
+		m.TrialBatchDone(20, len(reach), events, reach, 0.02)
 	}
 	m.TrialsRestored(20)
 	m.TrialQuarantined(99)
@@ -324,8 +334,10 @@ func TestSimMetricsHotPathAllocs(t *testing.T) {
 	reg := NewRegistry()
 	m := NewSimMetrics(reg, 1000)
 	i := 0
+	events, reach := []int64{37}, []float64{12.5}
 	allocs := testing.AllocsPerRun(1000, func() {
-		m.TrialDone(i, 37, 0.0005, i%2 == 0, 12.5)
+		hits := 1 - i%2
+		m.TrialBatchDone(1, hits, events, reach[:hits], 0.0005)
 		m.ChunkActive(1)
 		m.ChunkDone(i/64, 64)
 		m.ChunkActive(-1)
@@ -352,8 +364,9 @@ func TestProgressReporter(t *testing.T) {
 	r := NewProgressReporter(w, 10*time.Millisecond, m, nil)
 	r.Start()
 	r.Start() // double start is a no-op
+	events, reach := []int64{5}, []float64{3}
 	for i := 0; i < 10; i++ {
-		m.TrialDone(i, 5, 0.0001, true, 3)
+		m.TrialBatchDone(1, 1, events, reach, 0.0001)
 		time.Sleep(5 * time.Millisecond)
 	}
 	r.Stop()

@@ -84,25 +84,12 @@ func NewSimMetrics(reg *Registry, total int) *SimMetrics {
 // AddBudget grows the total trial budget the ETA is computed against.
 func (m *SimMetrics) AddBudget(trials int) { m.total.Add(int64(trials)) }
 
-// TrialDone records one successfully completed trial: its step count, its
-// wall-clock cost, and — when it reached the target — the reach time.
-func (m *SimMetrics) TrialDone(trial, events int, seconds float64, reached bool, reachedAt float64) {
-	m.trials.Inc()
-	m.steps.Observe(float64(events))
-	m.seconds.Observe(seconds)
-	if reached {
-		m.reached.Inc()
-		m.reachTime.Observe(reachedAt)
-	}
-}
-
-// TrialBatchDone records one committed chunk of trials at once — the
-// batched form of TrialDone (sim's BatchMetrics extension, which the
-// engine prefers when available): bucket counts and moment sums are
-// accumulated locally and each instrument is touched once per chunk
-// instead of once per trial. seconds is the chunk's total wall-clock
-// cost; the per-trial seconds histogram receives the chunk mean for each
-// trial, since batching removes per-trial clock reads by design.
+// TrialBatchDone records one committed chunk of trials at once: bucket
+// counts and moment sums are accumulated locally and each instrument is
+// touched once per chunk instead of once per trial. seconds is the
+// chunk's total wall-clock cost; the per-trial seconds histogram receives
+// the chunk mean for each trial, since the engine reads no clock per
+// trial.
 func (m *SimMetrics) TrialBatchDone(trials, reached int, events []int64, reachTimes []float64, seconds float64) {
 	if trials <= 0 {
 		return

@@ -210,69 +210,43 @@ func TestBadModelEmptyDist(t *testing.T) {
 	}
 }
 
-// batchCounting implements BatchMetrics on top of countingMetrics-style
-// atomic counters, recording how the engine batches.
-type batchCounting struct {
-	countingMetrics
-	batches     atomic.Int64
-	batchTrials atomic.Int64
-	batchReach  atomic.Int64
-	batchSteps  atomic.Int64
-}
-
-func (b *batchCounting) TrialBatchDone(trials, reached int, events []int64, reachTimes []float64, seconds float64) {
-	b.batches.Add(1)
-	b.batchTrials.Add(int64(trials))
-	b.batchReach.Add(int64(reached))
-	for _, e := range events {
-		b.batchSteps.Add(e)
-	}
-	if len(reachTimes) != reached {
-		panic("reachTimes length disagrees with reached count")
-	}
-}
-
-// TestBatchMetricsCallPattern: a BatchMetrics hook sees no per-trial
-// TrialDone calls, exactly one batch per committed chunk, and the same
-// totals the per-trial interface reports.
-func TestBatchMetricsCallPattern(t *testing.T) {
+// TestMetricsBatchCallPattern: the hook sees exactly one batch per
+// committed chunk, a ragged last chunk included, and the batches add up
+// to the trial, reach and step totals the run's own observe callback saw.
+func TestMetricsBatchCallPattern(t *testing.T) {
 	const trials = 300 // 4 full chunks + one ragged chunk of 44
-	// Per-trial reference: a plain countingMetrics hook on the identical
-	// run records the totals the batch path must reproduce.
-	var ref countingMetrics
-	refProp, _, err := EstimateReachProbParallel[flipState](context.Background(), flipper{}, mkSlowest, heads, 3, trials,
-		Options[flipState]{}, ParallelOptions{Seed: 9, Workers: 4, Metrics: &ref})
+	// Uninstrumented reference: the totals the batches must reproduce.
+	ref, _, err := countRun(3, trials, ParallelOptions{Seed: 9, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	bm := &batchCounting{}
-	prop, rep, err := EstimateReachProbParallel[flipState](context.Background(), flipper{}, mkSlowest, heads, 3, trials,
-		Options[flipState]{}, ParallelOptions{Seed: 9, Workers: 4, Metrics: bm})
+	var bm countingMetrics
+	got, rep, err := countRun(3, trials, ParallelOptions{Seed: 9, Workers: 4, Metrics: &bm})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Completed != trials {
 		t.Fatalf("completed %d/%d", rep.Completed, trials)
 	}
-	if prop != refProp {
-		t.Fatalf("batch hook perturbed the estimate: %+v != %+v", prop, refProp)
-	}
-	if got := bm.trials.Load(); got != 0 {
-		t.Errorf("TrialDone called %d times despite batch support", got)
+	if got != ref {
+		t.Fatalf("batch hook perturbed the run: %+v != %+v", got, ref)
 	}
 	wantChunks := int64((trials + parallelChunkSize - 1) / parallelChunkSize)
-	if got := bm.batches.Load(); got != wantChunks {
-		t.Errorf("TrialBatchDone called %d times, want one per chunk (%d)", got, wantChunks)
+	if n := bm.batches.Load(); n != wantChunks {
+		t.Errorf("TrialBatchDone called %d times, want one per chunk (%d)", n, wantChunks)
 	}
-	if got := bm.batchTrials.Load(); got != trials {
-		t.Errorf("batched trial total %d, want %d", got, trials)
+	if n := bm.trials.Load(); n != trials {
+		t.Errorf("batched trial total %d, want %d", n, trials)
 	}
-	if got, want := bm.batchReach.Load(), ref.reached.Load(); got != want {
-		t.Errorf("batched reached total %d, per-trial hook saw %d", got, want)
+	if n, want := bm.reached.Load(), ref.reached; n != want {
+		t.Errorf("batched reached total %d, observed %d", n, want)
 	}
-	if got, want := bm.batchSteps.Load(), ref.events.Load(); got != want {
-		t.Errorf("batched step total %d, per-trial hook saw %d", got, want)
+	if n, want := bm.events.Load(), ref.events; n != want {
+		t.Errorf("batched step total %d, observed %d", n, want)
+	}
+	if n := bm.badSlices.Load(); n != 0 {
+		t.Errorf("%d batches whose slices disagree with their counts", n)
 	}
 }
 

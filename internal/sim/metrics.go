@@ -1,29 +1,43 @@
 package sim
 
-// Metrics is the engine's telemetry hook: RunParallel reports every trial,
-// chunk and checkpoint event of a run through it when
-// ParallelOptions.Metrics is non-nil. obs.NewSimMetrics returns the
-// standard implementation (the match is structural; neither package
-// imports the other).
+// Metrics is the engine's telemetry hook: RunParallel reports every
+// committed chunk's trials, every quarantine, and every chunk and
+// checkpoint event of a run through it when ParallelOptions.Metrics is
+// non-nil. obs.NewSimMetrics returns the standard implementation (the
+// match is structural; neither package imports the other).
+//
+// Trials are reported a chunk at a time: the engine buffers each chunk's
+// outcomes in chunk-local arrays (plain stores, no shared-memory traffic)
+// and flushes them with one TrialBatchDone at chunk commit, timed at
+// chunk granularity: a call per trial, each with a clock read, cut the
+// trial rate by about 15%.
 //
 // Contract:
 //
-//   - Implementations must be safe for concurrent use: trial and chunk
-//     methods are called from worker goroutines.
-//   - Implementations must not allocate or block on the trial methods —
-//     they sit on the hot path of every trial. Atomic counters and
-//     fixed-bucket histograms qualify; logging and channels do not.
+//   - Implementations must be safe for concurrent use: the methods are
+//     called from worker goroutines.
+//   - Implementations must not allocate or block — they sit on the
+//     engine's worker loop. Atomic counters and fixed-bucket histograms
+//     qualify; logging and channels do not.
 //   - The hook observes, never steers: returning is its only effect on
 //     the run, and the estimate is bit-identical with or without it.
+//   - The signatures use only builtin types, preserving the structural
+//     (no-import) match with implementations such as obs.SimMetrics.
 //
 // When the field is nil the engine's hot path pays exactly one nil check
 // per trial and allocates nothing — guarded by TestMetricsAddZeroAllocs
 // and BenchmarkMetricsOverhead.
 type Metrics interface {
-	// TrialDone reports one successfully completed trial: its index, the
-	// steps it took, its wall-clock cost, and whether/when it reached the
-	// target (reachedAt is meaningful only when reached).
-	TrialDone(trial, events int, seconds float64, reached bool, reachedAt float64)
+	// TrialBatchDone reports one committed chunk: trials successfully
+	// completed, how many reached the target, each trial's step count
+	// (events, in trial order), the reach times of the reached trials
+	// (reachTimes, in trial order), and the chunk's total wall-clock
+	// seconds. Quarantined trials are reported through TrialQuarantined
+	// and TrialStalled instead, and a chunk abandoned by first-error-wins
+	// cancellation reports nothing (it is not part of the estimate
+	// either). The slices are engine-owned and valid only for the
+	// duration of the call.
+	TrialBatchDone(trials, reached int, events []int64, reachTimes []float64, seconds float64)
 	// TrialQuarantined reports a panicking trial excluded from the
 	// estimate.
 	TrialQuarantined(trial int)
@@ -40,40 +54,6 @@ type Metrics interface {
 	TrialsRestored(n int)
 	// CheckpointSaved reports one successful checkpoint-sink call.
 	CheckpointSaved()
-}
-
-// BatchMetrics is an optional extension of Metrics. When the hook passed
-// as ParallelOptions.Metrics also implements it, the engine stops calling
-// TrialDone per trial and instead buffers each chunk's outcomes in
-// chunk-local arrays (plain stores, no shared-memory traffic) and flushes
-// them with one TrialBatchDone at chunk commit — the fix for the
-// measurable per-trial cost of timestamping and atomic instrument updates
-// under high trial rates.
-//
-// Semantics relative to the per-trial interface:
-//
-//   - TrialBatchDone covers only the successfully completed trials of
-//     one committed chunk; quarantined trials are still reported
-//     individually through TrialQuarantined, and a chunk abandoned by
-//     first-error-wins cancellation reports nothing (it is not part of
-//     the estimate either).
-//   - seconds is the chunk's total wall-clock time, replacing per-trial
-//     timing: batching exists precisely to keep clock reads off the
-//     trial loop, so per-trial durations are no longer observable.
-//   - The signature uses only builtin types, preserving the structural
-//     (no-import) match with implementations such as obs.SimMetrics.
-//
-// The same contract as Metrics applies: concurrent-safe, observation
-// only. The slices are engine-owned and valid only for the duration of
-// the call.
-type BatchMetrics interface {
-	Metrics
-	// TrialBatchDone reports one committed chunk: trials successfully
-	// completed, how many reached the target, each trial's step count
-	// (events, in trial order), the reach times of the reached trials
-	// (reachTimes, in trial order), and the chunk's total wall-clock
-	// seconds.
-	TrialBatchDone(trials, reached int, events []int64, reachTimes []float64, seconds float64)
 }
 
 // SpanHooks is the engine's chunk-lifecycle tracing seam

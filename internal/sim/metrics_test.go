@@ -1,31 +1,38 @@
 package sim
 
 // Tests for the Metrics telemetry hook: the engine must report exactly the
-// run that happened (one TrialDone per trial, balanced chunk claims,
-// quarantine/restore/checkpoint events matching the RunReport), must not
-// change the estimate, and must not allocate on the hot path.
+// run that happened (one batch per committed chunk whose totals match the
+// trials, balanced chunk claims, quarantine/restore/checkpoint events
+// matching the RunReport), must not change the estimate, and must not
+// allocate on the hot path.
 
 import (
 	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // countingMetrics is a zero-allocation Metrics used to check the engine's
 // call pattern; every field is atomic so any worker count is safe.
 type countingMetrics struct {
 	trials, quarantined, chunks, restored, checkpoints atomic.Int64
-	chunkTrials, reached, events                       atomic.Int64
+	chunkTrials, reached, events, batches              atomic.Int64
 	active, maxActive                                  atomic.Int64
-	negSeconds, stalled                                atomic.Int64
+	negSeconds, stalled, badSlices                     atomic.Int64
 }
 
-func (c *countingMetrics) TrialDone(trial, events int, seconds float64, reached bool, reachedAt float64) {
-	c.trials.Add(1)
-	c.events.Add(int64(events))
-	if reached {
-		c.reached.Add(1)
+func (c *countingMetrics) TrialBatchDone(trials, reached int, events []int64, reachTimes []float64, seconds float64) {
+	c.batches.Add(1)
+	c.trials.Add(int64(trials))
+	c.reached.Add(int64(reached))
+	for _, e := range events {
+		c.events.Add(e)
+	}
+	if len(events) != trials || len(reachTimes) != reached {
+		c.badSlices.Add(1)
 	}
 	if seconds < 0 {
 		c.negSeconds.Add(1)
@@ -49,30 +56,57 @@ func (c *countingMetrics) ChunkDone(chunk, trials int) {
 func (c *countingMetrics) TrialsRestored(n int) { c.restored.Add(int64(n)) }
 func (c *countingMetrics) CheckpointSaved()     { c.checkpoints.Add(1) }
 
+// runTotals is what a run's trials themselves report to RunParallel's
+// observe callback: the reference the hook's batches must add up to.
+type runTotals struct {
+	est                     stats.Proportion
+	trials, reached, events int64
+}
+
+// countRun runs the flipper under the slowest policy with RunParallel,
+// totalling every observed trial; within is the reach-probability bound.
+func countRun(within float64, trials int, popts ParallelOptions) (runTotals, RunReport, error) {
+	return RunParallel(context.Background(), flipper{}, mkSlowest, heads, trials, Options[flipState]{}, popts,
+		func(acc *runTotals, _ int, res Result[flipState]) error {
+			acc.est.Observe(res.Reached && res.ReachedAt <= within)
+			acc.trials++
+			acc.events += int64(res.Events)
+			if res.Reached {
+				acc.reached++
+			}
+			return nil
+		},
+		func(dst *runTotals, src runTotals) {
+			dst.est.Merge(src.est)
+			dst.trials += src.trials
+			dst.reached += src.reached
+			dst.events += src.events
+		})
+}
+
 // TestMetricsCallPattern checks that, for every worker count, the hook
-// sees exactly the run that happened — one TrialDone per trial, balanced
-// chunk claims, chunk trial counts summing to the budget — and that the
-// estimate is bit-identical to an uninstrumented run.
+// sees exactly the run that happened — batches covering every trial with
+// the observed reach and step totals, balanced chunk claims, chunk trial
+// counts summing to the budget — and that the estimate is bit-identical
+// to an uninstrumented run.
 func TestMetricsCallPattern(t *testing.T) {
 	const trials = 200
-	ref, refRep, err := EstimateReachProbParallel[flipState](context.Background(), flipper{}, mkSlowest, heads, 2, trials,
-		Options[flipState]{}, ParallelOptions{Workers: 2, Seed: 9})
+	ref, refRep, err := countRun(2, trials, ParallelOptions{Workers: 2, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, workers := range []int{1, 2, 8} {
 		var cm countingMetrics
-		got, rep, err := EstimateReachProbParallel[flipState](context.Background(), flipper{}, mkSlowest, heads, 2, trials,
-			Options[flipState]{}, ParallelOptions{Workers: workers, Seed: 9, Metrics: &cm})
+		got, rep, err := countRun(2, trials, ParallelOptions{Workers: workers, Seed: 9, Metrics: &cm})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got != ref || rep.Completed != refRep.Completed {
-			t.Errorf("workers=%d: instrumented estimate %+v differs from reference %+v", workers, got, ref)
+			t.Errorf("workers=%d: instrumented run %+v differs from reference %+v", workers, got, ref)
 		}
-		if n := cm.trials.Load(); n != trials {
-			t.Errorf("workers=%d: TrialDone called %d times, want %d", workers, n, trials)
+		if n := cm.trials.Load(); n != trials || n != got.trials {
+			t.Errorf("workers=%d: batches cover %d trials, observed %d, want %d", workers, n, got.trials, trials)
 		}
 		if n := cm.chunkTrials.Load(); n != trials {
 			t.Errorf("workers=%d: ChunkDone trials sum = %d, want %d", workers, n, trials)
@@ -87,12 +121,13 @@ func TestMetricsCallPattern(t *testing.T) {
 		if max := cm.maxActive.Load(); max < 1 || max > int64(workers) {
 			t.Errorf("workers=%d: max in-flight chunks = %d, want 1..%d", workers, max, workers)
 		}
-		if cm.reached.Load() == 0 || cm.events.Load() == 0 {
-			t.Errorf("workers=%d: outcome fields not forwarded (reached=%d events=%d)",
-				workers, cm.reached.Load(), cm.events.Load())
+		if cm.reached.Load() != got.reached || cm.events.Load() != got.events || got.reached == 0 || got.events == 0 {
+			t.Errorf("workers=%d: outcome fields not forwarded (reached=%d events=%d, observed %d and %d)",
+				workers, cm.reached.Load(), cm.events.Load(), got.reached, got.events)
 		}
-		if cm.negSeconds.Load() != 0 {
-			t.Errorf("workers=%d: negative trial wall-times reported", workers)
+		if cm.negSeconds.Load() != 0 || cm.badSlices.Load() != 0 {
+			t.Errorf("workers=%d: %d negative chunk wall-times, %d batches with mismatched slices",
+				workers, cm.negSeconds.Load(), cm.badSlices.Load())
 		}
 		if cm.quarantined.Load() != 0 || cm.restored.Load() != 0 || cm.checkpoints.Load() != 0 {
 			t.Errorf("workers=%d: spurious quarantine=%d/restore=%d/checkpoint=%d calls",
@@ -126,7 +161,7 @@ func TestMetricsQuarantineCheckpointRestore(t *testing.T) {
 		t.Errorf("TrialQuarantined called %d times, report says %d", got, rep.Quarantined)
 	}
 	if got := cm.trials.Load(); got != int64(rep.Completed) {
-		t.Errorf("TrialDone called %d times, report says %d completed", got, rep.Completed)
+		t.Errorf("batches cover %d trials, report says %d completed", got, rep.Completed)
 	}
 	if got := cm.checkpoints.Load(); got != int64(saved) || saved == 0 {
 		t.Errorf("CheckpointSaved called %d times, sink ran %d times", got, saved)
@@ -170,7 +205,7 @@ func TestMetricsInterruptedRun(t *testing.T) {
 		t.Errorf("ChunkActive unbalanced after interrupt: %d", cm.active.Load())
 	}
 	if got := cm.trials.Load(); got != int64(rep.Completed) {
-		t.Errorf("TrialDone count %d != report.Completed %d", got, rep.Completed)
+		t.Errorf("batched trial count %d != report.Completed %d", got, rep.Completed)
 	}
 }
 

@@ -105,13 +105,11 @@ type ParallelOptions struct {
 	// the call (persist it — e.g. CheckpointSet.Save — rather than
 	// retaining the pointer). A sink error aborts the run.
 	CheckpointSink func(*Checkpoint) error
-	// Metrics, when non-nil, receives the run's telemetry: per-trial
-	// step counts, wall-times and outcomes, chunk lifecycle, quarantines
-	// and checkpoint saves. It observes only — the estimate is
-	// bit-identical with or without it. When nil, the hot path pays one
-	// nil check per trial and zero extra allocations (see Metrics). An
-	// implementation that also satisfies BatchMetrics is fed whole chunks
-	// at once, keeping per-trial atomics off the hot path.
+	// Metrics, when non-nil, receives the run's telemetry: each committed
+	// chunk's step counts, outcomes and wall-time, chunk lifecycle,
+	// quarantines and checkpoint saves. It observes only — the estimate
+	// is bit-identical with or without it. When nil, the hot path pays
+	// one nil check per trial and zero extra allocations (see Metrics).
 	Metrics Metrics
 	// TrialTimeout, when positive, arms the per-trial watchdog: a trial
 	// that has not returned within this wall-clock budget is abandoned
@@ -503,12 +501,6 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 		wg        sync.WaitGroup
 	)
 
-	// A hook that understands batches is fed whole chunks: per-trial
-	// outcomes accumulate in chunk-local buffers (plain stores, no
-	// atomics) and flush once at chunk commit, timed at chunk
-	// granularity. Everything else still sees per-trial TrialDone calls.
-	bmet, batch := met.(BatchMetrics)
-
 	clock := popts.Clock
 	if clock == nil {
 		clock = fault.Wall
@@ -534,6 +526,9 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 			endSpan := popts.SpanHooks.ChunkStart(chunk, hi-lo)
 			defer func() { endSpan(chunkCompleted, len(chunkPanics)) }()
 		}
+		// The hook is fed whole chunks: per-trial outcomes accumulate in
+		// chunk-local buffers (plain stores, no atomics) and flush once
+		// at chunk commit, timed at chunk granularity.
 		var (
 			batchEvents [parallelChunkSize]int64
 			batchReach  [parallelChunkSize]float64
@@ -541,7 +536,7 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 			batchHits   int
 			chunkT0     time.Time
 		)
-		if batch {
+		if met != nil {
 			chunkT0 = time.Now()
 		}
 		for i := lo; i < hi; i++ {
@@ -549,10 +544,6 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 				return nil // first error wins; this chunk is abandoned
 			}
 			seed := trialSeed(popts.Seed, i)
-			var t0 time.Time
-			if met != nil && !batch {
-				t0 = time.Now()
-			}
 			var res Result[S]
 			var err error
 			if popts.TrialTimeout > 0 {
@@ -597,15 +588,13 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 				}
 				return fmt.Errorf("sim: trial %d: %w", i, err)
 			}
-			if batch {
+			if met != nil {
 				batchEvents[batchN] = int64(res.Events)
 				batchN++
 				if res.Reached {
 					batchReach[batchHits] = res.ReachedAt
 					batchHits++
 				}
-			} else if met != nil {
-				met.TrialDone(i, res.Events, time.Since(t0).Seconds(), res.Reached, res.ReachedAt)
 			}
 			if err := observe(acc, i, res); err != nil {
 				return fmt.Errorf("sim: trial %d: %w", i, err)
@@ -616,11 +605,11 @@ func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk 
 			return err
 		}
 		done[chunk-loChunk] = true
-		if batch && batchN > 0 {
-			bmet.TrialBatchDone(batchN, batchHits, batchEvents[:batchN], batchReach[:batchHits],
-				time.Since(chunkT0).Seconds())
-		}
 		if met != nil {
+			if batchN > 0 {
+				met.TrialBatchDone(batchN, batchHits, batchEvents[:batchN], batchReach[:batchHits],
+					time.Since(chunkT0).Seconds())
+			}
 			met.ChunkDone(chunk, hi-lo)
 		}
 		return nil

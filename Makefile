@@ -57,9 +57,10 @@ FUZZTIME ?= 30s
 # Benchmarks recorded in BENCH_sim.json and gated by bench-diff: the
 # parallel-engine throughput row, the metrics- and span-overhead pairs,
 # the cold-cache trial rows for the election and consensus case studies,
-# the exact-engine explore+solve row, the expected-time solver row and
-# the breaker-overhead row.
-BENCH_GATE = BenchmarkParallelTrials|BenchmarkMetricsOverhead|BenchmarkSpanOverhead|BenchmarkElectionTrials|BenchmarkConsensusTrials|BenchmarkExactEngine|BenchmarkExpectedTicks|BenchmarkBreakerOverhead
+# the exact-engine explore+solve row, the paper-chain row (the five
+# arrows through core.CheckAll), the expected-time solver row and the
+# breaker-overhead row.
+BENCH_GATE = BenchmarkParallelTrials|BenchmarkMetricsOverhead|BenchmarkSpanOverhead|BenchmarkElectionTrials|BenchmarkConsensusTrials|BenchmarkExactEngine|BenchmarkPaperChain|BenchmarkExpectedTicks|BenchmarkBreakerOverhead
 
 # Absolute throughput backstop for the headline engine benchmark,
 # enforced by bench-diff on top of the relative 10% gate: the alias
@@ -165,6 +166,8 @@ fmt:
 #   ExpectedTicksMatchesOracle  random tick MDPs, Zeno ones included: the sweep
 #                       program's expected ticks equal the reference value iteration's, bit for bit
 #   Prob0EMatchesOracle random tick MDPs: the worklist Prob0E and MinProbOne equal the pass loop's
+#   WorstWithinTicksMatchesLayers  random tick MDPs and source masks: the cone-restricted
+#                       worst case equals a scan of every state's layers, value and state
 #   SetExtents          random predicates, universes and unions of unions: memoized set
 #                       extents answer Subset, Equal, Count, Witness and Mask as per-state loops do
 fuzz:
@@ -177,6 +180,7 @@ fuzz:
 	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzExploreMatchesDense -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzExpectedTicksMatchesOracle -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzProb0EMatchesOracle -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzWorstWithinTicksMatchesLayers -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzSetExtents -fuzztime=$(FUZZTIME)
 
 # Chaos packages: seeded fault/kill/corruption storms against the

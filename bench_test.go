@@ -527,6 +527,34 @@ func BenchmarkExactEngine(b *testing.B) {
 	b.ReportMetric(float64(footprint)/float64(states), "B/state")
 }
 
+// The paper's chain on its own: the five arrows of Section 6.2 through
+// core.CheckAll on the dining n=3 k=2 product, which is explored once,
+// outside the timer — what dining.Analysis.CheckPaperChain runs once per
+// analysis, solved afresh on every iteration. Each check solves only the
+// forward cone of its source set, and CheckAll runs the statements
+// concurrently, so this row moves with the cone and with the worker
+// count.
+func BenchmarkPaperChain(b *testing.B) {
+	a, err := dining.NewAnalysisOpts(3, 2, dining.Opts{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sts := a.PaperStatements()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		results, err := core.CheckAll(a.MDP, a.Index, sts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range results {
+			if !r.Holds {
+				b.Fatalf("paper statement fails: %s", r)
+			}
+		}
+	}
+}
+
 // The expected-time solver on its own: MaxExpectedTicks and
 // MinExpectedTicks to C on the dining n=3 k=2 product, which is explored
 // once, outside the timer. BenchmarkExactEngine never runs value

@@ -51,7 +51,7 @@ func run(args []string) error {
 
 	configs, err := parseConfigs(*configsFlag)
 	if err != nil {
-		return err
+		return cli.UsageError(fs, "-configs: %v", err)
 	}
 
 	analyses := make([]*dining.Analysis, len(configs))
@@ -85,6 +85,9 @@ func run(args []string) error {
 	return nil
 }
 
+// parseConfigs reads a comma-separated list of NxK configurations and
+// refuses any whose size or speed bound a product cannot have, so a bad
+// entry fails before the entries ahead of it are explored.
 func parseConfigs(s string) ([]config, error) {
 	var out []config
 	for _, part := range strings.Split(s, ",") {
@@ -99,6 +102,12 @@ func parseConfigs(s string) ([]config, error) {
 		k, err := strconv.Atoi(nk[1])
 		if err != nil {
 			return nil, err
+		}
+		switch {
+		case n < 2 || n > sched.MaxProcs:
+			return nil, fmt.Errorf("config %q: n must be in 2..%d", part, sched.MaxProcs)
+		case k < 1 || k > sched.MaxStepsPerWindow:
+			return nil, fmt.Errorf("config %q: k must be in 1..%d", part, sched.MaxStepsPerWindow)
 		}
 		out = append(out, config{n: n, k: k})
 	}

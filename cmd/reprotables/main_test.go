@@ -28,6 +28,11 @@ func TestRunBadFlags(t *testing.T) {
 		{[]string{"-configs", "2x1", "-election", "-3"}, "-election must be"},
 		{[]string{"-configs", "2x1", "-election", "1"}, "-election must be"},
 		{[]string{"-configs", "2x1", "-curve", "0", "-election", "17"}, "-election must be"},
+		{[]string{"-configs", "4x1,17x1"}, "-configs: config \"17x1\": n must be"},
+		{[]string{"-configs", "1x1"}, "-configs: config \"1x1\": n must be"},
+		{[]string{"-configs", "3x1,3x0"}, "-configs: config \"3x0\": k must be"},
+		{[]string{"-configs", "3x16"}, "-configs: config \"3x16\": k must be"},
+		{[]string{"-configs", "3x"}, "-configs:"},
 	} {
 		err := run(tc.args)
 		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
@@ -44,7 +49,10 @@ func TestParseConfigs(t *testing.T) {
 	if len(got) != 2 || got[0] != (config{n: 3, k: 1}) || got[1] != (config{n: 4, k: 2}) {
 		t.Errorf("parseConfigs = %v", got)
 	}
-	for _, bad := range []string{"", "3", "3x", "ax1", "3xb"} {
+	if got, err := parseConfigs("2x1,16x15"); err != nil || len(got) != 2 {
+		t.Errorf("parseConfigs at the range ends = %v, %v", got, err)
+	}
+	for _, bad := range []string{"", "3", "3x", "ax1", "3xb", "1x1", "17x1", "3x0", "3x16", "4x1,17x1", "-3x1"} {
 		if _, err := parseConfigs(bad); err == nil {
 			t.Errorf("config %q accepted", bad)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/mdp"
 	"repro/internal/prob"
@@ -62,6 +63,14 @@ func intTime(t prob.Rat) (int, error) {
 // set. The statement holds when that minimum is at least the claimed
 // probability.
 //
+// The solve is mdp.WorstWithinTicks, read at the statement's horizon t:
+// tick layer h evaluates only the states within t−h ticks of the source
+// set (the forward cone; nothing else can reach the answer), a state
+// whose previous layer is already 1 keeps 1 without evaluation, and the
+// minimum over the source set is taken on fixed-point words, with one
+// rational built for the winner. WorstState is the first source state in
+// index order that attains the minimum.
+//
 // The model's MDP and state index are produced by mdp.Explore from a
 // sched.Product automaton; the statement's schema is only recorded, not
 // interpreted — the digitization is fixed by the product.
@@ -81,36 +90,42 @@ func CheckStatement[S comparable](m *mdp.MDP, ix *mdp.Index[S], st Statement[S])
 		return res, ErrEmptyFrom
 	}
 
-	values, err := m.ReachWithinTicks(to.bools(ix.Len()), horizon, mdp.MinProb)
+	worst, err := m.WorstWithinTicks(to.bools(ix.Len()), from.bools(ix.Len()), horizon, mdp.MinProb)
 	if err != nil {
 		return res, err
 	}
-
-	first := true
-	for s := range values {
-		if !from.has(s) {
-			continue
-		}
-		if first || values[s].Less(res.WorstProb) {
-			res.WorstProb = values[s]
-			res.WorstState = ix.State(s)
-			first = false
-		}
-	}
+	w := worst[horizon]
+	res.WorstProb, res.WorstState = w.Value, ix.State(w.State)
 	res.Holds = !res.WorstProb.Less(st.Prob)
 	return res, nil
 }
 
-// CheckAll checks a list of statements against the same model, stopping at
-// the first error; failed statements (Holds == false) are not errors.
+// CheckAll checks a list of statements against the same model. The
+// statements are solved concurrently, at most m.ResolvedWorkers() at a
+// time: each solve touches only its own cone, whose levels are mostly
+// too small to split across workers, so statements are the unit of
+// parallelism. Results and errors are reported in statement order: on an
+// error, CheckAll returns the results of the statements before the first
+// failing one and that error. Failed statements (Holds == false) are not
+// errors.
 func CheckAll[S comparable](m *mdp.MDP, ix *mdp.Index[S], sts ...Statement[S]) ([]CheckResult[S], error) {
-	out := make([]CheckResult[S], 0, len(sts))
-	for _, st := range sts {
-		r, err := CheckStatement(m, ix, st)
+	out := make([]CheckResult[S], len(sts))
+	errs := make([]error, len(sts))
+	slots := make(chan struct{}, m.ResolvedWorkers())
+	var wg sync.WaitGroup
+	for i, st := range sts {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			out[i], errs[i] = CheckStatement(m, ix, st)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
-			return out, fmt.Errorf("checking %s: %w", st, err)
+			return out[:i], fmt.Errorf("checking %s: %w", sts[i], err)
 		}
-		out = append(out, r)
 	}
 	return out, nil
 }

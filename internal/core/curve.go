@@ -24,20 +24,23 @@ type CurvePoint struct {
 // Section 7 of the paper asks for lower bounds on the time for progress;
 // the curve delivers them — every t where the curve is below p is a
 // certified counterexample horizon.
+//
+// It is one mdp.WorstWithinTicks solve: horizon t evaluates only the
+// states within maxHorizon−t ticks of `from` (every horizon reads the
+// `from` states themselves), and a state already certain to reach `to`
+// is not evaluated again.
 func WorstCaseCurve[S comparable](m *mdp.MDP, ix *mdp.Index[S], from, to Set[S], maxHorizon int) ([]CurvePoint, error) {
 	fromExt := from.extent(ix.States())
 	if fromExt.count() == 0 {
 		return nil, ErrEmptyFrom
 	}
-	fromMask := fromExt.bools(ix.Len())
-	layers, err := m.ReachWithinTicksLayers(to.Mask(ix.States()), maxHorizon, mdp.MinProb)
+	worst, err := m.WorstWithinTicks(to.Mask(ix.States()), fromExt.bools(ix.Len()), maxHorizon, mdp.MinProb)
 	if err != nil {
 		return nil, err
 	}
-	curve := make([]CurvePoint, len(layers))
-	for h, layer := range layers {
-		worst, _ := mdp.OptAt(layer, fromMask, mdp.MinProb)
-		curve[h] = CurvePoint{Horizon: h, WorstProb: worst}
+	curve := make([]CurvePoint, len(worst))
+	for h, w := range worst {
+		curve[h] = CurvePoint{Horizon: h, WorstProb: w.Value}
 	}
 	return curve, nil
 }

@@ -380,31 +380,49 @@ func (m *Model) InvariantHolds(s State) bool {
 
 // Action names, one namespace per process: "flip_3" etc. Moves sits on
 // the simulator's hot path, so the small fixed grid of names is built
-// once up front — a Sprintf per move query showed up as a top allocator
-// in the Monte Carlo engine's profile.
-var actionTable = func() map[string][]string {
-	kinds := []string{"flip", "wait", "second", "drop", "crit", "dropf", "drops", "rem", "try", "exit"}
-	t := make(map[string][]string, len(kinds))
-	for _, k := range kinds {
-		names := make([]string, sched.MaxProcs)
-		for i := range names {
-			names[i] = fmt.Sprintf("%s_%d", k, i)
+// once up front and indexed by action kind and process — a Sprintf per
+// move query showed up as a top allocator in the Monte Carlo engine's
+// profile.
+type actionKind uint8
+
+// The action kinds of Figure 1, in actionKinds order.
+const (
+	actFlip actionKind = iota
+	actWait
+	actSecond
+	actDrop
+	actCrit
+	actDropFirst
+	actDropSecond
+	actRem
+	actTry
+	actExit
+	numActionKinds
+)
+
+// actionKinds names each action kind.
+var actionKinds = [numActionKinds]string{"flip", "wait", "second", "drop", "crit", "dropf", "drops", "rem", "try", "exit"}
+
+// actionTable holds every action kind's name for every process index.
+var actionTable = func() (t [numActionKinds][sched.MaxProcs]string) {
+	for k, kind := range actionKinds {
+		for i := range t[k] {
+			t[k][i] = kind + "_" + strconv.Itoa(i)
 		}
-		t[k] = names
 	}
 	return t
 }()
 
-func actionName(kind string, i int) string {
-	if names, ok := actionTable[kind]; ok && i >= 0 && i < len(names) {
-		return names[i]
+func actionName(k actionKind, i int) string {
+	if i >= 0 && i < sched.MaxProcs {
+		return actionTable[k][i]
 	}
-	return fmt.Sprintf("%s_%d", kind, i)
+	return fmt.Sprintf("%s_%d", actionKinds[k], i)
 }
 
 // FlipAction returns the name of process i's coin-flip action, for use in
 // first/next event schemas (Section 4 of the paper).
-func FlipAction(i int) string { return actionName("flip", i) }
+func FlipAction(i int) string { return actionName(actFlip, i) }
 
 // Moves implements sched.Model: the algorithm steps of process i, which
 // the unit-time constraint forces the adversary to schedule. A process in
@@ -428,7 +446,7 @@ func (m *Model) Moves(s State, i int) []pa.Step[State] {
 		if !m.ResTaken(s, m.resOnSide(i, l.U)) {
 			next = s.with(i, Local{PC: S, U: l.U})
 		}
-		return []pa.Step[State]{{Action: actionName("wait", i), Next: prob.Point(next)}}
+		return []pa.Step[State]{{Action: actionName(actWait, i), Next: prob.Point(next)}}
 	case S:
 		// Line 3: check the second resource once.
 		var next State
@@ -437,17 +455,17 @@ func (m *Model) Moves(s State, i int) []pa.Step[State] {
 		} else {
 			next = s.with(i, Local{PC: D, U: l.U})
 		}
-		return []pa.Step[State]{{Action: actionName("second", i), Next: prob.Point(next)}}
+		return []pa.Step[State]{{Action: actionName(actSecond, i), Next: prob.Point(next)}}
 	case D:
 		// Line 4: put the first resource down and go flip again.
 		return []pa.Step[State]{{
-			Action: actionName("drop", i),
+			Action: actionName(actDrop, i),
 			Next:   prob.Point(s.with(i, Local{PC: F})),
 		}}
 	case P:
 		// Line 5: announce the critical region.
 		return []pa.Step[State]{{
-			Action: actionName("crit", i),
+			Action: actionName(actCrit, i),
 			Next:   prob.Point(s.with(i, Local{PC: C})),
 		}}
 	case EF:
@@ -455,24 +473,24 @@ func (m *Model) Moves(s State, i int) []pa.Step[State] {
 		// first; u records the one still held.
 		return []pa.Step[State]{
 			{
-				Action: actionName("dropf", i),
+				Action: actionName(actDropFirst, i),
 				Next:   prob.Point(s.with(i, Local{PC: ES, U: Right})),
 			},
 			{
-				Action: actionName("dropf", i),
+				Action: actionName(actDropFirst, i),
 				Next:   prob.Point(s.with(i, Local{PC: ES, U: Left})),
 			},
 		}
 	case ES:
 		// Line 8: put down the remaining resource.
 		return []pa.Step[State]{{
-			Action: actionName("drops", i),
+			Action: actionName(actDropSecond, i),
 			Next:   prob.Point(s.with(i, Local{PC: ER})),
 		}}
 	case ER:
 		// Line 9: report back to the user.
 		return []pa.Step[State]{{
-			Action: actionName("rem", i),
+			Action: actionName(actRem, i),
 			Next:   prob.Point(s.with(i, Local{PC: R})),
 		}}
 	default: // R, C
@@ -488,12 +506,12 @@ func (m *Model) UserMoves(s State, i int) []pa.Step[State] {
 	switch s.Local(i).PC {
 	case R:
 		return []pa.Step[State]{{
-			Action: actionName("try", i),
+			Action: actionName(actTry, i),
 			Next:   prob.Point(s.with(i, Local{PC: F})),
 		}}
 	case C:
 		return []pa.Step[State]{{
-			Action: actionName("exit", i),
+			Action: actionName(actExit, i),
 			Next:   prob.Point(s.with(i, Local{PC: EF})),
 		}}
 	default:

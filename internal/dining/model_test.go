@@ -1,6 +1,7 @@
 package dining
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -55,6 +56,23 @@ func mk(t *testing.T, spec string) State {
 		t.Fatalf("NewState(%q): %v", spec, err)
 	}
 	return s
+}
+
+// TestActionNames pins the action-name table: kind_i for every kind and
+// process index, built once, and the same spelling, formatted on demand,
+// for an index outside the table.
+func TestActionNames(t *testing.T) {
+	want := []string{"flip", "wait", "second", "drop", "crit", "dropf", "drops", "rem", "try", "exit"}
+	for k, kind := range want {
+		for _, i := range []int{0, 7, sched.MaxProcs - 1, sched.MaxProcs, -1} {
+			if got, w := actionName(actionKind(k), i), kind+"_"+strconv.Itoa(i); got != w {
+				t.Errorf("actionName(%d, %d) = %q, want %q", k, i, got, w)
+			}
+		}
+	}
+	if got := FlipAction(3); got != "flip_3" {
+		t.Errorf("FlipAction(3) = %q, want flip_3", got)
+	}
 }
 
 func TestNewStateValidation(t *testing.T) {

@@ -34,7 +34,7 @@ func (ringOracle) Moves(s State, i int) []pa.Step[State] {
 		if !s.ResTaken(s.resOnSide(i, l.U)) {
 			next = s.with(i, Local{PC: S, U: l.U})
 		}
-		return []pa.Step[State]{{Action: actionName("wait", i), Next: prob.Point(next)}}
+		return []pa.Step[State]{{Action: actionName(actWait, i), Next: prob.Point(next)}}
 	case S:
 		var next State
 		if !s.ResTaken(s.resOnSide(i, l.U.Opp())) {
@@ -42,36 +42,36 @@ func (ringOracle) Moves(s State, i int) []pa.Step[State] {
 		} else {
 			next = s.with(i, Local{PC: D, U: l.U})
 		}
-		return []pa.Step[State]{{Action: actionName("second", i), Next: prob.Point(next)}}
+		return []pa.Step[State]{{Action: actionName(actSecond, i), Next: prob.Point(next)}}
 	case D:
 		return []pa.Step[State]{{
-			Action: actionName("drop", i),
+			Action: actionName(actDrop, i),
 			Next:   prob.Point(s.with(i, Local{PC: F})),
 		}}
 	case P:
 		return []pa.Step[State]{{
-			Action: actionName("crit", i),
+			Action: actionName(actCrit, i),
 			Next:   prob.Point(s.with(i, Local{PC: C})),
 		}}
 	case EF:
 		return []pa.Step[State]{
 			{
-				Action: actionName("dropf", i),
+				Action: actionName(actDropFirst, i),
 				Next:   prob.Point(s.with(i, Local{PC: ES, U: Right})),
 			},
 			{
-				Action: actionName("dropf", i),
+				Action: actionName(actDropFirst, i),
 				Next:   prob.Point(s.with(i, Local{PC: ES, U: Left})),
 			},
 		}
 	case ES:
 		return []pa.Step[State]{{
-			Action: actionName("drops", i),
+			Action: actionName(actDropSecond, i),
 			Next:   prob.Point(s.with(i, Local{PC: ER})),
 		}}
 	case ER:
 		return []pa.Step[State]{{
-			Action: actionName("rem", i),
+			Action: actionName(actRem, i),
 			Next:   prob.Point(s.with(i, Local{PC: R})),
 		}}
 	default: // R, C
@@ -85,12 +85,12 @@ func (ringOracle) UserMoves(s State, i int) []pa.Step[State] {
 	switch s.Local(i).PC {
 	case R:
 		return []pa.Step[State]{{
-			Action: actionName("try", i),
+			Action: actionName(actTry, i),
 			Next:   prob.Point(s.with(i, Local{PC: F})),
 		}}
 	case C:
 		return []pa.Step[State]{{
-			Action: actionName("exit", i),
+			Action: actionName(actExit, i),
 			Next:   prob.Point(s.with(i, Local{PC: EF})),
 		}}
 	default:

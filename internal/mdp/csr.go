@@ -23,16 +23,21 @@ package mdp
 //
 // Parallelism. The sparse solvers sweep the states of one level of the
 // non-tick DAG at a time, split across workers: the tick-bounded DP in
-// per-worker contiguous ranges of the level (parallelFor), value
-// iteration in the per-worker chunks of its compiled sweep program
-// (expect.go), which groups each chunk's rows by shape. Determinism for
-// any worker count is by construction: within a sweep each worker writes
-// only its own rows, and cross-row reads go either to the previous
-// sweep's array or — for zero-duration (non-tick) edges — to rows of
-// strictly lower "level", which earlier barriers have already completed,
-// so a row's value does not depend on which worker computes it or in
-// what order. The per-sweep convergence delta is reduced with max, which
-// is exact in floating point, so the iteration trajectory is
+// per-worker contiguous ranges of the level's states in the solve's
+// cone (parallelFor; reach.go), value iteration in the per-worker chunks
+// of its compiled sweep program (expect.go), which numbers its rows in
+// sweep order, so that each chunk writes one contiguous range of the
+// value buffers, and groups each chunk's rows by shape. A level smaller
+// than minGrain runs inline on the calling goroutine. Most levels of a
+// worst-case check's cone are, so core.CheckAll solves its statements
+// concurrently instead, at most ResolvedWorkers at a time.
+// Determinism for any worker count is by construction: within a sweep
+// each worker writes only its own rows, and cross-row reads go either to
+// the previous sweep's array or — for zero-duration (non-tick) edges —
+// to rows of strictly lower "level", which earlier barriers have already
+// completed, so a row's value does not depend on which worker computes
+// it or in what order. The per-sweep convergence delta is reduced with
+// max, which is exact in floating point, so the iteration trajectory is
 // bit-identical whether one worker sweeps or sixteen do.
 
 import (

@@ -60,6 +60,13 @@ func (c *CSR) sweepPlan() sweepPlan {
 // is −0 or NaN). The order of the choices within a row does not matter:
 // a row's value is the max or min of its choices' sums.
 //
+// The program numbers its rows in sweep order, not by state: the updated
+// row at rows[i] has program index i, the pinned rows follow in state
+// order, and the sentinel stays n. The value buffers and the slot columns
+// use program indices, so run permutes the values in and out once per
+// solve, and each chunk writes one contiguous range of the buffer (no
+// two workers write within one cache line but at the range ends).
+//
 // Rows that reach no cycle of updated rows settle: from some sweep F on
 // they recompute the same value every sweep (settleSweeps). Within a
 // group the rows that never settle come first, and from sweep retire on
@@ -69,8 +76,8 @@ type sweepProgram struct {
 	maximize bool
 	jacobi   bool
 	pf       [maxProbs]float64 // the CSR's probability table, zero-padded
-	rows     []int32           // updated states, grouped
-	col      []int32           // slot columns; n is the sentinel
+	rows     []int32           // state of each program index
+	col      []int32           // slot columns, as program indices
 	pi       []uint8           // slot probability indices
 	groups   []rowGroup
 	levels   []sweepLevel
@@ -112,7 +119,7 @@ func (m *MDP) compileSweeps(skip []bool, maximize bool) *sweepProgram {
 		rows: make([]int32, 0, c.n), col: make([]int32, slots), pi: make([]uint8, slots),
 	}
 	copy(p.pf[:], c.probs.f)
-	workers := m.workers()
+	workers := m.ResolvedWorkers()
 	var live, settled []int32
 	bucket := make([]int, 2*len(shapes)+1)
 	lo := int32(0)
@@ -145,12 +152,22 @@ func (m *MDP) compileSweeps(skip []bool, maximize bool) *sweepProgram {
 		}
 		p.levels = append(p.levels, lv)
 	}
+	for s, pin := range skip {
+		if pin {
+			p.rows = append(p.rows, int32(s))
+		}
+	}
+	pos := make([]int32, c.n+1) // program index of each state
+	for i, s := range p.rows {
+		pos[s] = int32(i)
+	}
+	pos[c.n] = int32(c.n)
 	slot := 0
 	for i := range p.groups {
 		g := &p.groups[i]
 		g.slot = slot
 		for _, s := range p.rows[g.lo:g.hi] {
-			slot = p.addRecords(c, s, slot, g.width, g.nonTick)
+			slot = p.addRecords(c, pos, s, slot, g.width, g.nonTick)
 		}
 	}
 	return p
@@ -232,7 +249,8 @@ func (p *sweepProgram) addChunk(shapes []rowShape, shapeOf []int32, bucket []int
 
 // addRecords writes the slots of state s's choices from slot on, non-tick
 // choices first, each padded to width slots, and returns the next slot.
-func (p *sweepProgram) addRecords(c *CSR, s int32, slot int, width, nonTick int32) int {
+// pos maps a state to its program index.
+func (p *sweepProgram) addRecords(c *CSR, pos []int32, s int32, slot int, width, nonTick int32) int {
 	w := int(width)
 	next, nextTick := slot, slot+int(nonTick)*w
 	for ci := c.choiceRow[s]; ci < c.choiceRow[s+1]; ci++ {
@@ -243,7 +261,7 @@ func (p *sweepProgram) addRecords(c *CSR, s int32, slot int, width, nonTick int3
 		bi, end := c.branchRow[ci], c.branchRow[ci+1]
 		for k := *at; k < *at+w; k, bi = k+1, bi+1 {
 			if bi < end {
-				p.col[k], p.pi[k] = c.col[bi], c.pi[bi]
+				p.col[k], p.pi[k] = pos[c.col[bi]], c.pi[bi]
 			} else {
 				p.col[k], p.pi[k] = int32(p.n), 0
 			}
@@ -299,14 +317,18 @@ func (c *CSR) settleSweeps(skip []bool, pending []int32, jacobi bool) ([]int32, 
 }
 
 // run iterates the program to a fixpoint from v, the initial value of
-// every state. Rows outside the program never change, so both value
-// buffers start as v (plus the sentinel) and a sweep writes only the
-// rows it updates. The delta of a sweep is the max over its
+// every state, and returns the fixpoint in v. Rows outside the program
+// never change, so both value buffers start as v in program order (plus
+// the sentinel) and a sweep writes only the rows it updates; the
+// fixpoint is permuted back into v. The delta of a sweep is the max over its
 // rows of |new - old|, exact in floating point; a retired row's would be
 // |x - x| = 0 (or NaN for x = +Inf, which the comparison ignores), so
 // retiring it leaves every delta, and so the number of sweeps, unchanged.
 func (p *sweepProgram) run(v []float64) ([]float64, error) {
-	prev := append(v[:p.n:p.n], 0) // a copy; prev[n] is the sentinel
+	prev := make([]float64, p.n+1) // prev[n] is the sentinel
+	for i, s := range p.rows {
+		prev[i] = v[s]
+	}
 	cur := slices.Clone(prev)
 	var (
 		lv       *sweepLevel
@@ -361,14 +383,17 @@ func (p *sweepProgram) run(v []float64) ([]float64, error) {
 		}
 		prev, cur = cur, prev
 		if delta <= viEpsilon {
-			return prev[:p.n:p.n], nil
+			for i, s := range p.rows {
+				v[s] = prev[i]
+			}
+			return v, nil
 		}
 	}
 	return nil, fmt.Errorf("%w after %d sweeps", ErrNoConvergence, viMaxIter)
 }
 
-// sweepGroup applies the Bellman update to rows[g.lo:hi] of group g,
-// writing cur, and returns the largest change. A non-tick choice sums
+// sweepGroup applies the Bellman update to the program indices g.lo:hi
+// of group g, writing cur, and returns the largest change. A non-tick choice sums
 // its branches' values in nonTick, a tick choice 1 plus theirs in prev,
 // each branch by branch in CSR order as the reference loop does; slots
 // are read two at a time (widths are even). With no NaN or −0 among the
@@ -385,7 +410,7 @@ func (p *sweepProgram) sweepGroup(g *rowGroup, hi int32, nonTick, prev, cur []fl
 	}
 	dd := 0.0
 	slot := 0
-	for _, s := range p.rows[g.lo:hi] {
+	for i := g.lo; i < hi; i++ {
 		best := worst
 		for end := slot + nt; slot < end; {
 			val := 0.0
@@ -411,10 +436,10 @@ func (p *sweepProgram) sweepGroup(g *rowGroup, hi int32, nonTick, prev, cur []fl
 				best = min(best, val)
 			}
 		}
-		if d := math.Abs(best - prev[s]); d > dd {
+		if d := math.Abs(best - prev[i]); d > dd {
 			dd = d
 		}
-		cur[s] = best
+		cur[i] = best
 	}
 	return dd
 }

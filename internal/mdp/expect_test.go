@@ -3,6 +3,7 @@ package mdp
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -76,6 +77,66 @@ func TestSettleSweeps(t *testing.T) {
 	requireSameTicks(t, got, want)
 	if got[4] != 3 || math.Abs(got[5]-2) > 1e-9 || math.Abs(got[6]-3) > 1e-9 {
 		t.Errorf("E = %v, want E(4) = 3, E(5) ≈ 2, E(6) ≈ 3", got)
+	}
+}
+
+// TestSweepProgramChunksContiguous pins the sweep-order numbering of the
+// compiled program, at two workers with the parallel grain forced to 1:
+// the groups of each chunk, and the chunks of each level, follow one
+// another without a gap, so a chunk writes one contiguous range of
+// program indices and the levels tile the updated rows in order; the
+// pinned rows follow in state order; and every slot reads the program
+// index of its branch's target (or the sentinel n).
+func TestSweepProgramChunksContiguous(t *testing.T) {
+	defer SetMinGrainForTest(1)()
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m, target := buildTickMDP(rng.Intn, dyadicDists, seed%2 == 0)
+		m.Workers = 2
+		c := m.CSR()
+		for _, maximize := range []bool{true, false} {
+			_, skip := m.pinned(target, maximize)
+			p := m.compileSweeps(skip, maximize)
+			next := int32(0) // the first program index no chunk writes yet
+			for _, lv := range p.levels {
+				for k := 0; k+1 < len(lv.chunks); k++ {
+					for _, g := range p.groups[lv.chunks[k]:lv.chunks[k+1]] {
+						if g.lo != next {
+							t.Fatalf("seed %d: chunk %d writes from %d, the range before it ends at %d", seed, k, g.lo, next)
+						}
+						next = g.hi
+					}
+				}
+			}
+			var pinned []int32
+			for s, pin := range skip {
+				if pin {
+					pinned = append(pinned, int32(s))
+				}
+			}
+			if int(next)+len(pinned) != c.n || !slices.Equal(p.rows[next:], pinned) {
+				t.Fatalf("seed %d: chunks write 0..%d, pinned rows %v; want the %d updated rows, then %v", seed, next, p.rows[next:], c.n-len(pinned), pinned)
+			}
+			for _, g := range p.groups {
+				slot, w := g.slot, int((g.nonTick+g.tick)*g.width)
+				for i := g.lo; i < g.hi; i++ {
+					var got []int32
+					for _, col := range p.col[slot : slot+w] {
+						if col != int32(c.n) {
+							got = append(got, p.rows[col])
+						}
+					}
+					slot += w
+					lo, hi := c.stateBranches(p.rows[i])
+					want := slices.Clone(c.col[lo:hi])
+					slices.Sort(got)
+					slices.Sort(want)
+					if !slices.Equal(got, want) {
+						t.Fatalf("seed %d: row %d (state %d) reads states %v, its branches go to %v", seed, i, p.rows[i], got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -35,11 +35,13 @@ func reachKernel(m *MDP, target []bool, horizon int, goal Goal) (kernel, error) 
 }
 
 func reachRat(m *MDP, target []bool, horizon int, goal Goal) ([][]prob.Rat, error) {
-	q, err := m.newTickQuery(target, horizon, goal, true)
+	q, err := m.newTickQuery(target, nil, horizon, goal)
 	if err != nil {
 		return nil, err
 	}
-	return q.ratSweep(), nil
+	var layers [][]prob.Rat
+	q.ratSweep(keepLayers(&layers, true, horizon))
+	return layers, nil
 }
 
 // SettleCounts compiles MaxExpectedTicks' sweep program for target and

@@ -101,6 +101,42 @@ func checkKernels(t testing.TB, m *MDP, target []bool, horizon int) []kernel {
 	return kernels
 }
 
+// checkWorst requires WorstWithinTicks, for both goals and at every
+// horizon 0..horizon, to give the value and the first state of from that
+// a scan of ReachWithinTicksLayers finds optimal, and returns the kernel
+// of each answer.
+func checkWorst(t testing.TB, m *MDP, target, from []bool, horizon int) []kernel {
+	t.Helper()
+	var kernels []kernel
+	for _, goal := range []Goal{MinProb, MaxProb} {
+		layers, err := m.ReachWithinTicksLayers(target, horizon, goal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, k, err := m.worstTicks(target, from, horizon, goal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernels = append(kernels, k)
+		if len(got) != horizon+1 {
+			t.Fatalf("goal %v: %d horizons, want %d", goal, len(got), horizon+1)
+		}
+		for h, layer := range layers {
+			at := -1
+			for s, in := range from {
+				if in && (at < 0 || goal.better(layer[s], layer[at])) {
+					at = s
+				}
+			}
+			if got[h].State != at || !got[h].Value.Equal(layer[at]) {
+				t.Fatalf("goal %v h=%d: WorstWithinTicks %v at state %d (kernel %d), scan of the layers %v at state %d",
+					goal, h, got[h].Value, got[h].State, k, layer[at], at)
+			}
+		}
+	}
+	return kernels
+}
+
 // TestReachKernelsAgree solves seeded random tick MDPs with dyadic
 // branch probabilities at horizons 0..12 and worker counts {1,2,8}, with
 // the parallel grain forced to 1 so the sweeps fan out. The fixed-point
@@ -149,6 +185,11 @@ func TestReachKernelsThirdCoin(t *testing.T) {
 	}
 	if want := third; !v[0].Equal(want) {
 		t.Errorf("P(0) within 1 tick = %v, want %v", v[0], want)
+	}
+	for _, k := range checkWorst(t, m, target, mask(3, 0, 2), 6) {
+		if k != kernelRat {
+			t.Fatalf("kernel %d answered WorstWithinTicks on a model with a 1/3 coin, want the rational operator", k)
+		}
 	}
 }
 
@@ -201,6 +242,17 @@ func TestReachKernelsFallbackMidSolve(t *testing.T) {
 	}
 	// Both entry points, both goals, every horizon through the fallback.
 	checkKernels(t, m, target, 64)
+	// WorstWithinTicks falls back the same way, on the same cone.
+	for _, tc := range []struct {
+		horizon int
+		want    kernel
+	}{{62, kernelFixed}, {63, kernelFallback}} {
+		for _, k := range checkWorst(t, m, target, mask(2, 0), tc.horizon) {
+			if k != tc.want {
+				t.Errorf("WorstWithinTicks to horizon %d: kernel %d, want %d", tc.horizon, k, tc.want)
+			}
+		}
+	}
 }
 
 // FuzzReachKernels builds a small tick MDP from the input bytes, with
@@ -228,6 +280,37 @@ func FuzzReachKernels(f *testing.F) {
 			if (k == kernelRat) == dyadic {
 				t.Fatalf("kernel %d for a model with dyadic=%t", k, dyadic)
 			}
+		}
+	})
+}
+
+// FuzzWorstWithinTicksMatchesLayers builds a small tick MDP from the
+// input bytes, with dyadic and 1/3 branch probabilities, and a random
+// source mask, which may hold targets and states without choices. At
+// every horizon up to the chosen one (0..8), for both goals and at one
+// and two workers with the parallel grain forced to 1, WorstWithinTicks
+// must give the value and the first state that a scan of
+// ReachWithinTicksLayers over the mask finds optimal: the cone and the
+// settled shortcut never change an answer.
+func FuzzWorstWithinTicksMatchesLayers(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 1, 2, 0, 1, 1, 4, 0, 2, 3, 1, 0, 5, 2, 2, 1, 9, 0, 1, 0, 1, 1, 8})
+	f.Add([]byte{6, 0, 3, 1, 6, 2, 0, 3, 1, 1, 5, 0, 4, 2, 6, 1, 0, 2, 3, 3, 12, 1, 0, 0, 1, 0, 1, 0, 5})
+	f.Add([]byte{7, 1, 2, 1, 0, 3, 2, 1, 7, 0, 2, 1, 1, 3, 4, 0, 0, 6, 1, 2, 3, 2, 1, 1, 0, 5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 8})
+	dists := append(append([][]prob.Rat(nil), dyadicDists...), thirdDists...)
+	defer SetMinGrainForTest(1)()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pick := picker(data)
+		m, target := buildTickMDP(pick, dists, false)
+		from := make([]bool, m.NumStates)
+		for s := range from {
+			from[s] = pick(2) == 1
+		}
+		from[pick(m.NumStates)] = true
+		horizon := pick(9)
+		for _, workers := range []int{1, 2} {
+			m.Workers = workers
+			checkWorst(t, m, target, from, horizon)
 		}
 	})
 }

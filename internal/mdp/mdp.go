@@ -13,8 +13,9 @@
 //
 //   - exact minimum and maximum probabilities of reaching a target
 //     within a tick horizon (on 62-bit fixed point when the probabilities
-//     allow, else on rationals) — the quantities compared against the
-//     paper's p and t;
+//     allow, else on rationals), per state or as the worst case over a
+//     set of source states, solved on that set's forward cone alone —
+//     the quantities compared against the paper's p and t;
 //   - qualitative reachability sets (probability 0 / probability 1 under
 //     some or all adversaries), used by the Zuck–Pnueli-style baseline;
 //   - minimum and maximum expected ticks to a target — the quantity
@@ -45,8 +46,9 @@ type MDP struct {
 // immutable and shared.
 func (m *MDP) CSR() *CSR { return m.csr }
 
-// workers resolves the Workers field to a concrete worker count.
-func (m *MDP) workers() int { return resolveWorkers(m.Workers) }
+// ResolvedWorkers returns the number of workers the solvers use: Workers,
+// or one per available CPU when Workers is 0.
+func (m *MDP) ResolvedWorkers() int { return resolveWorkers(m.Workers) }
 
 // Index maps the comparable states of a probabilistic automaton to dense
 // MDP indices and back. The reverse map is built lazily on the first ID

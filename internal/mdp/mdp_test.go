@@ -188,18 +188,59 @@ func TestReachWithinTicksBadInput(t *testing.T) {
 	}
 }
 
-func TestOptAt(t *testing.T) {
-	vals := []prob.Rat{prob.Half(), prob.One(), prob.NewRat(1, 4)}
-	got, ok := OptAt(vals, []bool{true, false, true}, MinProb)
-	if !ok || !got.Equal(prob.NewRat(1, 4)) {
-		t.Errorf("OptAt min = %v, %t; want 1/4, true", got, ok)
+// TestWorstWithinTicks pins the optimum over a source set on a hand-built
+// MDP: state 0 flips a fair coin into the target each tick, state 2 ticks
+// into 0, and state 4 chooses, without a tick, between 0 and the dead end
+// 3. The first state in index order wins a tie.
+func TestWorstWithinTicks(t *testing.T) {
+	m := hand([][]Choice{
+		{tickCoin("flip", 1, 0)},
+		nil, // the target
+		{tickTo("t", 0)},
+		nil, // a dead end
+		{moveTo("a", 0), moveTo("b", 3)},
+	})
+	target := mask(5, 1)
+	for _, tc := range []struct {
+		goal  Goal
+		from  []int
+		want  []string
+		state []int
+	}{
+		{MinProb, []int{0, 2}, []string{"0", "0", "1/2", "3/4"}, []int{0, 2, 2, 2}},
+		{MaxProb, []int{0, 2}, []string{"0", "1/2", "3/4", "7/8"}, []int{0, 0, 0, 0}},
+		{MinProb, []int{0, 4}, []string{"0", "0", "0", "0"}, []int{0, 4, 4, 4}},
+		{MaxProb, []int{2, 4}, []string{"0", "1/2", "3/4", "7/8"}, []int{2, 4, 4, 4}},
+		{MinProb, []int{1, 3}, []string{"0", "0", "0", "0"}, []int{3, 3, 3, 3}},
+		{MaxProb, []int{3, 1}, []string{"1", "1", "1", "1"}, []int{1, 1, 1, 1}},
+	} {
+		got, err := m.WorstWithinTicks(target, mask(5, tc.from...), 3, tc.goal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 4 {
+			t.Fatalf("goal %v from %v: %d horizons, want 4", tc.goal, tc.from, len(got))
+		}
+		for h, opt := range got {
+			if opt.Value.String() != tc.want[h] || opt.State != tc.state[h] {
+				t.Errorf("goal %v from %v h=%d: %v at %d, want %s at %d", tc.goal, tc.from, h, opt.Value, opt.State, tc.want[h], tc.state[h])
+			}
+		}
+		checkWorst(t, m, target, mask(5, tc.from...), 5)
 	}
-	got, ok = OptAt(vals, []bool{true, true, false}, MaxProb)
-	if !ok || !got.IsOne() {
-		t.Errorf("OptAt max = %v, %t; want 1, true", got, ok)
-	}
-	if _, ok := OptAt(vals, []bool{false, false, false}, MinProb); ok {
-		t.Error("OptAt on empty mask reported ok")
+
+	for _, bad := range []struct {
+		name    string
+		from    []bool
+		horizon int
+	}{
+		{"empty source", mask(5), 2},
+		{"short source", mask(4, 0), 2},
+		{"negative horizon", mask(5, 0), -1},
+	} {
+		if _, err := m.WorstWithinTicks(target, bad.from, bad.horizon, MinProb); err == nil {
+			t.Errorf("%s accepted", bad.name)
+		}
 	}
 }
 

@@ -189,7 +189,7 @@ func expectedTicksOracle(m *MDP, target []bool, maximize bool) ([]float64, error
 		return best
 	}
 
-	workers := m.workers()
+	workers := m.ResolvedWorkers()
 	plan := c.sweepPlan()
 	cur := make([]float64, c.n)
 	for iter := 0; iter < viMaxIter; iter++ {

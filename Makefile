@@ -160,14 +160,15 @@ fmt:
 #   DistBuild           byte-built outcomes: NewDist, MapDist and Uniform match a map-keyed reference
 #   LoadCheckpointSet   hostile checkpoint bytes: ErrCorruptArtifact, never a panic
 #   ReadManifest        hostile manifest JSONL: ErrCorruptManifest, never a panic
-#   ReachKernels        random tick MDPs: fixed-point and rational answers are equal
+#   ReachKernels        random tick MDPs: the strategy from every state, on fixed point
+#                       or rationals, holds the plain rational recursion's values and choices
 #   ExploreMatchesDense random automata: the explorer builds the test oracle's MDP,
 #                       with the queue cut into chunks of one and three states
 #   ExpectedTicksMatchesOracle  random tick MDPs, Zeno ones included: the sweep
 #                       program's expected ticks equal the reference value iteration's, bit for bit
 #   Prob0EMatchesOracle random tick MDPs: the worklist Prob0E and MinProbOne equal the pass loop's
-#   WorstWithinTicksMatchesLayers  random tick MDPs and source masks: the cone-restricted
-#                       worst case equals a scan of every state's layers, value and state
+#   WorstWithinTicksMatchesOracle  random tick MDPs and source masks: the cone solve's
+#                       optima, strategy and witness match the plain rational recursion
 #   SetExtents          random predicates, universes and unions of unions: memoized set
 #                       extents answer Subset, Equal, Count, Witness and Mask as per-state loops do
 fuzz:
@@ -180,7 +181,7 @@ fuzz:
 	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzExploreMatchesDense -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzExpectedTicksMatchesOracle -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzProb0EMatchesOracle -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzWorstWithinTicksMatchesLayers -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzWorstWithinTicksMatchesOracle -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzSetExtents -fuzztime=$(FUZZTIME)
 
 # Chaos packages: seeded fault/kill/corruption storms against the
@@ -233,16 +234,17 @@ trace-smoke:
 
 # Exact-engine smoke: one end-to-end lrcheck run through the on-the-fly
 # CSR explorer and the parallel sparse solvers (all five arrows, the
-# composed claim, the expected-time sweep), the explorer against the test
-# oracle (internal/mdp/oracle_test.go, which numbers states by
-# pa.Reachable) on the election and the dining n=3 products, with the
-# explorer's chunk size lowered so each crosses hundreds to thousands of
-# chunk boundaries at one, two and eight workers, and the fixed-point vs
-# rational kernel agreement on random tick MDPs. Seconds, so it gates
-# every check; the large-product runs live in the non-short tests and
+# composed claim with its strategy and the witness walk over it, the
+# expected-time sweep), the explorer against the test oracle
+# (internal/mdp/oracle_test.go, which numbers states by pa.Reachable) on
+# the election and the dining n=3 products, with the explorer's chunk
+# size lowered so each crosses hundreds to thousands of chunk boundaries
+# at one, two and eight workers, and both tick kernels against the plain
+# rational recursion on random tick MDPs. Seconds, so it gates every
+# check; the large-product runs live in the non-short tests and
 # EXPERIMENTS.md E22.
 mdp-smoke:
-	$(GO) run ./cmd/lrcheck -n 3 -k 1 -workers 2 >/dev/null && echo "mdp-smoke: lrcheck ok"
+	$(GO) run ./cmd/lrcheck -n 3 -k 1 -workers 2 -witness >/dev/null && echo "mdp-smoke: lrcheck ok"
 	$(GO) test -run 'TestExploreMatchesDenseElection' -count=1 ./internal/mdp
 	$(GO) test -short -run 'TestExploreMatchesDenseDining' -count=1 ./internal/mdp
 	$(GO) test -run 'TestReachKernels' -count=1 ./internal/mdp

@@ -58,11 +58,13 @@ func run(args []string) error {
 		return cli.UsageError(fs, "-mem-budget must be >= 0, got %d", *memBudget)
 	case *curve < 0:
 		return cli.UsageError(fs, "-curve must be >= 0, got %d", *curve)
+	case *jsonOut && (*witness || *lemmas):
+		return cli.UsageError(fs, "-json has no field for -witness or -lemmas")
 	}
 	opts := dining.Opts{Workers: *workers, MemBudget: *memBudget}
 
 	if *jsonOut {
-		return runJSON(*n, *k, *curve, *skipExpected, opts)
+		return runJSON(*n, *k, *curve, *skipExpected, *exportPrefix, opts)
 	}
 
 	fmt.Printf("Lehmann–Rabin worst-case check: n=%d, digitized Unit-Time with k=%d\n", *n, *k)
@@ -102,7 +104,11 @@ func run(args []string) error {
 	}
 	fmt.Print(proof.Render())
 
-	direct, err := core.CheckStatement(a.MDP, a.Index, a.ComposedStatement())
+	check := core.CheckStatement[dining.PState]
+	if *witness { // the witness walks the direct check's strategy
+		check = core.CheckStrategy[dining.PState]
+	}
+	direct, err := check(a.MDP, a.Index, a.ComposedStatement())
 	if err != nil {
 		return err
 	}
@@ -148,7 +154,7 @@ func run(args []string) error {
 	}
 
 	if *witness {
-		lines, err := a.WorstWitness(13)
+		lines, err := a.WorstWitness(direct)
 		if err != nil {
 			return err
 		}
@@ -219,11 +225,16 @@ func exportPRISM(a *dining.Analysis, prefix string) error {
 }
 
 // runJSON emits the machine-readable report consumed by downstream
-// tooling (and recorded in EXPERIMENTS.md).
-func runJSON(n, k, curve int, skipExpected bool, opts dining.Opts) error {
+// tooling (and recorded in EXPERIMENTS.md), and the PRISM export if any.
+func runJSON(n, k, curve int, skipExpected bool, exportPrefix string, opts dining.Opts) error {
 	a, err := dining.NewAnalysisOpts(n, k, opts)
 	if err != nil {
 		return err
+	}
+	if exportPrefix != "" {
+		if err := exportPRISM(a, exportPrefix); err != nil {
+			return err
+		}
 	}
 	doc := report.Document{
 		Model:         "lehmann-rabin",

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,14 +19,28 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
+// TestRunExport: -export-prefix writes the same PRISM files in text and
+// JSON mode.
 func TestRunExport(t *testing.T) {
-	prefix := filepath.Join(t.TempDir(), "lr")
-	if err := run([]string{"-n", "2", "-skip-expected", "-export-prefix", prefix}); err != nil {
+	dir := t.TempDir()
+	text, json := filepath.Join(dir, "text"), filepath.Join(dir, "json")
+	if err := run([]string{"-n", "2", "-skip-expected", "-export-prefix", text}); err != nil {
 		t.Fatalf("run -export-prefix: %v", err)
 	}
+	if err := run([]string{"-n", "2", "-skip-expected", "-json", "-export-prefix", json}); err != nil {
+		t.Fatalf("run -json -export-prefix: %v", err)
+	}
 	for _, suffix := range []string{".tra", ".lab"} {
-		if _, err := os.Stat(prefix + suffix); err != nil {
-			t.Errorf("missing export file %s: %v", prefix+suffix, err)
+		want, err := os.ReadFile(text + suffix)
+		if err != nil {
+			t.Fatalf("missing export file %s: %v", text+suffix, err)
+		}
+		got, err := os.ReadFile(json + suffix)
+		if err != nil {
+			t.Fatalf("-json wrote no %s: %v", suffix, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("-json wrote a different %s file", suffix)
 		}
 	}
 }
@@ -41,6 +56,8 @@ func TestRunBadFlags(t *testing.T) {
 		{"-n", "2", "-workers", "-3"},
 		{"-n", "2", "-mem-budget", "-5"},
 		{"-n", "2", "-curve", "-2"},
+		{"-n", "2", "-json", "-witness"},
+		{"-n", "2", "-json", "-lemmas"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)

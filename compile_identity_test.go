@@ -22,12 +22,12 @@ import (
 // (internal/mdp): under the Slowest policy — the digitized
 // worst case, stepping exactly at each unit-time deadline — the dense
 // simulator realizes the MDP's minimizing adversary, so at even
-// deadlines P[leader within H] equals ReachWithinTicks(H, MinProb) from
-// the start state (3/8 at H=2: exactly one of three fair coins comes up
-// on the surviving side). Per horizon, the runs of seeds 1, 2 and 3 are
-// merged and the pooled Wilson interval (z=3) must cover the exact
-// value — merging keeps the test deterministic while damping the
-// per-seed wiggle of a 4000-trial sample.
+// deadlines P[leader within H] equals the MinProb strategy's value at
+// the start state with H ticks left (3/8 at H=2: exactly one of three
+// fair coins comes up on the surviving side). Per horizon, the runs of
+// seeds 1, 2 and 3 are merged and the pooled Wilson interval (z=3) must
+// cover the exact value — merging keeps the test deterministic while
+// damping the per-seed wiggle of a 4000-trial sample.
 func TestAliasDefaultMatchesExact(t *testing.T) {
 	const n, trials = 3, 4000
 	auto, err := sched.Product[election.State](election.MustNew(n), sched.Config{StepsPerWindow: 1})
@@ -44,16 +44,24 @@ func TestAliasDefaultMatchesExact(t *testing.T) {
 	}
 	mask := ix.Mask(sched.LiftPred(election.State.HasLeader))
 
+	// One strategy from the start state holds the exact value at every
+	// deadline: with h ticks left, its value is P[leader within h].
+	from := make([]bool, ix.Len())
+	from[start] = true
+	st, err := m.WorstStrategy(mask, from, 8, mdp.MinProb)
+	if err != nil {
+		t.Fatal(err)
+	}
 	model := election.MustNew(n)
 	for _, horizon := range []int{2, 4, 8} {
-		v, err := m.ReachWithinTicks(mask, horizon, mdp.MinProb)
-		if err != nil {
-			t.Fatal(err)
+		v, ok := st.Value(start, horizon)
+		if !ok {
+			t.Fatalf("start state outside its own strategy's cone at %d ticks", horizon)
 		}
-		if horizon == 2 && !v[start].Equal(prob.NewRat(3, 8)) {
-			t.Fatalf("one-round election probability = %v, want 3/8", v[start])
+		if horizon == 2 && !v.Equal(prob.NewRat(3, 8)) {
+			t.Fatalf("one-round election probability = %v, want 3/8", v)
 		}
-		exact := v[start].Float64()
+		exact := v.Float64()
 		var pooled stats.Proportion
 		for _, seed := range []int64{1, 2, 3} {
 			prop, _, err := sim.EstimateReachProbParallel[election.State](context.Background(), model,

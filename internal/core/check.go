@@ -31,6 +31,9 @@ type CheckResult[S comparable] struct {
 	// FromCount and ToCount are the sizes of the source and target sets
 	// within the reachable space.
 	FromCount, ToCount int
+	// Strategy is the adversary's optimal strategy behind WorstProb, kept
+	// by CheckStrategy for a witness walk; CheckStatement leaves it nil.
+	Strategy *mdp.Strategy
 }
 
 // String formats the result as one report line.
@@ -63,18 +66,30 @@ func intTime(t prob.Rat) (int, error) {
 // set. The statement holds when that minimum is at least the claimed
 // probability.
 //
-// The solve is mdp.WorstWithinTicks, read at the statement's horizon t:
-// tick layer h evaluates only the states within t−h ticks of the source
-// set (the forward cone; nothing else can reach the answer), a state
-// whose previous layer is already 1 keeps 1 without evaluation, and the
-// minimum over the source set is taken on fixed-point words, with one
-// rational built for the winner. WorstState is the first source state in
-// index order that attains the minimum.
+// The solve is mdp.WorstAtHorizon at the statement's horizon t: tick
+// layer h evaluates only the states within t−h ticks of the source set
+// (the forward cone; nothing else can reach the answer), a state whose
+// previous layer is already 1 keeps 1 without evaluation, and the minimum
+// over the source set is taken once, at layer t, on fixed-point words,
+// with one rational built for the winner. WorstState is the first source
+// state in index order that attains the minimum.
 //
 // The model's MDP and state index are produced by mdp.Explore from a
 // sched.Product automaton; the statement's schema is only recorded, not
 // interpreted — the digitization is fixed by the product.
 func CheckStatement[S comparable](m *mdp.MDP, ix *mdp.Index[S], st Statement[S]) (CheckResult[S], error) {
+	return check(m, ix, st, false)
+}
+
+// CheckStrategy is CheckStatement keeping the solve's t+1 tick layers,
+// where CheckStatement keeps two, as the result's Strategy: its walk is
+// the most-damning schedule, so one solve answers check and witness.
+func CheckStrategy[S comparable](m *mdp.MDP, ix *mdp.Index[S], st Statement[S]) (CheckResult[S], error) {
+	return check(m, ix, st, true)
+}
+
+// check is CheckStatement, keeping the strategy when keep is set.
+func check[S comparable](m *mdp.MDP, ix *mdp.Index[S], st Statement[S], keep bool) (CheckResult[S], error) {
 	res := CheckResult[S]{Stmt: st}
 	if err := st.Validate(); err != nil {
 		return res, err
@@ -90,11 +105,16 @@ func CheckStatement[S comparable](m *mdp.MDP, ix *mdp.Index[S], st Statement[S])
 		return res, ErrEmptyFrom
 	}
 
-	worst, err := m.WorstWithinTicks(to.bools(ix.Len()), from.bools(ix.Len()), horizon, mdp.MinProb)
+	target, source := to.bools(ix.Len()), from.bools(ix.Len())
+	var w mdp.Optimum
+	if !keep {
+		w, err = m.WorstAtHorizon(target, source, horizon, mdp.MinProb)
+	} else if res.Strategy, err = m.WorstStrategy(target, source, horizon, mdp.MinProb); err == nil {
+		w = res.Strategy.Optimum()
+	}
 	if err != nil {
 		return res, err
 	}
-	w := worst[horizon]
 	res.WorstProb, res.WorstState = w.Value, ix.State(w.State)
 	res.Holds = !res.WorstProb.Less(st.Prob)
 	return res, nil

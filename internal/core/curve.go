@@ -25,10 +25,10 @@ type CurvePoint struct {
 // the curve delivers them — every t where the curve is below p is a
 // certified counterexample horizon.
 //
-// It is one mdp.WorstWithinTicks solve: horizon t evaluates only the
-// states within maxHorizon−t ticks of `from` (every horizon reads the
-// `from` states themselves), and a state already certain to reach `to`
-// is not evaluated again.
+// It is CheckStatement's cone solve (mdp.WorstWithinTicks), read at
+// every horizon: horizon t evaluates only the states within maxHorizon−t
+// ticks of `from`, and a state certain to reach `to` is not evaluated
+// again.
 func WorstCaseCurve[S comparable](m *mdp.MDP, ix *mdp.Index[S], from, to Set[S], maxHorizon int) ([]CurvePoint, error) {
 	fromExt := from.extent(ix.States())
 	if fromExt.count() == 0 {

@@ -8,6 +8,7 @@ package dining
 // 63 as machine-checked artifacts.
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -274,23 +275,15 @@ func (a *Analysis) ProgressCurve(maxHorizon int) ([]core.CurvePoint, error) {
 	return core.WorstCaseCurve(a.MDP, a.Index, a.Set("T"), a.Set("C"), maxHorizon)
 }
 
-// WorstWitness extracts a most-damning schedule for the composed claim:
-// the adversary choices and coin outcomes that minimize the probability
-// of reaching C within the horizon, starting from the worst T state.
-func (a *Analysis) WorstWitness(horizon int) ([]string, error) {
-	st := a.ComposedStatement()
-	r, err := core.CheckStatement(a.MDP, a.Index, st)
-	if err != nil {
-		return nil, err
+// WorstWitness renders the most-damning schedule of a checked statement,
+// walked from its worst source state: the adversary choices and coin
+// outcomes that minimize the probability of reaching its target in time.
+// It solves nothing: r must carry the strategy of core.CheckStrategy.
+func (a *Analysis) WorstWitness(r core.CheckResult[PState]) ([]string, error) {
+	if r.Strategy == nil {
+		return nil, errors.New("dining: the check result carries no strategy (check with core.CheckStrategy)")
 	}
-	fromID, ok := a.Index.ID(r.WorstState)
-	if !ok {
-		return nil, fmt.Errorf("dining: worst state not indexed")
-	}
-	steps, err := a.MDP.WorstWitness(a.mask("C"), horizon, fromID, 0)
-	if err != nil {
-		return nil, err
-	}
+	steps := r.Strategy.Witness()
 	out := make([]string, 0, len(steps)+1)
 	out = append(out, fmt.Sprintf("start %v (worst-case P = %v)", r.WorstState.Base, r.WorstProb))
 	t := 0

@@ -47,7 +47,11 @@ func TestProgressCurve(t *testing.T) {
 
 func TestWorstWitness(t *testing.T) {
 	a := getAnalysisN3(t)
-	lines, err := a.WorstWitness(13)
+	r, err := core.CheckStrategy(a.MDP, a.Index, a.ComposedStatement())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, err := a.WorstWitness(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +75,36 @@ func TestWorstWitness(t *testing.T) {
 	}
 }
 
+// TestWorstWitnessNeedsStrategy: the witness walks the strategy its check
+// kept and solves nothing itself, so the composed claim is solved once
+// per witness. A result from CheckStatement, which keeps no strategy, is
+// an error, returned without a solve.
+func TestWorstWitnessNeedsStrategy(t *testing.T) {
+	a := getAnalysisN3(t)
+	r, err := core.CheckStatement(a.MDP, a.Index, a.ComposedStatement())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Strategy != nil {
+		t.Fatal("CheckStatement kept a strategy")
+	}
+	if lines, err := a.WorstWitness(r); err == nil {
+		t.Errorf("witness from a result without a strategy: %q", lines)
+	}
+	if _, err := a.WorstWitness(core.CheckResult[PState]{}); err == nil {
+		t.Error("witness from an empty result accepted")
+	}
+	// The strategy's optimum is the check's worst state and probability.
+	r, err = core.CheckStrategy(a.MDP, a.Index, a.ComposedStatement())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := r.Strategy.Optimum()
+	if a.Index.State(opt.State) != r.WorstState || !opt.Value.Equal(r.WorstProb) {
+		t.Errorf("strategy optimum %v at %v, check %v at %v", opt.Value, a.Index.State(opt.State), r.WorstProb, r.WorstState)
+	}
+}
+
 // TestExecAgreesWithProductChain cross-validates the two exact engines:
 // the event-evaluation engine (exec, tree unfolding with rectangle
 // measure) run under a specific deterministic adversary must produce a
@@ -86,12 +120,15 @@ func TestExecAgreesWithProductChain(t *testing.T) {
 	deadline := prob.FromInt(3)
 	monitor := events.Reach(sched.LiftPred(InC), deadline)
 
+	// Both bounds come from strategies solved from every T state, read
+	// per state with the whole deadline left.
 	toMask := a.Index.Mask(sched.LiftPred(InC))
-	vMin, err := a.MDP.ReachWithinTicks(toMask, 3, mdp.MinProb)
+	tMask := a.Index.Mask(sched.LiftPred(InT))
+	sMin, err := a.MDP.WorstStrategy(toMask, tMask, 3, mdp.MinProb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vMax, err := a.MDP.ReachWithinTicks(toMask, 3, mdp.MaxProb)
+	sMax, err := a.MDP.WorstStrategy(toMask, tMask, 3, mdp.MaxProb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +148,14 @@ func TestExecAgreesWithProductChain(t *testing.T) {
 		if !iv.Exact() {
 			t.Fatalf("state %v: interval %v not exact", start, iv)
 		}
-		if iv.Lo.Less(vMin[id]) || vMax[id].Less(iv.Lo) {
+		vMin, okMin := sMin.Value(id, 3)
+		vMax, okMax := sMax.Value(id, 3)
+		if !okMin || !okMax {
+			t.Fatalf("T state %v outside its own strategies' cone", start)
+		}
+		if iv.Lo.Less(vMin) || vMax.Less(iv.Lo) {
 			t.Errorf("state %v: exec value %v outside MDP bounds [%v, %v]",
-				start, iv.Lo, vMin[id], vMax[id])
+				start, iv.Lo, vMin, vMax)
 		}
 	}
 	if checked == 0 {

@@ -1,18 +1,86 @@
 package mdp
 
-import (
-	"fmt"
+import "repro/internal/prob"
 
-	"repro/internal/prob"
-)
+// This file keeps a tick-bounded solve as the adversary's optimal
+// strategy and walks it into a worst-case witness: the schedule that
+// keeps a (t, p) claim below p where the curve of worst-case
+// probabilities (WorstWithinTicks) says it fails — the lower-bound
+// direction the paper lists as future work in Section 7.
 
-// This file extracts worst-case witnesses from the per-horizon layers
-// of the tick-bounded analysis — the machinery behind the "non-trivial
-// lower bound on the time for progress" direction the paper lists as
-// future work in Section 7: the curve of worst-case probabilities as a
-// function of the horizon (ReachWithinTicksLayers) locates the exact
-// threshold where a (t, p) claim starts to hold, and the witness shows
-// the schedule that keeps it below.
+// Strategy is one tick-bounded solve kept layer by layer (WorstStrategy):
+// the value of every state of the forward cone with every number of
+// ticks left, which fixes the adversary's optimal move there. A state
+// with h ticks left lies in the cone if it is within horizon−h ticks of
+// the source set; outside it the solve computed nothing.
+type Strategy struct {
+	q      *tickQuery
+	layers []layer // layer h: the values with h ticks left
+	opt    Optimum
+}
+
+// Optimum returns the optimum over the source set at the horizon and the
+// first state that attains it, as WorstAtHorizon does.
+func (st *Strategy) Optimum() Optimum { return st.opt }
+
+// inCone reports whether state s with ticksLeft ticks left is in the cone.
+func (st *Strategy) inCone(s, ticksLeft int) bool {
+	return ticksLeft >= 0 && int(st.q.cone.dist[s]) <= st.q.horizon-ticksLeft
+}
+
+// Value returns the optimal probability of reaching the target from
+// state s within ticksLeft ticks; false outside the cone.
+func (st *Strategy) Value(s, ticksLeft int) (prob.Rat, bool) {
+	if !st.inCone(s, ticksLeft) {
+		return prob.Rat{}, false
+	}
+	return st.layers[ticksLeft].value(int32(s)), true
+}
+
+// Choice returns the strategy's move at state s with ticksLeft ticks
+// left: the index, local to s, of the first choice whose value is optimal
+// (per goal). It is -1 at a target, at a state without choices and
+// outside the cone.
+func (st *Strategy) Choice(s, ticksLeft int) int {
+	c := st.q.c
+	if !st.inCone(s, ticksLeft) || st.q.target[s] || c.terminal(s) {
+		return -1
+	}
+	lo, hi := c.choiceRow[s], c.choiceRow[s+1]
+	at, best := lo, st.choiceValue(lo, ticksLeft)
+	for ci := lo + 1; ci < hi; ci++ {
+		if v := st.choiceValue(ci, ticksLeft); st.q.goal.better(v, best) {
+			at, best = ci, v
+		}
+	}
+	return int(at - lo)
+}
+
+// next returns the layer that choice ci, taken with ticksLeft ticks left,
+// reads its successors from and the ticks left after it; false for a
+// tick with no tick left, which meets the bound with probability zero.
+func (st *Strategy) next(ci int32, ticksLeft int) (layer, int, bool) {
+	if st.q.c.tick.get(ci) {
+		if ticksLeft == 0 {
+			return layer{}, 0, false
+		}
+		ticksLeft--
+	}
+	return st.layers[ticksLeft], ticksLeft, true
+}
+
+// choiceValue is the value of choice ci with ticksLeft ticks left: the
+// expectation of its successors' values.
+func (st *Strategy) choiceValue(ci int32, ticksLeft int) prob.Rat {
+	c := st.q.c
+	v := prob.Zero()
+	if l, _, ok := st.next(ci, ticksLeft); ok {
+		for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
+			v = v.Add(c.ratAt(bi).Mul(l.value(c.col[bi])))
+		}
+	}
+	return v
+}
 
 // WitnessStep is one step of an extracted worst-case schedule.
 type WitnessStep struct {
@@ -27,83 +95,35 @@ type WitnessStep struct {
 	BranchProb prob.Rat
 }
 
-// WorstWitness extracts a most-damning execution for the MinProb analysis:
-// starting from `from` with the given tick budget, it follows, at every
-// state, the adversary choice minimizing the reach probability and then
-// the probabilistic branch with the smallest continuation value. The walk
-// stops at the target, at budget exhaustion with no zero-duration move
-// left, or after maxLen steps.
-func (m *MDP) WorstWitness(target []bool, horizon int, from int, maxLen int) ([]WitnessStep, error) {
-	layers, err := m.ReachWithinTicksLayers(target, horizon, MinProb)
-	if err != nil {
-		return nil, err
-	}
-	if from < 0 || from >= m.NumStates {
-		return nil, fmt.Errorf("mdp: witness start %d out of range", from)
-	}
-	if maxLen <= 0 {
-		maxLen = 4 * (horizon + 1)
-	}
-	c := m.CSR()
-
+// Witness walks the strategy from its optimum state with the whole
+// horizon left: at each state it takes the strategy's move, then the
+// branch whose successor has the least value (for a minimizing
+// adversary, the most damning outcome). It stops at a target, at a state
+// without choices, where the move is a tick with no tick left (the
+// adversary lets time expire), or after 4·(horizon+1) steps, and reads
+// only values inside the cone.
+func (st *Strategy) Witness() []WitnessStep {
+	c := st.q.c
 	var steps []WitnessStep
-	s, h := int32(from), horizon
-	for len(steps) < maxLen && !target[s] {
-		cLo, cHi := c.choiceRow[s], c.choiceRow[s+1]
-		if cLo == cHi {
+	s, h := int32(st.opt.State), st.q.horizon
+	for len(steps) < 4*(st.q.horizon+1) {
+		k := st.Choice(int(s), h)
+		if k < 0 {
 			break
 		}
-		// Value of a choice under budget h.
-		valueOf := func(ci int32) prob.Rat {
-			tick := c.tick.get(ci)
-			if tick && h == 0 {
-				return prob.Zero()
-			}
-			layer := layers[h]
-			if tick {
-				layer = layers[h-1]
-			}
-			v := prob.Zero()
-			for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
-				v = v.Add(c.ratAt(bi).Mul(layer[c.col[bi]]))
-			}
-			return v
-		}
-		bestCI := cLo
-		bestV := valueOf(cLo)
-		for ci := cLo + 1; ci < cHi; ci++ {
-			if v := valueOf(ci); v.Less(bestV) {
-				bestV, bestCI = v, ci
-			}
-		}
-		tick := c.tick.get(bestCI)
-		if tick && h == 0 {
-			// The optimal adversary move is to let time expire.
+		ci := c.choiceRow[s] + int32(k)
+		l, left, ok := st.next(ci, h)
+		if !ok {
 			break
 		}
-		layer := layers[h]
-		if tick {
-			layer = layers[h-1]
-		}
-		// Most damning branch: the successor with the smallest value.
-		bLo, bHi := c.branchRow[bestCI], c.branchRow[bestCI+1]
-		best := bLo
-		for bi := bLo + 1; bi < bHi; bi++ {
-			if layer[c.col[bi]].Less(layer[c.col[best]]) {
+		best := c.branchRow[ci]
+		for bi := best + 1; bi < c.branchRow[ci+1]; bi++ {
+			if l.value(c.col[bi]).Less(l.value(c.col[best])) {
 				best = bi
 			}
 		}
-		steps = append(steps, WitnessStep{
-			State:      int(s),
-			Choice:     int(bestCI - cLo),
-			Action:     c.label(bestCI),
-			Next:       int(c.col[best]),
-			BranchProb: c.ratAt(best),
-		})
-		s = c.col[best]
-		if tick {
-			h--
-		}
+		steps = append(steps, WitnessStep{State: int(s), Choice: k, Action: c.label(ci), Next: int(c.col[best]), BranchProb: c.ratAt(best)})
+		s, h = c.col[best], left
 	}
-	return steps, nil
+	return steps
 }

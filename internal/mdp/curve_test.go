@@ -7,36 +7,67 @@ import (
 )
 
 func TestReachWithinTicksLayers(t *testing.T) {
-	// Geometric coin: layer h must equal 1 - 2^-h at state 0.
+	// Geometric coin: with h ticks left, state 0 must hold 1 - 2^-h.
 	m := hand([][]Choice{
 		{tickCoin("flip", 1, 0)},
 		nil,
 	})
-	layers, err := m.ReachWithinTicksLayers(mask(2, 1), 5, MinProb)
+	st, err := m.WorstStrategy(mask(2, 1), every(2), 5, MinProb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(layers) != 6 {
-		t.Fatalf("got %d layers, want 6", len(layers))
-	}
-	for h, layer := range layers {
-		want := prob.One().Sub(prob.NewRat(1, 1<<uint(h)))
-		if !layer[0].Equal(want) {
-			t.Errorf("layer %d = %v, want %v", h, layer[0], want)
-		}
-		if !layer[1].IsOne() {
-			t.Errorf("target value at layer %d = %v", h, layer[1])
-		}
-	}
-	// Layers must agree with the single-horizon API.
 	for h := 0; h <= 5; h++ {
-		v, err := m.ReachWithinTicks(mask(2, 1), h, MinProb)
+		want := prob.One().Sub(prob.NewRat(1, 1<<uint(h)))
+		if v, ok := st.Value(0, h); !ok || !v.Equal(want) {
+			t.Errorf("layer %d = %v (in cone %t), want %v", h, v, ok, want)
+		}
+		if v, ok := st.Value(1, h); !ok || !v.IsOne() {
+			t.Errorf("target value at layer %d = %v (in cone %t)", h, v, ok)
+		}
+		// Layers must agree with the single-horizon solve.
+		opt, err := m.WorstAtHorizon(mask(2, 1), mask(2, 0), h, MinProb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !v[0].Equal(layers[h][0]) {
-			t.Errorf("horizon %d: layers %v vs direct %v", h, layers[h][0], v[0])
+		if v, _ := st.Value(0, h); !v.Equal(opt.Value) {
+			t.Errorf("horizon %d: layers %v vs direct %v", h, v, opt.Value)
 		}
+	}
+	// With more ticks left than the horizon, or fewer than none, the
+	// strategy answers nothing.
+	for _, bad := range [][2]int{{0, 6}, {0, -1}} {
+		if _, ok := st.Value(bad[0], bad[1]); ok {
+			t.Errorf("Value%v answered outside the solve", bad)
+		}
+		if c := st.Choice(bad[0], bad[1]); c != -1 {
+			t.Errorf("Choice%v = %d outside the solve, want -1", bad, c)
+		}
+	}
+}
+
+// TestStrategyCone: from state 0 of the chain 0 -tick-> 1 -tick-> 2 to
+// horizon 2, state 1 lies one tick out, so the solve evaluates it with
+// at most one tick left, and the strategy answers nothing beyond.
+func TestStrategyCone(t *testing.T) {
+	m := hand([][]Choice{
+		{tickTo("a", 1)},
+		{tickTo("b", 2)},
+		nil,
+	})
+	st, err := m.WorstStrategy(mask(3, 2), mask(3, 0), 2, MinProb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		s, h int
+		in   bool
+	}{{0, 2, true}, {0, 0, true}, {1, 1, true}, {1, 2, false}, {2, 0, true}, {2, 1, false}} {
+		if _, ok := st.Value(tc.s, tc.h); ok != tc.in {
+			t.Errorf("state %d with %d ticks left: in cone %t, want %t", tc.s, tc.h, ok, tc.in)
+		}
+	}
+	if opt := st.Optimum(); opt.State != 0 || !opt.Value.IsOne() {
+		t.Errorf("optimum %v at %d, want 1 at 0", opt.Value, opt.State)
 	}
 }
 
@@ -49,11 +80,11 @@ func TestWorstWitness(t *testing.T) {
 		nil, // target
 		{tickTo("stuck", 2)},
 	})
-	target := mask(3, 1)
-	steps, err := m.WorstWitness(target, 4, 0, 0)
+	st, err := m.WorstStrategy(mask(3, 1), mask(3, 0), 4, MinProb)
 	if err != nil {
 		t.Fatal(err)
 	}
+	steps := st.Witness()
 	if len(steps) == 0 {
 		t.Fatal("empty witness")
 	}
@@ -71,19 +102,19 @@ func TestWorstWitnessStopsAtTarget(t *testing.T) {
 		{tickTo("go", 1)},
 		nil,
 	})
-	steps, err := m.WorstWitness(mask(2, 1), 3, 0, 0)
+	st, err := m.WorstStrategy(mask(2, 1), mask(2, 0), 3, MinProb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(steps) != 1 || steps[0].Next != 1 {
+	if steps := st.Witness(); len(steps) != 1 || steps[0].Next != 1 {
 		t.Errorf("witness = %+v, want single step into target", steps)
 	}
 	// Starting at the target: empty witness.
-	steps, err = m.WorstWitness(mask(2, 1), 3, 1, 0)
+	st, err = m.WorstStrategy(mask(2, 1), mask(2, 1), 3, MinProb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(steps) != 0 {
+	if steps := st.Witness(); len(steps) != 0 {
 		t.Errorf("witness from target = %+v, want empty", steps)
 	}
 }
@@ -95,18 +126,11 @@ func TestWorstWitnessClockExpiry(t *testing.T) {
 		{tickTo("go", 1)},
 		nil,
 	})
-	steps, err := m.WorstWitness(mask(2, 1), 0, 0, 0)
+	st, err := m.WorstStrategy(mask(2, 1), mask(2, 0), 0, MinProb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(steps) != 0 {
+	if steps := st.Witness(); len(steps) != 0 {
 		t.Errorf("witness at horizon 0 = %+v, want empty (clock expiry)", steps)
-	}
-}
-
-func TestWorstWitnessBadStart(t *testing.T) {
-	m := hand([][]Choice{nil})
-	if _, err := m.WorstWitness(mask(1, 0), 1, 5, 0); err == nil {
-		t.Error("out-of-range start accepted")
 	}
 }

@@ -144,12 +144,12 @@ func TestTooManyProbabilities(t *testing.T) {
 		if n := len(m.CSR().probs.rat); n != maxProbs {
 			t.Fatalf("probability table has %d entries, want %d", n, maxProbs)
 		}
-		v, err := m.ReachWithinTicks(mask(3, 2), 0, MinProb)
+		v, err := m.WorstAtHorizon(mask(3, 2), mask(3, 0), 0, MinProb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := prob.NewRat(3, 4); !v[0].Equal(want) {
-			t.Errorf("min P(reach 2) = %v, want %v", v[0], want)
+		if want := prob.NewRat(3, 4); !v.Value.Equal(want) {
+			t.Errorf("min P(reach 2) = %v, want %v", v.Value, want)
 		}
 		if _, _, err := Explore(coinsAutomaton(t, true), ExploreOptions{Workers: 1}); !errors.Is(err, ErrTooManyProbabilities) {
 			t.Fatalf("257 distinct probabilities: err = %v, want ErrTooManyProbabilities", err)

@@ -26,23 +26,23 @@ func SetMinGrainForTest(g int) (restore func()) {
 	return func() { minGrain = old }
 }
 
-// Test hooks into the tick-bounded solve: reachKernel reports which
-// operator answers a ReachWithinTicks call, reachRat gives the rational
-// operator's layers for the same query, whatever kernel the input selects.
-func reachKernel(m *MDP, target []bool, horizon int, goal Goal) (kernel, error) {
-	_, k, err := m.reachTicks(target, horizon, goal, false)
-	return k, err
+// solveKernel reports which kernel answers the tick-bounded solve of a
+// query; the input alone selects it.
+func solveKernel(m *MDP, target, from []bool, horizon int, goal Goal) (kernel, error) {
+	q, err := m.newTickQuery(target, from, horizon, goal)
+	if err != nil {
+		return 0, err
+	}
+	return q.worstTicks(func(int, layer) {}), nil
 }
 
-func reachRat(m *MDP, target []bool, horizon int, goal Goal) ([][]prob.Rat, error) {
-	q, err := m.newTickQuery(target, nil, horizon, goal)
-	if err != nil {
-		return nil, err
-	}
-	var layers [][]prob.Rat
-	q.ratSweep(keepLayers(&layers, true, horizon))
-	return layers, nil
+// TickOracle and Every expose the plain tick recursion (oracle_test.go)
+// and the all-states source mask (kernel_test.go) to the identity tests.
+func TickOracle(m *MDP, target []bool, horizon int, goal Goal) ([][]prob.Rat, [][]int, error) {
+	return tickOracle(m, target, horizon, goal)
 }
+
+func Every(n int) []bool { return every(n) }
 
 // SettleCounts compiles MaxExpectedTicks' sweep program for target and
 // reports how many of its rows settle, how many stay live, and the

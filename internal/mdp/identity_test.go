@@ -11,6 +11,7 @@ package mdp_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -64,26 +65,54 @@ func requireSameMDP[S comparable](t *testing.T, dense, explored *mdp.MDP, dIx, e
 	}
 }
 
+// requireStrategyValues requires a strategy solved from every state to
+// hold want[h][s] for every state s and every h ticks left for which
+// want[h] is set.
+func requireStrategyValues(t *testing.T, st *mdp.Strategy, want [][]prob.Rat, what string) {
+	t.Helper()
+	for h, layer := range want {
+		for s, w := range layer {
+			if v, ok := st.Value(s, h); !ok || !v.Equal(w) {
+				t.Fatalf("%s: state %d with %d ticks left: %v (in cone %t), want %v", what, s, h, v, ok, w)
+			}
+		}
+	}
+}
+
 // requireSolverAgreement runs every quantitative solver on both MDPs and
 // checks exact equality for the rational analyses and epsilon agreement
-// for the floating-point ones.
-func requireSolverAgreement(t *testing.T, dense, explored *mdp.MDP, target []bool, horizon int) {
+// for the floating-point ones. The tick-bounded solves from every state
+// must agree at the horizon; when oracle is set, both must also equal
+// the plain recursion (mdp.TickOracle) at every state and layer. That
+// costs rationals throughout, so the identity tests ask for it once per
+// small product, and TestParallelSweepDeterminism pins the other worker
+// counts to it.
+func requireSolverAgreement(t *testing.T, dense, explored *mdp.MDP, target []bool, horizon int, oracle bool) {
 	t.Helper()
 
 	for _, goal := range []mdp.Goal{mdp.MinProb, mdp.MaxProb} {
-		dv, err := dense.ReachWithinTicks(target, horizon, goal)
+		all := mdp.Every(dense.NumStates)
+		ds, err := dense.WorstStrategy(target, all, horizon, goal)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := explored.ReachWithinTicks(target, horizon, goal)
+		es, err := explored.WorstStrategy(target, all, horizon, goal)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for s := range dv {
-			if !dv[s].Equal(ev[s]) {
-				t.Fatalf("goal %v state %d: dense %v != explored %v", goal, s, dv[s], ev[s])
+		want := make([][]prob.Rat, horizon+1)
+		if oracle {
+			if want, _, err = mdp.TickOracle(dense, target, horizon, goal); err != nil {
+				t.Fatal(err)
+			}
+			requireStrategyValues(t, ds, want, "dense")
+		} else {
+			want[horizon] = make([]prob.Rat, dense.NumStates)
+			for s := range want[horizon] {
+				want[horizon][s], _ = ds.Value(s, horizon)
 			}
 		}
+		requireStrategyValues(t, es, want, "explored")
 	}
 
 	dt, err := dense.MaxExpectedTicks(target)
@@ -139,7 +168,7 @@ func TestExploreMatchesDenseDining(t *testing.T) {
 		for _, workers := range identityWorkers {
 			dense, explored, dIx, eIx := exploreProduct[dining.State](t, model, tc.k, mdp.ExploreOptions{Workers: workers})
 			requireSameMDP(t, dense, explored, dIx, eIx)
-			requireSolverAgreement(t, dense, explored, eIx.Mask(sched.LiftPred(dining.InC)), tc.horizon)
+			requireSolverAgreement(t, dense, explored, eIx.Mask(sched.LiftPred(dining.InC)), tc.horizon, tc.n == 3 && tc.k == 1 && workers == 1)
 			if tc.n == 3 && tc.k == 2 {
 				// A branch stores its probability as a one-byte table
 				// index: 40.8 B/state here, against 86.1 when every branch
@@ -160,7 +189,7 @@ func TestExploreMatchesDenseElection(t *testing.T) {
 		for _, workers := range identityWorkers {
 			dense, explored, dIx, eIx := exploreProduct[election.State](t, model, 1, mdp.ExploreOptions{Workers: workers})
 			requireSameMDP(t, dense, explored, dIx, eIx)
-			requireSolverAgreement(t, dense, explored, eIx.Mask(sched.LiftPred(election.State.HasLeader)), 8)
+			requireSolverAgreement(t, dense, explored, eIx.Mask(sched.LiftPred(election.State.HasLeader)), 8, workers == 1)
 		}
 	}
 }
@@ -172,7 +201,7 @@ func TestExploreMatchesDenseConsensus(t *testing.T) {
 		dense, explored, dIx, eIx := exploreProduct[consensus.State](t, model, 1, mdp.ExploreOptions{Workers: workers})
 		requireSameMDP(t, dense, explored, dIx, eIx)
 		target := eIx.Mask(sched.LiftPred(consensus.State.AllCorrectDecided))
-		requireSolverAgreement(t, dense, explored, target, 6)
+		requireSolverAgreement(t, dense, explored, target, 6, workers == 1)
 	}
 }
 
@@ -250,25 +279,26 @@ func TestParallelSweepDeterminism(t *testing.T) {
 	}
 	target := a.Index.Mask(sched.LiftPred(dining.InC))
 
+	// The tick-bounded solve from every state must equal the plain
+	// recursion at every state and layer, at every worker count.
+	want, _, err := mdp.TickOracle(a.MDP, target, 13, mdp.MinProb)
+	if err != nil {
+		t.Fatal(err)
+	}
 	type result struct {
-		reach    []prob.Rat   // ReachWithinTicks at horizon 13
-		layers   [][]prob.Rat // ReachWithinTicksLayers, horizons 0..13
-		ticks    []float64    // MaxExpectedTicks
-		minTicks []float64    // MinExpectedTicks
+		ticks    []float64 // MaxExpectedTicks
+		minTicks []float64 // MinExpectedTicks
 	}
 	run := func(workers int) result {
 		m, err := dining.NewAnalysisOpts(3, 1, dining.Opts{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rv, err := m.MDP.ReachWithinTicks(target, 13, mdp.MinProb)
+		st, err := m.MDP.WorstStrategy(target, mdp.Every(m.Index.Len()), 13, mdp.MinProb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lv, err := m.MDP.ReachWithinTicksLayers(target, 13, mdp.MinProb)
-		if err != nil {
-			t.Fatal(err)
-		}
+		requireStrategyValues(t, st, want, fmt.Sprintf("workers=%d", workers))
 		tv, err := m.MDP.MaxExpectedTicks(target)
 		if err != nil {
 			t.Fatal(err)
@@ -277,26 +307,13 @@ func TestParallelSweepDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return result{reach: rv, layers: lv, ticks: tv, minTicks: mv}
+		return result{ticks: tv, minTicks: mv}
 	}
 
 	ref := run(1)
-	for s := range ref.reach {
-		if !ref.layers[13][s].Equal(ref.reach[s]) {
-			t.Fatalf("state %d: last layer %v != single-horizon %v", s, ref.layers[13][s], ref.reach[s])
-		}
-	}
 	for _, workers := range []int{2, 8} {
 		got := run(workers)
-		for s := range ref.reach {
-			if !got.reach[s].Equal(ref.reach[s]) {
-				t.Fatalf("workers=%d state %d: exact %v != %v", workers, s, got.reach[s], ref.reach[s])
-			}
-			for h := range ref.layers {
-				if !got.layers[h][s].Equal(ref.layers[h][s]) {
-					t.Fatalf("workers=%d state %d horizon %d: exact %v != %v", workers, s, h, got.layers[h][s], ref.layers[h][s])
-				}
-			}
+		for s := range ref.ticks {
 			if got.ticks[s] != ref.ticks[s] && !(math.IsInf(got.ticks[s], 1) && math.IsInf(ref.ticks[s], 1)) {
 				t.Fatalf("workers=%d state %d: ticks %v != %v (not bit-identical)", workers, s, got.ticks[s], ref.ticks[s])
 			}
@@ -305,6 +322,62 @@ func TestParallelSweepDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStrategyMatchesOracleDining pins the strategy the witness walks on
+// the composed claim's solve: dining n=3 k=1, T to C at 13 ticks, from T.
+// At every (state, ticks left) of the cone its value and its first
+// optimal choice equal the plain recursion's value and argmin, and its
+// optimum is the oracle's minimum over T, 15/16 at the first T state
+// attaining it.
+func TestStrategyMatchesOracleDining(t *testing.T) {
+	a, err := dining.NewAnalysisOpts(3, 1, dining.Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := a.Index.Mask(sched.LiftPred(dining.InC))
+	from := a.Index.Mask(sched.LiftPred(dining.InT))
+	st, err := a.MDP.WorstStrategy(target, from, 13, mdp.MinProb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	value, choice, err := mdp.TickOracle(a.MDP, target, 13, mdp.MinProb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cone := 0
+	for h, layer := range value {
+		for s, w := range layer {
+			v, ok := st.Value(s, h)
+			if !ok {
+				if c := st.Choice(s, h); c != -1 {
+					t.Fatalf("state %d with %d ticks left: choice %d outside the cone", s, h, c)
+				}
+				continue
+			}
+			cone++
+			if !v.Equal(w) {
+				t.Fatalf("state %d with %d ticks left: strategy %v, oracle %v", s, h, v, w)
+			}
+			if c := st.Choice(s, h); c != choice[h][s] {
+				t.Fatalf("state %d with %d ticks left: strategy picks choice %d, oracle %d", s, h, c, choice[h][s])
+			}
+		}
+	}
+	at := -1
+	for s, in := range from {
+		if in && (at < 0 || value[13][s].Less(value[13][at])) {
+			at = s
+		}
+	}
+	opt := st.Optimum()
+	if opt.State != at || !opt.Value.Equal(value[13][at]) || opt.Value.String() != "15/16" {
+		t.Errorf("optimum %v at state %d; oracle %v at state %d, want 15/16", opt.Value, opt.State, value[13][at], at)
+	}
+	if cone == 0 {
+		t.Fatal("empty cone")
+	}
+	t.Logf("%d cone (state, ticks left) pairs of %d", cone, len(value)*a.Index.Len())
 }
 
 // TestSettleDining pins the settle pass on the dining n=3 k=2 product:

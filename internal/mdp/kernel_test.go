@@ -10,8 +10,9 @@ import (
 
 // The tick-bounded solve runs on 62-bit fixed point when the input allows
 // it and on rationals otherwise. These tests pin that the kernel choice
-// never shows in an answer: both entry points must return exactly the
-// rational operator's values, whichever kernel ran.
+// never shows in an answer: every face of the solve must return exactly
+// what the plain rational recursion (tickOracle) gives, whichever kernel
+// ran.
 
 var (
 	half, quarter = prob.Half(), prob.NewRat(1, 4)
@@ -59,41 +60,49 @@ func buildTickMDP(pick func(n int) int, dists [][]prob.Rat, zeno bool) (*MDP, []
 	return hand(choices), target
 }
 
-// checkKernels requires ReachWithinTicks at every horizon 0..horizon and
-// ReachWithinTicksLayers up to horizon to equal the rational operator's
-// layers, for both goals, and returns the kernel of every
-// ReachWithinTicks answer.
+// every returns a source mask holding all n states.
+func every(n int) []bool {
+	all := make([]bool, n)
+	for s := range all {
+		all[s] = true
+	}
+	return all
+}
+
+// checkKernels solves every state of m, for both goals, to each horizon
+// 0..horizon as a strategy, and requires its value and first optimal
+// choice at every state and layer to equal the oracle's. It returns the
+// kernel of every solve.
 func checkKernels(t testing.TB, m *MDP, target []bool, horizon int) []kernel {
 	t.Helper()
+	all := every(m.NumStates)
 	var kernels []kernel
 	for _, goal := range []Goal{MinProb, MaxProb} {
-		want, err := reachRat(m, target, horizon, goal)
+		value, choice, err := tickOracle(m, target, horizon, goal)
 		if err != nil {
 			t.Fatal(err)
 		}
-		layers, err := m.ReachWithinTicksLayers(target, horizon, goal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(layers) != horizon+1 {
-			t.Fatalf("goal %v: %d layers, want %d", goal, len(layers), horizon+1)
-		}
-		for h := 0; h <= horizon; h++ {
-			v, err := m.ReachWithinTicks(target, h, goal)
-			if err != nil {
-				t.Fatal(err)
-			}
-			k, err := reachKernel(m, target, h, goal)
+		for top := 0; top <= horizon; top++ {
+			k, err := solveKernel(m, target, all, top, goal)
 			if err != nil {
 				t.Fatal(err)
 			}
 			kernels = append(kernels, k)
-			for s := range want[h] {
-				if !v[s].Equal(want[h][s]) {
-					t.Fatalf("goal %v h=%d s=%d: ReachWithinTicks %v (kernel %d), rational operator %v", goal, h, s, v[s], k, want[h][s])
-				}
-				if !layers[h][s].Equal(want[h][s]) {
-					t.Fatalf("goal %v h=%d s=%d: ReachWithinTicksLayers %v, rational operator %v", goal, h, s, layers[h][s], want[h][s])
+			st, err := m.WorstStrategy(target, all, top, goal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for h := 0; h <= top; h++ {
+				for s := range m.NumStates {
+					v, ok := st.Value(s, h)
+					if !ok || !v.Equal(value[h][s]) {
+						t.Fatalf("goal %v horizon %d: state %d with %d ticks left: strategy %v (in cone %t, kernel %d), oracle %v",
+							goal, top, s, h, v, ok, k, value[h][s])
+					}
+					if c := st.Choice(s, h); c != choice[h][s] {
+						t.Fatalf("goal %v horizon %d: state %d with %d ticks left: strategy picks choice %d, oracle %d",
+							goal, top, s, h, c, choice[h][s])
+					}
 				}
 			}
 		}
@@ -101,36 +110,83 @@ func checkKernels(t testing.TB, m *MDP, target []bool, horizon int) []kernel {
 	return kernels
 }
 
-// checkWorst requires WorstWithinTicks, for both goals and at every
-// horizon 0..horizon, to give the value and the first state of from that
-// a scan of ReachWithinTicksLayers finds optimal, and returns the kernel
-// of each answer.
+// checkWorst solves from the states of from, for both goals, and requires
+// each face of the solve to give the value and the first state of from
+// that a scan of the oracle's layers finds optimal: WorstWithinTicks at
+// every horizon 0..horizon, WorstAtHorizon and the strategy's optimum at
+// the horizon. The strategy must hold the oracle's value and choice at
+// every cone (state, ticks left), and its witness must stay in the cone.
+// It returns the kernel of each goal's solve.
 func checkWorst(t testing.TB, m *MDP, target, from []bool, horizon int) []kernel {
 	t.Helper()
 	var kernels []kernel
 	for _, goal := range []Goal{MinProb, MaxProb} {
-		layers, err := m.ReachWithinTicksLayers(target, horizon, goal)
+		value, choice, err := tickOracle(m, target, horizon, goal)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, k, err := m.worstTicks(target, from, horizon, goal)
+		k, err := solveKernel(m, target, from, horizon, goal)
 		if err != nil {
 			t.Fatal(err)
 		}
 		kernels = append(kernels, k)
-		if len(got) != horizon+1 {
-			t.Fatalf("goal %v: %d horizons, want %d", goal, len(got), horizon+1)
+		curve, err := m.WorstWithinTicks(target, from, horizon, goal)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for h, layer := range layers {
+		last, err := m.WorstAtHorizon(target, from, horizon, goal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := m.WorstStrategy(target, from, horizon, goal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(curve) != horizon+1 {
+			t.Fatalf("goal %v: %d horizons, want %d", goal, len(curve), horizon+1)
+		}
+		var want Optimum
+		for h, layer := range value {
 			at := -1
 			for s, in := range from {
 				if in && (at < 0 || goal.better(layer[s], layer[at])) {
 					at = s
 				}
 			}
-			if got[h].State != at || !got[h].Value.Equal(layer[at]) {
-				t.Fatalf("goal %v h=%d: WorstWithinTicks %v at state %d (kernel %d), scan of the layers %v at state %d",
-					goal, h, got[h].Value, got[h].State, k, layer[at], at)
+			want = Optimum{Value: layer[at], State: at}
+			if got := curve[h]; got.State != at || !got.Value.Equal(layer[at]) {
+				t.Fatalf("goal %v h=%d: WorstWithinTicks %v at state %d (kernel %d), scan of the oracle %v at state %d",
+					goal, h, got.Value, got.State, k, layer[at], at)
+			}
+		}
+		for name, got := range map[string]Optimum{"WorstAtHorizon": last, "the strategy's optimum": st.Optimum()} {
+			if got.State != want.State || !got.Value.Equal(want.Value) {
+				t.Fatalf("goal %v: %s %v at state %d, scan of the oracle %v at state %d",
+					goal, name, got.Value, got.State, want.Value, want.State)
+			}
+		}
+		for h := 0; h <= horizon; h++ {
+			for s, in := range from {
+				v, ok := st.Value(s, h)
+				if in && !ok {
+					t.Fatalf("goal %v: source state %d with %d ticks left lies outside the cone", goal, s, h)
+				}
+				if ok && (!v.Equal(value[h][s]) || st.Choice(s, h) != choice[h][s]) {
+					t.Fatalf("goal %v: state %d with %d ticks left: strategy %v, choice %d; oracle %v, choice %d",
+						goal, s, h, v, st.Choice(s, h), value[h][s], choice[h][s])
+				}
+			}
+		}
+		c, h := m.CSR(), horizon
+		for _, step := range st.Witness() {
+			if st.Choice(step.State, h) != step.Choice {
+				t.Fatalf("goal %v: witness step %+v with %d ticks left leaves the strategy", goal, step, h)
+			}
+			if c.tick.get(c.choiceRow[step.State] + int32(step.Choice)) {
+				h--
+			}
+			if _, ok := st.Value(step.Next, h); !ok {
+				t.Fatalf("goal %v: witness step %+v reaches state %d with %d ticks left, outside the cone", goal, step, step.Next, h)
 			}
 		}
 	}
@@ -179,16 +235,16 @@ func TestReachKernelsThirdCoin(t *testing.T) {
 			t.Fatalf("kernel %d answered a model with a 1/3 coin, want the rational operator", k)
 		}
 	}
-	v, err := m.ReachWithinTicks(target, 1, MinProb)
+	v, err := m.WorstAtHorizon(target, mask(3, 0), 1, MinProb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := third; !v[0].Equal(want) {
-		t.Errorf("P(0) within 1 tick = %v, want %v", v[0], want)
+	if want := third; !v.Value.Equal(want) {
+		t.Errorf("P(0) within 1 tick = %v, want %v", v.Value, want)
 	}
 	for _, k := range checkWorst(t, m, target, mask(3, 0, 2), 6) {
 		if k != kernelRat {
-			t.Fatalf("kernel %d answered WorstWithinTicks on a model with a 1/3 coin, want the rational operator", k)
+			t.Fatalf("kernel %d answered a source-set solve on a model with a 1/3 coin, want the rational operator", k)
 		}
 	}
 }
@@ -224,40 +280,40 @@ func TestReachKernelsFallbackMidSolve(t *testing.T) {
 		horizon int
 		want    kernel
 	}{{62, kernelFixed}, {63, kernelFallback}, {64, kernelFallback}} {
-		k, err := reachKernel(m, target, tc.horizon, MinProb)
+		k, err := solveKernel(m, target, mask(2, 0), tc.horizon, MinProb)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if k != tc.want {
 			t.Errorf("horizon %d: kernel %d, want %d", tc.horizon, k, tc.want)
 		}
-		v, err := m.ReachWithinTicks(target, tc.horizon, MinProb)
+		v, err := m.WorstAtHorizon(target, mask(2, 0), tc.horizon, MinProb)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := prob.One().Sub(prob.FromBig(new(big.Rat).SetFrac(big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), uint(tc.horizon)))))
-		if !v[0].Equal(want) {
-			t.Errorf("horizon %d: P = %v, want %v", tc.horizon, v[0], want)
+		if !v.Value.Equal(want) {
+			t.Errorf("horizon %d: P = %v, want %v", tc.horizon, v.Value, want)
 		}
 	}
-	// Both entry points, both goals, every horizon through the fallback.
+	// Every state, both goals, every horizon through the fallback.
 	checkKernels(t, m, target, 64)
-	// WorstWithinTicks falls back the same way, on the same cone.
+	// A solve from state 0 alone falls back the same way, on its cone.
 	for _, tc := range []struct {
 		horizon int
 		want    kernel
 	}{{62, kernelFixed}, {63, kernelFallback}} {
 		for _, k := range checkWorst(t, m, target, mask(2, 0), tc.horizon) {
 			if k != tc.want {
-				t.Errorf("WorstWithinTicks to horizon %d: kernel %d, want %d", tc.horizon, k, tc.want)
+				t.Errorf("solve from state 0 to horizon %d: kernel %d, want %d", tc.horizon, k, tc.want)
 			}
 		}
 	}
 }
 
 // FuzzReachKernels builds a small tick MDP from the input bytes, with
-// dyadic and 1/3 branch probabilities, and requires both entry points
-// to equal the rational operator at every horizon up to the chosen one.
+// dyadic and 1/3 branch probabilities, and requires the strategy from
+// every state to equal the oracle at every horizon up to the chosen one.
 // The kernel must match the input: rationals alone exactly when some
 // branch probability is not dyadic.
 func FuzzReachKernels(f *testing.F) {
@@ -284,15 +340,16 @@ func FuzzReachKernels(f *testing.F) {
 	})
 }
 
-// FuzzWorstWithinTicksMatchesLayers builds a small tick MDP from the
+// FuzzWorstWithinTicksMatchesOracle builds a small tick MDP from the
 // input bytes, with dyadic and 1/3 branch probabilities, and a random
 // source mask, which may hold targets and states without choices. At
 // every horizon up to the chosen one (0..8), for both goals and at one
-// and two workers with the parallel grain forced to 1, WorstWithinTicks
-// must give the value and the first state that a scan of
-// ReachWithinTicksLayers over the mask finds optimal: the cone and the
-// settled shortcut never change an answer.
-func FuzzWorstWithinTicksMatchesLayers(f *testing.F) {
+// and two workers with the parallel grain forced to 1, the cone solve
+// must give the value and the first state that a scan of the oracle's
+// layers over the mask finds optimal, and its strategy the oracle's
+// values and choices (checkWorst): the cone and the settled shortcut
+// never change an answer.
+func FuzzWorstWithinTicksMatchesOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 2, 0, 1, 1, 4, 0, 2, 3, 1, 0, 5, 2, 2, 1, 9, 0, 1, 0, 1, 1, 8})
 	f.Add([]byte{6, 0, 3, 1, 6, 2, 0, 3, 1, 1, 5, 0, 4, 2, 6, 1, 0, 2, 3, 3, 12, 1, 0, 0, 1, 0, 1, 0, 5})

@@ -12,10 +12,10 @@
 // breadth-first order, and computes on them:
 //
 //   - exact minimum and maximum probabilities of reaching a target
-//     within a tick horizon (on 62-bit fixed point when the probabilities
-//     allow, else on rationals), per state or as the worst case over a
-//     set of source states, solved on that set's forward cone alone —
-//     the quantities compared against the paper's p and t;
+//     within a tick horizon, as the worst case over a set of source
+//     states — the quantities compared against the paper's p and t — by
+//     one solve on that set's forward cone (fixed point when the
+//     probabilities allow), kept as a strategy for a witness walk;
 //   - qualitative reachability sets (probability 0 / probability 1 under
 //     some or all adversaries), used by the Zuck–Pnueli-style baseline;
 //   - minimum and maximum expected ticks to a target — the quantity

@@ -56,11 +56,11 @@ func TestReachWithinTicksChain(t *testing.T) {
 	}
 	for _, goal := range []Goal{MinProb, MaxProb} {
 		for _, tt := range tests {
-			v, err := m.ReachWithinTicks(target, tt.horizon, goal)
+			v, err := m.WorstAtHorizon(target, mask(3, 0), tt.horizon, goal)
 			if err != nil {
-				t.Fatalf("ReachWithinTicks: %v", err)
+				t.Fatalf("WorstAtHorizon: %v", err)
 			}
-			if got := v[0].String(); got != tt.want {
+			if got := v.Value.String(); got != tt.want {
 				t.Errorf("goal %v horizon %d: P = %s, want %s", goal, tt.horizon, got, tt.want)
 			}
 		}
@@ -76,19 +76,19 @@ func TestReachWithinTicksChoice(t *testing.T) {
 	})
 	target := mask(3, 1)
 
-	vMin, err := m.ReachWithinTicks(target, 10, MinProb)
+	vMin, err := m.WorstAtHorizon(target, mask(3, 0), 10, MinProb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vMin[0].IsZero() {
-		t.Errorf("min P = %v, want 0", vMin[0])
+	if !vMin.Value.IsZero() {
+		t.Errorf("min P = %v, want 0", vMin.Value)
 	}
-	vMax, err := m.ReachWithinTicks(target, 10, MaxProb)
+	vMax, err := m.WorstAtHorizon(target, mask(3, 0), 10, MaxProb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vMax[0].IsOne() {
-		t.Errorf("max P = %v, want 1", vMax[0])
+	if !vMax.Value.IsOne() {
+		t.Errorf("max P = %v, want 1", vMax.Value)
 	}
 }
 
@@ -105,12 +105,12 @@ func TestReachWithinTicksGeometric(t *testing.T) {
 		2: prob.NewRat(3, 4),
 		3: prob.NewRat(7, 8),
 	} {
-		v, err := m.ReachWithinTicks(target, h, MinProb)
+		v, err := m.WorstAtHorizon(target, mask(2, 0), h, MinProb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !v[0].Equal(want) {
-			t.Errorf("horizon %d: P = %v, want %v", h, v[0], want)
+		if !v.Value.Equal(want) {
+			t.Errorf("horizon %d: P = %v, want %v", h, v.Value, want)
 		}
 	}
 }
@@ -124,20 +124,20 @@ func TestReachWithinTicksZeroDurationTail(t *testing.T) {
 		nil,
 	})
 	target := mask(3, 2)
-	v, err := m.ReachWithinTicks(target, 1, MinProb)
+	v, err := m.WorstAtHorizon(target, mask(3, 0), 1, MinProb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v[0].IsOne() {
-		t.Errorf("P = %v, want 1 (zero-duration tail)", v[0])
+	if !v.Value.IsOne() {
+		t.Errorf("P = %v, want 1 (zero-duration tail)", v.Value)
 	}
 	// But with horizon 0 the tick itself is out of budget.
-	v0, err := m.ReachWithinTicks(target, 0, MaxProb)
+	v0, err := m.WorstAtHorizon(target, mask(3, 0), 0, MaxProb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v0[0].IsZero() {
-		t.Errorf("P = %v at horizon 0, want 0", v0[0])
+	if !v0.Value.IsZero() {
+		t.Errorf("P = %v at horizon 0, want 0", v0.Value)
 	}
 }
 
@@ -151,19 +151,19 @@ func TestReachWithinTicksMinPrefersLateTick(t *testing.T) {
 		nil,
 	})
 	target := mask(2, 1)
-	vMin, err := m.ReachWithinTicks(target, 0, MinProb)
+	vMin, err := m.WorstAtHorizon(target, mask(2, 0), 0, MinProb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vMin[0].IsZero() {
-		t.Errorf("min P = %v, want 0", vMin[0])
+	if !vMin.Value.IsZero() {
+		t.Errorf("min P = %v, want 0", vMin.Value)
 	}
-	vMax, err := m.ReachWithinTicks(target, 0, MaxProb)
+	vMax, err := m.WorstAtHorizon(target, mask(2, 0), 0, MaxProb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vMax[0].IsOne() {
-		t.Errorf("max P = %v, want 1", vMax[0])
+	if !vMax.Value.IsOne() {
+		t.Errorf("max P = %v, want 1", vMax.Value)
 	}
 }
 
@@ -172,7 +172,7 @@ func TestReachWithinTicksZenoCycle(t *testing.T) {
 		{moveTo("spin", 0), tickTo("t", 1)},
 		nil,
 	})
-	_, err := m.ReachWithinTicks(mask(2, 1), 3, MinProb)
+	_, err := m.WorstAtHorizon(mask(2, 1), mask(2, 0), 3, MinProb)
 	if !errors.Is(err, ErrZenoCycle) {
 		t.Errorf("err = %v, want ErrZenoCycle", err)
 	}
@@ -180,10 +180,10 @@ func TestReachWithinTicksZenoCycle(t *testing.T) {
 
 func TestReachWithinTicksBadInput(t *testing.T) {
 	m := hand([][]Choice{nil})
-	if _, err := m.ReachWithinTicks(mask(2, 0), 1, MinProb); err == nil {
+	if _, err := m.WorstAtHorizon(mask(2, 0), mask(1, 0), 1, MinProb); err == nil {
 		t.Error("mismatched mask accepted")
 	}
-	if _, err := m.ReachWithinTicks(mask(1), -1, MinProb); err == nil {
+	if _, err := m.WorstAtHorizon(mask(1), mask(1, 0), -1, MinProb); err == nil {
 		t.Error("negative horizon accepted")
 	}
 }
@@ -285,12 +285,12 @@ func TestExploreTimedCoin(t *testing.T) {
 	}
 
 	target := ix.Mask(func(s int) bool { return s == 1 })
-	v, err := m.ReachWithinTicks(target, 2, MinProb)
+	v, err := m.WorstAtHorizon(target, mask(2, id0), 2, MinProb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := prob.NewRat(3, 4); !v[id0].Equal(want) {
-		t.Errorf("P = %v, want %v", v[id0], want)
+	if want := prob.NewRat(3, 4); !v.Value.Equal(want) {
+		t.Errorf("P = %v, want %v", v.Value, want)
 	}
 
 	if got := ix.Where(func(s int) bool { return s == 1 }); len(got) != 1 {
@@ -510,21 +510,21 @@ func TestHorizonMonotonicity(t *testing.T) {
 		target := mask(3, 2)
 		var prevMin, prevMax prob.Rat
 		for h := 0; h <= 6; h++ {
-			vMin, err := m.ReachWithinTicks(target, h, MinProb)
+			vMin, err := m.WorstAtHorizon(target, mask(3, 0), h, MinProb)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			vMax, err := m.ReachWithinTicks(target, h, MaxProb)
+			vMax, err := m.WorstAtHorizon(target, mask(3, 0), h, MaxProb)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			if vMax[0].Less(vMin[0]) {
-				t.Fatalf("seed %d horizon %d: max %v < min %v", seed, h, vMax[0], vMin[0])
+			if vMax.Value.Less(vMin.Value) {
+				t.Fatalf("seed %d horizon %d: max %v < min %v", seed, h, vMax.Value, vMin.Value)
 			}
-			if h > 0 && (vMin[0].Less(prevMin) || vMax[0].Less(prevMax)) {
+			if h > 0 && (vMin.Value.Less(prevMin) || vMax.Value.Less(prevMax)) {
 				t.Fatalf("seed %d horizon %d: probabilities not monotone", seed, h)
 			}
-			prevMin, prevMax = vMin[0], vMax[0]
+			prevMin, prevMax = vMin.Value, vMax.Value
 		}
 	}
 }

@@ -9,9 +9,11 @@ package mdp
 // Prob0E (prob0EOracle) are the solvers the compiled sweep program and
 // the worklist replaced, and maxProbOneOracle is MaxProbOne as pass
 // loops; FuzzExpectedTicksMatchesOracle and FuzzProb0EMatchesOracle pin
-// the production solvers to them. This
-// file also holds the per-state choice form that hand-built test MDPs
-// are written in.
+// the production solvers to them. tickOracle is the plain tick-bounded
+// recursion on rationals, every state at every layer, that the cone
+// solve and its strategy are pinned to (kernel_test.go and the identity
+// tests). This file also holds the per-state choice form that hand-built
+// test MDPs are written in.
 
 import (
 	"fmt"
@@ -311,4 +313,88 @@ func maxProbOneOracle(m *MDP, target []bool) []bool {
 		}
 		u = r
 	}
+}
+
+// tickOracle is the plain tick-bounded recursion on exact rationals: every
+// state at every layer h = 0..horizon, each layer in a topological order
+// of the zero-duration graph of its own (zeroDurationOrder). value[h][s]
+// is the optimal (per goal) probability of reaching the target from s
+// within h ticks, and choice[h][s] the index, local to s, of the first
+// choice attaining it (-1 at a target or a state without choices). It
+// shares no code with the production solve beyond the CSR's fields.
+func tickOracle(m *MDP, target []bool, horizon int, goal Goal) (value [][]prob.Rat, choice [][]int, err error) {
+	c := m.CSR()
+	order, err := zeroDurationOrder(c)
+	if err != nil {
+		return nil, nil, err
+	}
+	for h := 0; h <= horizon; h++ {
+		cur, pick := make([]prob.Rat, c.n), make([]int, c.n)
+		for _, s := range order {
+			cur[s], pick[s] = prob.Zero(), -1
+			if target[s] {
+				cur[s] = prob.One()
+				continue
+			}
+			for ci := c.choiceRow[s]; ci < c.choiceRow[s+1]; ci++ {
+				v := prob.Zero()
+				tick := c.tick.get(ci)
+				if !tick || h > 0 {
+					succ := cur
+					if tick {
+						succ = value[h-1]
+					}
+					for bi := c.branchRow[ci]; bi < c.branchRow[ci+1]; bi++ {
+						v = v.Add(c.probs.rat[c.pi[bi]].Mul(succ[c.col[bi]]))
+					}
+				}
+				better := v.Less(cur[s])
+				if goal == MaxProb {
+					better = cur[s].Less(v)
+				}
+				if pick[s] < 0 || better {
+					cur[s], pick[s] = v, int(ci-c.choiceRow[s])
+				}
+			}
+		}
+		value, choice = append(value, cur), append(choice, pick)
+	}
+	return value, choice, nil
+}
+
+// zeroDurationOrder lists every state after all of its zero-duration
+// successors (a depth-first postorder), or fails with ErrZenoCycle.
+func zeroDurationOrder(c *CSR) ([]int32, error) {
+	const open, closed = 1, 2
+	mark := make([]int8, c.n)
+	order := make([]int32, 0, c.n)
+	var visit func(s int32) error
+	visit = func(s int32) error {
+		switch mark[s] {
+		case open:
+			return ErrZenoCycle
+		case closed:
+			return nil
+		}
+		mark[s] = open
+		for ci := c.choiceRow[s]; ci < c.choiceRow[s+1]; ci++ {
+			if c.tick.get(ci) {
+				continue
+			}
+			for _, t := range c.col[c.branchRow[ci]:c.branchRow[ci+1]] {
+				if err := visit(t); err != nil {
+					return err
+				}
+			}
+		}
+		mark[s] = closed
+		order = append(order, s)
+		return nil
+	}
+	for s := range int32(c.n) {
+		if err := visit(s); err != nil {
+			return nil, err
+		}
+	}
+	return order, nil
 }

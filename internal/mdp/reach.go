@@ -48,42 +48,6 @@ func (g Goal) betterFix(a, b uint64) bool {
 // worst-case quantities of the paper are not well defined.
 var ErrZenoCycle = errors.New("mdp: cycle of zero-duration transitions (Zeno behaviour)")
 
-// ReachWithinTicks computes, for every state, the optimal (per goal)
-// probability that a target state is visited while at most horizon ticks
-// have elapsed. Zero-duration moves after the last tick still count as
-// "within the horizon", matching the paper's "within time t" (time is
-// exactly t after t unit delays).
-//
-// The result is exact. When every branch probability is a multiple of
-// 2^-62 (fair coins and point masses are), the sweeps run on 62-bit
-// fixed-point integers; a non-dyadic probability, or a value that needs
-// more than 62 bits, reruns the solve on exact rationals. Either way the
-// answer is the same rational. The zero-duration transition graph must
-// be acyclic (see ErrZenoCycle). Sweeps run level-parallel over the
-// non-tick DAG (MDP.Workers); every state's value is a pure function of
-// deeper levels and the previous tick layer, so the result is identical
-// for any worker count.
-//
-// It evaluates every state at every horizon. A worst case over a set of
-// source states is WorstWithinTicks, which solves only the states that
-// answer reads; ReachWithinTicks and ReachWithinTicksLayers serve the
-// witness walk (WorstWitness) and, as the plain recursion, the tests.
-func (m *MDP) ReachWithinTicks(target []bool, horizon int, goal Goal) ([]prob.Rat, error) {
-	layers, _, err := m.reachTicks(target, horizon, goal, false)
-	if err != nil {
-		return nil, err
-	}
-	return layers[0], nil
-}
-
-// ReachWithinTicksLayers is ReachWithinTicks keeping every horizon layer:
-// the result has horizon+1 rows, row h giving the optimal probability of
-// reaching the target within h ticks from each state.
-func (m *MDP) ReachWithinTicksLayers(target []bool, horizon int, goal Goal) ([][]prob.Rat, error) {
-	layers, _, err := m.reachTicks(target, horizon, goal, true)
-	return layers, err
-}
-
 // Optimum is the optimal value, over a set of source states, of the
 // probability of reaching a target within one horizon, with the first
 // state in index order that attains it.
@@ -92,26 +56,67 @@ type Optimum struct {
 	State int
 }
 
-// WorstWithinTicks computes, for every horizon h = 0..horizon, the
-// optimum (per goal) over the states of from of the probability
-// ReachWithinTicks gives them at horizon h, and the first state in index
-// order that attains it: the answer to a statement U --h,p--> U' with U
-// as from, at every h at once. from must hold at least one state, and
-// every choice's branch probabilities must sum to 1, as Explore's do.
+// WorstAtHorizon returns the optimum (per goal), over the states of from,
+// of the probability of visiting a target while at most horizon ticks
+// have elapsed, and the first state in index order that attains it: the
+// answer to U --horizon,p--> U' with U as from. Zero-duration moves after
+// the last tick still count, as in the paper's "within time t".
 //
-// It solves only what that answer reads. Layer h evaluates a state only
-// if it lies within horizon−h ticks of from (the forward cone, found by
-// a 0-1 breadth-first search that does not expand targets), and a state
-// whose previous layer is exactly 1 is written as 1 without evaluation:
-// the probability of reaching within h ticks never falls as h grows and
-// never exceeds 1. On fixed point the optimum is taken over the 62-bit
-// words, and only the winner becomes a prob.Rat; the rational solve, when
-// fixed point cannot answer, keeps the same cone and the same shortcut.
-// The answer equals a scan of ReachWithinTicksLayers over from, bit for
-// bit and for any worker count.
+// It is the tick-bounded solve (worstTicks) that every face below shares.
+// Layer h evaluates only the states within horizon−h ticks of from (the
+// forward cone, by a 0-1 breadth-first search that does not expand
+// targets), and a state whose previous layer is 1 is written as 1
+// without evaluation: the value never falls as h grows, nor exceeds 1.
+// The answer is exact: the sweeps run on 62-bit fixed point when every
+// branch probability is a multiple of 2^-62 (fair coins and point masses
+// are), building one prob.Rat for the winner, and on rationals otherwise
+// or once a value needs more than 62 bits. The zero-duration graph must
+// be acyclic (ErrZenoCycle), from must hold a state, and every choice's
+// branch probabilities must sum to 1, as Explore's do. Sweeps run
+// level-parallel over the non-tick DAG (MDP.Workers), with the same
+// answer for any worker count. It scans from at the last layer only.
+func (m *MDP) WorstAtHorizon(target, from []bool, horizon int, goal Goal) (Optimum, error) {
+	q, err := m.newTickQuery(target, from, horizon, goal)
+	if err != nil {
+		return Optimum{}, err
+	}
+	var opt Optimum
+	q.worstTicks(func(h int, l layer) {
+		if h == horizon {
+			opt = l.optimum(q)
+		}
+	})
+	return opt, nil
+}
+
+// WorstWithinTicks is WorstAtHorizon at every horizon h = 0..horizon from
+// one solve: entry h answers U --h,p--> U'.
 func (m *MDP) WorstWithinTicks(target, from []bool, horizon int, goal Goal) ([]Optimum, error) {
-	opt, _, err := m.worstTicks(target, from, horizon, goal)
-	return opt, err
+	q, err := m.newTickQuery(target, from, horizon, goal)
+	if err != nil {
+		return nil, err
+	}
+	opt := make([]Optimum, horizon+1)
+	q.worstTicks(func(h int, l layer) { opt[h] = l.optimum(q) })
+	return opt, nil
+}
+
+// WorstStrategy is WorstAtHorizon keeping the solve's horizon+1 layers,
+// 8 bytes per state each on fixed point, as the adversary's optimal
+// strategy (see Strategy).
+func (m *MDP) WorstStrategy(target, from []bool, horizon int, goal Goal) (*Strategy, error) {
+	q, err := m.newTickQuery(target, from, horizon, goal)
+	if err != nil {
+		return nil, err
+	}
+	st := &Strategy{q: q, layers: make([]layer, horizon+1)}
+	q.worstTicks(func(h int, l layer) {
+		st.layers[h] = layer{fix: slices.Clone(l.fix), rat: slices.Clone(l.rat)}
+		if h == horizon {
+			st.opt = l.optimum(q)
+		}
+	})
+	return st, nil
 }
 
 // kernel names the arithmetic that answered a tick-bounded solve.
@@ -128,71 +133,49 @@ const (
 	kernelFallback
 )
 
-// reachTicks is the solve behind ReachWithinTicks and
-// ReachWithinTicksLayers: every layer when all is set, else only the last
-// (as a one-row result). The input alone selects the kernel, which is
-// reported for tests.
-func (m *MDP) reachTicks(target []bool, horizon int, goal Goal, all bool) ([][]prob.Rat, kernel, error) {
-	q, err := m.newTickQuery(target, nil, horizon, goal)
-	if err != nil {
-		return nil, 0, err
-	}
+// worstTicks runs q's solve, handing each finished layer to onLayer,
+// which must copy what it keeps: the buffer is reused two layers on.
+// After a fallback the rational solve hands over every layer again from
+// horizon 0, so the last call for a horizon holds its answer. The input
+// alone selects the kernel, which is returned for tests.
+func (q *tickQuery) worstTicks(onLayer func(h int, l layer)) kernel {
 	k := kernelRat
 	if q.c.fixedPoint() {
-		var fixed [][]uint64
-		if q.fixedSweep(keepLayers(&fixed, all, horizon)) {
-			return ratLayers(fixed), kernelFixed, nil
+		if q.fixedSweep(func(h int, fix []uint64) { onLayer(h, layer{fix: fix}) }) {
+			return kernelFixed
 		}
 		k = kernelFallback
 	}
-	var layers [][]prob.Rat
-	q.ratSweep(keepLayers(&layers, all, horizon))
-	return layers, k, nil
+	q.ratSweep(func(h int, rat []prob.Rat) { onLayer(h, layer{rat: rat}) })
+	return k
 }
 
-// keepLayers returns a layer hook for tickSweep that keeps a copy of
-// every layer when all is set, else the last layer alone.
-func keepLayers[V any](layers *[][]V, all bool, horizon int) func(h int, layer []V) {
-	return func(h int, layer []V) {
-		switch {
-		case all:
-			*layers = append(*layers, slices.Clone(layer))
-		case h == horizon:
-			*layers = [][]V{layer}
-		}
-	}
+// layer is one finished tick layer of a solve: fixed-point words, or
+// rationals when rat is set. Only the states of the layer's cone hold
+// values.
+type layer struct {
+	fix []uint64
+	rat []prob.Rat
 }
 
-// worstTicks is WorstWithinTicks, also reporting the kernel that
-// answered, for tests.
-func (m *MDP) worstTicks(target, from []bool, horizon int, goal Goal) ([]Optimum, kernel, error) {
-	q, err := m.newTickQuery(target, from, horizon, goal)
-	if err != nil {
-		return nil, 0, err
+// optimum returns the optimum over q.from in the layer and the first
+// state that attains it.
+func (l layer) optimum(q *tickQuery) Optimum {
+	var s int32
+	if l.rat != nil {
+		s = firstOpt(q.from, l.rat, q.goal.better)
+	} else {
+		s = firstOpt(q.from, l.fix, q.goal.betterFix)
 	}
-	if len(q.from) == 0 {
-		return nil, 0, errors.New("mdp: empty source set")
+	return Optimum{Value: l.value(s), State: int(s)}
+}
+
+// value returns state s's value in the layer.
+func (l layer) value(s int32) prob.Rat {
+	if l.rat != nil {
+		return l.rat[s]
 	}
-	opt := make([]Optimum, horizon+1)
-	k := kernelRat
-	if q.c.fixedPoint() {
-		words := make([]uint64, horizon+1)
-		if q.fixedSweep(func(h int, layer []uint64) {
-			s := firstOpt(q.from, layer, goal.betterFix)
-			opt[h].State, words[h] = int(s), layer[s]
-		}) {
-			for h, v := range words {
-				opt[h].Value = fixRat(v)
-			}
-			return opt, kernelFixed, nil
-		}
-		k = kernelFallback
-	}
-	q.ratSweep(func(h int, layer []prob.Rat) {
-		s := firstOpt(q.from, layer, goal.better)
-		opt[h] = Optimum{Value: layer[s], State: int(s)}
-	})
-	return opt, k, nil
+	return fixRat(l.fix[s])
 }
 
 // firstOpt returns the first state of from (ascending) whose value in
@@ -216,19 +199,16 @@ type tickQuery struct {
 	horizon int
 	goal    Goal
 	cone    tickCone
-	// from lists the source states ascending; nil for a solve of every
-	// state. With a source set, a state whose previous layer is 1 is
-	// written as 1 without evaluation.
-	from []int32
+	from    []int32 // the source states, ascending
 }
 
-// newTickQuery validates a solve's inputs and schedules it: over every
-// state when from is nil, else over the cone of from.
+// newTickQuery validates a solve's inputs and schedules it over the cone
+// of from.
 func (m *MDP) newTickQuery(target, from []bool, horizon int, goal Goal) (*tickQuery, error) {
 	if len(target) != m.NumStates {
 		return nil, fmt.Errorf("mdp: target mask has %d entries, want %d", len(target), m.NumStates)
 	}
-	if from != nil && len(from) != m.NumStates {
+	if len(from) != m.NumStates {
 		return nil, fmt.Errorf("mdp: source mask has %d entries, want %d", len(from), m.NumStates)
 	}
 	if horizon < 0 {
@@ -241,10 +221,9 @@ func (m *MDP) newTickQuery(target, from []bool, horizon int, goal Goal) (*tickQu
 	}
 	q := &tickQuery{c: c, workers: m.ResolvedWorkers(), target: target, horizon: horizon, goal: goal}
 	var dist []int32
-	if from != nil {
-		q.from, dist = c.tickDistances(target, from, horizon)
-	} else {
-		dist = make([]int32, c.n) // a solve of every state: all at distance 0
+	q.from, dist = c.tickDistances(target, from, horizon)
+	if len(q.from) == 0 {
+		return nil, errors.New("mdp: empty source set")
 	}
 	q.cone = newTickCone(order, levels, dist, horizon)
 	return q, nil
@@ -357,9 +336,8 @@ func newTickCone(order, levels, dist []int32, horizon int) tickCone {
 // to done; false means some value needed more than 62 bits.
 func (q *tickQuery) fixedSweep(done func(h int, layer []uint64)) bool {
 	return tickSweep(q, func(span []int32, cur, prev []uint64, ticksLeft bool) bool {
-		settled := q.from != nil && ticksLeft
 		for _, s := range span {
-			if settled && prev[s] == fixOne {
+			if ticksLeft && prev[s] == fixOne {
 				cur[s] = fixOne
 				continue
 			}
@@ -377,9 +355,8 @@ func (q *tickQuery) fixedSweep(done func(h int, layer []uint64)) bool {
 // layer to done.
 func (q *tickQuery) ratSweep(done func(h int, layer []prob.Rat)) {
 	tickSweep(q, func(span []int32, cur, prev []prob.Rat, ticksLeft bool) bool {
-		settled := q.from != nil && ticksLeft
 		for _, s := range span {
-			if settled && prev[s].IsOne() {
+			if ticksLeft && prev[s].IsOne() {
 				cur[s] = prob.One()
 			} else {
 				cur[s] = q.c.ratState(s, q.target, q.goal, cur, prev, ticksLeft)
@@ -511,25 +488,4 @@ func (c *CSR) fixState(s int32, target []bool, goal Goal, cur, prev []uint64, ti
 		}
 	}
 	return best, dropped == 0
-}
-
-// ratLayers converts fixed-point layers to rationals, building each
-// distinct value once per solve and sharing it across states and layers
-// (prob.Rat is immutable).
-func ratLayers(fixed [][]uint64) [][]prob.Rat {
-	seen := map[uint64]prob.Rat{0: prob.Zero(), fixOne: prob.One()}
-	out := make([][]prob.Rat, len(fixed))
-	for h, layer := range fixed {
-		row := make([]prob.Rat, len(layer))
-		for s, v := range layer {
-			r, ok := seen[v]
-			if !ok {
-				r = fixRat(v)
-				seen[v] = r
-			}
-			row[s] = r
-		}
-		out[h] = row
-	}
-	return out
 }

@@ -57,10 +57,11 @@ FUZZTIME ?= 30s
 # Benchmarks recorded in BENCH_sim.json and gated by bench-diff: the
 # parallel-engine throughput row, the metrics- and span-overhead pairs,
 # the cold-cache trial rows for the election and consensus case studies,
-# the exact-engine explore+solve row, the paper-chain row (the five
-# arrows through core.CheckAll), the expected-time solver row and the
-# breaker-overhead row.
-BENCH_GATE = BenchmarkParallelTrials|BenchmarkMetricsOverhead|BenchmarkSpanOverhead|BenchmarkElectionTrials|BenchmarkConsensusTrials|BenchmarkExactEngine|BenchmarkPaperChain|BenchmarkExpectedTicks|BenchmarkBreakerOverhead
+# the exact-engine explore+solve row (the full product, symmetry
+# hidden) and its sibling on the ring's quotient (what lrcheck runs),
+# the paper-chain row (the five arrows through core.CheckAll), the
+# expected-time solver row and the breaker-overhead row.
+BENCH_GATE = BenchmarkParallelTrials|BenchmarkMetricsOverhead|BenchmarkSpanOverhead|BenchmarkElectionTrials|BenchmarkConsensusTrials|BenchmarkExactEngine|BenchmarkQuotientEngine|BenchmarkPaperChain|BenchmarkExpectedTicks|BenchmarkBreakerOverhead
 
 # Absolute throughput backstop for the headline engine benchmark,
 # enforced by bench-diff on top of the relative 10% gate: the alias
@@ -171,6 +172,9 @@ fmt:
 #                       optima, strategy and witness match the plain rational recursion
 #   SetExtents          random predicates, universes and unions of unions: memoized set
 #                       extents answer Subset, Equal, Count, Witness and Mask as per-state loops do
+#   RingSymmetry        random reachable dining product states (n=2..5, k=1..3) and ring
+#                       symmetries: canonical forms, orbit sizes, named sets and successor
+#                       distributions are the same on every member of an orbit
 fuzz:
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzRunOnceAdversarial -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzAliasPick -fuzztime=$(FUZZTIME)
@@ -183,6 +187,7 @@ fuzz:
 	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzProb0EMatchesOracle -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzWorstWithinTicksMatchesOracle -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzSetExtents -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/dining -run='^$$' -fuzz=FuzzRingSymmetry -fuzztime=$(FUZZTIME)
 
 # Chaos packages: seeded fault/kill/corruption storms against the
 # artifact layer (in-process, injected filesystem faults) and the real
@@ -239,15 +244,18 @@ trace-smoke:
 # (internal/mdp/oracle_test.go, which numbers states by pa.Reachable) on
 # the election and the dining n=3 products, with the explorer's chunk
 # size lowered so each crosses hundreds to thousands of chunk boundaries
-# at one, two and eight workers, and both tick kernels against the plain
-# rational recursion on random tick MDPs. Seconds, so it gates every
-# check; the large-product runs live in the non-short tests and
-# EXPERIMENTS.md E22.
+# at one, two and eight workers, both tick kernels against the plain
+# rational recursion on random tick MDPs, the ring's quotient against
+# its full product at n=3 k=1 (every printed number equal), and the
+# witness solved on the quotient replayed step by step through the full
+# product. Seconds, so it gates every check; the large-product runs live
+# in the non-short tests and EXPERIMENTS.md E22.
 mdp-smoke:
 	$(GO) run ./cmd/lrcheck -n 3 -k 1 -workers 2 -witness >/dev/null && echo "mdp-smoke: lrcheck ok"
 	$(GO) test -run 'TestExploreMatchesDenseElection' -count=1 ./internal/mdp
 	$(GO) test -short -run 'TestExploreMatchesDenseDining' -count=1 ./internal/mdp
 	$(GO) test -run 'TestReachKernels' -count=1 ./internal/mdp
+	$(GO) test -run 'TestQuotientMatchesUnreduced/n=3,k=1$$|TestWitnessReplaysInFullProduct' -count=1 ./internal/dining
 
 # The benchmark module (perfbench/, its own go.mod with replace repro =>
 # ../) imports internal packages, so `go build ./...` at the root never

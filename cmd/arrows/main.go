@@ -17,8 +17,10 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/dining"
+	"repro/internal/sched"
 )
 
 // paperScript is the Section 6.2 derivation in proof-script form.
@@ -52,12 +54,18 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("arrows", flag.ContinueOnError)
-	n := fs.Int("n", 3, "ring size for the bound model")
-	k := fs.Int("k", 1, "steps per window for the bound model")
+	n := fs.Int("n", 3, "ring size for the bound model (2..16)")
+	k := fs.Int("k", 1, "steps per window for the bound model (1..15)")
 	checkPremises := fs.Bool("check-premises", true, "model-check every premise as it is introduced")
 	scriptPath := fs.String("script", "", "proof script file (default: the built-in Section 6.2 derivation)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	switch {
+	case *n < 2 || *n > sched.MaxProcs:
+		return cli.UsageError(fs, "-n must be in 2..%d, got %d", sched.MaxProcs, *n)
+	case *k < 1 || *k > sched.MaxStepsPerWindow:
+		return cli.UsageError(fs, "-k must be in 1..%d, got %d", sched.MaxStepsPerWindow, *k)
 	}
 
 	script := paperScript

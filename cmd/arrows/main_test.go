@@ -1,8 +1,10 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -49,4 +51,50 @@ func TestRunFailingPremiseRejected(t *testing.T) {
 	if err := run([]string{"-n", "2", "-script", path}); err == nil {
 		t.Error("false premise accepted under -check-premises")
 	}
+}
+
+// TestRunBadFlags: an out-of-range size is a usage error raised before
+// the header line and before the script file is read, so nothing
+// reaches stdout.
+func TestRunBadFlags(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-n", "1"}, "-n must be"},
+		{[]string{"-n", "17"}, "-n must be"},
+		{[]string{"-k", "0"}, "-k must be"},
+		{[]string{"-k", "16"}, "-k must be"},
+		{[]string{"-n", "17", "-script", missing}, "-n must be"},
+	} {
+		out, err := captureStdout(t, func() error { return run(tc.args) })
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("args %v: err = %v, want prefix %q", tc.args, err, tc.want)
+		}
+		if out != "" {
+			t.Errorf("args %v: wrote %q before refusing", tc.args, out)
+		}
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns what it
+// wrote.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	runErr := f()
+	os.Stdout = old
+	w.Close()
+	return string(<-done), runErr
 }

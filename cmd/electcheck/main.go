@@ -39,6 +39,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/election"
 	"repro/internal/obs/span"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -51,8 +52,8 @@ func main() {
 
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("electcheck", flag.ContinueOnError)
-	n := fs.Int("n", 4, "number of processes")
-	k := fs.Int("k", 1, "steps per process per unit-time window")
+	n := fs.Int("n", 4, "number of processes (2..16)")
+	k := fs.Int("k", 1, "steps per process per unit-time window (1..15)")
 	sample := fs.Int("sample", 0, "also run this many dense-time Monte Carlo election trials (0 = off)")
 	memBudget := fs.Int64("mem-budget", 0, "abort exact enumeration beyond this many bytes of transition structure (0 = unlimited)")
 	rf := cli.AddFlags(fs)
@@ -61,10 +62,10 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	switch {
-	case *n <= 0:
-		return cli.UsageError(fs, "-n must be positive, got %d", *n)
-	case *k <= 0:
-		return cli.UsageError(fs, "-k must be positive, got %d", *k)
+	case *n < 2 || *n > sched.MaxProcs:
+		return cli.UsageError(fs, "-n must be in 2..%d, got %d", sched.MaxProcs, *n)
+	case *k < 1 || *k > sched.MaxStepsPerWindow:
+		return cli.UsageError(fs, "-k must be in 1..%d, got %d", sched.MaxStepsPerWindow, *k)
 	case *sample < 0:
 		return cli.UsageError(fs, "-sample must be >= 0, got %d", *sample)
 	case *memBudget < 0:

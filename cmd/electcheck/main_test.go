@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -50,22 +52,52 @@ func TestRunMemBudgetExceeded(t *testing.T) {
 	}
 }
 
+// TestRunBadFlags: every bad or out-of-range flag is refused before the
+// header line, so nothing reaches stdout.
 func TestRunBadFlags(t *testing.T) {
 	tests := [][]string{
 		{"-n", "0"},
 		{"-n", "-4"},
+		{"-n", "1"},
+		{"-n", "17"},
 		{"-k", "0"},
 		{"-k", "-1"},
+		{"-k", "16"},
 		{"-sample", "-10"},
 		{"-workers", "-1"},
 		{"-quarantine", "-1"},
 		{"-budget", "-5s"},
 	}
 	for _, args := range tests {
-		if err := run(context.Background(), args); err == nil {
+		out, err := captureStdout(t, func() error { return run(context.Background(), args) })
+		if err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+		if out != "" {
+			t.Errorf("args %v: wrote %q before refusing", args, out)
+		}
 	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns what it
+// wrote.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	runErr := f()
+	os.Stdout = old
+	w.Close()
+	return string(<-done), runErr
 }
 
 func TestRunSampledCancelled(t *testing.T) {

@@ -27,6 +27,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dining"
 	"repro/internal/report"
+	"repro/internal/sched"
 )
 
 func main() {
@@ -38,8 +39,8 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("lrcheck", flag.ContinueOnError)
-	n := fs.Int("n", 3, "ring size (2..16; exact checking is practical up to ~4)")
-	k := fs.Int("k", 1, "steps per process per unit-time window (digitization speed bound)")
+	n := fs.Int("n", 3, "ring size (2..16; exact checking is practical up to ~5)")
+	k := fs.Int("k", 1, "steps per process per unit-time window (digitization speed bound, 1..15)")
 	skipExpected := fs.Bool("skip-expected", false, "skip the expected-time value iteration")
 	curve := fs.Int("curve", 0, "also print the worst-case probability curve up to this horizon")
 	witness := fs.Bool("witness", false, "print a most-damning adversary schedule for the composed claim")
@@ -52,6 +53,10 @@ func run(args []string) error {
 		return err
 	}
 	switch {
+	case *n < 2 || *n > sched.MaxProcs:
+		return cli.UsageError(fs, "-n must be in 2..%d, got %d", sched.MaxProcs, *n)
+	case *k < 1 || *k > sched.MaxStepsPerWindow:
+		return cli.UsageError(fs, "-k must be in 1..%d, got %d", sched.MaxStepsPerWindow, *k)
 	case *workers < 0:
 		return cli.UsageError(fs, "-workers must be >= 0, got %d", *workers)
 	case *memBudget < 0:
@@ -197,15 +202,20 @@ func run(args []string) error {
 	return nil
 }
 
-// exportPRISM writes the enumerated product in PRISM explicit-state
-// format so external model checkers can re-verify every number.
+// exportPRISM writes the full product (not the quotient the analysis
+// explored) in PRISM explicit-state format so external model checkers
+// can re-verify every number.
 func exportPRISM(a *dining.Analysis, prefix string) error {
+	m, ix, err := a.Unreduced()
+	if err != nil {
+		return err
+	}
 	tra, err := os.Create(prefix + ".tra")
 	if err != nil {
 		return err
 	}
 	defer tra.Close()
-	if err := a.MDP.ExportTra(tra); err != nil {
+	if err := m.ExportTra(tra); err != nil {
 		return err
 	}
 
@@ -214,13 +224,13 @@ func exportPRISM(a *dining.Analysis, prefix string) error {
 		return err
 	}
 	defer lab.Close()
-	init := make([]bool, a.Index.Len())
+	init := make([]bool, len(ix.States()))
 	if len(init) > 0 {
 		init[0] = true
 	}
-	return a.MDP.ExportLab(lab, init, map[string][]bool{
-		"trying":   a.Set("T").Mask(a.Index.States()),
-		"critical": a.Set("C").Mask(a.Index.States()),
+	return m.ExportLab(lab, init, map[string][]bool{
+		"trying":   a.Set("T").Mask(ix.States()),
+		"critical": a.Set("C").Mask(ix.States()),
 	})
 }
 

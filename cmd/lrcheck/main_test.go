@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -30,6 +32,15 @@ func TestRunExport(t *testing.T) {
 	if err := run([]string{"-n", "2", "-skip-expected", "-json", "-export-prefix", json}); err != nil {
 		t.Fatalf("run -json -export-prefix: %v", err)
 	}
+	// The export is the full product, not the quotient the checks run
+	// on: the 2-ring's 454 product states.
+	tra, err := os.ReadFile(text + ".tra")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if header, _, _ := strings.Cut(string(tra), "\n"); !strings.HasPrefix(header, "454 ") {
+		t.Errorf(".tra header %q, want the full product's 454 states", header)
+	}
 	for _, suffix := range []string{".tra", ".lab"} {
 		want, err := os.ReadFile(text + suffix)
 		if err != nil {
@@ -45,22 +56,49 @@ func TestRunExport(t *testing.T) {
 	}
 }
 
+// TestRunBadFlags: every bad or out-of-range flag is refused before the
+// header line, so nothing reaches stdout.
 func TestRunBadFlags(t *testing.T) {
-	if err := run([]string{"-n", "zero"}); err == nil {
-		t.Error("bad flag accepted")
-	}
-	if err := run([]string{"-n", "1"}); err == nil {
-		t.Error("ring of one accepted")
-	}
 	for _, args := range [][]string{
+		{"-n", "zero"},
+		{"-n", "1"},
+		{"-n", "17"},
+		{"-k", "0"},
+		{"-k", "16"},
 		{"-n", "2", "-workers", "-3"},
 		{"-n", "2", "-mem-budget", "-5"},
 		{"-n", "2", "-curve", "-2"},
 		{"-n", "2", "-json", "-witness"},
 		{"-n", "2", "-json", "-lemmas"},
+		{"-n", "17", "-json"},
 	} {
-		if err := run(args); err == nil {
+		out, err := captureStdout(t, func() error { return run(args) })
+		if err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+		if out != "" {
+			t.Errorf("args %v: wrote %q before refusing", args, out)
+		}
 	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns what it
+// wrote.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	runErr := f()
+	os.Stdout = old
+	w.Close()
+	return string(<-done), runErr
 }

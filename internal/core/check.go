@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/mdp"
@@ -29,7 +30,8 @@ type CheckResult[S comparable] struct {
 	// WorstState is a source state attaining WorstProb.
 	WorstState S
 	// FromCount and ToCount are the sizes of the source and target sets
-	// within the reachable space.
+	// within the reachable space, counted in states of the full product
+	// when the index is a quotient's (mdp.Index.Orbit).
 	FromCount, ToCount int
 	// Strategy is the adversary's optimal strategy behind WorstProb, kept
 	// by CheckStrategy for a witness walk; CheckStatement leaves it nil.
@@ -99,13 +101,14 @@ func check[S comparable](m *mdp.MDP, ix *mdp.Index[S], st Statement[S], keep boo
 		return res, err
 	}
 
-	from, to := st.From.extent(ix.States()), st.To.extent(ix.States())
-	res.FromCount, res.ToCount = from.count(), to.count()
+	states := ix.States()
+	from, to := st.From.extent(states), st.To.extent(states)
+	res.FromCount, res.ToCount = covered(ix, from), covered(ix, to)
 	if res.FromCount == 0 {
 		return res, ErrEmptyFrom
 	}
 
-	target, source := to.bools(ix.Len()), from.bools(ix.Len())
+	target, source := to.bools(len(states)), from.bools(len(states))
 	var w mdp.Optimum
 	if !keep {
 		w, err = m.WorstAtHorizon(target, source, horizon, mdp.MinProb)
@@ -118,6 +121,19 @@ func check[S comparable](m *mdp.MDP, ix *mdp.Index[S], st Statement[S], keep boo
 	res.WorstProb, res.WorstState = w.Value, ix.State(w.State)
 	res.Holds = !res.WorstProb.Less(st.Prob)
 	return res, nil
+}
+
+// covered returns how many states of the full automaton the members of
+// b stand for: their count, or on a quotient's index the sum of their
+// orbit sizes.
+func covered[S comparable](ix *mdp.Index[S], b bitset) int {
+	n := 0
+	for w, word := range b {
+		for ; word != 0; word &= word - 1 {
+			n += ix.Orbit(w<<6 + bits.TrailingZeros64(word))
+		}
+	}
+	return n
 }
 
 // CheckAll checks a list of statements against the same model. The

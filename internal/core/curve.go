@@ -34,7 +34,7 @@ func WorstCaseCurve[S comparable](m *mdp.MDP, ix *mdp.Index[S], from, to Set[S],
 	if fromExt.count() == 0 {
 		return nil, ErrEmptyFrom
 	}
-	worst, err := m.WorstWithinTicks(to.Mask(ix.States()), fromExt.bools(ix.Len()), maxHorizon, mdp.MinProb)
+	worst, err := m.WorstWithinTicks(to.Mask(ix.States()), fromExt.bools(len(ix.States())), maxHorizon, mdp.MinProb)
 	if err != nil {
 		return nil, err
 	}

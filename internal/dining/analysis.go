@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mdp"
+	"repro/internal/pa"
 	"repro/internal/prob"
 	"repro/internal/sched"
 )
@@ -28,7 +29,13 @@ type Analysis struct {
 	N, K int
 	// Model is the algorithm; Auto the scheduler product.
 	Model *Model
-	// MDP and Index hold the enumerated product.
+	// MDP and Index hold the enumerated product: on the ring, its
+	// quotient by rotations and reflections, one representative per
+	// orbit (sched.Symmetric), with Index.Len counting product states.
+	// A check on the quotient is sound for sets that every rotation and
+	// reflection maps onto themselves, as every registry set is; a set
+	// that names a process (say, "process 0 is critical") needs the
+	// full product (Unreduced).
 	MDP   *mdp.MDP
 	Index *mdp.Index[PState]
 	// Universe is the reachable product space, for subset side conditions.
@@ -54,7 +61,9 @@ type Opts = mdp.ExploreOptions
 // k-steps-per-window digitization with the on-the-fly CSR explorer,
 // which interns product states by value; every solver runs opts.Workers
 // wide. State numbering is pa.Reachable's breadth-first order, so every
-// analysis result is the same for any opts.Workers.
+// analysis result is the same for any opts.Workers. The ring's product
+// is explored as its quotient by the ring's symmetry, which has the
+// same optimal values; Unreduced explores every state.
 func NewAnalysisOpts(n, k int, opts Opts) (*Analysis, error) {
 	model, err := New(n)
 	if err != nil {
@@ -69,6 +78,18 @@ func NewAnalysisOpts(n, k int, opts Opts) (*Analysis, error) {
 		return nil, fmt.Errorf("dining: exploring product: %w", err)
 	}
 	return newAnalysis(n, k, model, m, ix), nil
+}
+
+// Unreduced explores the analysis's product without the ring's
+// symmetry, numbering every product state in breadth-first order: for
+// output that names the states of the full product, such as a PRISM
+// export.
+func (a *Analysis) Unreduced() (*mdp.MDP, *mdp.Index[PState], error) {
+	auto, err := sched.Product(sched.Unreduced[State](a.Model), sched.Config{StepsPerWindow: a.K})
+	if err != nil {
+		return nil, nil, err
+	}
+	return mdp.Explore(auto, mdp.ExploreOptions{Workers: a.MDP.Workers})
 }
 
 func newAnalysis(n, k int, model *Model, m *mdp.MDP, ix *mdp.Index[PState]) *Analysis {
@@ -280,19 +301,99 @@ func (a *Analysis) ProgressCurve(maxHorizon int) ([]core.CurvePoint, error) {
 // outcomes that minimize the probability of reaching its target in time.
 // It solves nothing: r must carry the strategy of core.CheckStrategy.
 func (a *Analysis) WorstWitness(r core.CheckResult[PState]) ([]string, error) {
-	if r.Strategy == nil {
-		return nil, errors.New("dining: the check result carries no strategy (check with core.CheckStrategy)")
+	steps, err := a.witness(r)
+	if err != nil {
+		return nil, err
 	}
-	steps := r.Strategy.Witness()
 	out := make([]string, 0, len(steps)+1)
 	out = append(out, fmt.Sprintf("start %v (worst-case P = %v)", r.WorstState.Base, r.WorstProb))
 	t := 0
 	for _, ws := range steps {
-		if ws.Action == sched.TickAction {
+		if ws.action == sched.TickAction {
 			t++
 		}
 		out = append(out, fmt.Sprintf("t<=%-2d %-9s p=%-4v -> %v",
-			t, ws.Action, ws.BranchProb, a.Index.State(ws.Next).Base))
+			t, ws.action, ws.p, ws.next.Base))
+	}
+	return out, nil
+}
+
+// witnessStep is one step of a witness in the full product: from from,
+// the adversary takes action and the coin lands on next, which the step
+// reaches with probability p.
+type witnessStep struct {
+	from, next PState
+	action     string
+	p          prob.Rat
+}
+
+// witness walks r's strategy through the full product, so the schedule
+// names real processes: at each state it takes the first of the
+// product's steps that attains the state's optimal value, reading every
+// successor's value at its orbit's representative, then the first
+// branch of least value (the most damning coin outcome). It stops at a
+// target, at a state without choices, where the move is a tick with no
+// tick left (the adversary lets time expire), or after 4·(horizon+1)
+// steps.
+func (a *Analysis) witness(r core.CheckResult[PState]) ([]witnessStep, error) {
+	st := r.Strategy
+	if st == nil {
+		return nil, errors.New("dining: the check result carries no strategy (check with core.CheckStrategy)")
+	}
+	full, err := sched.Product(sched.Unreduced[State](a.Model), sched.Config{StepsPerWindow: a.K})
+	if err != nil {
+		return nil, err
+	}
+	id := func(ps PState) int {
+		i, _ := a.Index.ID(sched.Canon[State](a.Model, ps))
+		return i
+	}
+	value := func(ps PState, ticksLeft int) prob.Rat {
+		v, _ := st.Value(id(ps), ticksLeft)
+		return v
+	}
+	horizon := st.Horizon()
+	var out []witnessStep
+	for x, h := r.WorstState, horizon; len(out) < 4*(horizon+1); {
+		if st.Choice(id(x), h) < 0 {
+			break
+		}
+		want, _ := st.Value(id(x), h)
+		var (
+			move  pa.Step[PState]
+			left  int
+			found bool
+		)
+		for _, step := range full.Steps(x) {
+			left = h
+			if step.Action == sched.TickAction {
+				left--
+			}
+			v := prob.Zero()
+			if left >= 0 {
+				for j, y := range step.Next.Support() {
+					v = v.Add(step.Next.Weights()[j].Mul(value(y, left)))
+				}
+			}
+			if v.Equal(want) {
+				move, found = step, true
+				break
+			}
+		}
+		if !found {
+			return nil, fmt.Errorf("dining: no step of %v attains its worst-case value %v", x, want)
+		}
+		if left < 0 {
+			break
+		}
+		next, p := move.Next.Support()[0], move.Next.Weights()[0]
+		for j, y := range move.Next.Support()[1:] {
+			if value(y, left).Less(value(next, left)) {
+				next, p = y, move.Next.Weights()[j+1]
+			}
+		}
+		out = append(out, witnessStep{from: x, next: next, action: move.Action, p: p})
+		x, h = next, left
 	}
 	return out, nil
 }
@@ -300,14 +401,15 @@ func (a *Analysis) WorstWitness(r core.CheckResult[PState]) ([]string, error) {
 // QualitativeProgress runs the Zuck–Pnueli-style baseline: does every
 // digitized adversary drive every reachable T-state to C with probability
 // one? It returns the number of T-states and how many of them satisfy the
-// almost-sure property.
+// almost-sure property, counted in product states.
 func (a *Analysis) QualitativeProgress() (total, almostSure int) {
 	one := a.MDP.MinProbOne(a.mask("C"))
 	for i, in := range a.mask("T") {
 		if in {
-			total++
+			o := a.Index.Orbit(i)
+			total += o
 			if one[i] {
-				almostSure++
+				almostSure += o
 			}
 		}
 	}

@@ -322,8 +322,8 @@ func TestGoodProcessMatchesPaperDefinition(t *testing.T) {
 		rightCase := (l.PC == W || l.PC == S) && l.U == Right && inSet(lm, Left)
 		return leftCase || rightCase
 	}
-	for idx := 0; idx < a.Index.Len(); idx++ {
-		s := a.Index.State(idx).Base
+	for _, ps := range a.Index.States() {
+		s := ps.Base
 		for i := 0; i < s.N(); i++ {
 			if IsGood(s, i) != raw(s, i) {
 				t.Fatalf("IsGood(%v, %d) = %t disagrees with the paper formula", s, i, IsGood(s, i))
@@ -333,13 +333,18 @@ func TestGoodProcessMatchesPaperDefinition(t *testing.T) {
 }
 
 // TestProductStateSpaceSizes records the enumeration sizes used in
-// EXPERIMENTS.md.
+// EXPERIMENTS.md: the universe holds the quotient's 1,672 orbit
+// representatives, and the index counts the 9,637 product states they
+// stand for.
 func TestProductStateSpaceSizes(t *testing.T) {
 	a := getAnalysisN3(t)
-	if a.Index.Len() == 0 || a.Universe.Len() != a.Index.Len() {
-		t.Errorf("universe %d != index %d", a.Universe.Len(), a.Index.Len())
+	if got := len(a.Index.States()); got != 1672 || a.Universe.Len() != got {
+		t.Errorf("universe %d, index %d orbits; want 1672 each", a.Universe.Len(), got)
 	}
-	t.Logf("n=3 k=1 product states: %d", a.Index.Len())
+	if a.Index.Len() != 9637 {
+		t.Errorf("index covers %d product states, want 9637", a.Index.Len())
+	}
+	t.Logf("n=3 k=1 product states: %d in %d orbits", a.Index.Len(), len(a.Index.States()))
 }
 
 // TestLiftPredAgreement verifies that lifted predicates see only the base

@@ -261,6 +261,32 @@ func (r LemmaResult) String() string {
 	}
 }
 
+// reachableBases returns the distinct base states of the n-ring's full
+// k-product in breadth-first discovery order.
+func reachableBases(n, k int) ([]State, error) {
+	model, err := New(n)
+	if err != nil {
+		return nil, err
+	}
+	auto, err := sched.Product(sched.Unreduced[State](model), sched.Config{StepsPerWindow: k})
+	if err != nil {
+		return nil, err
+	}
+	states, err := auto.Reachable(0)
+	if err != nil {
+		return nil, err
+	}
+	var bases []State
+	seen := make(map[State]bool)
+	for _, ps := range states {
+		if !seen[ps.Base] {
+			seen[ps.Base] = true
+			bases = append(bases, ps.Base)
+		}
+	}
+	return bases, nil
+}
+
 // CheckLemma checks one lemma at one pivot on the n-ring under the
 // k-digitization, conditioning via a rigged model started from every
 // reachable base state of the unrigged ring.
@@ -324,22 +350,14 @@ func CheckLemma(lemma Lemma, i, n, k int, baseStates []State) (LemmaResult, erro
 }
 
 // CheckAppendix checks the whole lemma suite at every pivot and returns
-// the results in lemma-major order. baseStates defaults to the reachable
-// base states of the unrigged ring (computed via a throwaway analysis)
-// when nil.
+// the results in lemma-major order. baseStates defaults, when nil, to
+// the base states of the unrigged ring's full product (not its
+// quotient's representatives), in breadth-first discovery order.
 func CheckAppendix(n, k int, baseStates []State) ([]LemmaResult, error) {
 	if baseStates == nil {
-		a, err := NewAnalysisOpts(n, k, Opts{})
-		if err != nil {
+		var err error
+		if baseStates, err = reachableBases(n, k); err != nil {
 			return nil, err
-		}
-		seen := make(map[State]bool)
-		for idx := 0; idx < a.Index.Len(); idx++ {
-			b := a.Index.State(idx).Base
-			if !seen[b] {
-				seen[b] = true
-				baseStates = append(baseStates, b)
-			}
 		}
 	}
 	var out []LemmaResult

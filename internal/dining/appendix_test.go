@@ -1,25 +1,94 @@
 package dining
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/mdp"
 	"repro/internal/prob"
+	"repro/internal/sched"
 )
 
-// baseStatesN3 extracts the distinct reachable base states once.
+// baseStatesN3 extracts the distinct base states of the full n=3 k=1
+// product (every state, not the quotient's representatives), in the
+// explorer's breadth-first order.
 func baseStatesN3(t *testing.T) []State {
 	t.Helper()
-	a := getAnalysisN3(t)
+	auto, err := sched.Product(sched.Unreduced[State](MustNew(3)), sched.Config{StepsPerWindow: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ix, err := mdp.Explore(auto, mdp.ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := make(map[State]bool)
 	var out []State
-	for idx := 0; idx < a.Index.Len(); idx++ {
-		b := a.Index.State(idx).Base
-		if !seen[b] {
-			seen[b] = true
-			out = append(out, b)
+	for _, ps := range ix.States() {
+		if !seen[ps.Base] {
+			seen[ps.Base] = true
+			out = append(out, ps.Base)
 		}
 	}
 	return out
+}
+
+// TestAppendixDefaultBases: with no base states given, CheckAppendix
+// starts the rigged models from every base state of the full product,
+// not from the quotient's representatives the analysis explores, and
+// its results are the ones recorded before the ring was quotiented:
+// every lemma holds at every pivot, measured 1, with these |From|.
+func TestAppendixDefaultBases(t *testing.T) {
+	if testing.Short() {
+		t.Skip("36 rigged-model enumerations; skipped with -short")
+	}
+	want := baseStatesN3(t)
+	got, err := reachableBases(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("default base states: %d, full product's: %d (or another order)", len(got), len(want))
+	}
+	a := getAnalysisN3(t)
+	reps := make(map[State]bool)
+	for _, ps := range a.Index.States() {
+		reps[ps.Base] = true
+	}
+	if len(reps) >= len(want) {
+		t.Fatalf("the quotient has %d distinct base states, the full product %d: expected fewer", len(reps), len(want))
+	}
+
+	from := []struct {
+		name    string
+		t       int
+		claimed string
+		from    int
+	}{
+		{"A.4(1)", 1, "1", 380}, {"A.4(2)", 2, "1", 108}, {"A.4(3)", 3, "1", 175}, {"A.4(4)", 4, "1", 142},
+		{"A.5", 4, "1", 871}, {"A.7a", 1, "1", 109}, {"A.7b", 1, "1", 109}, {"A.8a", 1, "1", 228},
+		{"A.8b", 1, "1", 228}, {"A.9", 5, "1", 307}, {"A.10", 5, "1", 307}, {"A.12", 1, "1/2", 978},
+		{"A.13", 2, "1/2", 66},
+	}
+	var wantLines []string
+	for _, l := range from {
+		for i := 0; i < 3; i++ {
+			wantLines = append(wantLines, fmt.Sprintf("HOLDS   %-7s i=%d  t=%d claimed=%s measured=1  |From|=%d", l.name, i, l.t, l.claimed, l.from))
+		}
+	}
+	results, err := CheckAppendix(3, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(wantLines) {
+		t.Fatalf("%d results, want %d", len(results), len(wantLines))
+	}
+	for i, r := range results {
+		if r.String() != wantLines[i] {
+			t.Errorf("result %d = %q, want %q", i, r, wantLines[i])
+		}
+	}
 }
 
 // TestAppendixLemmasHold is the mechanized appendix: every lemma of

@@ -134,7 +134,7 @@ func TestExecAgreesWithProductChain(t *testing.T) {
 	}
 
 	checked := 0
-	for id := 0; id < a.Index.Len() && checked < 25; id += 397 {
+	for id := 0; id < len(a.Index.States()) && checked < 25; id += 397 {
 		start := a.Index.State(id)
 		if !InT(start.Base) {
 			continue

@@ -3,10 +3,10 @@ package mdp
 import "repro/internal/prob"
 
 // This file keeps a tick-bounded solve as the adversary's optimal
-// strategy and walks it into a worst-case witness: the schedule that
-// keeps a (t, p) claim below p where the curve of worst-case
-// probabilities (WorstWithinTicks) says it fails — the lower-bound
-// direction the paper lists as future work in Section 7.
+// strategy, which a witness walks (dining.Analysis.WorstWitness): the
+// schedule that keeps a (t, p) claim below p where the curve of
+// worst-case probabilities (WorstWithinTicks) says it fails — the
+// lower-bound direction the paper lists as future work in Section 7.
 
 // Strategy is one tick-bounded solve kept layer by layer (WorstStrategy):
 // the value of every state of the forward cone with every number of
@@ -22,6 +22,9 @@ type Strategy struct {
 // Optimum returns the optimum over the source set at the horizon and the
 // first state that attains it, as WorstAtHorizon does.
 func (st *Strategy) Optimum() Optimum { return st.opt }
+
+// Horizon returns the number of ticks the solve allowed.
+func (st *Strategy) Horizon() int { return st.q.horizon }
 
 // inCone reports whether state s with ticksLeft ticks left is in the cone.
 func (st *Strategy) inCone(s, ticksLeft int) bool {
@@ -80,50 +83,4 @@ func (st *Strategy) choiceValue(ci int32, ticksLeft int) prob.Rat {
 		}
 	}
 	return v
-}
-
-// WitnessStep is one step of an extracted worst-case schedule.
-type WitnessStep struct {
-	// State is the state index before the step; Choice the index of the
-	// adversary's optimal choice (local to the state); Action its label.
-	State  int
-	Choice int
-	Action string
-	// Next is the successor followed (the most damning probabilistic
-	// branch); BranchProb its probability.
-	Next       int
-	BranchProb prob.Rat
-}
-
-// Witness walks the strategy from its optimum state with the whole
-// horizon left: at each state it takes the strategy's move, then the
-// branch whose successor has the least value (for a minimizing
-// adversary, the most damning outcome). It stops at a target, at a state
-// without choices, where the move is a tick with no tick left (the
-// adversary lets time expire), or after 4·(horizon+1) steps, and reads
-// only values inside the cone.
-func (st *Strategy) Witness() []WitnessStep {
-	c := st.q.c
-	var steps []WitnessStep
-	s, h := int32(st.opt.State), st.q.horizon
-	for len(steps) < 4*(st.q.horizon+1) {
-		k := st.Choice(int(s), h)
-		if k < 0 {
-			break
-		}
-		ci := c.choiceRow[s] + int32(k)
-		l, left, ok := st.next(ci, h)
-		if !ok {
-			break
-		}
-		best := c.branchRow[ci]
-		for bi := best + 1; bi < c.branchRow[ci+1]; bi++ {
-			if l.value(c.col[bi]).Less(l.value(c.col[best])) {
-				best = bi
-			}
-		}
-		steps = append(steps, WitnessStep{State: int(s), Choice: k, Action: c.label(ci), Next: int(c.col[best]), BranchProb: c.ratAt(best)})
-		s, h = c.col[best], left
-	}
-	return steps
 }

@@ -134,3 +134,53 @@ func TestWorstWitnessClockExpiry(t *testing.T) {
 		t.Errorf("witness at horizon 0 = %+v, want empty (clock expiry)", steps)
 	}
 }
+
+// WitnessStep is one step of an extracted worst-case schedule: the walk
+// of a strategy over the MDP's own states, which these tests use to pin
+// that a strategy's moves stay inside its cone. (dining walks its
+// strategies through the full product instead, so its schedules name
+// real processes.)
+type WitnessStep struct {
+	// State is the state index before the step; Choice the index of the
+	// adversary's optimal choice (local to the state); Action its label.
+	State  int
+	Choice int
+	Action string
+	// Next is the successor followed (the most damning probabilistic
+	// branch); BranchProb its probability.
+	Next       int
+	BranchProb prob.Rat
+}
+
+// Witness walks the strategy from its optimum state with the whole
+// horizon left: at each state it takes the strategy's move, then the
+// branch whose successor has the least value (for a minimizing
+// adversary, the most damning outcome). It stops at a target, at a state
+// without choices, where the move is a tick with no tick left (the
+// adversary lets time expire), or after 4·(horizon+1) steps, and reads
+// only values inside the cone.
+func (st *Strategy) Witness() []WitnessStep {
+	c := st.q.c
+	var steps []WitnessStep
+	s, h := int32(st.opt.State), st.q.horizon
+	for len(steps) < 4*(st.q.horizon+1) {
+		k := st.Choice(int(s), h)
+		if k < 0 {
+			break
+		}
+		ci := c.choiceRow[s] + int32(k)
+		l, left, ok := st.next(ci, h)
+		if !ok {
+			break
+		}
+		best := c.branchRow[ci]
+		for bi := best + 1; bi < c.branchRow[ci+1]; bi++ {
+			if l.value(c.col[bi]).Less(l.value(c.col[best])) {
+				best = bi
+			}
+		}
+		steps = append(steps, WitnessStep{State: int(s), Choice: k, Action: c.label(ci), Next: int(c.col[best]), BranchProb: c.ratAt(best)})
+		s, h = c.col[best], left
+	}
+	return steps
+}

@@ -66,7 +66,8 @@ var (
 
 // BudgetError reports a blown exploration budget with the sizes reached.
 type BudgetError struct {
-	// States and Bytes are the exploration's footprint when it stopped;
+	// States and Bytes are the exploration's footprint when it stopped
+	// (States counts interned states: on a quotient, representatives);
 	// Budget is the configured bound.
 	States int
 	Bytes  int64
@@ -99,8 +100,8 @@ type ExploreOptions struct {
 	MemBudget int64
 	// Limit bounds the number of states, as pa.Automaton.Reachable's
 	// limit does: exploration that would intern a state past the limit,
-	// a start state or a successor, fails with pa.ErrLimitExceeded.
-	// <= 0 means unlimited.
+	// a start state or a successor, fails with pa.ErrLimitExceeded. On a
+	// quotient it counts representatives. <= 0 means unlimited.
 	Limit int
 }
 
@@ -108,7 +109,9 @@ type ExploreOptions struct {
 // states by their own (comparable) value. State numbering equals
 // pa.Reachable discovery order. A model whose branches use more distinct
 // probabilities than the CSR can index fails with
-// ErrTooManyProbabilities.
+// ErrTooManyProbabilities. When auto is a quotient (pa.Automaton.Orbit),
+// the MDP's states are its orbit representatives and the index counts
+// the states they stand for.
 func Explore[S comparable](auto *pa.Automaton[S], opts ExploreOptions) (*MDP, *Index[S], error) {
 	return explore(auto, opts, nil)
 }
@@ -177,8 +180,7 @@ func explore[S comparable](auto *pa.Automaton[S], opts ExploreOptions, onChunk f
 
 	csr := e.b.finish()
 	m := &MDP{NumStates: len(e.states), Workers: opts.Workers, csr: csr}
-	ix := &Index[S]{states: e.states}
-	return m, ix, nil
+	return m, newIndex(e.states, auto.Orbit, e.workers), nil
 }
 
 // minTable is the id table's initial slot count: small, so a run that

@@ -271,7 +271,7 @@ func FuzzExploreMatchesDense(f *testing.F) {
 			restore()
 		}
 
-		states := dIx.Len()
+		states := len(dIx.States())
 		if _, _, err := fromAutomaton(auto, states); err != nil {
 			t.Fatalf("oracle at limit %d: %v", states, err)
 		}

@@ -53,11 +53,11 @@ func requireSameMDP[S comparable](t *testing.T, dense, explored *mdp.MDP, dIx, e
 		t.Fatalf("dense %d states, explored %d", dense.NumStates, explored.NumStates)
 	}
 	if dIx.Len() != eIx.Len() {
-		t.Fatalf("dense index %d states, explored %d", dIx.Len(), eIx.Len())
+		t.Fatalf("dense index covers %d states, explored %d", dIx.Len(), eIx.Len())
 	}
-	for i := 0; i < dIx.Len(); i++ {
-		if dIx.State(i) != eIx.State(i) {
-			t.Fatalf("state %d: dense %v != explored %v", i, dIx.State(i), eIx.State(i))
+	for i := range dIx.States() {
+		if dIx.State(i) != eIx.State(i) || dIx.Orbit(i) != eIx.Orbit(i) {
+			t.Fatalf("state %d: dense %v (orbit %d) != explored %v (orbit %d)", i, dIx.State(i), dIx.Orbit(i), eIx.State(i), eIx.Orbit(i))
 		}
 	}
 	if err := mdp.EqualCSR(dense.CSR(), explored.CSR()); err != nil {
@@ -294,7 +294,7 @@ func TestParallelSweepDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := m.MDP.WorstStrategy(target, mdp.Every(m.Index.Len()), 13, mdp.MinProb)
+		st, err := m.MDP.WorstStrategy(target, mdp.Every(len(m.Index.States())), 13, mdp.MinProb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,20 +377,36 @@ func TestStrategyMatchesOracleDining(t *testing.T) {
 	if cone == 0 {
 		t.Fatal("empty cone")
 	}
-	t.Logf("%d cone (state, ticks left) pairs of %d", cone, len(value)*a.Index.Len())
+	t.Logf("%d cone (state, ticks left) pairs of %d", cone, len(value)*len(a.Index.States()))
 }
 
 // TestSettleDining pins the settle pass on the dining n=3 k=2 product:
-// of the 30,922 rows MaxExpectedTicks to C sweeps, 9,732 reach no cycle
-// of swept rows and settle by sweep 5, and the other 21,190 are swept
-// to the end.
+// of the 30,922 rows of the full product MaxExpectedTicks to C sweeps,
+// 9,732 reach no cycle of swept rows and settle by sweep 5, and the
+// other 21,190 are swept to the end; on the quotient the analysis
+// explores, 1,690 rows settle, 3,576 stay live, and the last settles at
+// the same sweep.
 func TestSettleDining(t *testing.T) {
 	a, err := dining.NewAnalysisOpts(3, 2, dining.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	settled, live, maxSettle := mdp.SettleCounts(a.MDP, a.Index.Mask(sched.LiftPred(dining.InC)))
-	if settled != 9732 || live != 21190 || maxSettle != 5 {
-		t.Errorf("%d settled, %d live, max settle sweep %d; want 9732, 21190, 5", settled, live, maxSettle)
+	full, fullIx, err := a.Unreduced()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		m                        *mdp.MDP
+		ix                       *mdp.Index[dining.PState]
+		settled, live, maxSettle int
+	}{
+		{full, fullIx, 9732, 21190, 5},
+		{a.MDP, a.Index, 1690, 3576, 5},
+	} {
+		settled, live, maxSettle := mdp.SettleCounts(tc.m, tc.ix.Mask(sched.LiftPred(dining.InC)))
+		if settled != tc.settled || live != tc.live || maxSettle != tc.maxSettle {
+			t.Errorf("%d states: %d settled, %d live, max settle sweep %d; want %d, %d, %d",
+				tc.m.NumStates, settled, live, maxSettle, tc.settled, tc.live, tc.maxSettle)
+		}
 	}
 }

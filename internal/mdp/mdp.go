@@ -55,14 +55,54 @@ func (m *MDP) ResolvedWorkers() int { return resolveWorkers(m.Workers) }
 // call: forward lookups (State, Where, Mask) are what the analyses use in
 // bulk, and indexes over millions of states should not pay for a map
 // nobody queries.
+//
+// When the automaton is a quotient (pa.Automaton.Orbit), each indexed
+// state is an orbit's representative. Len and Orbit then count the
+// states of the full automaton, which is what a printed count means;
+// arrays indexed by state id have len(States()) entries.
 type Index[S comparable] struct {
-	states []S
-	idOnce sync.Once
-	id     map[S]int
+	states  []S
+	orbit   []uint8 // orbit size of each state; nil when each is its own
+	covered int     // the states of the full automaton
+	idOnce  sync.Once
+	id      map[S]int
 }
 
-// Len returns the number of indexed states.
-func (ix *Index[S]) Len() int { return len(ix.states) }
+// newIndex indexes states in the given order. With orbit set it records
+// each state's orbit size, computed across workers, and their sum.
+func newIndex[S comparable](states []S, orbit func(S) int, workers int) *Index[S] {
+	ix := &Index[S]{states: states, covered: len(states)}
+	if orbit == nil {
+		return ix
+	}
+	ix.orbit = make([]uint8, len(states))
+	sums := make([]int, workers)
+	parallelFor(workers, len(states), func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			o := orbit(states[i])
+			ix.orbit[i] = uint8(o)
+			sums[w] += o
+		}
+	})
+	ix.covered = 0
+	for _, sum := range sums {
+		ix.covered += sum
+	}
+	return ix
+}
+
+// Len returns the number of states the index covers: one per indexed
+// state, or, on a quotient, the sum of their orbit sizes.
+func (ix *Index[S]) Len() int { return ix.covered }
+
+// Orbit returns how many states of the full automaton indexed state i
+// stands for: 1 unless the automaton is a quotient.
+func (ix *Index[S]) Orbit(i int) int {
+	if ix.orbit == nil {
+		return 1
+	}
+	return int(ix.orbit[i])
+}
 
 // States returns every indexed state in index order. The slice is the
 // index's own, not a copy: callers must not modify it.

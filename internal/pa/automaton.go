@@ -82,6 +82,12 @@ type Automaton[S comparable] struct {
 	// patient construction. A nil Duration means every action is
 	// instantaneous.
 	Duration func(action string) prob.Rat
+	// Orbit, when set, says the automaton is the quotient of a larger
+	// one by a symmetry group: Start and Steps name one representative
+	// per orbit, and Orbit(s) is the number of states of the larger
+	// automaton that representative s stands for. A nil Orbit means
+	// every state stands for itself.
+	Orbit func(S) int
 }
 
 // Validate checks the structural well-formedness of the automaton
@@ -118,7 +124,8 @@ func (m *Automaton[S]) DurationOf(a string) prob.Rat {
 func (m *Automaton[S]) EnabledFrom(s S) bool { return len(m.Steps(s)) > 0 }
 
 // Reachable explores the state space breadth-first from the start states
-// and returns every reachable state (rstates(M)), in discovery order. It
+// and returns every reachable state (rstates(M)), in discovery order: on
+// a quotient (Orbit set), every reachable representative. It
 // returns ErrLimitExceeded if more than limit states are discovered, the
 // distinct start states included; limit <= 0 means no limit.
 func (m *Automaton[S]) Reachable(limit int) ([]S, error) {

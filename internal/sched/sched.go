@@ -30,6 +30,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/pa"
 	"repro/internal/prob"
@@ -97,6 +98,15 @@ func setLeft(packed uint64, i, v int) uint64 {
 // Its nondeterministic choices are exactly the adversary's; resolving them
 // optimally in the resulting MDP quantifies over the digitized Unit-Time
 // schema.
+//
+// When m is Symmetric, the automaton is the product's quotient by the
+// model's symmetry group: its start and successor states are each
+// orbit's representative (Canon), successors that fall into one orbit
+// merge with their probabilities added, and its Orbit reports how many
+// product states a representative stands for. Every optimal value of a
+// query whose state sets the group maps onto themselves is the same as
+// on the full product; Unreduced(m) explores the full product, for
+// queries about named processes.
 func Product[S comparable](m Model[S], cfg Config) (*pa.Automaton[State[S]], error) {
 	n := m.NumProcs()
 	if n <= 0 || n > MaxProcs {
@@ -122,9 +132,11 @@ func Product[S comparable](m Model[S], cfg Config) (*pa.Automaton[State[S]], err
 		return mask
 	}
 
-	starts := make([]State[S], 0, len(m.Start()))
-	for _, s := range m.Start() {
-		starts = append(starts, State[S]{Base: s, Owes: readyMask(s), Left: fullBudget})
+	sym := ringOf(m)
+	bases := m.Start()
+	starts := make([]State[S], 0, len(bases))
+	for _, s := range bases {
+		starts = append(starts, sym.canon(State[S]{Base: s, Owes: readyMask(s), Left: fullBudget}))
 	}
 
 	steps := func(ps State[S]) []pa.Step[State[S]] {
@@ -162,7 +174,7 @@ func Product[S comparable](m Model[S], cfg Config) (*pa.Automaton[State[S]], err
 				out = append(out, pa.Step[State[S]]{
 					Action: mv.Action,
 					Next: prob.MapDist(mv.Next, func(b S) State[S] {
-						return State[S]{Base: b, Owes: owes, Left: newLeft}
+						return sym.canon(State[S]{Base: b, Owes: owes, Left: newLeft})
 					}),
 				})
 			}
@@ -174,7 +186,7 @@ func Product[S comparable](m Model[S], cfg Config) (*pa.Automaton[State[S]], err
 				out = append(out, pa.Step[State[S]]{
 					Action: mv.Action,
 					Next: prob.MapDist(mv.Next, func(b S) State[S] {
-						return State[S]{Base: b, Owes: ps.Owes, Left: ps.Left}
+						return sym.canon(State[S]{Base: b, Owes: ps.Owes, Left: ps.Left})
 					}),
 				})
 			}
@@ -184,18 +196,18 @@ func Product[S comparable](m Model[S], cfg Config) (*pa.Automaton[State[S]], err
 		if tick {
 			out = append(out, pa.Step[State[S]]{
 				Action: TickAction,
-				Next: prob.Point(State[S]{
+				Next: prob.Point(sym.canon(State[S]{
 					Base: ps.Base,
 					Owes: ready,
 					Left: fullBudget,
-				}),
+				})),
 			})
 		}
 		return out
 	}
 
-	return &pa.Automaton[State[S]]{
-		Name:  fmt.Sprintf("%s/unit-time(k=%d)", m.Name(), k),
+	auto := &pa.Automaton[State[S]]{
+		Name:  m.Name() + "/unit-time(k=" + strconv.Itoa(k) + ")",
 		Start: starts,
 		Steps: steps,
 		Duration: func(a string) prob.Rat {
@@ -204,7 +216,11 @@ func Product[S comparable](m Model[S], cfg Config) (*pa.Automaton[State[S]], err
 			}
 			return prob.Zero()
 		},
-	}, nil
+	}
+	if sym != nil {
+		auto.Orbit = sym.orbit
+	}
+	return auto, nil
 }
 
 // ErrNoStates is returned by Lift helpers on empty input.

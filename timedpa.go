@@ -149,8 +149,9 @@ type (
 )
 
 // NewDiningAnalysis enumerates the n-process Lehmann–Rabin ring under the
-// k-steps-per-window digitized Unit-Time schema (limit caps enumeration;
-// 0 means unlimited).
+// k-steps-per-window digitized Unit-Time schema, as the product's
+// quotient by the ring's rotations and reflections (limit caps the
+// enumerated representatives; 0 means unlimited).
 func NewDiningAnalysis(n, k, limit int) (*DiningAnalysis, error) {
 	return dining.NewAnalysisOpts(n, k, dining.Opts{Limit: limit})
 }
@@ -270,7 +271,8 @@ func ComposeChain[S comparable](u *Universe[S], ps ...*Proof[S]) (*Proof[S], err
 }
 
 // BuildProduct closes a multi-process model under the digitized Unit-Time
-// adversaries, returning the product automaton.
+// adversaries, returning the product automaton: its quotient by the
+// model's symmetry when the model implements sched.Symmetric.
 func BuildProduct[S comparable](m SchedulerModel[S], stepsPerWindow int) (*Automaton[ProductState[S]], error) {
 	return sched.Product(m, sched.Config{StepsPerWindow: stepsPerWindow})
 }

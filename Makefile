@@ -242,14 +242,15 @@ trace-smoke:
 # composed claim with its strategy and the witness walk over it, the
 # expected-time sweep), the explorer against the test oracle
 # (internal/mdp/oracle_test.go, which numbers states by pa.Reachable) on
-# the election and the dining n=3 products, with the explorer's chunk
-# size lowered so each crosses hundreds to thousands of chunk boundaries
-# at one, two and eight workers, both tick kernels against the plain
-# rational recursion on random tick MDPs, the ring's quotient against
-# its full product at n=3 k=1 (every printed number equal), and the
-# witness solved on the quotient replayed step by step through the full
-# product. Seconds, so it gates every check; the large-product runs live
-# in the non-short tests and EXPERIMENTS.md E22.
+# the election and the dining n=3 products (each dining product in full
+# and as the ring's quotient, orbit sizes included), with the explorer's
+# chunk size lowered so each crosses hundreds to thousands of chunk
+# boundaries at one, two and eight workers, both tick kernels against
+# the plain rational recursion on random tick MDPs, the ring's quotient
+# against its full product at n=3 k=1 (every printed number equal), and
+# the witness solved on the quotient replayed step by step through the
+# full product. Seconds, so it gates every check; the large-product runs
+# live in the non-short tests and EXPERIMENTS.md E22.
 mdp-smoke:
 	$(GO) run ./cmd/lrcheck -n 3 -k 1 -workers 2 -witness >/dev/null && echo "mdp-smoke: lrcheck ok"
 	$(GO) test -run 'TestExploreMatchesDenseElection' -count=1 ./internal/mdp

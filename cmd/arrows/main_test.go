@@ -1,11 +1,12 @@
 package main
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/clitest"
 )
 
 func TestRunBuiltinScript(t *testing.T) {
@@ -68,7 +69,7 @@ func TestRunBadFlags(t *testing.T) {
 		{[]string{"-k", "16"}, "-k must be"},
 		{[]string{"-n", "17", "-script", missing}, "-n must be"},
 	} {
-		out, err := captureStdout(t, func() error { return run(tc.args) })
+		out, err := clitest.Stdout(t, func() error { return run(tc.args) })
 		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
 			t.Errorf("args %v: err = %v, want prefix %q", tc.args, err, tc.want)
 		}
@@ -76,25 +77,4 @@ func TestRunBadFlags(t *testing.T) {
 			t.Errorf("args %v: wrote %q before refusing", tc.args, out)
 		}
 	}
-}
-
-// captureStdout runs f with os.Stdout redirected and returns what it
-// wrote.
-func captureStdout(t *testing.T, f func() error) (string, error) {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := os.Stdout
-	os.Stdout = w
-	done := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		done <- b
-	}()
-	runErr := f()
-	os.Stdout = old
-	w.Close()
-	return string(<-done), runErr
 }

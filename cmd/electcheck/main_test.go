@@ -2,12 +2,11 @@ package main
 
 import (
 	"context"
-	"io"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/clitest"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -69,7 +68,7 @@ func TestRunBadFlags(t *testing.T) {
 		{"-budget", "-5s"},
 	}
 	for _, args := range tests {
-		out, err := captureStdout(t, func() error { return run(context.Background(), args) })
+		out, err := clitest.Stdout(t, func() error { return run(context.Background(), args) })
 		if err == nil {
 			t.Errorf("args %v accepted", args)
 		}
@@ -77,27 +76,6 @@ func TestRunBadFlags(t *testing.T) {
 			t.Errorf("args %v: wrote %q before refusing", args, out)
 		}
 	}
-}
-
-// captureStdout runs f with os.Stdout redirected and returns what it
-// wrote.
-func captureStdout(t *testing.T, f func() error) (string, error) {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := os.Stdout
-	os.Stdout = w
-	done := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		done <- b
-	}()
-	runErr := f()
-	os.Stdout = old
-	w.Close()
-	return string(<-done), runErr
 }
 
 func TestRunSampledCancelled(t *testing.T) {

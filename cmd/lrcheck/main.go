@@ -170,7 +170,7 @@ func run(args []string) error {
 	}
 
 	if *exportPrefix != "" {
-		if err := exportPRISM(a, *exportPrefix); err != nil {
+		if err := exportPRISM(a, *exportPrefix, opts); err != nil {
 			return err
 		}
 		fmt.Printf("\nwrote PRISM explicit files %s.tra and %s.lab (labels: trying, critical)\n",
@@ -202,11 +202,11 @@ func run(args []string) error {
 	return nil
 }
 
-// exportPRISM writes the full product (not the quotient the analysis
-// explored) in PRISM explicit-state format so external model checkers
-// can re-verify every number.
-func exportPRISM(a *dining.Analysis, prefix string) error {
-	m, ix, err := a.Unreduced()
+// exportPRISM writes the full product (Analysis.Unreduced, not the
+// quotient the checks ran on) in PRISM explicit-state format so external
+// model checkers can re-verify every number.
+func exportPRISM(a *dining.Analysis, prefix string, opts dining.Opts) error {
+	full, err := a.Unreduced(opts)
 	if err != nil {
 		return err
 	}
@@ -215,7 +215,7 @@ func exportPRISM(a *dining.Analysis, prefix string) error {
 		return err
 	}
 	defer tra.Close()
-	if err := m.ExportTra(tra); err != nil {
+	if err := full.MDP.ExportTra(tra); err != nil {
 		return err
 	}
 
@@ -224,13 +224,14 @@ func exportPRISM(a *dining.Analysis, prefix string) error {
 		return err
 	}
 	defer lab.Close()
-	init := make([]bool, len(ix.States()))
+	states := full.Index.States()
+	init := make([]bool, len(states))
 	if len(init) > 0 {
 		init[0] = true
 	}
-	return m.ExportLab(lab, init, map[string][]bool{
-		"trying":   a.Set("T").Mask(ix.States()),
-		"critical": a.Set("C").Mask(ix.States()),
+	return full.MDP.ExportLab(lab, init, map[string][]bool{
+		"trying":   full.Set("T").Mask(states),
+		"critical": full.Set("C").Mask(states),
 	})
 }
 
@@ -242,7 +243,7 @@ func runJSON(n, k, curve int, skipExpected bool, exportPrefix string, opts dinin
 		return err
 	}
 	if exportPrefix != "" {
-		if err := exportPRISM(a, exportPrefix); err != nil {
+		if err := exportPRISM(a, exportPrefix, opts); err != nil {
 			return err
 		}
 	}

@@ -2,11 +2,12 @@ package main
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/clitest"
 )
 
 func TestRunSmallRing(t *testing.T) {
@@ -72,7 +73,7 @@ func TestRunBadFlags(t *testing.T) {
 		{"-n", "2", "-json", "-lemmas"},
 		{"-n", "17", "-json"},
 	} {
-		out, err := captureStdout(t, func() error { return run(args) })
+		out, err := clitest.Stdout(t, func() error { return run(args) })
 		if err == nil {
 			t.Errorf("args %v accepted", args)
 		}
@@ -80,25 +81,4 @@ func TestRunBadFlags(t *testing.T) {
 			t.Errorf("args %v: wrote %q before refusing", args, out)
 		}
 	}
-}
-
-// captureStdout runs f with os.Stdout redirected and returns what it
-// wrote.
-func captureStdout(t *testing.T, f func() error) (string, error) {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := os.Stdout
-	os.Stdout = w
-	done := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		done <- b
-	}()
-	runErr := f()
-	os.Stdout = old
-	w.Close()
-	return string(<-done), runErr
 }

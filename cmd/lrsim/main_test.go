@@ -3,40 +3,21 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/clitest"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// captureRun runs the CLI with stdout redirected to a pipe and returns
-// what it printed, so resume runs can be compared byte-for-byte.
+// captureRun runs the CLI with stdout captured and returns what it
+// printed, so resume runs can be compared byte-for-byte.
 func captureRun(t *testing.T, ctx context.Context, args []string) (string, error) {
 	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan string)
-	go func() {
-		var sb strings.Builder
-		if _, err := io.Copy(&sb, r); err != nil {
-			t.Errorf("drain stdout pipe: %v", err)
-		}
-		done <- sb.String()
-	}()
-	old := os.Stdout
-	os.Stdout = w
-	runErr := run(ctx, args)
-	os.Stdout = old
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return <-done, runErr
+	return clitest.Stdout(t, func() error { return run(ctx, args) })
 }
 
 func TestRunSmall(t *testing.T) {

@@ -1,13 +1,13 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/clitest"
 	"repro/internal/fault"
 	"repro/internal/obs/span"
 )
@@ -49,23 +49,10 @@ func writeFixture(t *testing.T, dir string) (string, string) {
 	return coordPath, workPath
 }
 
-// capture runs the CLI with stdout redirected and returns its output.
+// capture runs the CLI with stdout captured and returns its output.
 func capture(t *testing.T, args []string) (string, error) {
 	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	runErr := run(args)
-	w.Close()
-	os.Stdout = old
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(r); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String(), runErr
+	return clitest.Stdout(t, func() error { return run(args) })
 }
 
 // TestSimtraceDeterministic: merging the same fixture twice renders

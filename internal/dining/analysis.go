@@ -29,13 +29,13 @@ type Analysis struct {
 	N, K int
 	// Model is the algorithm; Auto the scheduler product.
 	Model *Model
-	// MDP and Index hold the enumerated product: on the ring, its
-	// quotient by rotations and reflections, one representative per
-	// orbit (sched.Symmetric), with Index.Len counting product states.
-	// A check on the quotient is sound for sets that every rotation and
-	// reflection maps onto themselves, as every registry set is; a set
-	// that names a process (say, "process 0 is critical") needs the
-	// full product (Unreduced).
+	// MDP and Index hold the enumerated product. NewAnalysisOpts
+	// explores the ring's quotient by rotations and reflections, one
+	// representative per orbit (sched.Symmetric), with Index.Len
+	// counting product states. A check on the quotient is sound for
+	// sets that every rotation and reflection maps onto themselves, as
+	// every registry set is; a set that names a process (say, "process
+	// 0 is critical") needs the full product (Unreduced).
 	MDP   *mdp.MDP
 	Index *mdp.Index[PState]
 	// Universe is the reachable product space, for subset side conditions.
@@ -80,16 +80,27 @@ func NewAnalysisOpts(n, k int, opts Opts) (*Analysis, error) {
 	return newAnalysis(n, k, model, m, ix), nil
 }
 
-// Unreduced explores the analysis's product without the ring's
-// symmetry, numbering every product state in breadth-first order: for
-// output that names the states of the full product, such as a PRISM
-// export.
-func (a *Analysis) Unreduced() (*mdp.MDP, *mdp.Index[PState], error) {
-	auto, err := sched.Product(sched.Unreduced[State](a.Model), sched.Config{StepsPerWindow: a.K})
+// Unreduced explores a's product again without the ring's symmetry:
+// every product state is its own MDP state, numbered in breadth-first
+// order. Its checks are sound for any set, one that names a process
+// included, and its states are the full product's, as output that names
+// them (a PRISM export) needs.
+func (a *Analysis) Unreduced(opts Opts) (*Analysis, error) {
+	auto, err := fullProduct(a.Model, a.K)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return mdp.Explore(auto, mdp.ExploreOptions{Workers: a.MDP.Workers})
+	m, ix, err := mdp.Explore(auto, opts)
+	if err != nil {
+		return nil, fmt.Errorf("dining: exploring product: %w", err)
+	}
+	return newAnalysis(a.N, a.K, a.Model, m, ix), nil
+}
+
+// fullProduct returns m's k-product with the ring's symmetry hidden, so
+// that every product state is its own.
+func fullProduct(m *Model, k int) (*pa.Automaton[PState], error) {
+	return sched.Product(sched.Unreduced[State](m), sched.Config{StepsPerWindow: k})
 }
 
 func newAnalysis(n, k int, model *Model, m *mdp.MDP, ix *mdp.Index[PState]) *Analysis {
@@ -340,7 +351,7 @@ func (a *Analysis) witness(r core.CheckResult[PState]) ([]witnessStep, error) {
 	if st == nil {
 		return nil, errors.New("dining: the check result carries no strategy (check with core.CheckStrategy)")
 	}
-	full, err := sched.Product(sched.Unreduced[State](a.Model), sched.Config{StepsPerWindow: a.K})
+	full, err := fullProduct(a.Model, a.K)
 	if err != nil {
 		return nil, err
 	}

@@ -10,9 +10,11 @@ import (
 	"repro/internal/sched"
 )
 
-// analysisN3 is shared by the tests in this file; building it enumerates
-// the full n=3, k=1 product once.
-var analysisN3 *Analysis
+// analysisN3 is shared by the tests in this package; building it
+// enumerates the n=3, k=1 ring's quotient once. fullN3 is the same
+// analysis on the full product (Unreduced), for the tests that visit
+// every product state.
+var analysisN3, fullN3 *Analysis
 
 func getAnalysisN3(t *testing.T) *Analysis {
 	t.Helper()
@@ -24,6 +26,14 @@ func getAnalysisN3(t *testing.T) *Analysis {
 		analysisN3 = a
 	}
 	return analysisN3
+}
+
+func getFullN3(t *testing.T) *Analysis {
+	t.Helper()
+	if fullN3 == nil {
+		fullN3 = unreducedAnalysis(t, getAnalysisN3(t))
+	}
+	return fullN3
 }
 
 func TestPaperChainHoldsN3(t *testing.T) {
@@ -311,7 +321,6 @@ func TestSetDefinitions(t *testing.T) {
 // displayed definition of G for every reachable base state at n=3 by
 // re-evaluating the raw formula.
 func TestGoodProcessMatchesPaperDefinition(t *testing.T) {
-	a := getAnalysisN3(t)
 	raw := func(s State, i int) bool {
 		l, lm, lp := s.Local(i), s.Local(i-1), s.Local(i+1)
 		inSet := func(x Local, d Dir) bool {
@@ -322,8 +331,7 @@ func TestGoodProcessMatchesPaperDefinition(t *testing.T) {
 		rightCase := (l.PC == W || l.PC == S) && l.U == Right && inSet(lm, Left)
 		return leftCase || rightCase
 	}
-	for _, ps := range a.Index.States() {
-		s := ps.Base
+	for _, s := range baseStatesN3(t) {
 		for i := 0; i < s.N(); i++ {
 			if IsGood(s, i) != raw(s, i) {
 				t.Fatalf("IsGood(%v, %d) = %t disagrees with the paper formula", s, i, IsGood(s, i))

@@ -268,7 +268,7 @@ func reachableBases(n, k int) ([]State, error) {
 	if err != nil {
 		return nil, err
 	}
-	auto, err := sched.Product(sched.Unreduced[State](model), sched.Config{StepsPerWindow: k})
+	auto, err := fullProduct(model, k)
 	if err != nil {
 		return nil, err
 	}

@@ -107,12 +107,13 @@ func TestWorstWitnessNeedsStrategy(t *testing.T) {
 
 // TestExecAgreesWithProductChain cross-validates the two exact engines:
 // the event-evaluation engine (exec, tree unfolding with rectangle
-// measure) run under a specific deterministic adversary must produce a
-// value bracketed by the MDP's min and max over all adversaries, from
-// every sampled start state.
+// measure) run on the full product under a specific deterministic
+// adversary must produce a value bracketed by the MDP's min and max over
+// all adversaries, from every sampled start state. The quotient's
+// bounds, read at the start state's representative, are the same.
 func TestExecAgreesWithProductChain(t *testing.T) {
-	a := getAnalysisN3(t)
-	auto, err := sched.Product[State](a.Model, sched.Config{StepsPerWindow: a.K})
+	a := getFullN3(t)
+	auto, err := fullProduct(a.Model, a.K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,19 +123,24 @@ func TestExecAgreesWithProductChain(t *testing.T) {
 
 	// Both bounds come from strategies solved from every T state, read
 	// per state with the whole deadline left.
-	toMask := a.Index.Mask(sched.LiftPred(InC))
-	tMask := a.Index.Mask(sched.LiftPred(InT))
-	sMin, err := a.MDP.WorstStrategy(toMask, tMask, 3, mdp.MinProb)
-	if err != nil {
-		t.Fatal(err)
+	bounds := func(a *Analysis) (sMin, sMax *mdp.Strategy) {
+		toMask := a.Index.Mask(sched.LiftPred(InC))
+		tMask := a.Index.Mask(sched.LiftPred(InT))
+		var err error
+		if sMin, err = a.MDP.WorstStrategy(toMask, tMask, 3, mdp.MinProb); err != nil {
+			t.Fatal(err)
+		}
+		if sMax, err = a.MDP.WorstStrategy(toMask, tMask, 3, mdp.MaxProb); err != nil {
+			t.Fatal(err)
+		}
+		return sMin, sMax
 	}
-	sMax, err := a.MDP.WorstStrategy(toMask, tMask, 3, mdp.MaxProb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sMin, sMax := bounds(a)
+	quot := getAnalysisN3(t)
+	qMin, qMax := bounds(quot)
 
 	checked := 0
-	for id := 0; id < len(a.Index.States()) && checked < 25; id += 397 {
+	for id := 0; id < a.Index.Len() && checked < 25; id += 397 {
 		start := a.Index.State(id)
 		if !InT(start.Base) {
 			continue
@@ -156,6 +162,15 @@ func TestExecAgreesWithProductChain(t *testing.T) {
 		if iv.Lo.Less(vMin) || vMax.Less(iv.Lo) {
 			t.Errorf("state %v: exec value %v outside MDP bounds [%v, %v]",
 				start, iv.Lo, vMin, vMax)
+		}
+		rep, ok := quot.Index.ID(sched.Canon[State](quot.Model, start))
+		if !ok {
+			t.Fatalf("representative of %v not in the quotient", start)
+		}
+		qLo, _ := qMin.Value(rep, 3)
+		qHi, _ := qMax.Value(rep, 3)
+		if !qLo.Equal(vMin) || !qHi.Equal(vMax) {
+			t.Errorf("state %v: quotient bounds [%v, %v], full product's [%v, %v]", start, qLo, qHi, vMin, vMax)
 		}
 	}
 	if checked == 0 {

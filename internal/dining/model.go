@@ -354,7 +354,7 @@ func (m *Model) NumProcs() int { return m.n }
 // of the process indices maps the model onto itself, and so does every
 // reflection that also swaps each process's left and right; a process's
 // u then names the other side. Other topologies report no symmetry.
-func (m *Model) Ring() (rotate, mirror bool) { return m.ring, m.ring }
+func (m *Model) Ring() bool { return m.ring }
 
 // Locals implements sched.Symmetric: each process's packed local state,
 // and the same with its direction u swapped.

@@ -387,7 +387,7 @@ func TestReadiness(t *testing.T) {
 // mechanically.
 func TestInvariantOverReachableStates(t *testing.T) {
 	model := MustNew(3)
-	auto, err := sched.Product[State](model, sched.Config{StepsPerWindow: 1})
+	auto, err := fullProduct(model, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

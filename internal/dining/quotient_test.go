@@ -15,11 +15,11 @@ import (
 // its symmetry hidden, every product state its own MDP state.
 func unreducedAnalysis(t *testing.T, a *Analysis) *Analysis {
 	t.Helper()
-	m, ix, err := a.Unreduced()
+	full, err := a.Unreduced(Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newAnalysis(a.N, a.K, a.Model, m, ix)
+	return full
 }
 
 // sameOrbit requires the quotient's printed state to be the
@@ -166,7 +166,7 @@ func TestWitnessReplaysInFullProduct(t *testing.T) {
 		if len(steps) == 0 {
 			t.Fatalf("k=%d: empty witness", tc.k)
 		}
-		full, err := sched.Product(sched.Unreduced[State](a.Model), sched.Config{StepsPerWindow: tc.k})
+		full, err := fullProduct(a.Model, tc.k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,7 @@ func FuzzRingSymmetry(f *testing.F) {
 			path = path[:64]
 		}
 		model := MustNew(n)
-		full, err := sched.Product(sched.Unreduced[State](model), sched.Config{StepsPerWindow: k})
+		full, err := fullProduct(model, k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -180,7 +180,7 @@ func explore[S comparable](auto *pa.Automaton[S], opts ExploreOptions, onChunk f
 
 	csr := e.b.finish()
 	m := &MDP{NumStates: len(e.states), Workers: opts.Workers, csr: csr}
-	return m, newIndex(e.states, auto.Orbit, e.workers), nil
+	return m, newIndex(e.states, auto.Orbit), nil
 }
 
 // minTable is the id table's initial slot count: small, so a run that

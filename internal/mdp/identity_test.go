@@ -45,6 +45,22 @@ func exploreProduct[S comparable](t *testing.T, model sched.Model[S], k int, opt
 	return dense, explored, dIx, eIx
 }
 
+// fullDining explores the full dining n-ring product at k steps per
+// window, the ring's symmetry hidden (sched.Unreduced): every product
+// state is its own MDP state.
+func fullDining(t *testing.T, n, k int, opts mdp.ExploreOptions) (*mdp.MDP, *mdp.Index[dining.PState]) {
+	t.Helper()
+	auto, err := sched.Product(sched.Unreduced[dining.State](dining.MustNew(n)), sched.Config{StepsPerWindow: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, ix, err := mdp.Explore(auto, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, ix
+}
+
 // requireSameMDP pins structural identity: state count, state numbering
 // (via the index), and the full CSR arrays.
 func requireSameMDP[S comparable](t *testing.T, dense, explored *mdp.MDP, dIx, eIx *mdp.Index[S]) {
@@ -164,17 +180,26 @@ func TestExploreMatchesDenseDining(t *testing.T) {
 		if tc.n == 3 {
 			restore = mdp.SetChunkForTest(identityChunk, identityFanOut)
 		}
-		model := dining.MustNew(tc.n)
-		for _, workers := range identityWorkers {
-			dense, explored, dIx, eIx := exploreProduct[dining.State](t, model, tc.k, mdp.ExploreOptions{Workers: workers})
-			requireSameMDP(t, dense, explored, dIx, eIx)
-			requireSolverAgreement(t, dense, explored, eIx.Mask(sched.LiftPred(dining.InC)), tc.horizon, tc.n == 3 && tc.k == 1 && workers == 1)
-			if tc.n == 3 && tc.k == 2 {
-				// A branch stores its probability as a one-byte table
-				// index: 40.8 B/state here, against 86.1 when every branch
-				// kept a float64 and a prob.Rat.
-				if b := float64(explored.CSR().MemFootprint()) / float64(explored.NumStates); b > 41 {
-					t.Errorf("n=3 k=2: %.2f B/state, want ≤ 41", b)
+		// The full product (the ring's symmetry hidden), then the
+		// quotient the analyses explore: one representative per orbit,
+		// whose orbit sizes the oracle's index and the explorer's must
+		// agree on too.
+		ring := dining.MustNew(tc.n)
+		for _, product := range []struct {
+			name  string
+			model sched.Model[dining.State]
+		}{{"full", sched.Unreduced[dining.State](ring)}, {"quotient", ring}} {
+			for _, workers := range identityWorkers {
+				dense, explored, dIx, eIx := exploreProduct(t, product.model, tc.k, mdp.ExploreOptions{Workers: workers})
+				requireSameMDP(t, dense, explored, dIx, eIx)
+				requireSolverAgreement(t, dense, explored, eIx.Mask(sched.LiftPred(dining.InC)), tc.horizon, tc.n == 3 && tc.k == 1 && workers == 1)
+				if tc.n == 3 && tc.k == 2 && product.name == "full" {
+					// A branch stores its probability as a one-byte table
+					// index: 40.8 B/state here, against 86.1 when every
+					// branch kept a float64 and a prob.Rat.
+					if b := float64(explored.CSR().MemFootprint()) / float64(explored.NumStates); b > 41 {
+						t.Errorf("n=3 k=2: %.2f B/state, want ≤ 41", b)
+					}
 				}
 			}
 		}
@@ -237,7 +262,7 @@ func TestExploreLimitAndBudget(t *testing.T) {
 // and estimate, not up to a BFS level later. Where a chunk ends does not
 // depend on the worker count, so neither does the failure.
 func TestExploreBudgetPerChunk(t *testing.T) {
-	auto, err := sched.Product[dining.State](dining.MustNew(3), sched.Config{StepsPerWindow: 1})
+	auto, err := sched.Product(sched.Unreduced[dining.State](dining.MustNew(3)), sched.Config{StepsPerWindow: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,15 +298,12 @@ func TestExploreBudgetPerChunk(t *testing.T) {
 func TestParallelSweepDeterminism(t *testing.T) {
 	defer mdp.SetMinGrainForTest(1)()
 
-	a, err := dining.NewAnalysisOpts(3, 1, dining.Opts{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := a.Index.Mask(sched.LiftPred(dining.InC))
+	m1, ix := fullDining(t, 3, 1, mdp.ExploreOptions{Workers: 1})
+	target := ix.Mask(sched.LiftPred(dining.InC))
 
 	// The tick-bounded solve from every state must equal the plain
 	// recursion at every state and layer, at every worker count.
-	want, _, err := mdp.TickOracle(a.MDP, target, 13, mdp.MinProb)
+	want, _, err := mdp.TickOracle(m1, target, 13, mdp.MinProb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,20 +312,17 @@ func TestParallelSweepDeterminism(t *testing.T) {
 		minTicks []float64 // MinExpectedTicks
 	}
 	run := func(workers int) result {
-		m, err := dining.NewAnalysisOpts(3, 1, dining.Opts{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := m.MDP.WorstStrategy(target, mdp.Every(len(m.Index.States())), 13, mdp.MinProb)
+		m, ix := fullDining(t, 3, 1, mdp.ExploreOptions{Workers: workers})
+		st, err := m.WorstStrategy(target, mdp.Every(ix.Len()), 13, mdp.MinProb)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireStrategyValues(t, st, want, fmt.Sprintf("workers=%d", workers))
-		tv, err := m.MDP.MaxExpectedTicks(target)
+		tv, err := m.MaxExpectedTicks(target)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mv, err := m.MDP.MinExpectedTicks(target)
+		mv, err := m.MinExpectedTicks(target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,17 +350,14 @@ func TestParallelSweepDeterminism(t *testing.T) {
 // optimum is the oracle's minimum over T, 15/16 at the first T state
 // attaining it.
 func TestStrategyMatchesOracleDining(t *testing.T) {
-	a, err := dining.NewAnalysisOpts(3, 1, dining.Opts{})
+	m, ix := fullDining(t, 3, 1, mdp.ExploreOptions{})
+	target := ix.Mask(sched.LiftPred(dining.InC))
+	from := ix.Mask(sched.LiftPred(dining.InT))
+	st, err := m.WorstStrategy(target, from, 13, mdp.MinProb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := a.Index.Mask(sched.LiftPred(dining.InC))
-	from := a.Index.Mask(sched.LiftPred(dining.InT))
-	st, err := a.MDP.WorstStrategy(target, from, 13, mdp.MinProb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	value, choice, err := mdp.TickOracle(a.MDP, target, 13, mdp.MinProb)
+	value, choice, err := mdp.TickOracle(m, target, 13, mdp.MinProb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +393,7 @@ func TestStrategyMatchesOracleDining(t *testing.T) {
 	if cone == 0 {
 		t.Fatal("empty cone")
 	}
-	t.Logf("%d cone (state, ticks left) pairs of %d", cone, len(value)*len(a.Index.States()))
+	t.Logf("%d cone (state, ticks left) pairs of %d", cone, len(value)*ix.Len())
 }
 
 // TestSettleDining pins the settle pass on the dining n=3 k=2 product:
@@ -391,10 +407,7 @@ func TestSettleDining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, fullIx, err := a.Unreduced()
-	if err != nil {
-		t.Fatal(err)
-	}
+	full, fullIx := fullDining(t, 3, 2, mdp.ExploreOptions{})
 	for _, tc := range []struct {
 		m                        *mdp.MDP
 		ix                       *mdp.Index[dining.PState]

@@ -69,24 +69,18 @@ type Index[S comparable] struct {
 }
 
 // newIndex indexes states in the given order. With orbit set it records
-// each state's orbit size, computed across workers, and their sum.
-func newIndex[S comparable](states []S, orbit func(S) int, workers int) *Index[S] {
+// each state's orbit size and their sum.
+func newIndex[S comparable](states []S, orbit func(S) int) *Index[S] {
 	ix := &Index[S]{states: states, covered: len(states)}
 	if orbit == nil {
 		return ix
 	}
 	ix.orbit = make([]uint8, len(states))
-	sums := make([]int, workers)
-	parallelFor(workers, len(states), func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			o := orbit(states[i])
-			ix.orbit[i] = uint8(o)
-			sums[w] += o
-		}
-	})
 	ix.covered = 0
-	for _, sum := range sums {
-		ix.covered += sum
+	for i, s := range states {
+		o := orbit(s)
+		ix.orbit[i] = uint8(o)
+		ix.covered += o
 	}
 	return ix
 }

@@ -96,7 +96,7 @@ func fromAutomaton[S comparable](m *pa.Automaton[S], limit int) (*MDP, *Index[S]
 			}
 		}
 	}
-	return &MDP{NumStates: len(states), csr: b.finish()}, newIndex(states, m.Orbit, 1), nil
+	return &MDP{NumStates: len(states), csr: b.finish()}, newIndex(states, m.Orbit), nil
 }
 
 // equalCSR reports whether two CSR structures are identical: same states,

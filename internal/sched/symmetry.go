@@ -13,19 +13,19 @@ package sched
 import "slices"
 
 // Symmetric is implemented by a model whose processes sit on a ring
-// that relabelling maps onto itself. The group acts on process indices:
-// a rotation moves process i to i+r, a reflection to r−i (mod n) and
-// swaps its sides. Product quotients the product of a model whose Ring
-// reports rotate; every other model explores every product state.
+// that relabelling maps onto itself. The group is the ring's dihedral
+// group of order 2n acting on process indices: a rotation moves process
+// i to i+r, a reflection moves it to r−i (mod n) and swaps its sides.
+// Product quotients the product of a model whose Ring reports true;
+// every other model explores every product state.
 type Symmetric[S comparable] interface {
 	Model[S]
-	// Ring reports the model's symmetry: rotate when every rotation of
-	// the process indices maps the model onto itself, mirror when every
-	// reflection that also swaps each process's sides does too.
-	Ring() (rotate, mirror bool)
+	// Ring reports whether every rotation of the process indices, and
+	// every reflection that also swaps each process's sides, maps the
+	// model onto itself.
+	Ring() bool
 	// Locals returns each process's local state in s as a byte that
-	// determines it, and each process's byte after swapping its sides
-	// (read only when Ring reports mirror).
+	// determines it, and each process's byte after swapping its sides.
 	Locals(s S) (locals, mirrored [MaxProcs]uint8)
 	// WithLocals returns the state whose process i is in the local
 	// state locals[i] names.
@@ -47,25 +47,20 @@ func Canon[S comparable](m Model[S], ps State[S]) State[S] {
 }
 
 // ring is the symmetry group of a Symmetric model's product: the n
-// rotations, and with mirror the n reflections. A nil *ring is the
-// trivial group of a model without symmetry.
+// rotations and the n reflections. A nil *ring is the trivial group of
+// a model without symmetry.
 type ring[S comparable] struct {
-	m      Symmetric[S]
-	n      int
-	mirror bool
+	m Symmetric[S]
+	n int
 }
 
 // ringOf returns m's symmetry group, or nil when it has none.
 func ringOf[S comparable](m Model[S]) *ring[S] {
 	sm, ok := m.(Symmetric[S])
-	if !ok {
+	if !ok || !sm.Ring() {
 		return nil
 	}
-	rotate, mirror := sm.Ring()
-	if !rotate {
-		return nil
-	}
-	return &ring[S]{m: sm, n: sm.NumProcs(), mirror: mirror}
+	return &ring[S]{m: sm, n: sm.NumProcs()}
 }
 
 // images lays out a product state's per-process tuples — local state,
@@ -86,11 +81,9 @@ func (r *ring[S]) fill(im *images, ps State[S]) {
 		w := uint16(ps.Owes>>i&1)<<4 | uint16(left(ps.Left, i))
 		im.rot[i] = uint16(locals[i])<<5 | w
 		im.rot[i+n] = im.rot[i]
-		if r.mirror {
-			j := n - 1 - i
-			im.ref[j] = uint16(mirrored[i])<<5 | w
-			im.ref[j+n] = im.ref[j]
-		}
+		j := n - 1 - i
+		im.ref[j] = uint16(mirrored[i])<<5 | w
+		im.ref[j+n] = im.ref[j]
 	}
 }
 
@@ -111,11 +104,9 @@ func (r *ring[S]) canon(ps State[S]) State[S] {
 			best = w
 		}
 	}
-	if r.mirror {
-		for at := 0; at < n; at++ {
-			if w := im.ref[at : at+n]; before(w, best) {
-				best = w
-			}
+	for at := 0; at < n; at++ {
+		if w := im.ref[at : at+n]; before(w, best) {
+			best = w
 		}
 	}
 	if &best[0] == &im.rot[0] {
@@ -150,19 +141,16 @@ func (r *ring[S]) orbit(ps State[S]) int {
 	r.fill(&im, ps)
 	n := r.n
 	id := im.rot[:n]
-	fixed, order := 1, n
+	fixed := 1
 	for at := 1; at < n; at++ {
 		if slices.Equal(im.rot[at:at+n], id) {
 			fixed++
 		}
 	}
-	if r.mirror {
-		order = 2 * n
-		for at := 0; at < n; at++ {
-			if slices.Equal(im.ref[at:at+n], id) {
-				fixed++
-			}
+	for at := 0; at < n; at++ {
+		if slices.Equal(im.ref[at:at+n], id) {
+			fixed++
 		}
 	}
-	return order / fixed
+	return 2 * n / fixed
 }

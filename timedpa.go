@@ -136,6 +136,9 @@ type (
 	ProductState[S comparable] = sched.State[S]
 	// MDP is the finite decision-process form of a product automaton.
 	MDP = mdp.MDP
+	// ExploreOptions bounds an enumeration: its state limit, worker count
+	// and memory budget (DiningAnalysis.Unreduced).
+	ExploreOptions = mdp.ExploreOptions
 )
 
 // Case studies.
@@ -151,7 +154,11 @@ type (
 // NewDiningAnalysis enumerates the n-process Lehmann–Rabin ring under the
 // k-steps-per-window digitized Unit-Time schema, as the product's
 // quotient by the ring's rotations and reflections (limit caps the
-// enumerated representatives; 0 means unlimited).
+// enumerated representatives; 0 means unlimited). Its MDP and Index
+// answer only for sets that every rotation and reflection maps onto
+// themselves, as the registry's sets (Set, Sets) are: a set that names
+// a process, say "process 0 is critical", needs the full product, which
+// the analysis's Unreduced method explores.
 func NewDiningAnalysis(n, k, limit int) (*DiningAnalysis, error) {
 	return dining.NewAnalysisOpts(n, k, dining.Opts{Limit: limit})
 }
@@ -271,10 +278,11 @@ func ComposeChain[S comparable](u *Universe[S], ps ...*Proof[S]) (*Proof[S], err
 }
 
 // BuildProduct closes a multi-process model under the digitized Unit-Time
-// adversaries, returning the product automaton: its quotient by the
-// model's symmetry when the model implements sched.Symmetric.
+// adversaries, returning the product automaton. It is never a quotient:
+// every product state is its own, on the dining ring too, so any state
+// set can be checked on its enumeration.
 func BuildProduct[S comparable](m SchedulerModel[S], stepsPerWindow int) (*Automaton[ProductState[S]], error) {
-	return sched.Product(m, sched.Config{StepsPerWindow: stepsPerWindow})
+	return sched.Product(sched.Unreduced(m), sched.Config{StepsPerWindow: stepsPerWindow})
 }
 
 // EnumerateMDP converts an automaton into an indexed finite MDP, numbering

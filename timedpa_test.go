@@ -118,6 +118,36 @@ func TestFacadeBuildProduct(t *testing.T) {
 	}
 }
 
+// TestFacadeFullProduct: NewDiningAnalysis explores the ring's quotient,
+// while BuildProduct never quotients, so on the 2-ring it enumerates
+// every one of the 454 product states the quotient covers, as the
+// analysis's Unreduced does.
+func TestFacadeFullProduct(t *testing.T) {
+	a, err := timedpa.NewDiningAnalysis(2, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auto, err := timedpa.BuildProduct(a.Model, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ix, err := timedpa.EnumerateMDP(auto, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := a.Unreduced(timedpa.ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ix.States()); n != 454 || a.Index.Len() != n || len(full.Index.States()) != n {
+		t.Errorf("BuildProduct enumerates %d states, Unreduced %d; the quotient covers %d, want 454 each",
+			n, len(full.Index.States()), a.Index.Len())
+	}
+	if len(a.Index.States()) >= a.Index.Len() {
+		t.Errorf("the analysis explores %d states for %d product states: not a quotient", len(a.Index.States()), a.Index.Len())
+	}
+}
+
 func TestFacadeEvents(t *testing.T) {
 	coin := quickAutomaton()
 	adv := firstEnabledFacade(coin)

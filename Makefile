@@ -24,9 +24,12 @@
 #                                                spans or simtrace lost the
 #                                                critical path
 #   mdp-smoke   lrcheck + explorer-vs-oracle     the on-the-fly explorer or a
-#               test + kernel agreement test     parallel sparse solver diverging
-#                                                from the test oracle, or the
-#                                                fixed-point kernel from rationals
+#               test + kernel agreement,         sparse solver diverging from
+#               cone-order and determinism       the test oracle, the fixed-point
+#               tests                            kernel from rationals, a tick
+#                                                layer reading a value before it
+#                                                is written, or an answer that
+#                                                moves with the worker count
 #   perfbench-check cd perfbench && go vet, go test  an internal API change that
 #                                                breaks the benchmark module
 #                                                (its own go.mod, so ./... skips it)
@@ -238,7 +241,7 @@ trace-smoke:
 	echo "trace-smoke: ok (critical path present)"
 
 # Exact-engine smoke: one end-to-end lrcheck run through the on-the-fly
-# CSR explorer and the parallel sparse solvers (all five arrows, the
+# CSR explorer and the sparse solvers (all five arrows, the
 # composed claim with its strategy and the witness walk over it, the
 # expected-time sweep), the explorer against the test oracle
 # (internal/mdp/oracle_test.go, which numbers states by pa.Reachable) on
@@ -246,7 +249,10 @@ trace-smoke:
 # and as the ring's quotient, orbit sizes included), with the explorer's
 # chunk size lowered so each crosses hundreds to thousands of chunk
 # boundaries at one, two and eight workers, both tick kernels against
-# the plain rational recursion on random tick MDPs, the ring's quotient
+# the plain rational recursion on random tick MDPs, the tick cone's
+# order (each layer's prefix writes every value before reading it), every
+# solver's answers on the dining n=3 k=1 product explored at one, two
+# and eight workers, the ring's quotient
 # against its full product at n=3 k=1 (every printed number equal), and
 # the witness solved on the quotient replayed step by step through the
 # full product. Seconds, so it gates every check; the large-product runs
@@ -255,7 +261,7 @@ mdp-smoke:
 	$(GO) run ./cmd/lrcheck -n 3 -k 1 -workers 2 -witness >/dev/null && echo "mdp-smoke: lrcheck ok"
 	$(GO) test -run 'TestExploreMatchesDenseElection' -count=1 ./internal/mdp
 	$(GO) test -short -run 'TestExploreMatchesDenseDining' -count=1 ./internal/mdp
-	$(GO) test -run 'TestReachKernels' -count=1 ./internal/mdp
+	$(GO) test -run 'TestReachKernels|TestTickConeOrder|TestParallelSweepDeterminism' -count=1 ./internal/mdp
 	$(GO) test -run 'TestQuotientMatchesUnreduced/n=3,k=1$$|TestWitnessReplaysInFullProduct' -count=1 ./internal/dining
 
 # The benchmark module (perfbench/, its own go.mod with replace repro =>

@@ -4,9 +4,10 @@
 // weakening, Theorem 3.4 composition, and an expected-time bound from
 // per-level retry loops, each validated against the exact worst case of
 // the digitized Unit-Time product. The product is generated on the fly
-// into compressed-sparse-row form and solved by -workers parallel
-// sweeps, so products of millions of states stay exact; -mem-budget caps
-// the resident transition structure.
+// into compressed-sparse-row form by -workers goroutines, and the level
+// statements are checked up to -workers at a time, so products of
+// millions of states stay exact; -mem-budget caps the resident
+// transition structure.
 //
 // With -sample, the exact analysis is cross-validated by dense-time Monte
 // Carlo: the requested number of election runs is sharded across a worker

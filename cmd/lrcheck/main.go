@@ -11,10 +11,11 @@
 //	lrcheck [-n ring] [-k steps-per-window] [-skip-expected]
 //	        [-workers N] [-mem-budget bytes]
 //
-// The product is generated on the fly into compressed-sparse-row form and
-// every solver sweeps it with -workers goroutines (deterministically: any
-// worker count produces identical output); -mem-budget caps the resident
-// transition structure for large rings.
+// The product is generated on the fly into compressed-sparse-row form by
+// -workers goroutines, and the five arrows are checked up to -workers at
+// a time, each solve on one goroutine (any worker count produces
+// identical output); -mem-budget caps the resident transition structure
+// for large rings.
 package main
 
 import (
@@ -26,6 +27,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/dining"
+	"repro/internal/mdp"
 	"repro/internal/report"
 	"repro/internal/sched"
 )
@@ -47,7 +49,7 @@ func run(args []string) error {
 	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON report instead of text")
 	lemmas := fs.Bool("lemmas", false, "also check every appendix lemma (A.4–A.13) at every pivot")
 	exportPrefix := fs.String("export-prefix", "", "write the product MDP as PRISM explicit files <prefix>.tra and <prefix>.lab")
-	workers := fs.Int("workers", 0, "exploration and solver parallelism (0 = all cores; any value gives identical results)")
+	workers := fs.Int("workers", 0, "exploration goroutines and statements checked at once (0 = all cores; any value gives identical results)")
 	memBudget := fs.Int64("mem-budget", 0, "abort enumeration beyond this many bytes of transition structure (0 = unlimited)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -61,8 +63,8 @@ func run(args []string) error {
 		return cli.UsageError(fs, "-workers must be >= 0, got %d", *workers)
 	case *memBudget < 0:
 		return cli.UsageError(fs, "-mem-budget must be >= 0, got %d", *memBudget)
-	case *curve < 0:
-		return cli.UsageError(fs, "-curve must be >= 0, got %d", *curve)
+	case *curve < 0 || *curve > mdp.MaxHorizon:
+		return cli.UsageError(fs, "-curve must be in 0..%d, got %d", mdp.MaxHorizon, *curve)
 	case *jsonOut && (*witness || *lemmas):
 		return cli.UsageError(fs, "-json has no field for -witness or -lemmas")
 	}

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/clitest"
+	"repro/internal/mdp"
 )
 
 func TestRunSmallRing(t *testing.T) {
@@ -58,8 +60,10 @@ func TestRunExport(t *testing.T) {
 }
 
 // TestRunBadFlags: every bad or out-of-range flag is refused before the
-// header line, so nothing reaches stdout.
+// header line, so nothing reaches stdout. A -curve past mdp.MaxHorizon
+// is refused there too, not after the tables.
 func TestRunBadFlags(t *testing.T) {
+	tooFar := strconv.Itoa(mdp.MaxHorizon + 1)
 	for _, args := range [][]string{
 		{"-n", "zero"},
 		{"-n", "1"},
@@ -69,6 +73,8 @@ func TestRunBadFlags(t *testing.T) {
 		{"-n", "2", "-workers", "-3"},
 		{"-n", "2", "-mem-budget", "-5"},
 		{"-n", "2", "-curve", "-2"},
+		{"-n", "2", "-curve", tooFar},
+		{"-n", "2", "-json", "-curve", tooFar},
 		{"-n", "2", "-json", "-witness"},
 		{"-n", "2", "-json", "-lemmas"},
 		{"-n", "17", "-json"},

@@ -52,8 +52,8 @@ func run(args []string, out io.Writer) error {
 		return cli.UsageError(fs, "-n must be in 2..%d, got %d", sched.MaxProcs, *n)
 	case *k < 1 || *k > sched.MaxStepsPerWindow:
 		return cli.UsageError(fs, "-k must be in 1..%d, got %d", sched.MaxStepsPerWindow, *k)
-	case *horizon < 0:
-		return cli.UsageError(fs, "-horizon must be >= 0, got %d", *horizon)
+	case *horizon < 0 || *horizon > mdp.MaxHorizon:
+		return cli.UsageError(fs, "-horizon must be in 0..%d, got %d", mdp.MaxHorizon, *horizon)
 	}
 
 	var studies []study

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/mdp"
 )
 
 // TestRunSmall pins E14's n=3, k=1 numbers: both products' sizes, the
@@ -35,7 +38,8 @@ func TestRunBadSize(t *testing.T) {
 }
 
 // TestRunBadFlags: every out-of-range flag is refused before any
-// exploration, so nothing reaches stdout.
+// exploration, so nothing reaches stdout; a -horizon past
+// mdp.MaxHorizon included.
 func TestRunBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -46,6 +50,7 @@ func TestRunBadFlags(t *testing.T) {
 		{[]string{"-k", "0"}, "-k must be"},
 		{[]string{"-k", "16"}, "-k must be"},
 		{[]string{"-horizon", "-1"}, "-horizon must be"},
+		{[]string{"-horizon", strconv.Itoa(mdp.MaxHorizon + 1)}, "-horizon must be"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dining"
 	"repro/internal/election"
+	"repro/internal/mdp"
 	"repro/internal/sched"
 )
 
@@ -43,8 +44,8 @@ func run(args []string) error {
 		return err
 	}
 	switch {
-	case *curveHorizon < 0:
-		return cli.UsageError(fs, "-curve must be >= 0, got %d", *curveHorizon)
+	case *curveHorizon < 0 || *curveHorizon > mdp.MaxHorizon:
+		return cli.UsageError(fs, "-curve must be in 0..%d, got %d", mdp.MaxHorizon, *curveHorizon)
 	case *electionN < 0 || *electionN == 1 || *electionN > sched.MaxProcs:
 		return cli.UsageError(fs, "-election must be 0 or in 2..%d, got %d", sched.MaxProcs, *electionN)
 	}

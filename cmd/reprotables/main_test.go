@@ -1,8 +1,12 @@
 package main
 
 import (
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/clitest"
+	"repro/internal/mdp"
 )
 
 func TestRunSmall(t *testing.T) {
@@ -18,13 +22,15 @@ func TestRunSkips(t *testing.T) {
 }
 
 // TestRunBadFlags: every out-of-range flag is refused by the flag
-// checks, before any table is computed.
+// checks, before any table is computed, so nothing reaches stdout; a
+// -curve past mdp.MaxHorizon included.
 func TestRunBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"-configs", "2x1", "-curve", "-1"}, "-curve must be"},
+		{[]string{"-configs", "2x1", "-election", "0", "-curve", strconv.Itoa(mdp.MaxHorizon + 1)}, "-curve must be"},
 		{[]string{"-configs", "2x1", "-election", "-3"}, "-election must be"},
 		{[]string{"-configs", "2x1", "-election", "1"}, "-election must be"},
 		{[]string{"-configs", "2x1", "-curve", "0", "-election", "17"}, "-election must be"},
@@ -34,9 +40,12 @@ func TestRunBadFlags(t *testing.T) {
 		{[]string{"-configs", "3x16"}, "-configs: config \"3x16\": k must be"},
 		{[]string{"-configs", "3x"}, "-configs:"},
 	} {
-		err := run(tc.args)
+		out, err := clitest.Stdout(t, func() error { return run(tc.args) })
 		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
 			t.Errorf("args %v: err = %v, want prefix %q", tc.args, err, tc.want)
+		}
+		if out != "" {
+			t.Errorf("args %v: wrote %q before refusing", tc.args, out)
 		}
 	}
 }

@@ -55,8 +55,8 @@ func intTime(t prob.Rat) (int, error) {
 		return 0, fmt.Errorf("%w: %v", ErrNonIntegerTime, t)
 	}
 	num := b.Num()
-	if !num.IsInt64() || num.Int64() > int64(1<<30) {
-		return 0, fmt.Errorf("core: time bound %v too large", t)
+	if !num.IsInt64() || num.Int64() > mdp.MaxHorizon {
+		return 0, fmt.Errorf("core: time bound %v too large (at most %d ticks)", t, mdp.MaxHorizon)
 	}
 	return int(num.Int64()), nil
 }
@@ -138,9 +138,10 @@ func covered[S comparable](ix *mdp.Index[S], b bitset) int {
 
 // CheckAll checks a list of statements against the same model. The
 // statements are solved concurrently, at most m.ResolvedWorkers() at a
-// time: each solve touches only its own cone, whose levels are mostly
-// too small to split across workers, so statements are the unit of
-// parallelism. Results and errors are reported in statement order: on an
+// time: each solve runs on one goroutine over its own cone, so
+// statements are the unit of parallelism, and the solves share the
+// model's CSR and its memoized schedule, which are only read once
+// built. Results and errors are reported in statement order: on an
 // error, CheckAll returns the results of the statements before the first
 // failing one and that error. Failed statements (Holds == false) are not
 // errors.

@@ -53,17 +53,19 @@ type Analysis struct {
 }
 
 // Opts configures the exploration of the product space: its state
-// limit, its worker count (which the solvers inherit) and its memory
-// budget.
+// limit, its worker count (which also bounds how many statements
+// core.CheckAll solves at once) and its memory budget.
 type Opts = mdp.ExploreOptions
 
 // NewAnalysisOpts explores the model's n-process product under the
 // k-steps-per-window digitization with the on-the-fly CSR explorer,
-// which interns product states by value; every solver runs opts.Workers
-// wide. State numbering is pa.Reachable's breadth-first order, so every
-// analysis result is the same for any opts.Workers. The ring's product
-// is explored as its quotient by the ring's symmetry, which has the
-// same optimal values; Unreduced explores every state.
+// which interns product states by value on opts.Workers goroutines;
+// each solve then runs on one goroutine, and CheckAll solves up to
+// opts.Workers statements at once. State numbering is pa.Reachable's
+// breadth-first order, so every analysis result is the same for any
+// opts.Workers. The ring's product is explored as its quotient by the
+// ring's symmetry, which has the same optimal values; Unreduced explores
+// every state.
 func NewAnalysisOpts(n, k int, opts Opts) (*Analysis, error) {
 	model, err := New(n)
 	if err != nil {

@@ -150,11 +150,6 @@ func liftSteps(steps []pa.Step[State], pending uint16) []pa.Step[RState] {
 	return out
 }
 
-// LiftBase lifts a base-state predicate to rigged product states.
-func LiftBase(pred func(State) bool) func(sched.State[RState]) bool {
-	return func(ps sched.State[RState]) bool { return pred(ps.Base.S) }
-}
-
 // PendingAll reports whether every rig of the model is still pending in
 // the state — the lemma hypotheses require the conditioned flips to be in
 // the future.

@@ -35,15 +35,17 @@ type Analysis struct {
 }
 
 // Opts configures the exploration of the product space: its state
-// limit, its worker count (which the solvers inherit) and its memory
-// budget.
+// limit, its worker count (which also bounds how many statements
+// core.CheckAll solves at once) and its memory budget.
 type Opts = mdp.ExploreOptions
 
 // NewAnalysisOpts explores the model's n-process product under the
 // k-steps-per-window digitization with the on-the-fly CSR explorer,
-// which interns product states by value; every solver runs opts.Workers
-// wide. State numbering is pa.Reachable's breadth-first order, so every
-// analysis result is the same for any opts.Workers.
+// which interns product states by value on opts.Workers goroutines;
+// each solve then runs on one goroutine, and CheckAll solves up to
+// opts.Workers statements at once. State numbering is pa.Reachable's
+// breadth-first order, so every analysis result is the same for any
+// opts.Workers.
 func NewAnalysisOpts(n, k int, opts Opts) (*Analysis, error) {
 	model, err := New(n)
 	if err != nil {

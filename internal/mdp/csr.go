@@ -21,24 +21,14 @@ package mdp
 // Every shipped model uses two values, 1/2 and 1; a 257th distinct value
 // is an error (ErrTooManyProbabilities).
 //
-// Parallelism. The sparse solvers sweep the states of one level of the
-// non-tick DAG at a time, split across workers: the tick-bounded DP in
-// per-worker contiguous ranges of the level's states in the solve's
-// cone (parallelFor; reach.go), value iteration in the per-worker chunks
-// of its compiled sweep program (expect.go), which numbers its rows in
-// sweep order, so that each chunk writes one contiguous range of the
-// value buffers, and groups each chunk's rows by shape. A level smaller
-// than minGrain runs inline on the calling goroutine. Most levels of a
-// worst-case check's cone are, so core.CheckAll solves its statements
-// concurrently instead, at most ResolvedWorkers at a time.
-// Determinism for any worker count is by construction: within a sweep
-// each worker writes only its own rows, and cross-row reads go either to
-// the previous sweep's array or — for zero-duration (non-tick) edges —
-// to rows of strictly lower "level", which earlier barriers have already
-// completed, so a row's value does not depend on which worker computes
-// it or in what order. The per-sweep convergence delta is reduced with
-// max, which is exact in floating point, so the iteration trajectory is
-// bit-identical whether one worker sweeps or sixteen do.
+// Parallelism. Every solve runs on its calling goroutine: the
+// tick-bounded DP sweeps one prefix of its cone per tick layer (reach.go)
+// and value iteration sweeps its compiled program's row groups in level
+// order (expect.go). Concurrency lives in the explorer, which expands
+// chunks on workers (explore.go), and in core.CheckAll, which solves its
+// statements concurrently, at most ResolvedWorkers at a time, on one
+// shared CSR: its derived structures are built once behind sync.Once and
+// only read after, so a solve's answer never depends on what else runs.
 
 import (
 	"errors"
@@ -243,14 +233,6 @@ func (b *csrBuilder) finish() *CSR {
 	return c
 }
 
-// minGrain is the smallest per-sweep work size worth fanning out to
-// goroutines; below it the scheduling overhead dominates and the sweep
-// runs inline (results are identical either way — see the determinism
-// note at the top of the file). A variable so the determinism tests can
-// force the parallel path on small models (SetMinGrainForTest in
-// export_test.go).
-var minGrain = 2048
-
 // resolveWorkers maps the MDP.Workers convention (0 = all cores) to a
 // concrete count.
 func resolveWorkers(w int) int {
@@ -260,46 +242,11 @@ func resolveWorkers(w int) int {
 	return w
 }
 
-// parallelFor splits [0, n) into per-worker contiguous ranges and runs fn
-// on each; fn must write only state it owns for the range. The partition
-// depends only on (workers, n), never on scheduling, and small ranges run
-// inline on the calling goroutine.
-func parallelFor(workers, n int, fn func(w, lo, hi int)) {
-	if workers <= 1 || n < minGrain {
-		fn(0, 0, n)
-		return
-	}
-	workers = min(workers, n)
-	chunk := (n + workers - 1) / workers
-	fanOut((n+chunk-1)/chunk, func(w int) {
-		lo := w * chunk
-		fn(w, lo, min(lo+chunk, n))
-	})
-}
-
-// fanOut runs fn(0), ..., fn(k-1), each on its own goroutine when k > 1,
-// and returns when all have.
-func fanOut(k int, fn func(i int)) {
-	if k == 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(k)
-	for i := 0; i < k; i++ {
-		go func(i int) {
-			defer wg.Done()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
 // nonTickLevels computes the level schedule of the zero-duration edge
 // graph: level(s) = 0 when s has no non-tick successors, else
 // 1 + max(level of non-tick successors). Along every non-tick edge the
-// level strictly decreases, so states within one level are independent
-// under the cur/prev read discipline and may be swept in parallel. The
+// level strictly decreases, so a sweep in level order reads every
+// non-tick successor's value after it was written this sweep. The
 // schedule exists iff the non-tick graph is acyclic; a cycle is reported
 // once as ErrZenoCycle and memoized.
 func (c *CSR) nonTickLevels() ([]int32, []int32, error) {

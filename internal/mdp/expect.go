@@ -21,14 +21,14 @@ const (
 // sweepPlan is the deterministic schedule of one value-iteration sweep:
 // states grouped by non-tick level (csr.nonTickLevels), so that within a
 // sweep non-tick edges read values already written this sweep (strictly
-// lower levels, completed behind barriers) and tick edges read the
-// previous sweep's array. When the non-tick graph is cyclic (Zeno models,
-// possible for hand-built MDPs) the plan degrades to a pure Jacobi sweep:
-// one level holding every state, all edges reading the previous array.
-// Either way a state's value in a sweep is a pure function of the values
-// its edges read, so the states of one level may be swept in any order
-// and split across workers in any way: compileSweeps groups them by
-// shape, and the trajectory is a pure function of the MDP.
+// lower levels, swept earlier) and tick edges read the previous sweep's
+// array. When the non-tick graph is cyclic (Zeno models, possible for
+// hand-built MDPs) the plan degrades to a pure Jacobi sweep: one level
+// holding every state, all edges reading the previous array. Either way a
+// state's value in a sweep is a pure function of the values its edges
+// read, so the states of one level may be swept in any order:
+// compileSweeps groups them by shape, and the trajectory is a pure
+// function of the MDP.
 type sweepPlan struct {
 	order  []int32
 	levels []int32
@@ -49,8 +49,7 @@ func (c *CSR) sweepPlan() sweepPlan {
 
 // sweepProgram is one expected-ticks solve compiled for its sweeps. It
 // sweeps only the updated rows (not targets or +Inf rows), level by
-// level; each level is split into per-worker chunks, and each chunk
-// into groups of rows of one shape: the same number of
+// level, each level as groups of rows of one shape: the same number of
 // non-tick and of tick choices and the same width, the most branches of
 // any of their choices rounded up to even. A row's choices are stored
 // non-tick first, each as width slots of a branch column and a one-byte
@@ -64,8 +63,7 @@ func (c *CSR) sweepPlan() sweepPlan {
 // row at rows[i] has program index i, the pinned rows follow in state
 // order, and the sentinel stays n. The value buffers and the slot columns
 // use program indices, so run permutes the values in and out once per
-// solve, and each chunk writes one contiguous range of the buffer (no
-// two workers write within one cache line but at the range ends).
+// solve, and a sweep writes the buffer front to back.
 //
 // Rows that reach no cycle of updated rows settle: from some sweep F on
 // they recompute the same value every sweep (settleSweeps). Within a
@@ -79,12 +77,11 @@ type sweepProgram struct {
 	rows     []int32           // state of each program index
 	col      []int32           // slot columns, as program indices
 	pi       []uint8           // slot probability indices
-	groups   []rowGroup
-	levels   []sweepLevel
-	retire   int // max F + 2: both buffers hold every settled row's final value
+	groups   []rowGroup        // in level order
+	retire   int               // max F + 2: both buffers hold every settled row's final value
 }
 
-// rowGroup is the rows[lo:hi] of one shape within one chunk, the live
+// rowGroup is the rows[lo:hi] of one shape within one level, the live
 // ones (that never settle) in rows[lo:live]; their slots start at slot.
 type rowGroup struct {
 	lo, live, hi  int32
@@ -93,21 +90,11 @@ type rowGroup struct {
 	width         int32 // slots per choice, even
 }
 
-// sweepLevel is one level of the plan: chunk i owns
-// groups[chunks[i]:chunks[i+1]]. rows and live count the level's rows and
-// its live rows, which decide whether a sweep fans the chunks out.
-type sweepLevel struct {
-	chunks     []int32
-	rows, live int
-}
-
 // rowShape is the grouping key of a row.
 type rowShape struct{ nonTick, tick, width int32 }
 
 // compileSweeps builds the sweep program of one solve from the CSR, its
 // level schedule and the skip mask (rows pinned at their initial value).
-// Each level's live and settled rows are split evenly over the chunks,
-// so a sweep of either phase keeps the workers balanced.
 func (m *MDP) compileSweeps(skip []bool, maximize bool) *sweepProgram {
 	c := m.CSR()
 	plan := c.sweepPlan()
@@ -119,7 +106,6 @@ func (m *MDP) compileSweeps(skip []bool, maximize bool) *sweepProgram {
 		rows: make([]int32, 0, c.n), col: make([]int32, slots), pi: make([]uint8, slots),
 	}
 	copy(p.pf[:], c.probs.f)
-	workers := m.ResolvedWorkers()
 	var live, settled []int32
 	bucket := make([]int, 2*len(shapes)+1)
 	lo := int32(0)
@@ -135,22 +121,7 @@ func (m *MDP) compileSweeps(skip []bool, maximize bool) *sweepProgram {
 			}
 		}
 		lo = hi
-		n := len(live) + len(settled)
-		if n == 0 {
-			continue
-		}
-		k := 1
-		if workers > 1 && n >= minGrain {
-			k = min(workers, n)
-		}
-		lv := sweepLevel{chunks: []int32{int32(len(p.groups))}, rows: n, live: len(live)}
-		for i := 0; i < k; i++ {
-			p.addChunk(shapes, shapeOf, bucket,
-				live[i*len(live)/k:(i+1)*len(live)/k],
-				settled[i*len(settled)/k:(i+1)*len(settled)/k])
-			lv.chunks = append(lv.chunks, int32(len(p.groups)))
-		}
-		p.levels = append(p.levels, lv)
+		p.addLevel(shapes, shapeOf, bucket, live, settled)
 	}
 	for s, pin := range skip {
 		if pin {
@@ -210,10 +181,10 @@ func (c *CSR) rowShapes(skip []bool) (shapes []rowShape, shapeOf, pending []int3
 	return shapes, shapeOf, pending, slots
 }
 
-// addChunk appends one chunk's rows as one group per shape, live
-// rows first within each group: a counting sort on (shape, settled),
-// with bucket 2j holding shape j's live rows and 2j+1 its settled ones.
-func (p *sweepProgram) addChunk(shapes []rowShape, shapeOf []int32, bucket []int, live, settled []int32) {
+// addLevel appends one level's rows as one group per shape, live rows
+// first within each group: a counting sort on (shape, settled), with
+// bucket 2j holding shape j's live rows and 2j+1 its settled ones.
+func (p *sweepProgram) addLevel(shapes []rowShape, shapeOf []int32, bucket []int, live, settled []int32) {
 	clear(bucket)
 	for _, s := range live {
 		bucket[2*shapeOf[s]+1]++
@@ -319,67 +290,32 @@ func (c *CSR) settleSweeps(skip []bool, pending []int32, jacobi bool) ([]int32, 
 // run iterates the program to a fixpoint from v, the initial value of
 // every state, and returns the fixpoint in v. Rows outside the program
 // never change, so both value buffers start as v in program order (plus
-// the sentinel) and a sweep writes only the rows it updates; the
-// fixpoint is permuted back into v. The delta of a sweep is the max over its
-// rows of |new - old|, exact in floating point; a retired row's would be
-// |x - x| = 0 (or NaN for x = +Inf, which the comparison ignores), so
-// retiring it leaves every delta, and so the number of sweeps, unchanged.
+// the sentinel) and a sweep writes only the rows it updates, group by
+// group in level order; the fixpoint is permuted back into v. The delta
+// of a sweep is the max over its rows of |new - old|, exact in floating
+// point; a retired row's would be |x - x| = 0 (or NaN for x = +Inf,
+// which the comparison ignores), so retiring it leaves every delta, and
+// so the number of sweeps, unchanged.
 func (p *sweepProgram) run(v []float64) ([]float64, error) {
 	prev := make([]float64, p.n+1) // prev[n] is the sentinel
 	for i, s := range p.rows {
 		prev[i] = v[s]
 	}
 	cur := slices.Clone(prev)
-	var (
-		lv       *sweepLevel
-		liveOnly bool
-		nonTick  []float64
-		deltas   []float64 // per chunk of lv
-	)
-	sweepChunk := func(k int) {
-		d := 0.0
-		for gi := lv.chunks[k]; gi < lv.chunks[k+1]; gi++ {
-			g := &p.groups[gi]
-			hi := g.hi
-			if liveOnly {
-				hi = g.live
-			}
-			if dd := p.sweepGroup(g, hi, nonTick, prev, cur); dd > d {
-				d = dd
-			}
-		}
-		deltas[k] = d
-	}
 	for sweep := 1; sweep <= viMaxIter; sweep++ {
-		liveOnly = sweep >= p.retire
-		nonTick = cur
+		liveOnly := sweep >= p.retire
+		nonTick := cur
 		if p.jacobi {
 			nonTick = prev
 		}
 		delta := 0.0
-		for i := range p.levels {
-			lv = &p.levels[i]
-			chunks := len(lv.chunks) - 1
-			if cap(deltas) < chunks {
-				deltas = make([]float64, chunks)
-			}
-			deltas = deltas[:chunks]
-			n := lv.rows
+		for i := range p.groups {
+			g := &p.groups[i]
+			hi := g.hi
 			if liveOnly {
-				n = lv.live
+				hi = g.live
 			}
-			if n < minGrain {
-				for k := 0; k < chunks; k++ {
-					sweepChunk(k)
-				}
-			} else {
-				fanOut(chunks, sweepChunk)
-			}
-			for _, d := range deltas {
-				if d > delta {
-					delta = d
-				}
-			}
+			delta = max(delta, p.sweepGroup(g, hi, nonTick, prev, cur))
 		}
 		prev, cur = cur, prev
 		if delta <= viEpsilon {
@@ -393,7 +329,8 @@ func (p *sweepProgram) run(v []float64) ([]float64, error) {
 }
 
 // sweepGroup applies the Bellman update to the program indices g.lo:hi
-// of group g, writing cur, and returns the largest change. A non-tick choice sums
+// of group g, writing cur, and returns the largest change, never NaN. A
+// non-tick choice sums
 // its branches' values in nonTick, a tick choice 1 plus theirs in prev,
 // each branch by branch in CSR order as the reference loop does; slots
 // are read two at a time (widths are even). With no NaN or −0 among the

@@ -80,33 +80,43 @@ func TestSettleSweeps(t *testing.T) {
 	}
 }
 
-// TestSweepProgramChunksContiguous pins the sweep-order numbering of the
-// compiled program, at two workers with the parallel grain forced to 1:
-// the groups of each chunk, and the chunks of each level, follow one
-// another without a gap, so a chunk writes one contiguous range of
-// program indices and the levels tile the updated rows in order; the
-// pinned rows follow in state order; and every slot reads the program
-// index of its branch's target (or the sentinel n).
-func TestSweepProgramChunksContiguous(t *testing.T) {
-	defer SetMinGrainForTest(1)()
+// TestSweepProgramGroupsTileLevels pins the sweep-order numbering of
+// the compiled program: the groups follow one another without a gap,
+// each within one level of the plan and the levels ascending, so they
+// tile the updated rows in level order and a sweep of them in order
+// writes every zero-duration successor before its reader; the pinned
+// rows follow in state order; and every slot reads the program index of
+// its branch's target (or the sentinel n).
+func TestSweepProgramGroupsTileLevels(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m, target := buildTickMDP(rng.Intn, dyadicDists, seed%2 == 0)
-		m.Workers = 2
 		c := m.CSR()
+		plan := c.sweepPlan()
+		level := make([]int, c.n)
+		lo := int32(0)
+		for l, hi := range plan.levels {
+			for _, s := range plan.order[lo:hi] {
+				level[s] = l
+			}
+			lo = hi
+		}
 		for _, maximize := range []bool{true, false} {
 			_, skip := m.pinned(target, maximize)
 			p := m.compileSweeps(skip, maximize)
-			next := int32(0) // the first program index no chunk writes yet
-			for _, lv := range p.levels {
-				for k := 0; k+1 < len(lv.chunks); k++ {
-					for _, g := range p.groups[lv.chunks[k]:lv.chunks[k+1]] {
-						if g.lo != next {
-							t.Fatalf("seed %d: chunk %d writes from %d, the range before it ends at %d", seed, k, g.lo, next)
-						}
-						next = g.hi
+			next, last := int32(0), 0 // the first program index no group writes yet; the last group's level
+			for gi, g := range p.groups {
+				if g.lo != next {
+					t.Fatalf("seed %d: group %d writes from %d, the group before it ends at %d", seed, gi, g.lo, next)
+				}
+				next = g.hi
+				l := level[p.rows[g.lo]]
+				for _, s := range p.rows[g.lo:g.hi] {
+					if level[s] != l || l < last {
+						t.Fatalf("seed %d: group %d holds state %d of level %d, after a group of level %d", seed, gi, s, level[s], last)
 					}
 				}
+				last = l
 			}
 			var pinned []int32
 			for s, pin := range skip {
@@ -115,7 +125,7 @@ func TestSweepProgramChunksContiguous(t *testing.T) {
 				}
 			}
 			if int(next)+len(pinned) != c.n || !slices.Equal(p.rows[next:], pinned) {
-				t.Fatalf("seed %d: chunks write 0..%d, pinned rows %v; want the %d updated rows, then %v", seed, next, p.rows[next:], c.n-len(pinned), pinned)
+				t.Fatalf("seed %d: groups write 0..%d, pinned rows %v; want the %d updated rows, then %v", seed, next, p.rows[next:], c.n-len(pinned), pinned)
 			}
 			for _, g := range p.groups {
 				slot, w := g.slot, int((g.nonTick+g.tick)*g.width)
@@ -157,9 +167,8 @@ func requireSameTicks(t *testing.T, got, want []float64) {
 // FuzzExpectedTicksMatchesOracle builds a small tick MDP from the input
 // bytes, with 3-branch choices, non-dyadic probabilities, terminal and
 // +Inf rows and, when the first byte is odd, zero-duration edges that may
-// close cycles (so the sweep plan is Jacobi). Both directions, at one
-// and two workers with the parallel grain forced to 1, must return the
-// reference value iteration's vector (at one worker) bit for bit, or the
+// close cycles (so the sweep plan is Jacobi). Both directions must
+// return the reference value iteration's vector bit for bit, or the
 // same error, and neither may give up with ErrNoConvergence. The last
 // seed has a state whose minimizing scheduler can only choose between a
 // tick self-loop and a coin into a dead end: some scheduler reaches the
@@ -173,26 +182,21 @@ func FuzzExpectedTicksMatchesOracle(f *testing.F) {
 	f.Add([]byte{1, 4, 1, 1, 2, 0, 1, 3, 2, 1, 0, 2, 1, 1, 3, 0, 2, 2, 1, 4, 0, 1})
 	f.Add([]byte{0, 1, 1, 2, 0, 0, 1, 1, 2, 0, 0, 1, 0})
 	dists := append(append([][]prob.Rat(nil), dyadicDists...), thirdDists...)
-	defer SetMinGrainForTest(1)()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pick := picker(data)
 		zeno := pick(2) == 1
 		m, target := buildTickMDP(pick, dists, zeno)
 		for _, maximize := range []bool{true, false} {
-			m.Workers = 1
 			want, wantErr := expectedTicksOracle(m, target, maximize)
 			if errors.Is(wantErr, ErrNoConvergence) {
 				t.Fatalf("maximize=%t: reference: %v", maximize, wantErr)
 			}
-			for _, workers := range []int{1, 2} {
-				m.Workers = workers
-				got, err := m.expectedTicks(target, maximize)
-				if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-					t.Fatalf("maximize=%t workers=%d: err %v, reference %v", maximize, workers, err, wantErr)
-				}
-				if err == nil {
-					requireSameTicks(t, got, want)
-				}
+			got, err := m.expectedTicks(target, maximize)
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("maximize=%t: err %v, reference %v", maximize, err, wantErr)
+			}
+			if err == nil {
+				requireSameTicks(t, got, want)
 			}
 		}
 		short := target[:len(target)-1]

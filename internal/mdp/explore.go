@@ -83,9 +83,10 @@ func (e *BudgetError) Unwrap() error { return ErrMemBudget }
 
 // ExploreOptions configures on-the-fly exploration.
 type ExploreOptions struct {
-	// Workers sets the exploration and solver parallelism: 0 means one
-	// worker per available CPU. Any value yields the identical MDP. With
-	// more than one worker the automaton's Steps runs on several
+	// Workers sets the exploration's parallelism: 0 means one worker per
+	// available CPU. Any value yields the identical MDP, which keeps it as
+	// MDP.Workers, the number of statements core.CheckAll solves at once.
+	// With more than one worker the automaton's Steps runs on several
 	// goroutines at once and must be safe for concurrent use; with one,
 	// Explore calls it on the calling goroutine only.
 	Workers int

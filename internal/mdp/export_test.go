@@ -16,16 +16,6 @@ func DenseFromAutomaton[S comparable](m *pa.Automaton[S], limit int) (*MDP, *Ind
 
 func EqualCSR(c, o *CSR) error { return equalCSR(c, o) }
 
-// SetMinGrainForTest overrides the inline-sweep threshold and returns a
-// restore function, so the determinism tests take the parallel path on
-// small models. The override is global: callers must not run overridden
-// code in parallel with other tests' sweeps.
-func SetMinGrainForTest(g int) (restore func()) {
-	old := minGrain
-	minGrain = g
-	return func() { minGrain = old }
-}
-
 // solveKernel reports which kernel answers the tick-bounded solve of a
 // query; the input alone selects it.
 func solveKernel(m *MDP, target, from []bool, horizon int, goal Goal) (kernel, error) {
@@ -59,7 +49,8 @@ func SettleCounts(m *MDP, target []bool) (settled, live, maxSettle int) {
 
 // SetMaxIndexForTest lowers the explorer's int32 index limit and returns
 // a restore function, so a test reaches ErrIndexOverflow without 2^31
-// states. The override is global, like SetMinGrainForTest's.
+// states. The override is global: callers must not run overridden code
+// in parallel with other tests' explorations.
 func SetMaxIndexForTest(n int) (restore func()) {
 	old := maxIndex
 	maxIndex = n
@@ -69,7 +60,7 @@ func SetMaxIndexForTest(n int) (restore func()) {
 // SetChunkForTest lowers the explorer's chunk size and its fan-out
 // threshold and returns a restore function, so the identity tests cross
 // many chunk boundaries, with overlapped expansion on goroutines, on
-// small models. The override is global, like SetMinGrainForTest's.
+// small models. The override is global, like SetMaxIndexForTest's.
 func SetChunkForTest(chunk, fanOut int) (restore func()) {
 	oldChunk, oldFanOut := exploreChunk, exploreFanOut
 	exploreChunk, exploreFanOut = chunk, fanOut

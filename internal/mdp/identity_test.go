@@ -291,13 +291,13 @@ func TestExploreBudgetPerChunk(t *testing.T) {
 	}
 }
 
-// TestParallelSweepDeterminism pins the bit-identical-across-workers
-// contract of every parallel solver, with the inline-sweep threshold
-// forced to zero so small models still take the fan-out path. Under
-// -race (make test-race) this also checks the data-sharing discipline.
+// TestParallelSweepDeterminism pins that every solver answers the same,
+// bit for bit, on the MDPs explored at one, two and eight workers: the
+// explorer expands its chunks in parallel, the solvers run on the
+// calling goroutine, and the worker count the MDP carries
+// (MDP.Workers) reaches no answer. Under -race (make test-race) this
+// also checks the explorer's data-sharing discipline.
 func TestParallelSweepDeterminism(t *testing.T) {
-	defer mdp.SetMinGrainForTest(1)()
-
 	m1, ix := fullDining(t, 3, 1, mdp.ExploreOptions{Workers: 1})
 	target := ix.Mask(sched.LiftPred(dining.InC))
 

@@ -194,30 +194,83 @@ func checkWorst(t testing.TB, m *MDP, target, from []bool, horizon int) []kernel
 }
 
 // TestReachKernelsAgree solves seeded random tick MDPs with dyadic
-// branch probabilities at horizons 0..12 and worker counts {1,2,8}, with
-// the parallel grain forced to 1 so the sweeps fan out. The fixed-point
-// kernel must be selected (a model may still fall back when a value
-// outgrows 62 bits) and every answer must equal the rational operator's.
+// branch probabilities at horizons 0..12. The fixed-point kernel must be
+// selected (a model may still fall back when a value outgrows 62 bits)
+// and every answer must equal the rational operator's.
 func TestReachKernelsAgree(t *testing.T) {
-	defer SetMinGrainForTest(1)()
 	fixed := 0
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m, target := buildTickMDP(rng.Intn, dyadicDists, false)
-		for _, workers := range []int{1, 2, 8} {
-			m.Workers = workers
-			for _, k := range checkKernels(t, m, target, 12) {
-				switch k {
-				case kernelRat:
-					t.Fatalf("seed %d: dyadic model solved on rationals alone", seed)
-				case kernelFixed:
-					fixed++
-				}
+		for _, k := range checkKernels(t, m, target, 12) {
+			switch k {
+			case kernelRat:
+				t.Fatalf("seed %d: dyadic model solved on rationals alone", seed)
+			case kernelFixed:
+				fixed++
 			}
 		}
 	}
 	if fixed == 0 {
 		t.Fatal("no answer came from the fixed-point kernel")
+	}
+}
+
+// TestTickConeOrder pins the order a tick-bounded solve evaluates its
+// cone in, on seeded random tick MDPs and source sets: at every layer h
+// of a solve to horizon H, the layer's prefix of the cone holds every
+// source state, and each non-target state in it has every zero-duration
+// successor earlier in that prefix and, with a tick left, every tick
+// successor in the prefix of layer h−1. So each value a layer reads is
+// written before it is read.
+func TestTickConeOrder(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m, target := buildTickMDP(rng.Intn, dyadicDists, false)
+		c := m.CSR()
+		from := make([]bool, c.n)
+		for s := range from {
+			from[s] = rng.Intn(2) == 1
+		}
+		from[rng.Intn(c.n)] = true
+		for _, horizon := range []int{0, 1, 3, 12} {
+			q, err := m.newTickQuery(target, from, horizon, MinProb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var prev []int // position of each state in the previous layer's prefix, or -1
+			for h := 0; h <= horizon; h++ {
+				pos := make([]int, c.n)
+				for s := range pos {
+					pos[s] = -1
+				}
+				for i, s := range q.cone.within(horizon - h) {
+					pos[s] = i
+				}
+				for _, s := range q.from {
+					if pos[s] < 0 {
+						t.Fatalf("seed %d horizon %d: source state %d is not in layer %d", seed, horizon, s, h)
+					}
+				}
+				for s, i := range pos {
+					if i < 0 || target[s] {
+						continue
+					}
+					for ci := c.choiceRow[s]; ci < c.choiceRow[s+1]; ci++ {
+						tick := c.tick.get(ci)
+						for _, u := range c.col[c.branchRow[ci]:c.branchRow[ci+1]] {
+							switch {
+							case !tick && (pos[u] < 0 || pos[u] >= i):
+								t.Fatalf("seed %d horizon %d layer %d: state %d at %d reads its zero-duration successor %d at %d", seed, horizon, h, s, i, u, pos[u])
+							case tick && h > 0 && prev[u] < 0:
+								t.Fatalf("seed %d horizon %d layer %d: state %d reads its tick successor %d, not in layer %d", seed, horizon, h, s, u, h-1)
+							}
+						}
+					}
+				}
+				prev = pos
+			}
+		}
 	}
 }
 
@@ -324,7 +377,6 @@ func FuzzReachKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pick := picker(data)
 		m, target := buildTickMDP(pick, dists, false)
-		m.Workers = 1 + pick(3)
 		horizon := pick(13)
 		dyadic := true
 		for _, p := range m.CSR().probs.rat {
@@ -343,19 +395,17 @@ func FuzzReachKernels(f *testing.F) {
 // FuzzWorstWithinTicksMatchesOracle builds a small tick MDP from the
 // input bytes, with dyadic and 1/3 branch probabilities, and a random
 // source mask, which may hold targets and states without choices. At
-// every horizon up to the chosen one (0..8), for both goals and at one
-// and two workers with the parallel grain forced to 1, the cone solve
-// must give the value and the first state that a scan of the oracle's
-// layers over the mask finds optimal, and its strategy the oracle's
-// values and choices (checkWorst): the cone and the settled shortcut
-// never change an answer.
+// every horizon up to the chosen one (0..8) and for both goals, the cone
+// solve must give the value and the first state that a scan of the
+// oracle's layers over the mask finds optimal, and its strategy the
+// oracle's values and choices (checkWorst): the cone and the settled
+// shortcut never change an answer.
 func FuzzWorstWithinTicksMatchesOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 2, 0, 1, 1, 4, 0, 2, 3, 1, 0, 5, 2, 2, 1, 9, 0, 1, 0, 1, 1, 8})
 	f.Add([]byte{6, 0, 3, 1, 6, 2, 0, 3, 1, 1, 5, 0, 4, 2, 6, 1, 0, 2, 3, 3, 12, 1, 0, 0, 1, 0, 1, 0, 5})
 	f.Add([]byte{7, 1, 2, 1, 0, 3, 2, 1, 7, 0, 2, 1, 1, 3, 4, 0, 0, 6, 1, 2, 3, 2, 1, 1, 0, 5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 8})
 	dists := append(append([][]prob.Rat(nil), dyadicDists...), thirdDists...)
-	defer SetMinGrainForTest(1)()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pick := picker(data)
 		m, target := buildTickMDP(pick, dists, false)
@@ -364,10 +414,6 @@ func FuzzWorstWithinTicksMatchesOracle(f *testing.F) {
 			from[s] = pick(2) == 1
 		}
 		from[pick(m.NumStates)] = true
-		horizon := pick(9)
-		for _, workers := range []int{1, 2} {
-			m.Workers = workers
-			checkWorst(t, m, target, from, horizon)
-		}
+		checkWorst(t, m, target, from, pick(9))
 	})
 }

@@ -33,10 +33,10 @@ import (
 type MDP struct {
 	NumStates int
 
-	// Workers sets the parallelism of the sparse solvers: 0 means one
-	// worker per available CPU. Any value produces bit-identical results;
-	// the knob exists to bound scheduling overhead and for the
-	// determinism tests.
+	// Workers bounds how many statements core.CheckAll solves at once:
+	// 0 means one per available CPU. Every solve runs on its calling
+	// goroutine, so no value changes an answer. Explore sets it from
+	// ExploreOptions.Workers.
 	Workers int
 
 	csr *CSR
@@ -46,8 +46,8 @@ type MDP struct {
 // immutable and shared.
 func (m *MDP) CSR() *CSR { return m.csr }
 
-// ResolvedWorkers returns the number of workers the solvers use: Workers,
-// or one per available CPU when Workers is 0.
+// ResolvedWorkers returns how many statements core.CheckAll solves at
+// once: Workers, or one per available CPU when Workers is 0.
 func (m *MDP) ResolvedWorkers() int { return resolveWorkers(m.Workers) }
 
 // Index maps the comparable states of a probabilistic automaton to dense

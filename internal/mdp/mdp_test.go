@@ -186,6 +186,14 @@ func TestReachWithinTicksBadInput(t *testing.T) {
 	if _, err := m.WorstAtHorizon(mask(1), mask(1, 0), -1, MinProb); err == nil {
 		t.Error("negative horizon accepted")
 	}
+	for _, h := range []int{MaxHorizon + 1, math.MaxInt} {
+		if _, err := m.WorstWithinTicks(mask(1), mask(1, 0), h, MinProb); err == nil {
+			t.Errorf("horizon %d accepted", h)
+		}
+	}
+	if got, err := m.WorstWithinTicks(mask(1), mask(1, 0), MaxHorizon, MinProb); err != nil || len(got) != MaxHorizon+1 {
+		t.Errorf("horizon MaxHorizon: %d answers, %v; want %d", len(got), err, MaxHorizon+1)
+	}
 }
 
 // TestWorstWithinTicks pins the optimum over a source set on a hand-built

@@ -143,8 +143,8 @@ func equalCSR(c, o *CSR) error {
 // expectedTicksOracle is the reference value iteration: the closure loop
 // that MaxExpectedTicks (maximize) and MinExpectedTicks ran before the
 // sweep program. Every sweep copies prev into cur, then walks every
-// state of the plan level by level, each level split into parallelFor's
-// chunks, and evaluates each updated state's choices in CSR order.
+// state of the plan in level order and evaluates each updated state's
+// choices in CSR order.
 func expectedTicksOracle(m *MDP, target []bool, maximize bool) ([]float64, error) {
 	if len(target) != m.NumStates {
 		return nil, fmt.Errorf("mdp: target mask has %d entries, want %d", len(target), m.NumStates)
@@ -191,7 +191,6 @@ func expectedTicksOracle(m *MDP, target []bool, maximize bool) ([]float64, error
 		return best
 	}
 
-	workers := m.ResolvedWorkers()
 	plan := c.sweepPlan()
 	cur := make([]float64, c.n)
 	for iter := 0; iter < viMaxIter; iter++ {
@@ -201,30 +200,15 @@ func expectedTicksOracle(m *MDP, target []bool, maximize bool) ([]float64, error
 			nonTick = prev
 		}
 		delta := 0.0
-		lo := int32(0)
-		for _, hi := range plan.levels {
-			span := plan.order[lo:hi]
-			out := make([]float64, max(workers, 1))
-			parallelFor(workers, len(span), func(w, a, b int) {
-				dd := 0.0
-				for _, s := range span[a:b] {
-					if skip[s] {
-						continue
-					}
-					nv := eval(s, nonTick, prev)
-					if d := math.Abs(nv - prev[s]); d > dd {
-						dd = d
-					}
-					cur[s] = nv
-				}
-				out[w] = dd
-			})
-			for _, d := range out {
-				if d > delta {
-					delta = d
-				}
+		for _, s := range plan.order {
+			if skip[s] {
+				continue
 			}
-			lo = hi
+			nv := eval(s, nonTick, prev)
+			if d := math.Abs(nv - prev[s]); d > delta {
+				delta = d
+			}
+			cur[s] = nv
 		}
 		prev, cur = cur, prev
 		if delta <= viEpsilon {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/prob"
 )
@@ -71,10 +70,10 @@ type Optimum struct {
 // branch probability is a multiple of 2^-62 (fair coins and point masses
 // are), building one prob.Rat for the winner, and on rationals otherwise
 // or once a value needs more than 62 bits. The zero-duration graph must
-// be acyclic (ErrZenoCycle), from must hold a state, and every choice's
-// branch probabilities must sum to 1, as Explore's do. Sweeps run
-// level-parallel over the non-tick DAG (MDP.Workers), with the same
-// answer for any worker count. It scans from at the last layer only.
+// be acyclic (ErrZenoCycle), from must hold a state, every choice's
+// branch probabilities must sum to 1, as Explore's do, and horizon must
+// lie in 0..MaxHorizon. The solve runs on the calling goroutine. It
+// scans from at the last layer only.
 func (m *MDP) WorstAtHorizon(target, from []bool, horizon int, goal Goal) (Optimum, error) {
 	q, err := m.newTickQuery(target, from, horizon, goal)
 	if err != nil {
@@ -118,6 +117,14 @@ func (m *MDP) WorstStrategy(target, from []bool, horizon int, goal Goal) (*Strat
 	})
 	return st, nil
 }
+
+// MaxHorizon is the largest tick horizon a solve accepts. It sits far
+// above every horizon the paper and the tools use (13 ticks in the
+// composed claim T --13,1/8--> C, curves of 16 or 20), and it keeps the
+// answers and kept layers, one per horizon, small. Long horizons are
+// slow anyway: the values soon outgrow the fixed point's 62 bits, and
+// the solve then runs on rationals.
+const MaxHorizon = 4096
 
 // kernel names the arithmetic that answered a tick-bounded solve.
 type kernel int
@@ -194,7 +201,6 @@ func firstOpt[V any](from []int32, layer []V, better func(a, b V) bool) int32 {
 // of states it evaluates.
 type tickQuery struct {
 	c       *CSR
-	workers int
 	target  []bool
 	horizon int
 	goal    Goal
@@ -211,21 +217,21 @@ func (m *MDP) newTickQuery(target, from []bool, horizon int, goal Goal) (*tickQu
 	if len(from) != m.NumStates {
 		return nil, fmt.Errorf("mdp: source mask has %d entries, want %d", len(from), m.NumStates)
 	}
-	if horizon < 0 {
-		return nil, fmt.Errorf("mdp: negative horizon %d", horizon)
+	if horizon < 0 || horizon > MaxHorizon {
+		return nil, fmt.Errorf("mdp: horizon %d outside 0..%d", horizon, MaxHorizon)
 	}
 	c := m.CSR()
-	order, levels, err := c.nonTickLevels()
+	order, _, err := c.nonTickLevels()
 	if err != nil {
 		return nil, err
 	}
-	q := &tickQuery{c: c, workers: m.ResolvedWorkers(), target: target, horizon: horizon, goal: goal}
+	q := &tickQuery{c: c, target: target, horizon: horizon, goal: goal}
 	var dist []int32
 	q.from, dist = c.tickDistances(target, from, horizon)
 	if len(q.from) == 0 {
 		return nil, errors.New("mdp: empty source set")
 	}
-	q.cone = newTickCone(order, levels, dist, horizon)
+	q.cone = newTickCone(order, dist, horizon)
 	return q, nil
 }
 
@@ -283,60 +289,53 @@ func (c *CSR) tickDistances(target, from []bool, horizon int) (src, dist []int32
 }
 
 // tickCone is the schedule of a tick-bounded solve: the states it
-// evaluates, level by level of the non-tick DAG and, within a level,
-// nearest to the source set first. Layer h of a solve to horizon H
-// evaluates, in every level, the prefix of states at most H−h ticks from
-// the source. That covers every value the layer reads: a state's
-// zero-duration successors, read from layer h, are no farther than it
-// is, and its tick successors, read from layer h−1, at most one tick
-// farther, where layer h−1 went out to H−h+1.
+// evaluates, nearest to the source set first and, at one distance, in
+// the level order of the non-tick DAG. Layer h of a solve to horizon H
+// evaluates the prefix of states at most H−h ticks from the source, in
+// order. That covers every value the layer reads, each written before
+// it is read: a non-target state's zero-duration successors, read from
+// layer h, are no farther than it is and on lower levels, so earlier in
+// the prefix; its tick successors, read from layer h−1, are at most one
+// tick farther, and layer h−1 went out to H−h+1. A target reads nothing.
 type tickCone struct {
-	order  []int32 // the states within horizon ticks
-	levels []int32 // end of each non-empty level in order
-	dist   []int32 // tick distance of every state
+	order []int32 // the states within horizon ticks
+	ends  []int32 // ends[d]: how many states of order are within d ticks
+	dist  []int32 // tick distance of every state
 }
 
-// newTickCone groups the states of the level schedule (order, levels)
-// within horizon ticks by level and, within a level, by distance, with a
-// counting sort. No distance exceeds the state count.
-func newTickCone(order, levels, dist []int32, horizon int) tickCone {
-	cone := tickCone{order: make([]int32, 0, len(order)), dist: dist}
-	far := min(horizon, len(dist))
-	count := make([]int32, far+2)
-	lo := int32(0)
-	for _, hi := range levels {
-		span := order[lo:hi]
-		lo = hi
-		clear(count)
-		for _, s := range span {
-			if d := dist[s]; int(d) <= far {
-				count[d+1]++
-			}
+// newTickCone sorts the states of the level order within horizon ticks
+// by distance with one stable counting sort.
+func newTickCone(order, dist []int32, horizon int) tickCone {
+	// next[d+1] counts distance d; summed, next[d] is where distance d
+	// starts and next[d+1] where it ends.
+	next := make([]int32, horizon+2)
+	for _, d := range dist {
+		if int(d) <= horizon {
+			next[d+1]++
 		}
-		for d := 1; d < len(count); d++ {
-			count[d] += count[d-1]
+	}
+	for d := 1; d < len(next); d++ {
+		next[d] += next[d-1]
+	}
+	cone := tickCone{order: make([]int32, next[horizon+1]), ends: slices.Clone(next[1:]), dist: dist}
+	for _, s := range order {
+		if d := dist[s]; int(d) <= horizon {
+			cone.order[next[d]] = s
+			next[d]++
 		}
-		base := len(cone.order)
-		if count[far+1] == 0 {
-			continue
-		}
-		cone.order = cone.order[:base+int(count[far+1])]
-		for _, s := range span {
-			if d := dist[s]; int(d) <= far {
-				cone.order[base+int(count[d])] = s
-				count[d]++
-			}
-		}
-		cone.levels = append(cone.levels, int32(len(cone.order)))
 	}
 	return cone
 }
 
+// within returns the states of the cone at most d ≤ horizon ticks from
+// the source.
+func (c tickCone) within(d int) []int32 { return c.order[:c.ends[d]] }
+
 // fixedSweep runs the solve on fixed point, handing each finished layer
 // to done; false means some value needed more than 62 bits.
 func (q *tickQuery) fixedSweep(done func(h int, layer []uint64)) bool {
-	return tickSweep(q, func(span []int32, cur, prev []uint64, ticksLeft bool) bool {
-		for _, s := range span {
+	return tickSweep(q, func(states []int32, cur, prev []uint64, ticksLeft bool) bool {
+		for _, s := range states {
 			if ticksLeft && prev[s] == fixOne {
 				cur[s] = fixOne
 				continue
@@ -354,8 +353,8 @@ func (q *tickQuery) fixedSweep(done func(h int, layer []uint64)) bool {
 // ratSweep runs the solve on exact rationals, handing each finished
 // layer to done.
 func (q *tickQuery) ratSweep(done func(h int, layer []prob.Rat)) {
-	tickSweep(q, func(span []int32, cur, prev []prob.Rat, ticksLeft bool) bool {
-		for _, s := range span {
+	tickSweep(q, func(states []int32, cur, prev []prob.Rat, ticksLeft bool) bool {
+		for _, s := range states {
 			if ticksLeft && prev[s].IsOne() {
 				cur[s] = prob.One()
 			} else {
@@ -367,40 +366,18 @@ func (q *tickQuery) ratSweep(done func(h int, layer []prob.Rat)) {
 }
 
 // tickSweep runs the Bellman recursion for horizons 0..q.horizon, one
-// tick layer at a time and, within a layer, level by level of the
-// non-tick DAG over the cone's states at that layer, each level split
-// across the workers. eval computes the values of a span of states of
-// one level into cur, the layer being built (their non-tick successors
-// sit on lower, finished levels), from cur and prev, the previous layer
-// (read by ticks). eval returns false when it cannot represent a value
-// exactly; the sweep then stops and reports false. Each finished layer
-// goes to done, which must copy what it keeps: the buffer is reused two
-// layers on.
-func tickSweep[V any](q *tickQuery, eval func(span []int32, cur, prev []V, ticksLeft bool) bool, done func(h int, layer []V)) bool {
-	var inexact atomic.Bool
-	n := q.c.n
-	prev, cur := make([]V, n), make([]V, n)
-	cone := q.cone
-	ends := slices.Clone(cone.levels) // each level's end at this layer
+// tick layer at a time, each over its prefix of the cone. eval computes
+// the values of the given states, in order, into cur, the layer being
+// built, from cur (zero-duration successors, earlier in the order) and
+// prev, the previous layer (read by ticks). eval returns false when it
+// cannot represent a value exactly; the sweep then stops and reports
+// false. Each finished layer goes to done, which must copy what it
+// keeps: the buffer is reused two layers on.
+func tickSweep[V any](q *tickQuery, eval func(states []int32, cur, prev []V, ticksLeft bool) bool, done func(h int, layer []V)) bool {
+	prev, cur := make([]V, q.c.n), make([]V, q.c.n)
 	for h := 0; h <= q.horizon; h++ {
-		ticksLeft := h > 0
-		lo := int32(0)
-		for l, hi := range cone.levels {
-			end := ends[l]
-			for end > lo && int(cone.dist[cone.order[end-1]]) > q.horizon-h {
-				end--
-			}
-			ends[l] = end
-			span := cone.order[lo:end]
-			lo = hi
-			parallelFor(q.workers, len(span), func(_, a, b int) {
-				if !eval(span[a:b], cur, prev, ticksLeft) {
-					inexact.Store(true)
-				}
-			})
-			if inexact.Load() {
-				return false
-			}
+		if !eval(q.cone.within(q.horizon-h), cur, prev, h > 0) {
+			return false
 		}
 		done(h, cur)
 		prev, cur = cur, prev
@@ -410,9 +387,8 @@ func tickSweep[V any](q *tickQuery, eval func(span []int32, cur, prev []V, ticks
 
 // ratState evaluates the Bellman operator at state s on exact rationals.
 // cur must already hold valid values for every non-tick successor of s
-// (guaranteed by the level schedule: non-tick successors live on strictly
-// lower levels, completed behind earlier barriers); prev holds the
-// previous tick layer. ticksLeft reports whether a tick is still within
+// (the cone's order guarantees it: they come earlier in the layer's
+// prefix); prev holds the previous tick layer. ticksLeft reports whether a tick is still within
 // the horizon.
 func (c *CSR) ratState(s int32, target []bool, goal Goal, cur, prev []prob.Rat, ticksLeft bool) prob.Rat {
 	if target[s] {

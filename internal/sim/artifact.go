@@ -337,20 +337,6 @@ func (s *ArtifactStore) Save(path string, cs CheckpointSet) error {
 	return nil
 }
 
-// Generations lists the generation files of the artifact at path that
-// currently exist on disk, newest first.
-func (s *ArtifactStore) Generations(path string) []string {
-	fs := s.fs()
-	var out []string
-	for g := 0; g < maxGenerations; g++ {
-		p := genPath(path, g)
-		if _, err := fs.ReadFile(p); err == nil {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // describeCorrupt renders LoadInfo's corrupt list for operator messages.
 func (i LoadInfo) describeCorrupt() string {
 	return strings.Join(i.Corrupt, ", ")

@@ -288,8 +288,8 @@ func BuildProduct[S comparable](m SchedulerModel[S], stepsPerWindow int) (*Autom
 // EnumerateMDP converts an automaton into an indexed finite MDP, numbering
 // states in Reachable's breadth-first order (limit caps the states; 0
 // means unlimited). It explores on one goroutine, so m's Steps need not
-// be safe for concurrent use; the solvers then run on one worker too,
-// unless the caller sets the returned MDP's Workers.
+// be safe for concurrent use; core.CheckAll then solves one statement at
+// a time too, unless the caller sets the returned MDP's Workers.
 func EnumerateMDP[S comparable](m *Automaton[S], limit int) (*MDP, *mdp.Index[S], error) {
 	return mdp.Explore(m, mdp.ExploreOptions{Workers: 1, Limit: limit})
 }

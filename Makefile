@@ -40,7 +40,8 @@
 # BENCH_sim.json baseline with `benchjson -compare` (exit 1 when any
 # metric moves >10% in the bad direction, the headline trials/s drops
 # below the absolute TRIALS_FLOOR, the exact-engine states/s drops
-# below STATES_FLOOR, or its B/state rises above STATE_BYTES_CEIL). It
+# below STATES_FLOOR, its B/state rises above STATE_BYTES_CEIL, or the
+# cold Monte Carlo cache's B/trial rises above COLD_BYTES_CEIL). It
 # is not part of `make check`
 # because a measurement run takes minutes; run it before committing
 # changes to internal/sim, internal/prob or internal/obs.
@@ -59,12 +60,13 @@ FUZZTIME ?= 30s
 
 # Benchmarks recorded in BENCH_sim.json and gated by bench-diff: the
 # parallel-engine throughput row, the metrics- and span-overhead pairs,
-# the cold-cache trial rows for the election and consensus case studies,
-# the exact-engine explore+solve row (the full product, symmetry
-# hidden) and its sibling on the ring's quotient (what lrcheck runs),
-# the paper-chain row (the five arrows through core.CheckAll), the
-# expected-time solver row and the breaker-overhead row.
-BENCH_GATE = BenchmarkParallelTrials|BenchmarkMetricsOverhead|BenchmarkSpanOverhead|BenchmarkElectionTrials|BenchmarkConsensusTrials|BenchmarkExactEngine|BenchmarkQuotientEngine|BenchmarkPaperChain|BenchmarkExpectedTicks|BenchmarkBreakerOverhead
+# the cold-cache trial rows for the election and consensus case studies
+# and for the mc-cold job (dining n=8, random policy), the exact-engine
+# explore+solve row (the full product, symmetry hidden) and its sibling
+# on the ring's quotient (what lrcheck runs), the paper-chain row (the
+# five arrows through core.CheckAll), the expected-time solver row and
+# the breaker-overhead row.
+BENCH_GATE = BenchmarkParallelTrials|BenchmarkMetricsOverhead|BenchmarkSpanOverhead|BenchmarkElectionTrials|BenchmarkConsensusTrials|BenchmarkColdCache|BenchmarkExactEngine|BenchmarkQuotientEngine|BenchmarkPaperChain|BenchmarkExpectedTicks|BenchmarkBreakerOverhead
 
 # Absolute throughput backstop for the headline engine benchmark,
 # enforced by bench-diff on top of the relative 10% gate: the alias
@@ -89,6 +91,14 @@ STATES_FLOOR = BenchmarkExactEngine:states/s=70000
 # the timing rows, B/state does not depend on the host; benchjson gates
 # B/ units as costs, so this bound is a ceiling.
 STATE_BYTES_CEIL = BenchmarkExactEngine:B/state=45
+
+# Absolute ceiling on what the Monte Carlo compile cache retains: the
+# mc-cold job's live heap per trial (dining n=8, random policy, 3,000
+# trials on a fresh cache, two collections). An interned state keeps its
+# counts, ready lists and outcome records: 6.2 KB/trial, against 16.6
+# KB/trial when every state also kept the model's steps for all 2n
+# process slots. Like B/state it does not depend on the host.
+COLD_BYTES_CEIL = BenchmarkColdCache:B/trial=8000
 
 all: check
 
@@ -133,7 +143,7 @@ bench-json:
 bench-diff:
 	$(GO) test -run='^$$' -bench='$(BENCH_GATE)' -benchmem -cpu 1 -json . \
 		| $(GO) run ./cmd/benchjson -o /tmp/bench_new.json
-	$(GO) run ./cmd/benchjson -compare BENCH_sim.json /tmp/bench_new.json -threshold 0.10 -floor '$(TRIALS_FLOOR)' -floor '$(STATES_FLOOR)' -floor '$(STATE_BYTES_CEIL)'
+	$(GO) run ./cmd/benchjson -compare BENCH_sim.json /tmp/bench_new.json -threshold 0.10 -floor '$(TRIALS_FLOOR)' -floor '$(STATES_FLOOR)' -floor '$(STATE_BYTES_CEIL)' -floor '$(COLD_BYTES_CEIL)'
 
 vuln:
 	@if command -v govulncheck >/dev/null 2>&1; then \

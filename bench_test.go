@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -401,6 +402,53 @@ func BenchmarkConsensusTrials(b *testing.B) {
 		}
 		b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 	})
+}
+
+// The mc-cold job on the engine alone: dining n=8 under the random
+// policy, 3,000 trials at seed 1, each iteration compiling the raw model
+// afresh, so nearly every trial interns new states and builds samplers.
+// trials/s is the cold run's throughput; B/trial is the live heap the
+// run's cache retains per trial, read after two collections outside the
+// timer. With GOMAXPROCS=1 one worker runs every trial, so the interned
+// states and records, and with them B/trial, do not depend on the host.
+func BenchmarkColdCache(b *testing.B) {
+	const (
+		n      = 8
+		trials = 3_000
+	)
+	model := dining.MustNew(n)
+	opts := sim.Options[dining.State]{Start: dining.AllAt(n, dining.F), SetStart: true}
+	mk := func() sim.Policy[dining.State] { return dining.KeepTrying(sim.Random[dining.State](0.5)) }
+	liveHeap := func() float64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	var retained float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := liveHeap()
+		b.StartTimer()
+		cm := mustCompile[dining.State](b, model)
+		_, rep, err := sim.EstimateReachProbParallel[dining.State](context.Background(), cm, mk, dining.InC, 13, trials,
+			opts, sim.ParallelOptions{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Completed != trials {
+			b.Fatalf("completed %d/%d trials", rep.Completed, trials)
+		}
+		b.StopTimer()
+		retained = liveHeap() - before
+		runtime.KeepAlive(cm)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
+	b.ReportMetric(retained/trials, "B/trial")
 }
 
 // E-extra: the third case study — a full Ben-Or consensus run under the

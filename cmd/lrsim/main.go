@@ -47,6 +47,7 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/dining"
+	"repro/internal/mdp"
 	"repro/internal/obs/span"
 	"repro/internal/sim"
 )
@@ -75,8 +76,8 @@ func run(ctx context.Context, args []string) error {
 		return cli.UsageError(fs, "-trials must be positive, got %d", *trials)
 	case *within <= 0:
 		return cli.UsageError(fs, "-within must be positive, got %g", *within)
-	case *curveMax < 0:
-		return cli.UsageError(fs, "-curve must be >= 0, got %d", *curveMax)
+	case *curveMax < 0 || *curveMax > mdp.MaxHorizon:
+		return cli.UsageError(fs, "-curve must be in 0..%d, got %d", mdp.MaxHorizon, *curveMax)
 	}
 	ns, err := parseSizes(*sizes)
 	if err != nil {

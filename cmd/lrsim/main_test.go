@@ -3,12 +3,15 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/clitest"
+	"repro/internal/mdp"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -59,6 +62,18 @@ func TestRunBadInputs(t *testing.T) {
 	for _, args := range tests {
 		if err := run(context.Background(), args); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+	// A -curve past mdp.MaxHorizon is refused before the size/policy
+	// table, so nothing reaches stdout and no curve is allocated.
+	for _, curve := range []int{mdp.MaxHorizon + 1, math.MaxInt} {
+		args := []string{"-sizes", "3", "-policies", "slowest", "-trials", "20", "-curve", strconv.Itoa(curve)}
+		out, err := captureRun(t, context.Background(), args)
+		if err == nil || !strings.Contains(err.Error(), "-curve must be") {
+			t.Errorf("args %v: err = %v, want a -curve usage error", args, err)
+		}
+		if out != "" {
+			t.Errorf("args %v printed %q before refusing", args, out)
 		}
 	}
 }
@@ -154,6 +169,18 @@ func TestRunBadObservabilityFlags(t *testing.T) {
 	for _, args := range tests {
 		if err := run(context.Background(), args); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+	// A -curve past mdp.MaxHorizon is refused before the size/policy
+	// table, so nothing reaches stdout and no curve is allocated.
+	for _, curve := range []int{mdp.MaxHorizon + 1, math.MaxInt} {
+		args := []string{"-sizes", "3", "-policies", "slowest", "-trials", "20", "-curve", strconv.Itoa(curve)}
+		out, err := captureRun(t, context.Background(), args)
+		if err == nil || !strings.Contains(err.Error(), "-curve must be") {
+			t.Errorf("args %v: err = %v, want a -curve usage error", args, err)
+		}
+		if out != "" {
+			t.Errorf("args %v printed %q before refusing", args, out)
 		}
 	}
 }

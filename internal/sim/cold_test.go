@@ -6,6 +6,7 @@ package sim_test
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -45,25 +46,17 @@ func TestColdCacheWorkersAgree(t *testing.T) {
 	}
 }
 
-// TestNewStateAllocs pins what interning one new dining n=8 state costs
-// through Compiled.Moves, the model's own queries included: the entry is
-// a fixed few blocks, and the samplers wait for a trial to need them.
-func TestNewStateAllocs(t *testing.T) {
-	const n, runs = 8, 200
-	m := dining.MustNew(n)
-	cm, err := sim.Compile[dining.State](m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Breadth-first from the start, one distinct state for each measured
-	// call and for AllocsPerRun's warm-up call.
+// diningStates returns the first count distinct dining n-ring states in
+// breadth-first order from the all-F state, over algorithm and user
+// moves alike.
+func diningStates(m *dining.Model, n, count int) []dining.State {
 	states := []dining.State{dining.AllAt(n, dining.F)}
 	seen := map[dining.State]bool{states[0]: true}
-	for i := 0; len(states) <= runs; i++ {
+	for i := 0; len(states) < count; i++ {
 		for p := 0; p < n; p++ {
 			for _, st := range append(m.Moves(states[i], p), m.UserMoves(states[i], p)...) {
 				for _, s := range st.Next.Support() {
-					if !seen[s] {
+					if !seen[s] && len(states) < count {
 						seen[s] = true
 						states = append(states, s)
 					}
@@ -71,12 +64,63 @@ func TestNewStateAllocs(t *testing.T) {
 			}
 		}
 	}
+	return states
+}
+
+// TestNewStateAllocs pins what interning one new dining n=8 state costs,
+// the model's own queries included: the entry is a fixed few blocks, and
+// the samplers wait for a trial to need them.
+func TestNewStateAllocs(t *testing.T) {
+	const n, runs = 8, 200
+	m := dining.MustNew(n)
+	cm, err := sim.Compile[dining.State](m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One distinct state for each measured call and for AllocsPerRun's
+	// warm-up call.
+	states := diningStates(m, n, runs+1)
 	next := 0
 	if got := testing.AllocsPerRun(runs, func() {
-		cm.Moves(states[next], 0)
+		sim.Intern(cm, states[next])
 		next++
 	}); got > 24 {
 		t.Errorf("interning a new dining n=%d state: %v allocations, want at most 24", n, got)
+	}
+}
+
+// TestInternedStateBytes pins what an interned dining n=8 state keeps
+// alive: its counts and ready lists, its empty sampler slots and its
+// share of the shard maps, and not the model's steps. 20,000 distinct
+// states go into a fresh cache, and the live heap they add, read after
+// two collections so that no garbage of the interning is counted, must
+// stay within 640 B per state.
+func TestInternedStateBytes(t *testing.T) {
+	const n, count, ceiling = 8, 20_000, 640
+	m := dining.MustNew(n)
+	states := diningStates(m, n, count)
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	cm, err := sim.Compile[dining.State](m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range states {
+		sim.Intern(cm, s)
+	}
+	after := liveHeap()
+	runtime.KeepAlive(cm)
+	runtime.KeepAlive(states)
+	perState := (float64(after) - float64(before)) / count
+	t.Logf("%.0f B of live heap per interned state", perState)
+	if perState > ceiling {
+		t.Errorf("interned dining n=%d states hold %.0f B of live heap each, want at most %d", n, perState, ceiling)
 	}
 }
 

@@ -9,12 +9,13 @@ package sim
 // Two observations make it sound and fast:
 //
 //   - sched.Model implementations are documented purely functional:
-//     Moves/UserMoves depend only on (state, proc). Their results can
-//     therefore be interned per state and shared — across steps, across
-//     trials, and across RunParallel workers — without changing any
-//     run. A cheap purity spot check guards the contract: a model whose
-//     repeated queries disagree (or panic) is rejected with
-//     ErrImpureModel.
+//     Moves/UserMoves depend only on (state, proc). What the engine
+//     derives from them can therefore be interned per state and shared —
+//     across steps, across trials, and across RunParallel workers —
+//     without changing any run, and a second query of the same
+//     (state, proc) answers what the first did. A cheap purity spot
+//     check guards the contract: a model whose repeated queries
+//     disagree (or panic) is rejected with ErrImpureModel.
 //
 //   - Each step's successor distribution is sampled through a Walker
 //     alias table (prob.BuildAlias): O(1) per draw, one uniform per draw,
@@ -26,12 +27,16 @@ package sim
 //     redirects) instead of the table's columns, the distribution's
 //     support and a separate slot array.
 //
-// Interning a state costs about as much as the model query it caches:
-// compileState keeps the steps and the counts the View needs, and
-// builds a process's outcome records only when a trial first takes one
-// of its moves (most interned states never have most of their processes
-// stepped). A trial resolves a drawn successor's entry only when it
-// steps from it, so the state a trial ends in is never compiled.
+// An interned state keeps only what the trial loop reads: the counts
+// and ready lists the View borrows, and the outcome records of the
+// processes a trial has stepped. The model's steps are not kept.
+// compileState queries every process once for its counts and drops the
+// answers; a process's outcome records are built from a second query
+// when a trial first takes one of its moves (most interned states never
+// have most of their processes stepped), and that query must answer as
+// many moves as the first (samplerSet; ErrImpureModel otherwise). A
+// trial resolves a drawn successor's entry only when it steps from it,
+// so the state a trial ends in is never compiled.
 //
 // The cache interns states by their own value, sharded by state hash
 // (hash/maphash.Comparable) with one RWMutex per shard: a lookup is a
@@ -66,24 +71,23 @@ const compileShards = 64
 // garbage once that trial moves on.
 const maxCompiledStates = 1 << 20
 
-// stateEntry is the compiled form of one interned state: the memoized
-// Moves/UserMoves of every process, the derived scheduling facts the
-// engine needs every step, and each process's samplers once built. The
-// steps and counts are immutable after construction and shared
-// read-only (including into policy Views — see the View doc); the
-// sampler sets are published once, atomically.
+// stateEntry is the compiled form of one interned state: the derived
+// scheduling facts the engine needs every step, and each process's
+// samplers once built. It does not keep the model's steps: the samplers
+// are built from a fresh query (samplerSet). The counts and lists are
+// immutable after construction and shared read-only (including into
+// policy Views — see the View doc); the sampler sets are published
+// once, atomically.
 //
-// An entry is a fixed few blocks whatever the model: steps (2n), one
+// An entry is a fixed three blocks whatever the model: the entry, one
 // backing array of 4n ints under the four int slices, and samplers (2n).
 type stateEntry[S comparable] struct {
-	// steps[i] is process i's Moves and steps[n+i] its UserMoves; nil
-	// when it has none.
-	steps [][]pa.Step[S]
-	// samplers is parallel to steps: the samplers of those moves, one per
-	// move, nil until a trial first takes one of them (samplerSet).
+	// samplers[i] holds the samplers of process i's Moves and
+	// samplers[n+i] those of its UserMoves, one per move, nil until a
+	// trial first takes one of them (samplerSet).
 	samplers   []atomic.Pointer[[]moveSampler[S]]
-	moveCount  []int // per proc; len(steps[i]), 0 when not ready
-	userCount  []int // per proc; len(steps[n+i])
+	moveCount  []int // per proc; len(Moves), 0 when not ready
+	userCount  []int // per proc; len(UserMoves)
 	ready      []int // procs with algorithm moves, ascending
 	userMovers []int // procs with user moves, ascending
 }
@@ -150,23 +154,31 @@ type Compiled[S comparable] struct {
 
 var _ sched.Model[int] = (*Compiled[int])(nil)
 
-// ErrImpureModel reports a model that failed Compile's purity spot check:
-// repeated Moves/UserMoves queries for the same (state, proc) disagreed,
-// or a query panicked. The engine caches those results, so it refuses
-// such a model instead of running it.
-var ErrImpureModel = errors.New("sim: model failed the purity spot check")
+// ErrImpureModel reports a model that broke the purity contract the
+// engine relies on: repeated Moves/UserMoves queries for the same
+// (state, proc) disagreed in Compile's spot check, or a query there
+// panicked, or a trial's sampler query answered a different number of
+// moves than the query that interned the state. The engine caches what
+// it derives from those answers, so it refuses such a model instead of
+// running it.
+var ErrImpureModel = errors.New("sim: model is not purely functional")
 
 // Compile wraps m in a concurrency-safe transition cache that interns
-// states, memoizes Moves/UserMoves per state and resolves each successor
-// distribution into an alias table the first time a trial draws from it,
-// so the hot loop does no repeated model queries, no big.Rat arithmetic
-// and no per-draw map lookups. States are interned by their own value.
+// states with the move counts the View needs and resolves each
+// successor distribution into an alias table the first time a trial
+// draws from it, so the hot loop does no repeated model queries, no
+// big.Rat arithmetic and no per-draw map lookups. States are interned
+// by their own value.
 //
 // Compiling relies on the sched.Model contract that Moves/UserMoves are
-// purely functional. Compile spot-checks the contract (repeated queries
-// on a sample of states must agree) and returns an error matching
-// ErrImpureModel when the check fails or panics. Compiling an already
-// compiled model returns it unchanged; a nil model is ErrInvalidArgument.
+// purely functional: a state's counts come from one query and its
+// samplers from a later one, and the two must describe the same moves.
+// Compile spot-checks the contract (repeated queries on a sample of
+// states must agree) and returns an error matching ErrImpureModel when
+// the check fails or panics; a trial whose sampler query answers a
+// different number of moves fails with ErrImpureModel too. Compiling an
+// already compiled model returns it unchanged; a nil model is
+// ErrInvalidArgument.
 //
 // The cache is shared: passing one compiled model to many runs — the
 // CLIs and benchmarks do — lets later runs start fully warm.
@@ -196,27 +208,21 @@ func (c *Compiled[S]) NumProcs() int { return c.n }
 // Start implements sched.Model.
 func (c *Compiled[S]) Start() []S { return c.inner.Start() }
 
-// Moves implements sched.Model by serving the memoized steps. The
-// returned slice is cached and shared; callers must not modify it (the
-// same rule the inner model's documentation of purity implies).
-func (c *Compiled[S]) Moves(s S, i int) []pa.Step[S] {
-	if i < 0 || i >= c.n {
-		// Out-of-range procs are the inner model's business (typically a
-		// panic); the cache only ever holds 0..n-1.
-		return c.inner.Moves(s, i)
-	}
-	e, _ := c.entry(s)
-	return e.steps[i]
-}
+// Moves implements sched.Model by asking the inner model: the cache
+// keeps no steps, and a query interns nothing.
+func (c *Compiled[S]) Moves(s S, i int) []pa.Step[S] { return c.inner.Moves(s, i) }
 
-// UserMoves implements sched.Model by serving the memoized steps; the
-// same sharing rule as Moves applies.
-func (c *Compiled[S]) UserMoves(s S, i int) []pa.Step[S] {
-	if i < 0 || i >= c.n {
-		return c.inner.UserMoves(s, i)
+// UserMoves implements sched.Model by asking the inner model, as Moves
+// does.
+func (c *Compiled[S]) UserMoves(s S, i int) []pa.Step[S] { return c.inner.UserMoves(s, i) }
+
+// steps asks the inner model for the moves a choice draws from:
+// process ch.Proc's UserMoves when ch.User is set, its Moves otherwise.
+func (c *Compiled[S]) steps(s S, ch Choice) []pa.Step[S] {
+	if ch.User {
+		return c.inner.UserMoves(s, ch.Proc)
 	}
-	e, _ := c.entry(s)
-	return e.steps[c.n+i]
+	return c.inner.Moves(s, ch.Proc)
 }
 
 // entry returns the compiled entry for s, interning it on first sight;
@@ -247,12 +253,12 @@ func (c *Compiled[S]) entry(s S) (e *stateEntry[S], interned bool) {
 
 // compileState queries the inner model once per process — the View
 // needs every count — and derives the per-state facts the engine
-// otherwise recomputes every step. The samplers are left to samplerSet.
+// otherwise recomputes every step. The answers themselves are dropped;
+// the samplers are left to samplerSet.
 func (c *Compiled[S]) compileState(s S) *stateEntry[S] {
 	n := c.n
 	ints := make([]int, 4*n)
 	e := &stateEntry[S]{
-		steps:      make([][]pa.Step[S], 2*n),
 		samplers:   make([]atomic.Pointer[[]moveSampler[S]], 2*n),
 		moveCount:  ints[:n:n],
 		userCount:  ints[n : 2*n : 2*n],
@@ -260,33 +266,45 @@ func (c *Compiled[S]) compileState(s S) *stateEntry[S] {
 		userMovers: ints[3*n : 3*n : 4*n],
 	}
 	for i := 0; i < n; i++ {
-		moves := c.inner.Moves(s, i)
-		e.steps[i] = moves
-		e.moveCount[i] = len(moves)
-		if len(moves) > 0 {
+		if e.moveCount[i] = len(c.inner.Moves(s, i)); e.moveCount[i] > 0 {
 			e.ready = append(e.ready, i)
 		}
-		user := c.inner.UserMoves(s, i)
-		e.steps[n+i] = user
-		e.userCount[i] = len(user)
-		if len(user) > 0 {
+		if e.userCount[i] = len(c.inner.UserMoves(s, i)); e.userCount[i] > 0 {
 			e.userMovers = append(e.userMovers, i)
 		}
 	}
 	return e
 }
 
-// samplerSet returns the samplers of steps[k], building them the first
-// time a trial takes one of those moves: one alias table per move
-// (prob.BuildAlias), flattened into outcome records that share one
-// backing array. Racing builders publish with CompareAndSwap, so every
-// trial draws from (and resolves the successor slots of) the one set
-// that won.
-func (e *stateEntry[S]) samplerSet(k int) []moveSampler[S] {
-	if set := e.samplers[k].Load(); set != nil {
-		return *set
+// samplerSet builds the samplers of the moves a choice draws from in
+// state s, whose entry is e, for the first trial to take one of them:
+// from a fresh query of the inner model (newSamplers). Purity makes that
+// query answer what the one that interned s did; an answer with another
+// number of moves than e recorded is an error matching ErrImpureModel,
+// since the policy chose its move index against e's count. Racing
+// builders publish with CompareAndSwap, so every trial draws from (and
+// resolves the successor slots of) the one set that won.
+func (c *Compiled[S]) samplerSet(e *stateEntry[S], s S, ch Choice) (*[]moveSampler[S], error) {
+	k, want := ch.Proc, e.moveCount[ch.Proc]
+	if ch.User {
+		k, want = c.n+ch.Proc, e.userCount[ch.Proc]
 	}
-	moves := e.steps[k]
+	moves := c.steps(s, ch)
+	if len(moves) != want {
+		return nil, fmt.Errorf("%w: %s: process %d (user=%t) in state %v had %d moves when interned, %d when sampled",
+			ErrImpureModel, c.inner.Name(), ch.Proc, ch.User, s, want, len(moves))
+	}
+	ms := newSamplers(moves)
+	if !e.samplers[k].CompareAndSwap(nil, &ms) {
+		return e.samplers[k].Load(), nil
+	}
+	return &ms, nil
+}
+
+// newSamplers turns a move list into its samplers: one alias table per
+// move (prob.BuildAlias), flattened into outcome records that share one
+// backing array.
+func newSamplers[S comparable](moves []pa.Step[S]) []moveSampler[S] {
 	size := 0
 	for j := range moves {
 		size += moves[j].Next.Len()
@@ -302,9 +320,6 @@ func (e *stateEntry[S]) samplerSet(k int) []moveSampler[S] {
 			keep, alias := a.Column(i)
 			o.keep, o.alias, o.next = keep, int32(alias), next
 		}
-	}
-	if !e.samplers[k].CompareAndSwap(nil, &ms) {
-		return *e.samplers[k].Load()
 	}
 	return ms
 }

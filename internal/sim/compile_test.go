@@ -131,6 +131,71 @@ func TestCompileRejectsImpure(t *testing.T) {
 	}
 }
 
+// shrinkingModel counts from 0 up to limit, one state per step, and is
+// impure where Compile's spot check does not look (it probes the start
+// state and its successors only): the k-th Moves query of state deep
+// answers 16−k moves, so no two queries of deep agree on the count.
+type shrinkingModel struct {
+	limit, deep int
+	queries     *atomic.Int64 // queries of deep so far
+}
+
+func (shrinkingModel) Name() string                      { return "shrinking" }
+func (shrinkingModel) NumProcs() int                     { return 1 }
+func (shrinkingModel) Start() []int                      { return []int{0} }
+func (shrinkingModel) UserMoves(int, int) []pa.Step[int] { return nil }
+
+func (m shrinkingModel) Moves(s, _ int) []pa.Step[int] {
+	if s >= m.limit {
+		return nil
+	}
+	count := 1
+	if s == m.deep {
+		count = max(16-int(m.queries.Add(1)), 1)
+	}
+	steps := make([]pa.Step[int], count)
+	for j := range steps {
+		steps[j] = pa.Step[int]{Action: "inc", Next: prob.Point(s + 1)}
+	}
+	return steps
+}
+
+// TestSamplerRequeryImpure: a model that passes Compile's spot check but
+// answers a deeper state's sampler query with fewer moves than the query
+// that interned it fails the run with ErrImpureModel, at one worker and
+// at two racing on a fresh cache. The policy takes each state's last
+// move, so indexing the shorter answer would panic; the run must neither
+// panic nor quarantine a trial. Run it under -race -count=10.
+func TestSamplerRequeryImpure(t *testing.T) {
+	last := func() Policy[int] {
+		return PolicyFunc[int](func(v *View[int], _ *rand.Rand) (Choice, bool) {
+			if len(v.Ready) == 0 {
+				return Choice{}, false
+			}
+			p := v.Ready[0]
+			return Choice{Proc: p, Move: v.MoveCount[p] - 1, At: v.DeadlineMin}, true
+		})
+	}
+	never := func(int) bool { return false }
+	for _, workers := range []int{1, 2} {
+		m := shrinkingModel{limit: 8, deep: 5, queries: new(atomic.Int64)}
+		cm, err := Compile[int](m)
+		if err != nil {
+			t.Fatalf("workers=%d: Compile rejected the model its spot check cannot see into: %v", workers, err)
+		}
+		_, rep, err := EstimateReachProbParallel[int](context.Background(), cm, last, never, 100, 200,
+			Options[int]{}, ParallelOptions{Seed: 1, Workers: workers, MaxPanics: 5})
+		var pe *TrialPanicError
+		if !errors.Is(err, ErrImpureModel) || errors.As(err, &pe) || rep.Quarantined != 0 {
+			t.Errorf("workers=%d: RunParallel = %v, %v; want ErrImpureModel with no trial quarantined", workers, rep, err)
+		}
+	}
+	m := shrinkingModel{limit: 8, deep: 5, queries: new(atomic.Int64)}
+	if _, err := RunOnce[int](m, last(), never, Options[int]{}, rand.New(rand.NewSource(1))); !errors.Is(err, ErrImpureModel) {
+		t.Errorf("RunOnce err = %v, want ErrImpureModel", err)
+	}
+}
+
 // TestCompiledBitIdentical: every trial of the engine equals the
 // uncompiled oracle's run of it, at every identity seed and worker count
 // — on a plain coin and a model with user moves (the skewed coin is

@@ -25,3 +25,7 @@ func CheckOracleResume[S comparable](t *testing.T, m sched.Model[S], mk func() P
 // SetMaxStates lowers c's interning cap, so a test can run past it
 // without a million states.
 func SetMaxStates[S comparable](c *Compiled[S], n int64) { c.maxStates = n }
+
+// Intern interns s in c's cache as a trial's first step from s would,
+// without running a trial: the entry holds s's counts, and no samplers.
+func Intern[S comparable](c *Compiled[S], s S) { c.entry(s) }

@@ -386,7 +386,10 @@ func (rc *runControl) complete(chunk int, acc any, panics []PanicRecord) error {
 //
 // The model is compiled first (Compile; a no-op for a model that already
 // is), so a model that fails the purity spot check is rejected with
-// ErrImpureModel before any trial runs.
+// ErrImpureModel before any trial runs. A model whose impurity the spot
+// check missed ends the run with ErrImpureModel once a trial's sampler
+// query answers another move count than the query that interned the
+// state (Compiled.samplerSet), like any other trial error.
 //
 // The returned RunReport is meaningful on every path, including errors.
 func RunParallel[S comparable, A any](ctx context.Context, m sched.Model[S], mk func() Policy[S], target func(S) bool,

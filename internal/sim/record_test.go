@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/pa"
@@ -70,11 +69,7 @@ func recordTestDists() map[string]prob.Dist[int] {
 // every column's keep threshold.
 func TestRecordPickMatchesAlias(t *testing.T) {
 	for name, d := range recordTestDists() {
-		e := &stateEntry[int]{
-			steps:    [][]pa.Step[int]{{{Action: "draw", Next: d}}},
-			samplers: make([]atomic.Pointer[[]moveSampler[int]], 1),
-		}
-		m := e.samplerSet(0)[0]
+		m := newSamplers([]pa.Step[int]{{Action: "draw", Next: d}})[0]
 		a := prob.BuildAlias(d)
 		n := len(m)
 		if n != d.Len() {

@@ -205,7 +205,7 @@ func runTrial[S comparable](sc *viewScratch[S], p Policy[S], target func(S) bool
 			res.Final = state
 			return nil
 		}
-		next, t, err := applyChoice(view.Now, view.DeadlineMin, choice, sc, rng)
+		next, t, err := applyChoice(state, view.Now, view.DeadlineMin, choice, sc, rng)
 		if err != nil {
 			return err
 		}
@@ -219,7 +219,7 @@ func runTrial[S comparable](sc *viewScratch[S], p Policy[S], target func(S) bool
 		}
 		res.Events++
 		if opts.Observer != nil {
-			opts.Observer(t, choice.Proc, sc.action(choice), next)
+			opts.Observer(t, choice.Proc, sc.action(state, choice), next)
 		}
 		// The stepping process gives up its deadline; the next build
 		// assigns fresh deadlines t+1 to it and to newly ready processes,
@@ -339,13 +339,12 @@ func (sc *viewScratch[S]) build(s S, now float64) *View[S] {
 	return v
 }
 
-// applyChoice validates the policy's choice and draws the successor
-// state. It deliberately does not return the step's action label: the
-// hot loop has no use for it, and even loading the pa.Step (a string
-// header plus a Dist) per event costs measurable throughput — runTrial
-// fetches the label through sc.action only when an observer is
-// attached, and error paths load it on demand.
-func applyChoice[S comparable](now, deadlineMin float64, c Choice, sc *viewScratch[S], rng *rand.Rand) (S, float64, error) {
+// applyChoice validates the policy's choice in state s and draws the
+// successor state. It deliberately does not return the step's action
+// label: the hot loop has no use for it, and the entry keeps no steps to
+// read it from — runTrial asks the model for the label through sc.action
+// only when an observer is attached, and error paths ask on demand.
+func applyChoice[S comparable](s S, now, deadlineMin float64, c Choice, sc *viewScratch[S], rng *rand.Rand) (S, float64, error) {
 	var zero S
 	// Validate the process index before indexing the per-process tables.
 	// The unsigned compare folds the negative and too-large cases into
@@ -367,12 +366,21 @@ func applyChoice[S comparable](now, deadlineMin float64, c Choice, sc *viewScrat
 	if t < now || t > deadlineMin {
 		return zero, 0, fmt.Errorf("%w: time %v outside [%v, %v]", ErrBadChoice, t, now, deadlineMin)
 	}
-	m := e.samplerSet(k)[c.Move]
+	// A hit is this one atomic load; only the first trial to take one of
+	// these moves pays for the model query and the alias tables.
+	set := e.samplers[k].Load()
+	if set == nil {
+		var err error
+		if set, err = sc.cm.samplerSet(e, s, c); err != nil {
+			return zero, 0, err
+		}
+	}
+	m := (*set)[c.Move]
 	// An empty successor distribution (the zero prob.Dist in a hand-built
 	// step) has no record to draw; detect it before drawing so the run
 	// fails with a typed error.
 	if len(m) == 0 {
-		return zero, 0, fmt.Errorf("%w: proc %d action %q has an empty successor distribution", ErrBadModel, c.Proc, sc.action(c))
+		return zero, 0, fmt.Errorf("%w: proc %d action %q has an empty successor distribution", ErrBadModel, c.Proc, sc.action(s, c))
 	}
 	o := m.pick(rng.Float64())
 	// The successor's entry is resolved by the next build, if the trial
@@ -381,12 +389,9 @@ func applyChoice[S comparable](now, deadlineMin float64, c Choice, sc *viewScrat
 	return o.next, t, nil
 }
 
-// action returns the label of the step a validated choice names; callers
-// must have bounds-checked c (applyChoice's cold paths and the observer
-// hook in runTrial have).
-func (sc *viewScratch[S]) action(c Choice) string {
-	if c.User {
-		return sc.cur.steps[sc.n+c.Proc][c.Move].Action
-	}
-	return sc.cur.steps[c.Proc][c.Move].Action
+// action asks the model for the label of the step a validated choice
+// names in state s; callers must have bounds-checked c (applyChoice's
+// cold paths and the observer hook in runTrial have).
+func (sc *viewScratch[S]) action(s S, c Choice) string {
+	return sc.cm.steps(s, c)[c.Move].Action
 }

@@ -167,8 +167,9 @@ fmt:
 	out=$$(gofmt -l $$files); \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Fuzz the engine and the artifact layer. Each -fuzz run is a separate
-# invocation (Go allows one fuzz target per run):
+# Fuzz the engine, the artifact layer and the coordinator's wire format.
+# Each -fuzz run is a separate invocation (Go allows one fuzz target per
+# run):
 #   RunOnceAdversarial  adversarial policies: typed errors, never a crash
 #   AliasPick           random distributions: alias measure matches the scan, draws stay in the support
 #   DistBuild           byte-built outcomes: NewDist, MapDist and Uniform match a map-keyed reference
@@ -188,6 +189,8 @@ fmt:
 #   RingSymmetry        random reachable dining product states (n=2..5, k=1..3) and ring
 #                       symmetries: canonical forms, orbit sizes, named sets and successor
 #                       distributions are the same on every member of an orbit
+#   CoordinatorRPC      hostile lease, heartbeat and result bodies (results raw and inside
+#                       a valid envelope): answered 200, 400, 409 or 422, never a 5xx or a panic
 fuzz:
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzRunOnceAdversarial -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/prob -run='^$$' -fuzz=FuzzAliasPick -fuzztime=$(FUZZTIME)
@@ -201,6 +204,7 @@ fuzz:
 	$(GO) test ./internal/mdp -run='^$$' -fuzz=FuzzWorstWithinTicksMatchesOracle -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzSetExtents -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dining -run='^$$' -fuzz=FuzzRingSymmetry -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/fabric -run='^$$' -fuzz=FuzzCoordinatorRPC -fuzztime=$(FUZZTIME)
 
 # Chaos packages: seeded fault/kill/corruption storms against the
 # artifact layer (in-process, injected filesystem faults) and the real

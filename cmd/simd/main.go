@@ -36,9 +36,8 @@
 //	simd coordinate [job flags] [-listen 127.0.0.1:9777] [-addr-file F]
 //	                [-state state.json] [-keep 3] [-lease-chunks 4]
 //	                [-lease-ttl 3s] [-quorum-timeout 0] [-metrics-out F]
-//	                [-hedge] [-hedge-factor 1.5] [-quarantine-corrupt N]
-//	                [-min-worker-score S] [-max-worker-leases 2]
-//	                [-max-inflight N] [-chaos-net SCRIPT]
+//	                [-hedge] [-quarantine-corrupt N] [-max-inflight N]
+//	                [-chaos-net SCRIPT]
 //	simd work       -coordinator http://127.0.0.1:9777 [-id NAME]
 //	                [-workers N] [-throttle 0] [-breaker-failures 5]
 //	                [-breaker-cooldown 1s] [-retry-budget 0]
@@ -240,11 +239,8 @@ func runCoordinate(ctx context.Context, args []string) error {
 	metricsOut := fs.String("metrics-out", "", "write the final fabric metrics snapshot as JSON to this file")
 	traceOut := fs.String("trace-out", "", "write trace spans (job, leases, RPCs, merges) as JSONL to this file")
 	progress := fs.Duration("progress", 0, "report chunk-frontier progress to stderr at this interval (0 = off)")
-	hedge := fs.Bool("hedge", false, "speculatively re-issue straggling leases to idle workers before TTL expiry (duplicates are free: first valid result wins)")
-	hedgeFactor := fs.Float64("hedge-factor", 0, "hedge age threshold as a multiple of the p99 lease completion time (0 = default 1.5)")
+	hedge := fs.Bool("hedge", false, "speculatively re-issue a lease older than 1.5x the p99 lease completion time to an idle worker, once, before TTL expiry (duplicates are free: first valid result wins)")
 	quarantineCorrupt := fs.Int("quarantine-corrupt", 0, "blacklist a worker after this many corrupt uploads (0 = off)")
-	minWorkerScore := fs.Float64("min-worker-score", 0, "quarantine workers whose health score falls below this floor (0 = off)")
-	maxWorkerLeases := fs.Int("max-worker-leases", 0, "max concurrent leases per worker (0 = default 2)")
 	maxInflight := fs.Int("max-inflight", 0, "shed lease/heartbeat/result RPCs beyond this many in flight with 429 + Retry-After (0 = unlimited)")
 	chaosNet := fs.String("chaos-net", "", "inject server-side network faults per this script, e.g. 'seed=7,drop=0.1,http500=0.05,partition=300ms+500ms' (testing only)")
 	if err := fs.Parse(args); err != nil {
@@ -270,19 +266,16 @@ func runCoordinate(ctx context.Context, args []string) error {
 	}
 
 	opts := fabric.CoordinatorOptions{
-		LeaseChunks:        *leaseChunks,
-		LeaseTTL:           *leaseTTL,
-		StatePath:          *state,
-		Store:              &sim.ArtifactStore{Keep: *keep},
-		QuorumTimeout:      *quorumTimeout,
-		Metrics:            obs.NewFabricMetrics(reg),
-		Tracer:             tr,
-		Hedge:              *hedge,
-		HedgeFactor:        *hedgeFactor,
-		QuarantineCorrupt:  *quarantineCorrupt,
-		MinWorkerScore:     *minWorkerScore,
-		MaxLeasesPerWorker: *maxWorkerLeases,
-		MaxInflightRPCs:    *maxInflight,
+		LeaseChunks:       *leaseChunks,
+		LeaseTTL:          *leaseTTL,
+		StatePath:         *state,
+		Store:             &sim.ArtifactStore{Keep: *keep},
+		QuorumTimeout:     *quorumTimeout,
+		Metrics:           obs.NewFabricMetrics(reg),
+		Tracer:            tr,
+		Hedge:             *hedge,
+		QuarantineCorrupt: *quarantineCorrupt,
+		MaxInflightRPCs:   *maxInflight,
 	}
 	c, err := fabric.NewCoordinator(ctx, job(), opts)
 	if err != nil {

@@ -83,39 +83,21 @@ type CoordinatorOptions struct {
 
 	// Hedge enables hedged leases: when every pending chunk is leased
 	// out and an idle worker asks for work, a lease whose age exceeds
-	// HedgeFactor times the p99 of observed lease completion times is
-	// speculatively re-issued to the idle worker as a duplicate
-	// ("hedge") lease before its TTL expires. The idempotent
-	// first-valid-wins merge makes the duplicate free: whichever copy
-	// lands first counts, the other is dropped. This bounds stragglers
-	// — a slow-dripping worker no longer holds job completion hostage
-	// for a full TTL.
+	// 1.5 times the p99 of observed lease completion times (once three
+	// leases have completed) is speculatively re-issued, once, to the
+	// idle worker as a duplicate ("hedge") lease before its TTL
+	// expires. The idempotent first-valid-wins merge makes the
+	// duplicate free: whichever copy lands first counts, the other is
+	// dropped. This bounds stragglers — a slow-dripping worker no
+	// longer holds job completion hostage for a full TTL.
 	Hedge bool
-	// HedgeFactor scales the p99 completion time into the hedge age
-	// threshold (default 1.5).
-	HedgeFactor float64
-	// HedgeMinSamples is how many completed leases must be observed
-	// before any hedge fires (default 3) — hedging off a cold p99 would
-	// just duplicate everything.
-	HedgeMinSamples int
-	// MaxHedgesPerLease bounds how many hedges one lease can spawn
-	// (default 1).
-	MaxHedgesPerLease int
 
 	// QuarantineCorrupt, when positive, blacklists a worker after that
 	// many corrupt uploads (checksum, JSON, or identity failures):
 	// its leases are revoked, no new lease is ever granted to it, and
 	// lease responses tell it to exit.
 	QuarantineCorrupt int
-	// MinWorkerScore, when positive, quarantines a worker whose health
-	// score (delivered vs expired/corrupt/late, Laplace-smoothed) drops
-	// below this floor after at least 4 grants.
-	MinWorkerScore float64
 
-	// MaxLeasesPerWorker caps the leases one worker may hold at once
-	// (default 2: the pull loop holds one, plus headroom for a lease
-	// expired server-side that the worker is still finishing).
-	MaxLeasesPerWorker int
 	// MaxInflightRPCs, when positive, sheds lease/heartbeat/result RPCs
 	// beyond that many concurrently in flight with 429 + Retry-After
 	// (GET /v1/status stays unshedded — it is the ops probe).
@@ -136,48 +118,33 @@ func (o CoordinatorOptions) leaseTTL() time.Duration {
 	return o.LeaseTTL
 }
 
-func (o CoordinatorOptions) hedgeFactor() float64 {
-	if o.HedgeFactor <= 0 {
-		return 1.5
-	}
-	return o.HedgeFactor
-}
-
-func (o CoordinatorOptions) hedgeMinSamples() int {
-	if o.HedgeMinSamples <= 0 {
-		return 3
-	}
-	return o.HedgeMinSamples
-}
-
-func (o CoordinatorOptions) maxHedges() int {
-	if o.MaxHedgesPerLease <= 0 {
-		return 1
-	}
-	return o.MaxHedgesPerLease
-}
-
-func (o CoordinatorOptions) maxLeasesPerWorker() int {
-	if o.MaxLeasesPerWorker <= 0 {
-		return 2
-	}
-	return o.MaxLeasesPerWorker
-}
+const (
+	// hedgeFactor scales the p99 lease completion time into the age
+	// past which a lease may be hedged.
+	hedgeFactor = 1.5
+	// hedgeMinSamples is how many completed leases must be observed
+	// before any hedge fires: hedging off a cold p99 would just
+	// duplicate everything.
+	hedgeMinSamples = 3
+	// maxLeasesPerWorker caps the leases one worker may hold at once:
+	// the pull loop holds one, plus headroom for a lease expired
+	// server-side that the worker is still finishing.
+	maxLeasesPerWorker = 2
+)
 
 // lease is one outstanding claim.
 type lease struct {
-	id       string
-	worker   string
-	chunks   sim.ChunkRange
-	expires  time.Time
-	granted  time.Time  // grant instant, for turnaround metrics
-	lastBeat time.Time  // last heartbeat (or grant), for late-beat scoring
-	span     *span.Span // open "lease" span; nil when tracing is off
+	id      string
+	worker  string
+	chunks  sim.ChunkRange
+	expires time.Time
+	granted time.Time  // grant instant, for turnaround metrics
+	span    *span.Span // open "lease" span; nil when tracing is off
 	// hedgeOf names the lease this one speculatively duplicates; empty
-	// for a primary lease. hedges counts duplicates spawned off this
-	// lease.
+	// for a primary lease. hedged reports that a duplicate was already
+	// spawned off this lease (one hedge per lease).
 	hedgeOf string
-	hedges  int
+	hedged  bool
 }
 
 // workerHealth is the coordinator's per-worker scorecard.
@@ -186,18 +153,8 @@ type workerHealth struct {
 	delivered int64
 	expired   int64
 	corrupt   int64
-	lateBeats int64
 
 	quarantined bool
-}
-
-// score is the Laplace-smoothed success rate: corrupt uploads weigh
-// double (they attack the merge), late heartbeats half (they only risk
-// a reassignment). A fresh worker starts at 1.0.
-func (h *workerHealth) score() float64 {
-	good := float64(h.delivered) + 1
-	bad := float64(h.expired) + 2*float64(h.corrupt) + 0.5*float64(h.lateBeats)
-	return good / (good + bad)
 }
 
 // Coordinator schedules one job across workers. Create with
@@ -482,31 +439,6 @@ func (c *Coordinator) healthLocked(worker string) *workerHealth {
 	return h
 }
 
-// quarantineLocked blacklists a worker: flag it, revoke its outstanding
-// leases (their chunks return to the pool immediately rather than at
-// TTL), bump the metric, and drop a "quarantine" span under the job
-// recording why. Called with mu held; the caller has already decided.
-func (c *Coordinator) quarantineLocked(worker, reason string, now time.Time) {
-	h := c.healthLocked(worker)
-	if h.quarantined {
-		return
-	}
-	h.quarantined = true
-	c.quarantined++
-	for _, l := range c.leases {
-		if l.worker == worker {
-			l.expires = now.Add(-time.Nanosecond)
-		}
-	}
-	c.expireLocked(now)
-	if c.opts.Metrics != nil {
-		c.opts.Metrics.WorkerQuarantined()
-	}
-	c.opts.Tracer.Start("quarantine", c.jobSpan.Context(),
-		span.Str("worker", worker), span.Bool("quarantined", true), span.Str("reason", reason),
-		span.Int64("corrupt_uploads", h.corrupt), span.Float("score", h.score())).End()
-}
-
 // recordCompletionLocked feeds one lease's grant→delivery time into the
 // hedge threshold ring. Called with mu held.
 func (c *Coordinator) recordCompletionLocked(d time.Duration) {
@@ -520,10 +452,10 @@ func (c *Coordinator) recordCompletionLocked(d time.Duration) {
 }
 
 // hedgeThresholdLocked derives the lease age past which a hedge may
-// fire: HedgeFactor × the p99 (nearest-rank) of observed completion
-// times, once HedgeMinSamples completions exist. Called with mu held.
+// fire: hedgeFactor × the p99 (nearest-rank) of observed completion
+// times, once hedgeMinSamples completions exist. Called with mu held.
 func (c *Coordinator) hedgeThresholdLocked() (time.Duration, bool) {
-	if len(c.completions) < c.opts.hedgeMinSamples() {
+	if len(c.completions) < hedgeMinSamples {
 		return 0, false
 	}
 	ds := append([]time.Duration(nil), c.completions...)
@@ -535,11 +467,11 @@ func (c *Coordinator) hedgeThresholdLocked() (time.Duration, bool) {
 	if idx >= len(ds) {
 		idx = len(ds) - 1
 	}
-	return time.Duration(float64(ds[idx]) * c.opts.hedgeFactor()), true
+	return time.Duration(float64(ds[idx]) * hedgeFactor), true
 }
 
 // hedgeCandidateLocked picks the oldest lease worth hedging for an idle
-// worker: held by someone else, not already fully hedged, past the age
+// worker: held by someone else, not already hedged, past the age
 // threshold, and still covering at least one not-done chunk. Called
 // with mu held.
 func (c *Coordinator) hedgeCandidateLocked(worker string, now time.Time) *lease {
@@ -549,7 +481,7 @@ func (c *Coordinator) hedgeCandidateLocked(worker string, now time.Time) *lease 
 	}
 	var best *lease
 	for _, l := range c.leases {
-		if l.worker == worker || l.hedges >= c.opts.maxHedges() {
+		if l.worker == worker || l.hedged {
 			continue
 		}
 		if now.Sub(l.granted) < thr {
@@ -600,11 +532,7 @@ func (c *Coordinator) grant(worker string) (LeaseResponse, span.SpanContext) {
 	if c.complete {
 		return LeaseResponse{Done: true}, span.SpanContext{}
 	}
-	h := c.healthLocked(worker)
-	if !h.quarantined && c.opts.MinWorkerScore > 0 && h.granted >= 4 && h.score() < c.opts.MinWorkerScore {
-		c.quarantineLocked(worker, "score", now)
-	}
-	if h.quarantined {
+	if c.healthLocked(worker).quarantined {
 		return LeaseResponse{None: true, Quarantined: true,
 			RetryMs: c.opts.leaseTTL().Milliseconds()}, span.SpanContext{}
 	}
@@ -614,7 +542,7 @@ func (c *Coordinator) grant(worker string) (LeaseResponse, span.SpanContext) {
 			held++
 		}
 	}
-	if held >= c.opts.maxLeasesPerWorker() {
+	if held >= maxLeasesPerWorker {
 		// Admission control: this worker already holds its fill.
 		return LeaseResponse{None: true, RetryMs: c.opts.leaseTTL().Milliseconds()/2 + 1}, span.SpanContext{}
 	}
@@ -657,12 +585,11 @@ func (c *Coordinator) grant(worker string) (LeaseResponse, span.SpanContext) {
 func (c *Coordinator) issueLocked(worker string, chunks sim.ChunkRange, hedgeOf *lease, now time.Time) (LeaseResponse, span.SpanContext) {
 	c.nextLease++
 	l := &lease{
-		id:       fmt.Sprintf("lease-%d", c.nextLease),
-		worker:   worker,
-		chunks:   chunks,
-		expires:  now.Add(c.opts.leaseTTL()),
-		granted:  now,
-		lastBeat: now,
+		id:      fmt.Sprintf("lease-%d", c.nextLease),
+		worker:  worker,
+		chunks:  chunks,
+		expires: now.Add(c.opts.leaseTTL()),
+		granted: now,
 	}
 	attrs := []span.Attr{
 		span.Str("lease", l.id), span.Str("worker", worker),
@@ -670,7 +597,7 @@ func (c *Coordinator) issueLocked(worker string, chunks sim.ChunkRange, hedgeOf 
 	}
 	if hedgeOf != nil {
 		l.hedgeOf = hedgeOf.id
-		hedgeOf.hedges++
+		hedgeOf.hedged = true
 		c.hedged++
 		attrs = append(attrs, span.Bool("hedge", true), span.Str("hedge_of", hedgeOf.id))
 		if c.opts.Metrics != nil {
@@ -710,13 +637,6 @@ func (c *Coordinator) heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	if !ok || l.worker != req.Worker {
 		return HeartbeatResponse{Expired: true}
 	}
-	// Workers beat every TTL/3; a renewal arriving later than 2·TTL/3
-	// after the previous one means at least one beat went missing —
-	// heartbeat latency feeding the health score.
-	if now.Sub(l.lastBeat) > c.opts.leaseTTL()*2/3 {
-		c.healthLocked(l.worker).lateBeats++
-	}
-	l.lastBeat = now
 	l.expires = now.Add(c.opts.leaseTTL())
 	return HeartbeatResponse{OK: true}
 }
@@ -786,9 +706,12 @@ func (c *Coordinator) result(req ResultPayload) (ResultResponse, error) {
 }
 
 // noteCorrupt charges a corrupt upload (failed checksum, JSON, or job
-// identity) to the worker's scorecard and quarantines it past the
-// configured threshold. The worker name comes from the WorkerHeader
-// when the body was too corrupt to name one.
+// identity) to the worker's scorecard. The worker name comes from the
+// WorkerHeader when the body was too corrupt to name one. At the
+// QuarantineCorrupt-th strike the worker is blacklisted: its
+// outstanding leases are revoked (their chunks return to the pool
+// immediately rather than at TTL), the metric is bumped, and a
+// "quarantine" span under the job records why.
 func (c *Coordinator) noteCorrupt(worker string) {
 	if worker == "" {
 		return
@@ -798,9 +721,23 @@ func (c *Coordinator) noteCorrupt(worker string) {
 	defer c.mu.Unlock()
 	h := c.healthLocked(worker)
 	h.corrupt++
-	if qc := c.opts.QuarantineCorrupt; qc > 0 && !h.quarantined && h.corrupt >= int64(qc) {
-		c.quarantineLocked(worker, "corrupt-uploads", now)
+	if qc := c.opts.QuarantineCorrupt; qc <= 0 || h.quarantined || h.corrupt < int64(qc) {
+		return
 	}
+	h.quarantined = true
+	c.quarantined++
+	for _, l := range c.leases {
+		if l.worker == worker {
+			l.expires = now.Add(-time.Nanosecond)
+		}
+	}
+	c.expireLocked(now)
+	if c.opts.Metrics != nil {
+		c.opts.Metrics.WorkerQuarantined()
+	}
+	c.opts.Tracer.Start("quarantine", c.jobSpan.Context(),
+		span.Str("worker", worker), span.Bool("quarantined", true), span.Str("reason", "corrupt-uploads"),
+		span.Int64("corrupt_uploads", h.corrupt)).End()
 }
 
 // endSpan closes a settled lease's span with its outcome; nil-safe for
@@ -845,8 +782,7 @@ func (c *Coordinator) Status() Status {
 	for worker, h := range c.health {
 		s.Workers = append(s.Workers, WorkerStatus{
 			Worker: worker, Granted: h.granted, Delivered: h.delivered,
-			Expired: h.expired, Corrupt: h.corrupt, LateHeartbeats: h.lateBeats,
-			Score: h.score(), Quarantined: h.quarantined,
+			Expired: h.expired, Corrupt: h.corrupt, Quarantined: h.quarantined,
 		})
 	}
 	sort.Slice(s.Workers, func(i, j int) bool { return s.Workers[i].Worker < s.Workers[j].Worker })

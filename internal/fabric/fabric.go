@@ -65,8 +65,8 @@ var ErrQuorumLost = errors.New("fabric: worker quorum lost")
 var ErrJobMismatch = errors.New("fabric: result does not match this job")
 
 // ErrWorkerQuarantined reports a worker the coordinator has blacklisted
-// (too many corrupt uploads, or a health score below the floor): it
-// will be granted no further leases and should exit.
+// for too many corrupt uploads (CoordinatorOptions.QuarantineCorrupt):
+// it will be granted no further leases and should exit.
 var ErrWorkerQuarantined = errors.New("fabric: worker quarantined by coordinator")
 
 // WorkerHeader carries the worker's ID on every RPC, so the coordinator
@@ -238,13 +238,6 @@ type WorkerStatus struct {
 	Expired   int64  `json:"expired"`
 	// Corrupt counts uploads from this worker that failed checksum,
 	// JSON decoding, or job-identity validation.
-	Corrupt int64 `json:"corrupt,omitempty"`
-	// LateHeartbeats counts renewals that arrived more than 2/3 of a
-	// TTL after the previous one (the worker beats every TTL/3).
-	LateHeartbeats int64 `json:"late_heartbeats,omitempty"`
-	// Score is the Laplace-smoothed health score in (0, 1]: delivered
-	// leases against expiries, corrupt uploads (double weight) and late
-	// heartbeats (half weight).
-	Score       float64 `json:"score"`
-	Quarantined bool    `json:"quarantined,omitempty"`
+	Corrupt     int64 `json:"corrupt,omitempty"`
+	Quarantined bool  `json:"quarantined,omitempty"`
 }

@@ -1,7 +1,7 @@
 package fabric
 
-// Tests for the adversarial-network hardening: hedged leases, worker
-// health scoring and quarantine, and coordinator admission control. The
+// Tests for the adversarial-network hardening: hedged leases,
+// corrupt-upload quarantine, and coordinator admission control. The
 // invariant under test is always the same one as everywhere else in the
 // fabric — whatever the hardening machinery does (duplicate leases,
 // revoked leases, shed RPCs), the finalized estimate stays byte-equal
@@ -41,13 +41,13 @@ func deliverRange(t *testing.T, c *Coordinator, runner Runner, worker, leaseID s
 // TestHedgeBoundsStraggler is the hedging acceptance test: with a
 // FakeClock, a worker that goes dark holds the last chunk hostage. With
 // hedging enabled the coordinator re-issues that range to an idle
-// worker once the lease's age passes HedgeFactor × the p99 of observed
+// worker once the lease's age passes 1.5 × the p99 of observed
 // completion times — long before the TTL expires — so the job finishes
 // in seconds instead of a full TTL later, with zero effect on the
 // output bytes.
 func TestHedgeBoundsStraggler(t *testing.T) {
 	ctx := context.Background()
-	spec := testJob(320) // 5 chunks
+	spec := testJob(256) // 4 chunks, leased one at a time
 	want := reference(t, spec)
 	runner, err := NewRunner(spec)
 	if err != nil {
@@ -55,22 +55,21 @@ func TestHedgeBoundsStraggler(t *testing.T) {
 	}
 
 	// run drives the straggler scenario and returns (estimate, elapsed,
-	// status). w1 delivers [0,2) and [2,4) in 1s each (the completion
-	// samples), w3 takes [4,5) and goes dark, and idle w2 polls 5s in.
+	// status). w1 delivers [0,1), [1,2) and [2,3) in 1s each (the three
+	// completion samples a hedge waits for), w3 takes [3,4) and goes
+	// dark, and idle w2 polls 5s in.
 	run := func(hedge bool) (string, time.Duration, Status) {
 		fc := fault.NewFakeClock(time.Unix(0, 0))
 		c, err := NewCoordinator(ctx, spec, CoordinatorOptions{
-			Clock:           fc,
-			LeaseChunks:     2,
-			LeaseTTL:        60 * time.Second,
-			Hedge:           hedge,
-			HedgeFactor:     2,
-			HedgeMinSamples: 2,
+			Clock:       fc,
+			LeaseChunks: 1,
+			LeaseTTL:    60 * time.Second,
+			Hedge:       hedge,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range []sim.ChunkRange{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 4}} {
+		for _, r := range []sim.ChunkRange{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 2}, {Lo: 2, Hi: 3}} {
 			lr, _ := c.grant("w1")
 			if lr.Lease == nil || lr.Lease.Chunks != r {
 				t.Fatalf("w1 lease = %+v, want chunks %v", lr, r)
@@ -78,12 +77,12 @@ func TestHedgeBoundsStraggler(t *testing.T) {
 			fc.Advance(time.Second)
 			deliverRange(t, c, runner, "w1", lr.Lease.ID, r)
 		}
-		straggler, _ := c.grant("w3") // w3 goes dark holding [4,5)
+		straggler, _ := c.grant("w3") // w3 goes dark holding [3,4)
 		if straggler.Lease == nil {
 			t.Fatalf("w3 got no lease: %+v", straggler)
 		}
 		// Too early for a hedge: the straggling lease is younger than
-		// 2 × p99(1s, 1s) = 2s, so the idle worker is told to wait.
+		// 1.5 × p99(1s, 1s, 1s) = 1.5s, so the idle worker is told to wait.
 		if lr, _ := c.grant("w2"); !lr.None || lr.Lease != nil {
 			t.Fatalf("immediate w2 grant = %+v, want None (no hedge yet)", lr)
 		}

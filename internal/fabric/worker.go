@@ -68,11 +68,6 @@ type Worker struct {
 	// the retry policy keeps backing off without hammering the address.
 	// HTTP responses of any status count as transport success.
 	Breaker *fault.Breaker
-	// Jitter draws the full-jitter fraction in [0, 1) for the
-	// all-leased-out polling backoff, so a fleet of idle workers does
-	// not stampede the coordinator in lockstep when a lease expires.
-	// Nil uses the fault package's seeded source.
-	Jitter func() float64
 	// Tracer, when non-nil, records the worker's side of the job trace:
 	// a "worker.lease" span per lease (parented under the coordinator's
 	// "lease" span via the response headers), "chunk" spans per engine
@@ -134,13 +129,6 @@ type retryAfterError struct {
 
 func (e *retryAfterError) Error() string             { return e.status }
 func (e *retryAfterError) RetryAfter() time.Duration { return e.after }
-
-func (w *Worker) jitter() float64 {
-	if w.Jitter != nil {
-		return w.Jitter()
-	}
-	return fault.Uniform01()
-}
 
 // recordBreaker reports a transport outcome to the breaker, if any.
 func (w *Worker) recordBreaker(err error) {
@@ -300,7 +288,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			// 1ms): every idle worker lands on a different instant, so a
 			// lease expiry does not trigger a thundering herd of
 			// simultaneous re-polls.
-			wait = time.Duration(w.jitter() * float64(wait))
+			wait = time.Duration(fault.Uniform01() * float64(wait))
 			if wait < time.Millisecond {
 				wait = time.Millisecond
 			}

@@ -3,9 +3,9 @@ package fault
 // A circuit breaker for worker RPCs: after a run of consecutive
 // transport failures the breaker opens and fails calls instantly
 // (ErrBreakerOpen) instead of letting every retry hammer a dead or
-// partitioned address; after a cooldown it half-opens and admits a
-// bounded number of probes, closing again on success. Time runs through
-// a Clock so FakeClock tests drive the state machine by hand.
+// partitioned address; after a cooldown it half-opens and admits one
+// probe, closing again on success. Time runs through a Clock so
+// FakeClock tests drive the state machine by hand.
 
 import (
 	"errors"
@@ -23,8 +23,8 @@ const (
 	// BreakerOpen fails every call instantly with ErrBreakerOpen until
 	// the cooldown elapses.
 	BreakerOpen
-	// BreakerHalfOpen admits up to Probes concurrent calls; success
-	// closes the breaker, failure reopens it.
+	// BreakerHalfOpen admits one probe call at a time; success closes
+	// the breaker, failure reopens it.
 	BreakerHalfOpen
 )
 
@@ -39,13 +39,12 @@ func (s BreakerState) String() string {
 }
 
 // ErrBreakerOpen is returned without attempting the call while the
-// breaker is open (or half-open with all probe slots taken). It is a
+// breaker is open (or half-open with its probe in flight). It is a
 // transient condition: callers should back off and retry.
 var ErrBreakerOpen = errors.New("fault: circuit breaker open")
 
 // BreakerOptions configures a Breaker. The zero value gets sane
-// defaults: 5 consecutive failures to open, 1s cooldown, 1 half-open
-// probe, wall clock.
+// defaults: 5 consecutive failures to open, 1s cooldown, wall clock.
 type BreakerOptions struct {
 	// Failures is the run of consecutive failures that opens the
 	// breaker. Values below 1 mean 5.
@@ -53,9 +52,6 @@ type BreakerOptions struct {
 	// Cooldown is how long the breaker stays open before half-opening.
 	// Non-positive means 1s.
 	Cooldown time.Duration
-	// Probes bounds the concurrent trial calls admitted while
-	// half-open. Values below 1 mean 1.
-	Probes int
 	// Clock drives the cooldown; nil means Wall.
 	Clock Clock
 	// OnChange, when non-nil, observes every state transition — the
@@ -71,9 +67,6 @@ func (o BreakerOptions) defaults() BreakerOptions {
 	if o.Cooldown <= 0 {
 		o.Cooldown = time.Second
 	}
-	if o.Probes < 1 {
-		o.Probes = 1
-	}
 	if o.Clock == nil {
 		o.Clock = Wall
 	}
@@ -81,15 +74,14 @@ func (o BreakerOptions) defaults() BreakerOptions {
 }
 
 // Breaker is a closed/open/half-open circuit breaker. Safe for
-// concurrent use. Pair every successful Allow with exactly one Record,
-// or use Do.
+// concurrent use. Pair every successful Allow with exactly one Record.
 type Breaker struct {
 	opts BreakerOptions
 
 	mu       sync.Mutex
 	state    BreakerState
 	fails    int       // consecutive failures while closed
-	inflight int       // admitted probes while half-open
+	probing  bool      // the half-open probe is in flight
 	openedAt time.Time // when the breaker last opened
 }
 
@@ -113,7 +105,7 @@ func (b *Breaker) State() BreakerState {
 func (b *Breaker) refreshLocked() (BreakerState, *transition) {
 	if b.state == BreakerOpen && !b.opts.Clock.Now().Before(b.openedAt.Add(b.opts.Cooldown)) {
 		b.state = BreakerHalfOpen
-		b.inflight = 0
+		b.probing = false
 		return b.state, &transition{BreakerOpen, BreakerHalfOpen}
 	}
 	return b.state, nil
@@ -129,7 +121,7 @@ func (b *Breaker) notify(ch *transition) {
 
 // Allow reports whether a call may proceed. A nil return admits the
 // call and MUST be matched by one Record with the call's outcome; a
-// half-open admission reserves a probe slot that Record releases.
+// half-open admission reserves the probe, which Record releases.
 func (b *Breaker) Allow() error {
 	b.mu.Lock()
 	st, change := b.refreshLocked()
@@ -138,10 +130,10 @@ func (b *Breaker) Allow() error {
 	case BreakerOpen:
 		err = ErrBreakerOpen
 	case BreakerHalfOpen:
-		if b.inflight >= b.opts.Probes {
+		if b.probing {
 			err = ErrBreakerOpen
 		} else {
-			b.inflight++
+			b.probing = true
 		}
 	}
 	b.mu.Unlock()
@@ -170,9 +162,7 @@ func (b *Breaker) Record(err error) {
 			}
 		}
 	case BreakerHalfOpen:
-		if b.inflight > 0 {
-			b.inflight--
-		}
+		b.probing = false
 		if err == nil {
 			b.state = BreakerClosed
 			b.fails = 0
@@ -188,17 +178,4 @@ func (b *Breaker) Record(err error) {
 	}
 	b.mu.Unlock()
 	b.notify(change)
-}
-
-// Do runs fn under the breaker: Allow, fn, Record(fn's error). Callers
-// whose failure classification differs from fn's return value (e.g. an
-// HTTP 4xx is an application error, not a transport failure) should
-// drive Allow/Record directly.
-func (b *Breaker) Do(fn func() error) error {
-	if err := b.Allow(); err != nil {
-		return err
-	}
-	err := fn()
-	b.Record(err)
-	return err
 }

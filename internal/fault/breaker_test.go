@@ -6,6 +6,17 @@ import (
 	"time"
 )
 
+// call runs fn under b the way the fabric worker drives its breaker:
+// Allow, fn, Record(fn's error).
+func call(b *Breaker, fn func() error) error {
+	if err := b.Allow(); err != nil {
+		return err
+	}
+	err := fn()
+	b.Record(err)
+	return err
+}
+
 // TestBreakerOpensAfterConsecutiveFailures: a run of Failures transport
 // errors opens the breaker, and further calls fail instantly without
 // running fn.
@@ -17,16 +28,16 @@ func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 		if st := b.State(); st != BreakerClosed {
 			t.Fatalf("state before failure %d = %v, want closed", i, st)
 		}
-		if err := b.Do(func() error { return boom }); !errors.Is(err, boom) {
-			t.Fatalf("Do = %v, want the transport error", err)
+		if err := call(b, func() error { return boom }); !errors.Is(err, boom) {
+			t.Fatalf("call = %v, want the transport error", err)
 		}
 	}
 	if st := b.State(); st != BreakerOpen {
 		t.Fatalf("state after 3 failures = %v, want open", st)
 	}
 	calls := 0
-	if err := b.Do(func() error { calls++; return nil }); !errors.Is(err, ErrBreakerOpen) || calls != 0 {
-		t.Fatalf("Do while open = %v after %d calls, want ErrBreakerOpen after 0", err, calls)
+	if err := call(b, func() error { calls++; return nil }); !errors.Is(err, ErrBreakerOpen) || calls != 0 {
+		t.Fatalf("call while open = %v after %d calls, want ErrBreakerOpen after 0", err, calls)
 	}
 }
 
@@ -36,8 +47,8 @@ func TestBreakerSuccessResetsFailureRun(t *testing.T) {
 	b := NewBreaker(BreakerOptions{Failures: 2, Clock: NewFakeClock(time.Unix(0, 0))})
 	boom := errors.New("boom")
 	for i := 0; i < 5; i++ {
-		b.Do(func() error { return boom })
-		b.Do(func() error { return nil })
+		call(b, func() error { return boom })
+		call(b, func() error { return nil })
 	}
 	if st := b.State(); st != BreakerClosed {
 		t.Fatalf("state = %v, want closed (failure run never reached 2)", st)
@@ -49,8 +60,8 @@ func TestBreakerSuccessResetsFailureRun(t *testing.T) {
 // closes the breaker.
 func TestBreakerHalfOpenProbe(t *testing.T) {
 	clock := NewFakeClock(time.Unix(0, 0))
-	b := NewBreaker(BreakerOptions{Failures: 1, Cooldown: 5 * time.Second, Probes: 1, Clock: clock})
-	b.Record(b.Do(func() error { return errors.New("boom") })) // opens; extra Record while open is a no-op
+	b := NewBreaker(BreakerOptions{Failures: 1, Cooldown: 5 * time.Second, Clock: clock})
+	b.Record(call(b, func() error { return errors.New("boom") })) // opens; extra Record while open is a no-op
 	if st := b.State(); st != BreakerOpen {
 		t.Fatalf("state = %v, want open", st)
 	}
@@ -62,7 +73,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 		t.Fatalf("first half-open Allow = %v, want probe admitted", err)
 	}
 	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("second half-open Allow = %v, want ErrBreakerOpen (probe slot taken)", err)
+		t.Fatalf("second half-open Allow = %v, want ErrBreakerOpen (probe in flight)", err)
 	}
 	b.Record(nil)
 	if st := b.State(); st != BreakerClosed {
@@ -75,9 +86,9 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	clock := NewFakeClock(time.Unix(0, 0))
 	b := NewBreaker(BreakerOptions{Failures: 1, Cooldown: 5 * time.Second, Clock: clock})
-	b.Do(func() error { return errors.New("boom") })
+	call(b, func() error { return errors.New("boom") })
 	clock.Advance(5 * time.Second)
-	if err := b.Do(func() error { return errors.New("still down") }); err == nil {
+	if err := call(b, func() error { return errors.New("still down") }); err == nil {
 		t.Fatal("probe unexpectedly succeeded")
 	}
 	if st := b.State(); st != BreakerOpen {
@@ -88,7 +99,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	}
 	// The second cooldown behaves like the first.
 	clock.Advance(5 * time.Second)
-	if err := b.Do(func() error { return nil }); err != nil {
+	if err := call(b, func() error { return nil }); err != nil {
 		t.Fatalf("probe after second cooldown = %v, want success", err)
 	}
 	if st := b.State(); st != BreakerClosed {
@@ -103,9 +114,9 @@ func TestBreakerOnChange(t *testing.T) {
 	var seen []string
 	b := NewBreaker(BreakerOptions{Failures: 1, Cooldown: time.Second, Clock: clock,
 		OnChange: func(from, to BreakerState) { seen = append(seen, from.String()+">"+to.String()) }})
-	b.Do(func() error { return errors.New("boom") })
+	call(b, func() error { return errors.New("boom") })
 	clock.Advance(time.Second)
-	b.Do(func() error { return nil })
+	call(b, func() error { return nil })
 	want := []string{"closed>open", "open>half-open", "half-open>closed"}
 	if len(seen) != len(want) {
 		t.Fatalf("transitions = %v, want %v", seen, want)

@@ -16,22 +16,18 @@ import (
 	"time"
 )
 
-// RetryPolicy bounds and paces the retries of one operation. The zero
-// value retries nothing (a single attempt); Defaults() fills the standard
-// artifact-layer policy.
+// RetryPolicy bounds and paces the retries of one operation run
+// through DoCtx. Unset knobs take the standard artifact-layer values
+// (Defaults), so the zero value is a complete policy.
 type RetryPolicy struct {
 	// Attempts is the total number of tries, including the first;
-	// values below 1 mean 1 (no retry).
+	// values below 1 mean 4.
 	Attempts int
 	// Base is the backoff unit: attempt k (0-based) waits up to
 	// Base·2^k, capped at Cap. Defaults to 5ms when 0.
 	Base time.Duration
 	// Cap bounds a single backoff sleep. Defaults to 250ms when 0.
 	Cap time.Duration
-	// Sleep performs Do's wait; nil means time.Sleep. Tests inject a
-	// recorder (or a no-op) to run storms at full speed. DoCtx ignores it
-	// — its waits run through Clock so they stay interruptible.
-	Sleep func(time.Duration)
 	// Clock times DoCtx's backoff waits; nil means the wall clock (Wall).
 	// Tests inject a FakeClock to pace retries by hand.
 	Clock Clock
@@ -50,8 +46,7 @@ type RetryPolicy struct {
 	// call may spend across attempts and backoff waits, measured
 	// through Clock. When the budget runs out mid-backoff, DoCtx sleeps
 	// only the remainder and returns the last attempt's error wrapped
-	// in a *BudgetExceededError. Do ignores it (its Sleep seam has no
-	// clock).
+	// in a *BudgetExceededError.
 	MaxElapsed time.Duration
 }
 
@@ -99,7 +94,7 @@ func (p RetryPolicy) Defaults() RetryPolicy {
 }
 
 // jitterRNG is the default jitter source, seeded once per process; draws
-// lock because Do may run from concurrent goroutines.
+// lock because DoCtx may run from concurrent goroutines.
 var jitterRNG = struct {
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -130,50 +125,18 @@ func (p RetryPolicy) Backoff(attempt int) time.Duration {
 	return min(d, p.Cap)
 }
 
-// Do runs fn until it succeeds, fails permanently, or the attempt budget
-// is spent, sleeping a full-jittered exponential backoff between tries.
-// It returns fn's last error.
-func (p RetryPolicy) Do(fn func() error) error {
-	p = p.Defaults()
-	sleep := p.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	jitter := p.Jitter
-	if jitter == nil {
-		jitter = defaultJitter
-	}
-	var err error
-	for attempt := 0; attempt < p.Attempts; attempt++ {
-		if err = fn(); err == nil {
-			return nil
-		}
-		if p.Retryable != nil && !p.Retryable(err) {
-			return err
-		}
-		if attempt == p.Attempts-1 {
-			break
-		}
-		if p.OnRetry != nil {
-			p.OnRetry(attempt+1, err)
-		}
-		sleep(time.Duration(jitter() * float64(p.Backoff(attempt))))
-	}
-	return err
-}
-
-// DoCtx is Do with cancellation and an optional time budget: every
-// backoff wait runs through Clock.After in a select against ctx.Done(),
-// so a cancelled context interrupts the wait immediately instead of
-// sleeping out up to Cap per attempt, and ctx is also checked before
-// each attempt. On cancellation the returned error matches ctx.Err()
-// via errors.Is (wrapping the last attempt's error, when there was one,
-// for context). When an attempt's error carries a RetryAfterHint (an
-// HTTP 429's Retry-After), the hint floors the next backoff wait. With
-// MaxElapsed set, a budget that runs out mid-backoff cuts the final
-// wait short and returns a *BudgetExceededError wrapping the last
-// attempt's error. The Sleep seam is ignored — it exists for Do's
-// uninterruptible waits.
+// DoCtx runs fn until it succeeds, fails permanently, or the attempt
+// budget is spent, waiting a full-jittered exponential backoff between
+// tries, and returns fn's last error. Every backoff wait runs through
+// Clock.After in a select against ctx.Done(), so a cancelled context
+// interrupts the wait immediately instead of sleeping out up to Cap per
+// attempt, and ctx is also checked before each attempt. On cancellation
+// the returned error matches ctx.Err() via errors.Is (wrapping the last
+// attempt's error, when there was one, for context). When an attempt's
+// error carries a RetryAfterHint (an HTTP 429's Retry-After), the hint
+// floors the next backoff wait. With MaxElapsed set, a budget that runs
+// out mid-backoff cuts the final wait short and returns a
+// *BudgetExceededError wrapping the last attempt's error.
 func (p RetryPolicy) DoCtx(ctx context.Context, fn func() error) error {
 	p = p.Defaults()
 	jitter := p.Jitter

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// TestDoCtxSucceeds: DoCtx behaves like Do on the happy path, waiting
-// through the injected clock between attempts.
+// TestDoCtxSucceeds: on the happy path DoCtx waits through the
+// injected clock between attempts.
 func TestDoCtxSucceeds(t *testing.T) {
 	clock := NewFakeClock(time.Unix(0, 0))
 	calls := 0
@@ -89,7 +89,7 @@ func TestDoCtxPermanent(t *testing.T) {
 }
 
 // TestDoCtxBudgetExhausted: DoCtx returns the last error once attempts
-// run out, like Do.
+// run out.
 func TestDoCtxBudgetExhausted(t *testing.T) {
 	clock := NewFakeClock(time.Unix(0, 0))
 	calls := 0

@@ -1,22 +1,42 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
 )
 
-// TestRetrySucceedsAfterTransients: Do keeps trying through transient
-// failures and stops the moment fn succeeds.
+// recordClock is a Clock whose After records each wait and fires at
+// once, so DoCtx's backoff runs at full speed with its waits visible.
+// For one goroutine only.
+type recordClock struct {
+	now   time.Time
+	waits []time.Duration
+}
+
+func (c *recordClock) Now() time.Time { return c.now }
+
+func (c *recordClock) After(d time.Duration) <-chan time.Time {
+	c.waits = append(c.waits, d)
+	c.now = c.now.Add(d)
+	ch := make(chan time.Time, 1)
+	ch <- c.now
+	return ch
+}
+
+// TestRetrySucceedsAfterTransients: DoCtx keeps trying through
+// transient failures and stops the moment fn succeeds.
 func TestRetrySucceedsAfterTransients(t *testing.T) {
 	calls := 0
 	var retries []int
+	clock := &recordClock{}
 	p := RetryPolicy{
 		Attempts: 5,
-		Sleep:    func(time.Duration) {},
+		Clock:    clock,
 		OnRetry:  func(attempt int, err error) { retries = append(retries, attempt) },
 	}
-	err := p.Do(func() error {
+	err := p.DoCtx(context.Background(), func() error {
 		calls++
 		if calls < 3 {
 			return errors.New("transient")
@@ -24,39 +44,29 @@ func TestRetrySucceedsAfterTransients(t *testing.T) {
 		return nil
 	})
 	if err != nil || calls != 3 {
-		t.Fatalf("Do = %v after %d calls, want nil after 3", err, calls)
+		t.Fatalf("DoCtx = %v after %d calls, want nil after 3", err, calls)
 	}
 	if len(retries) != 2 || retries[0] != 1 || retries[1] != 2 {
 		t.Fatalf("OnRetry attempts = %v, want [1 2]", retries)
 	}
+	if len(clock.waits) != 2 {
+		t.Fatalf("waited %d times between 3 attempts, want 2", len(clock.waits))
+	}
 }
 
-// TestRetryBudgetExhausted: after Attempts failures Do returns the last
-// error and never sleeps past the final attempt.
+// TestRetryBudgetExhausted: after Attempts failures DoCtx returns the
+// last error and never waits past the final attempt.
 func TestRetryBudgetExhausted(t *testing.T) {
-	calls, sleeps := 0, 0
-	p := RetryPolicy{Attempts: 4, Sleep: func(time.Duration) { sleeps++ }}
-	last := errors.New("still failing")
-	err := p.Do(func() error { calls++; return last })
-	if !errors.Is(err, last) || calls != 4 {
-		t.Fatalf("Do = %v after %d calls, want last error after 4", err, calls)
-	}
-	if sleeps != 3 {
-		t.Fatalf("slept %d times for 4 attempts, want 3", sleeps)
-	}
-}
-
-// TestRetryPermanent: a non-retryable error surfaces immediately.
-func TestRetryPermanent(t *testing.T) {
-	perm := errors.New("permanent")
 	calls := 0
-	p := RetryPolicy{
-		Attempts:  5,
-		Sleep:     func(time.Duration) {},
-		Retryable: func(err error) bool { return !errors.Is(err, perm) },
+	clock := &recordClock{}
+	p := RetryPolicy{Attempts: 4, Clock: clock}
+	last := errors.New("still failing")
+	err := p.DoCtx(context.Background(), func() error { calls++; return last })
+	if !errors.Is(err, last) || calls != 4 {
+		t.Fatalf("DoCtx = %v after %d calls, want last error after 4", err, calls)
 	}
-	if err := p.Do(func() error { calls++; return perm }); !errors.Is(err, perm) || calls != 1 {
-		t.Fatalf("Do = %v after %d calls, want permanent error after 1", err, calls)
+	if len(clock.waits) != 3 {
+		t.Fatalf("waited %d times for 4 attempts, want 3", len(clock.waits))
 	}
 }
 
@@ -77,24 +87,24 @@ func TestBackoffBounds(t *testing.T) {
 	}
 }
 
-// TestFullJitterSleep: the actual sleep is jitter * Backoff(attempt).
+// TestFullJitterSleep: the actual wait is jitter * Backoff(attempt).
 func TestFullJitterSleep(t *testing.T) {
-	var slept []time.Duration
+	clock := &recordClock{}
 	p := RetryPolicy{
 		Attempts: 3,
 		Base:     8 * time.Millisecond,
 		Cap:      time.Second,
-		Sleep:    func(d time.Duration) { slept = append(slept, d) },
+		Clock:    clock,
 		Jitter:   func() float64 { return 0.5 },
 	}
-	p.Do(func() error { return errors.New("fail") })
+	p.DoCtx(context.Background(), func() error { return errors.New("fail") })
 	want := []time.Duration{4 * time.Millisecond, 8 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %v, want %v", slept, want)
+	if len(clock.waits) != len(want) {
+		t.Fatalf("waited %v, want %v", clock.waits, want)
 	}
 	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("sleep %d = %v, want %v", i, slept[i], want[i])
+		if clock.waits[i] != want[i] {
+			t.Fatalf("wait %d = %v, want %v", i, clock.waits[i], want[i])
 		}
 	}
 }

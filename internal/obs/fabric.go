@@ -109,8 +109,7 @@ func (m *FabricMetrics) ChunkDuration(seconds float64, chunks int) {
 // straggling lease's range, granted before the original expired.
 func (m *FabricMetrics) HedgeIssued() { m.hedges.Inc() }
 
-// WorkerQuarantined records one worker blacklisted (corrupt uploads or
-// a health score below the floor).
+// WorkerQuarantined records one worker blacklisted for corrupt uploads.
 func (m *FabricMetrics) WorkerQuarantined() { m.quarantined.Inc() }
 
 // RPCShed records one RPC refused with 429 + Retry-After because the

@@ -19,10 +19,8 @@ type Config struct {
 	Resume  string
 	// TotalTrials is the overall trial budget, for ETA.
 	TotalTrials int
-	// Progress > 0 emits a progress line to ProgressW (default stderr)
-	// at that interval.
-	Progress  time.Duration
-	ProgressW io.Writer
+	// Progress > 0 emits a progress line to stderr at that interval.
+	Progress time.Duration
 	// MetricsOut, when set, receives the final registry snapshot as JSON.
 	MetricsOut string
 	// Manifest, when set, receives the JSONL event log.
@@ -98,10 +96,7 @@ func Setup(cfg Config) (*Instrumentation, error) {
 		fmt.Fprintf(os.Stderr, "%s: profiling at http://%s/debug/pprof/ (metrics at /debug/metrics)\n", cfg.Tool, d.Addr)
 	}
 	if cfg.Progress > 0 || ins.Manifest != nil {
-		w := cfg.ProgressW
-		if cfg.Progress > 0 && w == nil {
-			w = os.Stderr
-		}
+		var w io.Writer = os.Stderr
 		if cfg.Progress <= 0 {
 			// Manifest-only runs still sample progress for the artifact,
 			// at a coarse default, without printing anything.

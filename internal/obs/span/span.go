@@ -271,11 +271,6 @@ type Options struct {
 	// coordinator uses "coord", workers their worker ID. Required to be
 	// unique across the processes of one trace for IDs to merge cleanly.
 	Service string
-	// TraceID adopts an existing trace (a worker joining a job). Empty
-	// starts a new trace named after the service and start time; a
-	// worker with no TraceID adopts the coordinator's the first time a
-	// response header carries one (AdoptTrace).
-	TraceID string
 	// Clock is the wall-time source; nil means the wall clock. Tests
 	// inject a fault.FakeClock for bit-identical trace files.
 	Clock fault.Clock
@@ -311,15 +306,13 @@ func New(w io.Writer, opts Options) *Tracer {
 		service = fmt.Sprintf("proc-%d", os.Getpid())
 	}
 	start := clock.Now()
-	trace := opts.TraceID
-	if trace == "" {
-		trace = fmt.Sprintf("%s-%x", service, start.UnixNano())
-	}
+	// Each tracer starts a trace named after its service and start time;
+	// a worker joins the coordinator's through AdoptTrace.
 	return &Tracer{
 		service: service,
 		clock:   clock,
 		start:   start,
-		trace:   trace,
+		trace:   fmt.Sprintf("%s-%x", service, start.UnixNano()),
 		buf:     bufio.NewWriter(w),
 	}
 }

@@ -28,7 +28,6 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 
@@ -222,9 +221,6 @@ func Product[S comparable](m Model[S], cfg Config) (*pa.Automaton[State[S]], err
 	}
 	return auto, nil
 }
-
-// ErrNoStates is returned by Lift helpers on empty input.
-var ErrNoStates = errors.New("sched: no states")
 
 // LiftPred lifts a predicate on algorithm states to product states.
 func LiftPred[S comparable](pred func(S) bool) func(State[S]) bool {

@@ -22,6 +22,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -209,6 +210,9 @@ func decodeArtifact(path string, data []byte) (CheckpointSet, error) {
 }
 
 // retryPolicy is s.Retry with the metrics hook chained onto OnRetry.
+// Load and Save run it under context.Background: an interrupted run
+// still saves each chunk it drains after its own context is cancelled,
+// so the store's retries must not stop with that context.
 func (s *ArtifactStore) retryPolicy() fault.RetryPolicy {
 	retry := s.Retry
 	prev := retry.OnRetry
@@ -241,7 +245,7 @@ func (s *ArtifactStore) Load(path string) (CheckpointSet, LoadInfo, error) {
 	for g := 0; g < maxGenerations; g++ {
 		p := genPath(path, g)
 		var data []byte
-		err := retry.Do(func() error {
+		err := retry.DoCtx(context.Background(), func() error {
 			var rerr error
 			data, rerr = fs.ReadFile(p)
 			return rerr
@@ -292,7 +296,7 @@ func (s *ArtifactStore) Save(path string, cs CheckpointSet) error {
 	dir := filepath.Dir(path)
 	base := filepath.Base(path)
 
-	err = s.retryPolicy().Do(func() error {
+	err = s.retryPolicy().DoCtx(context.Background(), func() error {
 		tmp, err := fs.CreateTemp(dir, base+".tmp*")
 		if err != nil {
 			return err

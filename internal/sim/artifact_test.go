@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 )
@@ -205,7 +204,7 @@ func TestArtifactRetry(t *testing.T) {
 	s := ArtifactStore{
 		FS:      fs,
 		Metrics: met,
-		Retry:   fault.RetryPolicy{Attempts: 4, Sleep: func(time.Duration) {}},
+		Retry:   fault.RetryPolicy{Attempts: 4, Jitter: func() float64 { return 0 }},
 	}
 	if err := s.Save(path, mkSet(5)); err != nil {
 		t.Fatal(err)
@@ -227,7 +226,7 @@ func TestArtifactRetryExhausted(t *testing.T) {
 	in := fault.NewInjector(fault.OS, 11, fault.Probs{fault.OpRename: 1})
 	s := ArtifactStore{
 		FS:    in,
-		Retry: fault.RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}},
+		Retry: fault.RetryPolicy{Attempts: 3, Jitter: func() float64 { return 0 }},
 	}
 	err := s.Save(path, mkSet(5))
 	if !errors.Is(err, fault.ErrInjected) {

@@ -113,7 +113,7 @@ func TestChaosCheckpointStorm(t *testing.T) {
 		store := &ArtifactStore{
 			FS:    inj,
 			Keep:  3,
-			Retry: fault.RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}},
+			Retry: fault.RetryPolicy{Attempts: 3, Jitter: func() float64 { return 0 }},
 		}
 
 		completed := false

@@ -71,7 +71,7 @@ func TestViewDeadlineMinNoReady(t *testing.T) {
 	}
 	var sc viewScratch[flipState]
 	sc.init(cm)
-	v := sc.build(flipState{Heads: true}, 3.5)
+	v, _ := sc.build(flipState{Heads: true}, 3.5)
 	if len(v.Ready) != 0 {
 		t.Fatalf("ready = %v", v.Ready)
 	}

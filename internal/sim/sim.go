@@ -196,7 +196,7 @@ func runTrial[S comparable](sc *viewScratch[S], p Policy[S], target func(S) bool
 	}
 
 	for res.Events < opts.MaxEvents && now <= opts.MaxTime {
-		view := sc.build(state, now)
+		view, dmin := sc.build(state, now)
 		choice, ok := p.Choose(view, rng)
 		if !ok {
 			if len(view.Ready) > 0 {
@@ -205,7 +205,9 @@ func runTrial[S comparable](sc *viewScratch[S], p Policy[S], target func(S) bool
 			res.Final = state
 			return nil
 		}
-		next, t, err := applyChoice(state, view.Now, view.DeadlineMin, choice, sc, rng)
+		// The policy holds a pointer to the View, so the step is checked
+		// against the loop's own clock and deadline, not the View's.
+		next, t, err := applyChoice(state, now, dmin, choice, sc, rng)
 		if err != nil {
 			return err
 		}
@@ -295,8 +297,9 @@ func (sc *viewScratch[S]) reset() {
 // inherently per-run — is recomputed. Every field is assigned in place,
 // each step, so whatever a policy did to the View's fields is undone; a
 // composite-literal assignment would zero and copy a whole temporary
-// View per event instead.
-func (sc *viewScratch[S]) build(s S, now float64) *View[S] {
+// View per event instead. It also returns the earliest deadline, the
+// engine's own copy of View.DeadlineMin.
+func (sc *viewScratch[S]) build(s S, now float64) (*View[S], float64) {
 	slot := sc.pending
 	sc.pending = nil
 	var e *stateEntry[S]
@@ -336,7 +339,7 @@ func (sc *viewScratch[S]) build(s S, now float64) *View[S] {
 	v.MoveCount = e.moveCount
 	v.UserMovers = e.userMovers
 	v.UserMoveCount = e.userCount
-	return v
+	return v, dmin
 }
 
 // applyChoice validates the policy's choice in state s and draws the

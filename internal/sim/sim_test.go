@@ -238,6 +238,38 @@ func TestBadChoicesRejected(t *testing.T) {
 	}
 }
 
+// TestChoiceCheckedAgainstEngineBounds: a policy holds a pointer to the
+// View, so it can overwrite the View's clock and deadline before
+// choosing. The engine checks the step against its own copies, so a
+// step past the Unit-Time deadline or back in time is still rejected.
+func TestChoiceCheckedAgainstEngineBounds(t *testing.T) {
+	tests := []struct {
+		name   string
+		choose func(v *View[int]) Choice
+	}{
+		{name: "deadline lifted", choose: func(v *View[int]) Choice {
+			v.DeadlineMin = math.Inf(1)
+			return Choice{Proc: 0, At: v.Now + 5}
+		}},
+		{name: "clock rewound", choose: func(v *View[int]) Choice {
+			v.Now = -10
+			return Choice{Proc: 0, At: v.Now}
+		}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			cheat := PolicyFunc[int](func(v *View[int], _ *rand.Rand) (Choice, bool) {
+				return tt.choose(v), true
+			})
+			_, err := RunOnce[int](ticker{}, cheat, func(s int) bool { return s >= 3 },
+				Options[int]{}, rand.New(rand.NewSource(1)))
+			if !errors.Is(err, ErrBadChoice) {
+				t.Errorf("err = %v, want ErrBadChoice", err)
+			}
+		})
+	}
+}
+
 // TestMaliciousProcIndexRejected is the regression test for the
 // validation-order bug: applyChoice used to call m.Moves(s, c.Proc) before
 // range-checking c.Proc, so a policy returning an out-of-range process

@@ -10,8 +10,10 @@
 #   test        go test ./...                    unit + integration + fuzz seed corpus
 #   test-race   go test -race ./...              data races in the sharded Monte
 #                                                Carlo engine and checkpoint sink
-#   bench-smoke go test -bench -benchtime=1x     benchmarks that stopped compiling
-#                                                or assert a broken paper bound
+#   bench-smoke go test -bench -benchtime=1x     benchmarks that stopped compiling,
+#                                                assert a broken paper bound, or
+#                                                hold a host-independent ceiling
+#                                                (BenchmarkColdCache's B/trial)
 #   chaos-smoke go test -race -run TestChaos     one seeded fault/kill/corruption
 #                                                storm per chaos package
 #   chaos-net-smoke go test -race TestChaosNetworkStorm  one seeded partition/
@@ -35,16 +37,14 @@
 #                                                (its own go.mod, so ./... skips it)
 #   vuln        govulncheck (if installed)       known-vulnerable dependency use
 #
-# Performance regressions are gated separately by `make bench-diff`: it
-# re-measures the engine benchmarks and diffs them against the committed
-# BENCH_sim.json baseline with `benchjson -compare` (exit 1 when any
-# metric moves >10% in the bad direction, the headline trials/s drops
-# below the absolute TRIALS_FLOOR, the exact-engine states/s drops
-# below STATES_FLOOR, its B/state rises above STATE_BYTES_CEIL, or the
-# cold Monte Carlo cache's B/trial rises above COLD_BYTES_CEIL). It
-# is not part of `make check`
-# because a measurement run takes minutes; run it before committing
-# changes to internal/sim, internal/prob or internal/obs.
+# Performance regressions are gated separately by `make bench-ab
+# BASE=<rev>`: a paired A/B of the working tree against BASE on every
+# BENCHMARK.json workload (cmd/benchab: ten alternating perfbench pairs
+# per workload, each metric judged against its BENCHMARK.json bound),
+# recorded in the BENCH_sim.json ledger; it exits 1 on a regression or a
+# failed run. It is not part of `make check` because a full run takes
+# about half an hour (4 workloads x 10 pairs x 2 sides x 20 s); run it
+# before committing a change that may move performance.
 #
 # staticcheck and govulncheck are optional: the targets run them when they
 # are on PATH and print a skip notice otherwise, so `make check` works on
@@ -56,49 +56,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test test-short test-race bench bench-smoke bench-json bench-diff vuln vet fmt fuzz chaos chaos-smoke chaos-net chaos-net-smoke fabric-smoke trace-smoke mdp-smoke perfbench-check check lrcheck experiments
-
-# Benchmarks recorded in BENCH_sim.json and gated by bench-diff: the
-# parallel-engine throughput row, the metrics- and span-overhead pairs,
-# the cold-cache trial rows for the election and consensus case studies
-# and for the mc-cold job (dining n=8, random policy), the exact-engine
-# explore+solve row (the full product, symmetry hidden) and its sibling
-# on the ring's quotient (what lrcheck runs), the paper-chain row (the
-# five arrows through core.CheckAll), the expected-time solver row and
-# the breaker-overhead row.
-BENCH_GATE = BenchmarkParallelTrials|BenchmarkMetricsOverhead|BenchmarkSpanOverhead|BenchmarkElectionTrials|BenchmarkConsensusTrials|BenchmarkColdCache|BenchmarkExactEngine|BenchmarkQuotientEngine|BenchmarkPaperChain|BenchmarkExpectedTicks|BenchmarkBreakerOverhead
-
-# Absolute throughput backstop for the headline engine benchmark,
-# enforced by bench-diff on top of the relative 10% gate: the alias
-# sampler + arena engine with the by-pointer policy
-# view measures ~208k trials/s on the reference machine (5.7x the 36,431
-# pre-alias baseline recorded in EXPERIMENTS.md); the floor sits below
-# that to absorb machine noise while still catching any change that
-# gives back the optimisation.
-TRIALS_FLOOR = BenchmarkParallelTrials:trials/s=180000
-
-# Absolute backstop for the exact engine: the on-the-fly CSR explorer
-# plus the fixed-point composed-claim check sustains ~90k states/s on
-# the dining n=3 k=2 product at -cpu 1 (~115k at two CPUs; reference
-# machine), against ~25k with big.Rat sweeps; the floor catches a return
-# to big.Rat sweeps or to per-state map interning.
-STATES_FLOOR = BenchmarkExactEngine:states/s=70000
-
-# Absolute ceiling on the exact engine's transition structure: the CSR
-# of the dining n=3 k=2 product takes 40.8 B/state (a branch stores a
-# 4-byte target and a 1-byte probability index), against 86.1 when
-# every branch kept its probability as a float64 and a prob.Rat. Unlike
-# the timing rows, B/state does not depend on the host; benchjson gates
-# B/ units as costs, so this bound is a ceiling.
-STATE_BYTES_CEIL = BenchmarkExactEngine:B/state=45
-
-# Absolute ceiling on what the Monte Carlo compile cache retains: the
-# mc-cold job's live heap per trial (dining n=8, random policy, 3,000
-# trials on a fresh cache, two collections). An interned state keeps its
-# counts, ready lists and outcome records: 6.2 KB/trial, against 16.6
-# KB/trial when every state also kept the model's steps for all 2n
-# process slots. Like B/state it does not depend on the host.
-COLD_BYTES_CEIL = BenchmarkColdCache:B/trial=8000
+.PHONY: all build test test-short test-race bench bench-smoke bench-ab vuln vet fmt fuzz chaos chaos-smoke chaos-net chaos-net-smoke fabric-smoke trace-smoke mdp-smoke perfbench-check check lrcheck experiments
 
 all: check
 
@@ -125,25 +83,10 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# Machine-readable benchmark artifact: the engine benchmarks named in
-# BENCH_GATE (the metrics-overhead pair's equal allocs/op columns prove
-# the telemetry hook allocates nothing per trial), post-processed from
-# the `go test -json` stream into BENCH_sim.json by cmd/benchjson.
-# Rows are recorded at -cpu 1: a run at GOMAXPROCS=k names every row
-# with a -k suffix, which would match no baseline row.
-bench-json:
-	$(GO) test -run='^$$' -bench='$(BENCH_GATE)' -benchmem -cpu 1 -json . \
-		| $(GO) run ./cmd/benchjson -o BENCH_sim.json
-	@echo "wrote BENCH_sim.json"
-
-# Perf-regression gate: re-measure the gated benchmarks into a temp file
-# and diff against the committed baseline; exits non-zero when any
-# metric regressed more than 10%. Measured at -cpu 1, like the baseline,
-# so every row has a baseline to compare with.
-bench-diff:
-	$(GO) test -run='^$$' -bench='$(BENCH_GATE)' -benchmem -cpu 1 -json . \
-		| $(GO) run ./cmd/benchjson -o /tmp/bench_new.json
-	$(GO) run ./cmd/benchjson -compare BENCH_sim.json /tmp/bench_new.json -threshold 0.10 -floor '$(TRIALS_FLOOR)' -floor '$(STATES_FLOOR)' -floor '$(STATE_BYTES_CEIL)' -floor '$(COLD_BYTES_CEIL)'
+# The benchmark gate (see the header): make bench-ab BASE=<rev>. For a
+# subset of workloads, run go run ./cmd/benchab <rev> <workload>...
+bench-ab:
+	$(GO) run ./cmd/benchab $(BASE)
 
 vuln:
 	@if command -v govulncheck >/dev/null 2>&1; then \

@@ -409,12 +409,16 @@ func BenchmarkConsensusTrials(b *testing.B) {
 // afresh, so nearly every trial interns new states and builds samplers.
 // trials/s is the cold run's throughput; B/trial is the live heap the
 // run's cache retains per trial, read after two collections outside the
-// timer. With GOMAXPROCS=1 one worker runs every trial, so the interned
-// states and records, and with them B/trial, do not depend on the host.
+// timer. The interned states and records, and with them B/trial, do not
+// depend on the host (6.2 KB at one worker and at two), so B/trial is
+// held to maxBytesPerTrial on every run, `make bench-smoke`'s included:
+// it read 16.6 KB while every interned state also kept the model's steps
+// for all 2n process slots.
 func BenchmarkColdCache(b *testing.B) {
 	const (
-		n      = 8
-		trials = 3_000
+		n                = 8
+		trials           = 3_000
+		maxBytesPerTrial = 8_000
 	)
 	model := dining.MustNew(n)
 	opts := sim.Options[dining.State]{Start: dining.AllAt(n, dining.F), SetStart: true}
@@ -449,6 +453,9 @@ func BenchmarkColdCache(b *testing.B) {
 	}
 	b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 	b.ReportMetric(retained/trials, "B/trial")
+	if retained/trials > maxBytesPerTrial {
+		b.Fatalf("the cold cache retains %.0f B/trial, above the %d B ceiling", retained/trials, maxBytesPerTrial)
+	}
 }
 
 // E-extra: the third case study — a full Ben-Or consensus run under the
@@ -513,7 +520,7 @@ func BenchmarkProgressCurve(b *testing.B) {
 
 // E-extra: the most-damning schedule for the composed claim, as
 // `lrcheck -witness` pays for it: the direct check keeping its strategy
-// (core.CheckStrategy), then the walk. Not in BENCH_GATE.
+// (core.CheckStrategy), then the walk.
 func BenchmarkWorstWitness(b *testing.B) {
 	a, _, _ := fixtures(b)
 	st := a.ComposedStatement()
@@ -559,8 +566,7 @@ func BenchmarkEnumerateProduct(b *testing.B) {
 // model-check the composed T --13,1/8--> C claim on the result, as
 // `lrcheck -n 3 -k 2` did before it explored the ring's quotient.
 // states/s counts explored states per wall-clock second of the full
-// explore+solve loop — the quantity the STATES_FLOOR gate in `make
-// bench-diff` enforces — and B/state is the resident CSR transition
+// explore+solve loop, and B/state is the resident CSR transition
 // structure per explored state, the number that decides how far
 // -mem-budget lets a product grow. Both measure the explorer per
 // interned state, which a quotient's counts would not.
@@ -741,8 +747,8 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 // whole distribution and still fails decisively. Cross-mode minima
 // proved too fragile on a small host, where run-level throughput drifts
 // by several percent. One sample proves nothing, so the gate only trips
-// at b.N >= 3: `-benchtime=1x` smoke runs pass through, `make
-// bench`/bench-json enforce it.
+// at b.N >= 3: `-benchtime=1x` smoke runs pass through, `make bench`
+// enforces it.
 func pairedOverhead(b *testing.B, seam string, off, on func() time.Duration) {
 	ratios := make([]float64, 0, b.N)
 	for i := 0; i < b.N; i++ {

@@ -49,6 +49,7 @@ import (
 	"repro/internal/dining"
 	"repro/internal/mdp"
 	"repro/internal/obs/span"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -83,9 +84,17 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return cli.UsageError(fs, "%v", err)
 	}
-	names := strings.Split(*policies, ",")
+	var pols []policy
+	for _, name := range strings.Split(*policies, ",") {
+		name = strings.TrimSpace(name)
+		mk, err := dining.PolicyByName(name)
+		if err != nil {
+			return cli.UsageError(fs, "%v", err)
+		}
+		pols = append(pols, policy{name, mk})
+	}
 
-	stages := 2 * len(ns) * len(names)
+	stages := 2 * len(ns) * len(pols)
 	if *curveMax > 0 {
 		stages++
 	}
@@ -94,10 +103,16 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	return r.Close(experiments(r, ns, names, *trials, *within, *curveMax))
+	return r.Close(experiments(r, ns, pols, *trials, *within, *curveMax))
 }
 
-func experiments(r *cli.Run, ns []int, names []string, trials int, within float64, curveMax int) error {
+// policy is one -policies entry with its factory.
+type policy struct {
+	name string
+	mk   func() sim.Policy[dining.State]
+}
+
+func experiments(r *cli.Run, ns []int, pols []policy, trials int, within float64, curveMax int) error {
 	ctx := r.Ctx
 	// One compiled model per ring size, shared by every stage that uses
 	// that size (reach, time, curve): the transition cache built during
@@ -134,13 +149,9 @@ func experiments(r *cli.Run, ns []int, names []string, trials int, within float6
 	}
 
 	for _, n := range ns {
-		for _, name := range names {
-			name = strings.TrimSpace(name)
+		for _, p := range pols {
+			name, mk := p.name, p.mk
 			model, err := newModel(n)
-			if err != nil {
-				return err
-			}
-			mk, err := dining.PolicyByName(name)
 			if err != nil {
 				return err
 			}
@@ -176,13 +187,8 @@ func experiments(r *cli.Run, ns []int, names []string, trials int, within float6
 	}
 
 	if curveMax > 0 {
-		n := ns[0]
-		name := strings.TrimSpace(names[0])
+		n, name, mk := ns[0], pols[0].name, pols[0].mk
 		model, err := newModel(n)
-		if err != nil {
-			return err
-		}
-		mk, err := dining.PolicyByName(name)
 		if err != nil {
 			return err
 		}
@@ -226,8 +232,8 @@ func parseSizes(s string) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad ring size %q: %v", part, err)
 		}
-		if n <= 0 {
-			return nil, fmt.Errorf("ring size must be positive, got %d", n)
+		if n < 2 || n > sched.MaxProcs {
+			return nil, fmt.Errorf("ring size %d outside 2..%d", n, sched.MaxProcs)
 		}
 		out = append(out, n)
 	}

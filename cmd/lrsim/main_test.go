@@ -64,13 +64,22 @@ func TestRunBadInputs(t *testing.T) {
 			t.Errorf("args %v accepted", args)
 		}
 	}
-	// A -curve past mdp.MaxHorizon is refused before the size/policy
-	// table, so nothing reaches stdout and no curve is allocated.
-	for _, curve := range []int{mdp.MaxHorizon + 1, math.MaxInt} {
-		args := []string{"-sizes", "3", "-policies", "slowest", "-trials", "20", "-curve", strconv.Itoa(curve)}
+	// A -curve past mdp.MaxHorizon, a ring size outside 2..16 and an
+	// unknown policy are refused before the size/policy table, so nothing
+	// reaches stdout, no estimate runs and no curve is allocated.
+	for _, tt := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-sizes", "3", "-policies", "slowest", "-curve", strconv.Itoa(mdp.MaxHorizon + 1)}, "-curve must be"},
+		{[]string{"-sizes", "3", "-policies", "slowest", "-curve", strconv.Itoa(math.MaxInt)}, "-curve must be"},
+		{[]string{"-sizes", "3,1", "-policies", "slowest"}, "ring size 1 outside 2..16"},
+		{[]string{"-sizes", "3", "-policies", "slowest,bogus"}, `unknown policy "bogus"`},
+	} {
+		args := append(tt.args, "-trials", "20")
 		out, err := captureRun(t, context.Background(), args)
-		if err == nil || !strings.Contains(err.Error(), "-curve must be") {
-			t.Errorf("args %v: err = %v, want a -curve usage error", args, err)
+		if err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Errorf("args %v: err = %v, want a usage error naming %q", args, err, tt.want)
 		}
 		if out != "" {
 			t.Errorf("args %v printed %q before refusing", args, out)
@@ -169,18 +178,6 @@ func TestRunBadObservabilityFlags(t *testing.T) {
 	for _, args := range tests {
 		if err := run(context.Background(), args); err == nil {
 			t.Errorf("args %v accepted", args)
-		}
-	}
-	// A -curve past mdp.MaxHorizon is refused before the size/policy
-	// table, so nothing reaches stdout and no curve is allocated.
-	for _, curve := range []int{mdp.MaxHorizon + 1, math.MaxInt} {
-		args := []string{"-sizes", "3", "-policies", "slowest", "-trials", "20", "-curve", strconv.Itoa(curve)}
-		out, err := captureRun(t, context.Background(), args)
-		if err == nil || !strings.Contains(err.Error(), "-curve must be") {
-			t.Errorf("args %v: err = %v, want a -curve usage error", args, err)
-		}
-		if out != "" {
-			t.Errorf("args %v printed %q before refusing", args, out)
 		}
 	}
 }

@@ -366,7 +366,8 @@ func applyChoice[S comparable](s S, now, deadlineMin float64, c Choice, sc *view
 		return zero, 0, fmt.Errorf("%w: proc %d move %d (user=%t)", ErrBadChoice, c.Proc, c.Move, c.User)
 	}
 	t := c.At
-	if t < now || t > deadlineMin {
+	// Written so that a NaN time fails it too.
+	if !(now <= t && t <= deadlineMin) {
 		return zero, 0, fmt.Errorf("%w: time %v outside [%v, %v]", ErrBadChoice, t, now, deadlineMin)
 	}
 	// A hit is this one atomic load; only the first trial to take one of

@@ -241,7 +241,8 @@ func TestBadChoicesRejected(t *testing.T) {
 // TestChoiceCheckedAgainstEngineBounds: a policy holds a pointer to the
 // View, so it can overwrite the View's clock and deadline before
 // choosing. The engine checks the step against its own copies, so a
-// step past the Unit-Time deadline or back in time is still rejected.
+// step past the Unit-Time deadline or back in time is still rejected,
+// and so is a step at a NaN time, which fails no ordered comparison.
 func TestChoiceCheckedAgainstEngineBounds(t *testing.T) {
 	tests := []struct {
 		name   string
@@ -254,6 +255,9 @@ func TestChoiceCheckedAgainstEngineBounds(t *testing.T) {
 		{name: "clock rewound", choose: func(v *View[int]) Choice {
 			v.Now = -10
 			return Choice{Proc: 0, At: v.Now}
+		}},
+		{name: "NaN time", choose: func(*View[int]) Choice {
+			return Choice{Proc: 0, At: math.NaN()}
 		}},
 	}
 	for _, tt := range tests {
